@@ -368,13 +368,14 @@ def count_admissible(beta: BetaLike, n: int,
     count = sum(_level_distribution(param, n, node_cap).values())
     b = float(param.beta)
     logc = math.log(count)
-    if logc < n * math.log(b) - 1e-9 or \
-       logc > (n + 1) * math.log(b) - math.log(b - 1) + 1e-9:
+    lo = n * math.log(b)
+    hi = (n + 1) * math.log(b) - math.log(b - 1)
+    if logc < lo - 1e-9 or logc > hi + 1e-9:
         raise ConsistencyError(
             f"admissible count {count} escapes the Renyi sandwich for "
             f"beta={b}, n={n}", module="beta_dynamics")
-    log.debug("count_admissible(beta=%s, n=%d) = %d within [%.6g, %.6g]",
-              b, n, count, b ** n, b ** (n + 1) / (b - 1))
+    log.debug("count_admissible(beta=%s, n=%d): log count %.6g within "
+              "[%.6g, %.6g]", b, n, logc, lo, hi)
     return count
 
 

@@ -261,8 +261,7 @@ def make_target_spec(cfg: RunConfig) -> TargetSpec:
         if not isinstance(shapes, list) or not shapes:
             _fail("explicit target needs a non-empty 'shapes' list")
         fam = ExplicitTargets(tuple(
-            Parallelepiped(sh["origin"], np.column_stack(sh["columns"]))
-            for sh in shapes))
+            _explicit_shape(i, sh) for i, sh in enumerate(shapes)))
     elif kind == "table":
         known = {"path"}
         for k in tgt:
@@ -274,6 +273,24 @@ def make_target_spec(cfg: RunConfig) -> TargetSpec:
     else:
         _fail(f"unknown target kind {kind!r}")
     return TargetSpec(system, fam)
+
+
+def _explicit_shape(i: int, sh) -> Parallelepiped:
+    if not isinstance(sh, dict):
+        _fail(f"explicit shape {i} must be an object, got {sh!r}")
+    for k in sh:
+        if k not in ("origin", "columns"):
+            _fail(f"unknown explicit shape key {k!r}")
+    for k in ("origin", "columns"):
+        if k not in sh:
+            _fail(f"explicit shape {i} needs {k!r}")
+    try:
+        origin = np.asarray(sh["origin"], dtype=float)
+        columns = np.column_stack(np.asarray(sh["columns"], dtype=float))
+    except (TypeError, ValueError):
+        _fail(f"explicit shape {i}: 'origin' and 'columns' must be "
+              "numeric arrays")
+    return Parallelepiped(origin, columns)
 
 
 def _load_table(path: str, d: int) -> ExplicitTargets:

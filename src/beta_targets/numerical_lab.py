@@ -295,6 +295,9 @@ def empirical_cover_count(E: EnSet, tau: float,
     lower/upper envelope chains, and the touched rows follow.  Open-cell
     semantics at both steps (strict inequalities at slab and row
     boundaries), so abutting copies never double-book a boundary cell.
+    The count is the size of the union of those row intervals within
+    each column, so memory grows with the (copy, grid column) pairs, not
+    with the cells; cell_cap bounds the number of such pairs.
     """
     tau = float(tau)
     if not (0.0 < tau < 1.0):
@@ -322,8 +325,7 @@ def empirical_cover_count(E: EnSet, tau: float,
             "raise cell_cap or coarsen the mesh", module=_MODULE)
 
     copy_idx = np.repeat(np.arange(ncop), cols)
-    local = _grouped_arange(cols)
-    k_flat = k_low[copy_idx] + local
+    k_flat = k_low[copy_idx] + _grouped_arange(cols)
     # slab in base coordinates, clamped to the polygon's x-extent
     a = np.maximum(k_flat.astype(float) * tau - zx[copy_idx], bx0)
     b = np.minimum((k_flat + 1).astype(float) * tau - zx[copy_idx], bx1)
@@ -332,6 +334,8 @@ def empirical_cover_count(E: EnSet, tau: float,
                      np.interp(b, lower[:, 0], lower[:, 1]))
     yhi = np.maximum(np.interp(a, upper[:, 0], upper[:, 1]),
                      np.interp(b, upper[:, 0], upper[:, 1]))
+    # per-pair arrays set the memory peak: each is dropped once dead
+    del a, b
     # chain vertices interior to a slab can beat both slab endpoints
     offsets = np.cumsum(cols) - cols
     for chain, buf, op in ((lower, ylo, np.minimum),
@@ -344,20 +348,28 @@ def empirical_cover_count(E: EnSet, tau: float,
     yhi = np.maximum(yhi, ylo)
     ylo = ylo + zy[copy_idx]
     yhi = yhi + zy[copy_idx]
+    del copy_idx
 
     l_low = np.floor(ylo / tau).astype(np.int64)
     l_low[(l_low + 1).astype(float) * tau <= ylo] += 1
     l_high = (np.ceil(yhi / tau) - 1).astype(np.int64)
     l_high[l_high.astype(float) * tau >= yhi] -= 1
-    rows = np.maximum(l_high - l_low + 1, 0)
-    total = int(rows.sum())
-    if total > cell_cap:
-        raise ResourceLimitError(
-            f"{total} candidate cells exceed cap {cell_cap}; "
-            "raise cell_cap or coarsen the mesh", module=_MODULE)
-    keys = np.repeat(k_flat * _KEY_SHIFT + l_low, rows) + \
-        _grouped_arange(rows)
-    return int(np.unique(keys).size)
+    del ylo, yhi
+
+    # union of the integer intervals [l_low, l_high] within each column:
+    # sorted by start, an interval adds the rows past the running reach.
+    # The column in the high bits keeps every reach inside its column.
+    keep = l_high >= l_low
+    col = k_flat[keep] * _KEY_SHIFT
+    start = col + l_low[keep]
+    end = col + l_high[keep]
+    del k_flat, l_low, l_high, keep, col
+    order = np.argsort(start, kind="stable")
+    start = start[order]
+    end = end[order]
+    reach = np.maximum.accumulate(end)
+    start[1:] = np.maximum(start[1:], reach[:-1] + 1)
+    return int(np.maximum(end - start + 1, 0).sum())
 
 
 def predicted_cover_count(spec: TargetSpec, n: int, tau: float,

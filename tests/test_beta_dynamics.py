@@ -213,6 +213,13 @@ class TestCounts:
         assert count_admissible(2, 200) == 2**200
         assert count_full(PHI, 300) > 0
 
+    def test_count_beyond_float_range(self):
+        # phi**1500 overflows a float; the count is the Fibonacci F_1502
+        a, b = 1, 1
+        for _ in range(1500):
+            a, b = b, a + b
+        assert count_admissible(PHI, 1500) == b
+
 
 class TestFindFull:
     def test_dyadic_window(self):

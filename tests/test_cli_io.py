@@ -115,6 +115,12 @@ class TestCount:
         digest = hashlib.sha256(canon.encode()).hexdigest()
         assert lines[0] == f"# config_sha256={digest}"
 
+    def test_deep_level_count(self, tmp_path, capsys):
+        rc = main(["count", "--beta", repr((1 + math.sqrt(5)) / 2),
+                   "--n", "1500", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip()) == 314
+
     def test_config_file_route(self, tmp_path, capsys):
         path = write_config(tmp_path, {"betas": [1.8], "n": 4})
         rc = main(["count", "--config", path, "--out", str(tmp_path)])
@@ -261,6 +267,27 @@ class TestDimension:
         })
         rc = main(["dimension", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("shape, needle", [
+        ({"columns": [[0.1, 0.0], [0.0, 0.1]]}, "'origin'"),
+        ({"origin": [0.1, 0.1]}, "'columns'"),
+        ([[0.1, 0.1], [[0.1, 0.0], [0.0, 0.1]]], "must be an object"),
+        ({"origin": [0.1, 0.1], "columns": [[0.1, 0.0], [0.0, 0.1]],
+          "scale": 2}, "'scale'"),
+        ({"origin": [0.1, 0.1], "columns": [[0.1, "x"], [0.0, 0.1]]},
+         "numeric"),
+    ])
+    def test_malformed_explicit_shape(self, tmp_path, capsys, shape, needle):
+        path = write_config(tmp_path, {
+            "betas": [2, 4],
+            "target": {"kind": "explicit", "shapes": [shape]},
+            "n_min": 1, "n_max": 1,
+        })
+        rc = main(["dimension", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "cli_io.config"
+        assert needle in err["error"]["message"]
 
     def test_unknown_target_kind(self, tmp_path, capsys):
         path = write_config(tmp_path, {

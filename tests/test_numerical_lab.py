@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beta_targets.beta_dynamics import count_admissible, count_full
 from beta_targets.dimension_engine import (
@@ -33,10 +35,16 @@ from beta_targets.numerical_lab import (
     verify_measure_bound,
 )
 from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
-from beta_targets.polygons import clip_to_box, polygon_area
+from beta_targets.polygons import (
+    clip_to_box,
+    envelope_chains,
+    polygon_area,
+    polygon_bbox,
+)
 
 SYS24 = BetaSystem((2.0, 4.0))
 UNIT_D = ((0.0, 1.0), (0.0, 1.0))
+PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def pi4_spec():
@@ -118,6 +126,56 @@ class TestBuildEn:
             build_E_n(pi4_spec(), 6, mode="all")
 
 
+def _grouped_arange(lengths):
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1]), dtype=np.int64) - \
+        np.repeat(ends - lengths, lengths)
+
+
+def key_expansion_cover_count(E, tau):
+    """Reference count: one int64 key per candidate cell, then np.unique.
+
+    Same slab and row rules as the library, but every candidate cell is
+    materialized, so memory grows with the cells, not the columns.
+    """
+    lower, upper = envelope_chains(E.polygon)
+    bx0, _, bx1, _ = polygon_bbox(E.polygon)
+    zx, zy = E.z_star[:, 0], E.z_star[:, 1]
+    xmin, xmax = bx0 + zx, bx1 + zx
+    k_low = np.floor(xmin / tau).astype(np.int64)
+    k_low[(k_low + 1).astype(float) * tau <= xmin] += 1
+    k_high = (np.ceil(xmax / tau) - 1).astype(np.int64)
+    k_high[k_high.astype(float) * tau >= xmax] -= 1
+    cols = np.maximum(k_high - k_low + 1, 0)
+    copy_idx = np.repeat(np.arange(E.copy_count), cols)
+    k_flat = k_low[copy_idx] + _grouped_arange(cols)
+    a = np.maximum(k_flat.astype(float) * tau - zx[copy_idx], bx0)
+    b = np.minimum((k_flat + 1).astype(float) * tau - zx[copy_idx], bx1)
+    b = np.maximum(b, a)
+    ylo = np.minimum(np.interp(a, lower[:, 0], lower[:, 1]),
+                     np.interp(b, lower[:, 0], lower[:, 1]))
+    yhi = np.maximum(np.interp(a, upper[:, 0], upper[:, 1]),
+                     np.interp(b, upper[:, 0], upper[:, 1]))
+    offsets = np.cumsum(cols) - cols
+    for chain, buf, op in ((lower, ylo, np.minimum),
+                           (upper, yhi, np.maximum)):
+        for vx, vy in chain[1:-1]:
+            kv = np.floor((vx + zx) / tau).astype(np.int64)
+            pos = offsets + np.clip(kv - k_low, 0, np.maximum(cols - 1, 0))
+            op.at(buf, pos[cols > 0], vy)
+    yhi = np.maximum(yhi, ylo)
+    ylo = ylo + zy[copy_idx]
+    yhi = yhi + zy[copy_idx]
+    l_low = np.floor(ylo / tau).astype(np.int64)
+    l_low[(l_low + 1).astype(float) * tau <= ylo] += 1
+    l_high = (np.ceil(yhi / tau) - 1).astype(np.int64)
+    l_high[l_high.astype(float) * tau >= yhi] -= 1
+    rows = np.maximum(l_high - l_low + 1, 0)
+    keys = np.repeat(k_flat * (np.int64(1) << np.int64(32)) + l_low, rows) \
+        + _grouped_arange(rows)
+    return int(np.unique(keys).size)
+
+
 class TestCoverCount:
     def test_frozen_rotated_counts(self):
         E = build_E_n(pi4_spec(), 2, mode="all")
@@ -156,6 +214,29 @@ class TestCoverCount:
                     if piece.shape[0] >= 3 and polygon_area(piece) > 1e-18:
                         cells.add((k, l))
         assert empirical_cover_count(E, tau) == len(cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(2.0, 4.0), (2.5, PHI), (3.0, 2.0), (PHI, 3.7)]),
+           st.floats(0.0, math.pi, exclude_max=True),
+           st.integers(1, 3), st.data())
+    def test_matches_key_expansion(self, betas, theta, n, data):
+        spec = TargetSpec(BetaSystem(betas),
+                          Rotated2DFamily("const", theta_value=theta))
+        E = build_E_n(spec, n, mode="all")
+        tau = data.draw(st.one_of(
+            st.sampled_from(s_n(spec, n).candidates),
+            st.floats(0.002, 0.3, exclude_min=True, exclude_max=True)))
+        assert empirical_cover_count(E, tau) == \
+            key_expansion_cover_count(E, tau)
+
+    def test_cap_bounds_pairs_not_cells(self):
+        # about 38k (copy, column) pairs but 2.28M candidate cells
+        spec = TargetSpec(BetaSystem((2.5, PHI)),
+                          Rotated2DFamily("const", theta_value=0.3))
+        E = build_E_n(spec, 6, mode="all")
+        tau = min(s_n(spec, 6).candidates)
+        want = empirical_cover_count(E, tau)
+        assert empirical_cover_count(E, tau, cell_cap=100_000) == want
 
     def test_validation_and_cap(self):
         E = build_E_n(square_spec(), 1, mode="all")
