@@ -426,10 +426,10 @@ def count_full(beta: BetaLike, n: int,
                 f"integer beta={b} must have exactly beta**n full words, "
                 f"got {count} at n={n}", module="beta_dynamics")
         return count
-    c = full_count_constant(param)
-    if count <= 0 or math.log(count) < math.log(c) + n * math.log(b) - 1e-9:
+    lower_log = math.log(full_count_constant(param)) + n * math.log(b)
+    if count <= 0 or math.log(count) < lower_log - 1e-9:
         raise ConsistencyError(
-            f"full count {count} below c*beta**n = {c * b ** n:.6g} for "
+            f"full count {count} below c*beta**n = exp({lower_log:.6g}) for "
             f"beta={b}, n={n}", module="beta_dynamics")
     return count
 
@@ -563,8 +563,8 @@ def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
         if count <= 0 or math.log(count) < lower_log - 1e-9:
             raise ConsistencyError(
                 f"full-in-interval count {count} below the guaranteed "
-                f"c*|I|**(1+delta)*beta**n = {math.exp(lower_log):.6g}",
+                f"c*|I|**(1+delta)*beta**n = exp({lower_log:.6g})",
                 module="beta_dynamics")
-        log.debug("count_full_in_interval: count=%d >= %.6g (n0=%s)",
-                  count, math.exp(lower_log), n0_found)
+        log.debug("count_full_in_interval: count=%d >= exp(%.6g) (n0=%s)",
+                  count, lower_log, n0_found)
     return count

@@ -60,13 +60,6 @@ _MODULE = "cli_io"
 SUBCOMMANDS = ("expand", "cylinders", "count", "ortho", "content",
                "dimension", "verify-cover", "verify-measure")
 
-_TOP_KEYS = {
-    "betas", "target", "n", "n_min", "n_max", "window", "mode",
-    "tolerance", "seed", "threads", "out", "copy_cap", "cell_cap",
-    "node_cap", "samples", "t", "eps", "D", "taus", "s", "x",
-    "interval", "only_full", "shape", "depths", "columns",
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
@@ -79,7 +72,6 @@ class RunConfig:
     mode: str = "exact"
     tolerance: float = 1e-3
     seed: int = 0
-    threads: int = 1
     out: str = "."
     copy_cap: Optional[int] = None
     cell_cap: Optional[int] = None
@@ -97,6 +89,9 @@ class RunConfig:
     depths: Optional[Tuple[int, ...]] = None
     columns: Optional[tuple] = None
     raw: dict = dataclasses.field(default_factory=dict)
+
+
+_TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"raw"}
 
 
 def _fail(msg: str):
@@ -154,9 +149,8 @@ def validate_config(data: dict) -> RunConfig:
             _fail("config key 'target' must be an object")
         out["target"] = data["target"]
     for key, minimum in (("n", 1), ("n_min", 1), ("n_max", 1),
-                         ("window", 1), ("seed", 0), ("threads", 1),
-                         ("copy_cap", 1), ("cell_cap", 1), ("node_cap", 1),
-                         ("samples", 4)):
+                         ("window", 1), ("seed", 0), ("copy_cap", 1),
+                         ("cell_cap", 1), ("node_cap", 1), ("samples", 4)):
         if key in data:
             out[key] = _as_int(data[key], key, minimum)
     if "n_min" in out and "n_max" in out and out["n_min"] > out["n_max"]:
@@ -546,8 +540,6 @@ def run(subcommand: str, cfg: RunConfig) -> int:
     """Dispatch a validated config; artifacts land in cfg.out."""
     if subcommand not in _HANDLERS:
         _fail(f"unknown subcommand {subcommand!r}")
-    if cfg.threads < 1:
-        _fail(f"threads must be >= 1, got {cfg.threads}")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     sha = _config_sha(cfg.raw)
@@ -579,7 +571,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         if name == "count":
             p.add_argument("--beta", type=float, default=None)
             p.add_argument("--n", type=int, default=None)
@@ -614,8 +605,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             data["out"] = args.out
         if args.seed is not None:
             data["seed"] = args.seed
-        if args.threads is not None:
-            data["threads"] = args.threads
         if args.subcommand == "count":
             if args.beta is not None:
                 data["betas"] = [args.beta]

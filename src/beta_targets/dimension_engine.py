@@ -17,8 +17,12 @@ The dimension of the limsup set is the limsup of s_n; this module reports
 a windowed max with an explicit convergence flag, never an extrapolation.
 
 Everything runs in the log domain: the objective consumes only logarithms
-and the gamma norms come from the scaled orthogonalization route, so
+and the gamma norms come from the log-domain orthogonalization, so
 levels far beyond float range (beta_i^-n underflowing) cost nothing.
+
+Every family (axis, rotated-2D, explicit list) implements the
+TargetFamily interface; the public functions validate the level once
+and delegate to it.
 
 Two evaluation modes.  "exact" uses the finite-n magnitudes as defined
 above.  "limit" replaces each log magnitude by its leading growth rate
@@ -32,9 +36,10 @@ target lists have no asymptotic rates and raise a domain error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +52,7 @@ from .parallelepiped_geometry import (
 )
 
 __all__ = [
+    "TargetFamily",
     "AxisFamily",
     "Rotated2DFamily",
     "ExplicitTargets",
@@ -66,8 +72,36 @@ _MODULE = "dimension_engine"
 # relative dedup tolerance for the candidate set
 _DEDUP_RTOL = 1e-12
 
-# trig factors below this are treated as exact zeros (cos(pi/2) fuzz)
-_TRIG_SNAP = 1e-15
+
+class TargetFamily(Protocol):
+    """A family of targets P_n, n >= 1, as the dimension formula uses it.
+
+    Levels arrive validated (positive integers); log2_betas and betas
+    come from the BetaSystem of the TargetSpec.
+    """
+
+    dimension: int
+
+    def log_columns(self, log2_betas, n: int):
+        """Columns of f^n P_n as (signs, log2 magnitudes) arrays."""
+
+    def target(self, betas, n: int) -> Parallelepiped:
+        """P_n itself in plain floats."""
+
+    def rates(self, log2_betas):
+        """Leading decay rates per level, log2 units: (w_rates, g_rates)
+        with w_i the contraction rate and g_i the gamma-norm decay rate;
+        DomainError when the family has no decay law."""
+
+    def log2_volume(self, log2_betas, n: int) -> float:
+        """log2 vol(f^n P_n), independent of the frame."""
+
+
+def _log2_parts(v: float):
+    """(sign, log2|v|), with sign 0 and -inf for an exact zero."""
+    if v == 0.0:
+        return 0.0, -math.inf
+    return math.copysign(1.0, v), math.log2(abs(v))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,6 +124,31 @@ class AxisFamily:
                               module=_MODULE)
         object.__setattr__(self, "exponents", ex)
         object.__setattr__(self, "origin", org)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.exponents)
+
+    def log_columns(self, log2_betas, n: int):
+        d = self.dimension
+        signs = np.zeros((d, d))
+        mags = np.full((d, d), -np.inf)
+        for i, (t, l) in enumerate(zip(self.exponents, log2_betas)):
+            signs[i, i] = 1.0
+            mags[i, i] = -n * (1.0 + t) * l
+        return signs, mags
+
+    def target(self, betas, n: int) -> Parallelepiped:
+        sides = [b ** (-n * t) for b, t in zip(betas, self.exponents)]
+        return Parallelepiped(self.origin, np.diag(sides))
+
+    def rates(self, log2_betas):
+        g = sorted((1.0 + t) * l for t, l in zip(self.exponents, log2_betas))
+        return tuple(log2_betas), tuple(g)
+
+    def log2_volume(self, log2_betas, n: int) -> float:
+        return -n * sum((1.0 + t) * l
+                        for t, l in zip(self.exponents, log2_betas))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,6 +184,78 @@ class Rotated2DFamily:
         object.__setattr__(self, "a", float(a))
         object.__setattr__(self, "exponents", ex)
 
+    dimension = 2
+
+    @functools.cached_property
+    def _const_cos_sin(self) -> Tuple[float, float]:
+        """cos and sin of the constant angle, near-zero values snapped."""
+        c, s = rotation_matrix(self.theta_value)[:, 0].tolist()
+        return c, s
+
+    def _theta_parts(self, n: int):
+        """(sign, log2 magnitude) for cos and sin of theta_n."""
+        if self.theta == "const":
+            c, s = self._const_cos_sin
+            return _log2_parts(c), _log2_parts(s)
+        # cos theta_n = 2^(-a n): exact in log2; sin from log1p for accuracy
+        a = self.a
+        if a == 0.0:
+            return (1.0, 0.0), (0.0, -math.inf)
+        lc = -a * n
+        # sin^2 = 1 - 2^(-2an)
+        x = 2.0 ** (-2.0 * a * n) if 2.0 * a * n < 1074 else 0.0
+        ls = 0.5 * math.log1p(-x) / math.log(2.0) if x < 1.0 else -math.inf
+        return (1.0, lc), (1.0, ls)
+
+    def log_columns(self, log2_betas, n: int):
+        (sc, lc), (ss, ls) = self._theta_parts(n)
+        l1, l2 = log2_betas
+        t1, t2 = self.exponents
+        # column j = f^n R(theta) e_j * beta_j^(-n t_j)
+        signs = np.array([[sc, -ss], [ss, sc]])
+        mags = np.array([[lc - n * (1.0 + t1) * l1, ls - n * (t2 * l2 + l1)],
+                         [ls - n * (t1 * l1 + l2), lc - n * (1.0 + t2) * l2]])
+        return signs, mags
+
+    def target(self, betas, n: int) -> Parallelepiped:
+        if self.theta == "const":
+            rot = rotation_matrix(self.theta_value)
+        else:
+            c = 2.0 ** (-self.a * n)
+            rot = np.array([[c, -math.sqrt(1.0 - c * c)],
+                            [math.sqrt(1.0 - c * c), c]])
+        b1, b2 = betas
+        t1, t2 = self.exponents
+        cols = rot @ np.diag([b1 ** (-n * t1), b2 ** (-n * t2)])
+        return Parallelepiped((0.5, 0.5), cols)
+
+    def rates(self, log2_betas):
+        l1, l2 = log2_betas
+        t1, t2 = self.exponents
+        if self.theta == "const":
+            c, s = self._const_cos_sin
+            cos_rate = 0.0 if c != 0.0 else None
+            sin_rate = 0.0 if s != 0.0 else None
+        elif self.a == 0.0:
+            cos_rate, sin_rate = 0.0, None
+        else:
+            cos_rate, sin_rate = self.a, 0.0
+        col1 = []
+        col2 = []
+        if cos_rate is not None:
+            col1.append((1.0 + t1) * l1 + cos_rate)
+            col2.append((1.0 + t2) * l2 + cos_rate)
+        if sin_rate is not None:
+            col1.append(t1 * l1 + l2 + sin_rate)
+            col2.append(t2 * l2 + l1 + sin_rate)
+        g1 = min(min(col1), min(col2))
+        return tuple(log2_betas), (g1, -self.log2_volume(log2_betas, 1) - g1)
+
+    def log2_volume(self, log2_betas, n: int) -> float:
+        t1, t2 = self.exponents
+        l1, l2 = log2_betas
+        return -n * ((1.0 + t1) * l1 + (1.0 + t2) * l2)
+
 
 @dataclasses.dataclass(frozen=True)
 class ExplicitTargets:
@@ -146,28 +277,44 @@ class ExplicitTargets:
                                   module=_MODULE)
         object.__setattr__(self, "shapes", sh)
 
+    @property
+    def dimension(self) -> int:
+        return self.shapes[0].dimension
 
-Family = Union[AxisFamily, Rotated2DFamily, ExplicitTargets]
+    def target(self, betas, n: int) -> Parallelepiped:
+        if n > len(self.shapes):
+            raise DomainError(
+                f"explicit target list has {len(self.shapes)} levels, "
+                f"asked for {n}", module=_MODULE)
+        return self.shapes[n - 1]
+
+    def log_columns(self, log2_betas, n: int):
+        cols = self.target(None, n).columns
+        with np.errstate(divide="ignore"):
+            base = np.log2(np.abs(cols))
+        return np.sign(cols), base - n * np.array(log2_betas)[:, None]
+
+    def rates(self, log2_betas):
+        raise DomainError(
+            "explicit target lists have no asymptotic rates; use exact mode",
+            module=_MODULE)
+
+    def log2_volume(self, log2_betas, n: int) -> float:
+        _, logabs = np.linalg.slogdet(self.target(None, n).columns)
+        return float(logabs) / math.log(2.0) - n * sum(log2_betas)
 
 
 @dataclasses.dataclass(frozen=True)
 class TargetSpec:
     system: BetaSystem
-    family: Family
+    family: TargetFamily
 
     def __post_init__(self):
-        d = self.system.dimension
-        fam = self.family
-        if isinstance(fam, AxisFamily) and len(fam.exponents) != d:
-            raise DomainError("axis family dimension mismatch",
-                              module=_MODULE)
-        if isinstance(fam, Rotated2DFamily) and d != 2:
-            raise DomainError("rotated family needs a 2-D system",
-                              module=_MODULE)
-        if isinstance(fam, ExplicitTargets) and \
-                fam.shapes[0].dimension != d:
-            raise DomainError("explicit targets dimension mismatch",
-                              module=_MODULE)
+        if self.family.dimension != self.system.dimension:
+            raise DomainError(
+                f"{type(self.family).__name__} has dimension "
+                f"{self.family.dimension}, the system "
+                f"{self.system.dimension}", module=_MODULE)
 
     @property
     def dimension(self) -> int:
@@ -238,65 +385,17 @@ class DimensionReport:
                 f"G^{{{self.s_star:.6g}}}([0,1]^d)")
 
 
-def _theta_parts(fam: Rotated2DFamily, n: int):
-    """(sign, log2 magnitude) for cos and sin of theta_n, exact zeros
-    snapped."""
-    if fam.theta == "const":
-        c = math.cos(fam.theta_value)
-        s = math.sin(fam.theta_value)
-        if abs(c) < _TRIG_SNAP:
-            c = 0.0
-        if abs(s) < _TRIG_SNAP:
-            s = 0.0
-        lc = math.log2(abs(c)) if c != 0.0 else -math.inf
-        ls = math.log2(abs(s)) if s != 0.0 else -math.inf
-        return (math.copysign(1.0, c) if c else 0.0, lc), \
-            (math.copysign(1.0, s) if s else 0.0, ls)
-    # cos theta_n = 2^(-a n): exact in log2; sin from log1p for accuracy
-    a = fam.a
-    if a == 0.0:
-        return (1.0, 0.0), (0.0, -math.inf)
-    lc = -a * n
-    # sin^2 = 1 - 2^(-2an)
-    x = 2.0 ** (-2.0 * a * n) if 2.0 * a * n < 1074 else 0.0
-    ls = 0.5 * math.log1p(-x) / math.log(2.0) if x < 1.0 else -math.inf
-    return (1.0, lc), (1.0, ls)
+def _check_level(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"level must be a positive integer, got {n!r}",
+                          module=_MODULE)
 
 
 def log_columns(spec: TargetSpec, n: int):
     """Columns of f^n P_n as (signs, log2 magnitudes), computed without
     ever materializing the underflowing values."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"level must be a positive integer, got {n!r}",
-                          module=_MODULE)
-    d = spec.dimension
-    lg = np.array(spec.system.log2_betas)
-    fam = spec.family
-    signs = np.zeros((d, d))
-    mags = np.full((d, d), -np.inf)
-    if isinstance(fam, AxisFamily):
-        for i, t in enumerate(fam.exponents):
-            signs[i, i] = 1.0
-            mags[i, i] = -n * (1.0 + t) * lg[i]
-        return signs, mags
-    if isinstance(fam, Rotated2DFamily):
-        (sc, lc), (ss, ls) = _theta_parts(fam, n)
-        t1, t2 = fam.exponents
-        # column j = f^n R(theta) e_j * beta_j^(-n t_j)
-        signs[0, 0], mags[0, 0] = sc, lc - n * (1.0 + t1) * lg[0]
-        signs[1, 0], mags[1, 0] = ss, ls - n * (t1 * lg[0] + lg[1])
-        signs[0, 1], mags[0, 1] = -ss, ls - n * (t2 * lg[1] + lg[0])
-        signs[1, 1], mags[1, 1] = sc, lc - n * (1.0 + t2) * lg[1]
-        return signs, mags
-    shapes = fam.shapes
-    if n > len(shapes):
-        raise DomainError(
-            f"explicit target list has {len(shapes)} levels, asked for {n}",
-            module=_MODULE)
-    cols = shapes[n - 1].columns
-    with np.errstate(divide="ignore"):
-        base = np.log2(np.abs(cols))
-    return np.sign(cols), base - n * lg[:, None]
+    _check_level(n)
+    return spec.family.log_columns(spec.system.log2_betas, n)
 
 
 def generate_target(spec: TargetSpec, n: int) -> Parallelepiped:
@@ -305,71 +404,13 @@ def generate_target(spec: TargetSpec, n: int) -> Parallelepiped:
     Warns when the target pokes outside [0,1)^d; degenerate targets fail
     in the Parallelepiped constructor.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"level must be a positive integer, got {n!r}",
-                          module=_MODULE)
-    fam = spec.family
-    if isinstance(fam, AxisFamily):
-        sides = [b ** (-n * t) for b, t in
-                 zip(spec.system.betas, fam.exponents)]
-        p = Parallelepiped(fam.origin, np.diag(sides))
-    elif isinstance(fam, Rotated2DFamily):
-        if fam.theta == "const":
-            rot = rotation_matrix(fam.theta_value)
-        else:
-            c = 2.0 ** (-fam.a * n)
-            rot = np.array([[c, -math.sqrt(1.0 - c * c)],
-                            [math.sqrt(1.0 - c * c), c]])
-        b1, b2 = spec.system.betas
-        t1, t2 = fam.exponents
-        cols = rot @ np.diag([b1 ** (-n * t1), b2 ** (-n * t2)])
-        p = Parallelepiped((0.5, 0.5), cols)
-    else:
-        if n > len(fam.shapes):
-            raise DomainError(
-                f"explicit target list has {len(fam.shapes)} levels, "
-                f"asked for {n}", module=_MODULE)
-        p = fam.shapes[n - 1]
+    _check_level(n)
+    p = spec.family.target(spec.system.betas, n)
     v = p.vertices()
     if np.any(v < 0.0) or np.any(v >= 1.0):
         warnings.warn(f"target P_{n} is not contained in [0,1)^d",
                       RuntimeWarning, stacklevel=2)
     return p
-
-
-def _rates(spec: TargetSpec) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Leading decay rates per level, log2 units: (w_rates, g_rates) with
-    w_i the contraction rate and g_i the gamma-norm decay rate."""
-    lg = spec.system.log2_betas
-    fam = spec.family
-    if isinstance(fam, AxisFamily):
-        g = sorted((1.0 + t) * l for t, l in zip(fam.exponents, lg))
-        return tuple(lg), tuple(g)
-    if isinstance(fam, Rotated2DFamily):
-        t1, t2 = fam.exponents
-        if fam.theta == "const":
-            c = math.cos(fam.theta_value)
-            s = math.sin(fam.theta_value)
-            cos_rate = 0.0 if abs(c) >= _TRIG_SNAP else None
-            sin_rate = 0.0 if abs(s) >= _TRIG_SNAP else None
-        elif fam.a == 0.0:
-            cos_rate, sin_rate = 0.0, None
-        else:
-            cos_rate, sin_rate = fam.a, 0.0
-        col1 = []
-        col2 = []
-        if cos_rate is not None:
-            col1.append((1.0 + t1) * lg[0] + cos_rate)
-            col2.append((1.0 + t2) * lg[1] + cos_rate)
-        if sin_rate is not None:
-            col1.append(t1 * lg[0] + lg[1] + sin_rate)
-            col2.append(t2 * lg[1] + lg[0] + sin_rate)
-        vol_rate = (1.0 + t1) * lg[0] + (1.0 + t2) * lg[1]
-        g1 = min(min(col1), min(col2))
-        return tuple(lg), (g1, vol_rate - g1)
-    raise DomainError(
-        "explicit target lists have no asymptotic rates; use exact mode",
-        module=_MODULE)
 
 
 def _minimize_objective(w: Sequence[float], g: Sequence[float]):
@@ -414,7 +455,7 @@ def gamma_magnitudes(spec: TargetSpec, n: int,
     float range).
     """
     frame = pivoted_orthogonalize_scaled(*log_columns(spec, n))
-    logs = tuple(float(x) for x in frame.log2_norms)
+    logs = frame.log2_norms
     _check_volume_identity(spec, n, logs)
     if as_log2:
         return logs
@@ -424,17 +465,7 @@ def gamma_magnitudes(spec: TargetSpec, n: int,
 def _check_volume_identity(spec: TargetSpec, n: int,
                            gamma_log2: Sequence[float]) -> None:
     """prod |gamma_i| must equal vol(f^n P_n), checked in log2."""
-    lg = spec.system.log2_betas
-    fam = spec.family
-    if isinstance(fam, AxisFamily):
-        vol = -n * sum((1.0 + t) * l for t, l in zip(fam.exponents, lg))
-    elif isinstance(fam, Rotated2DFamily):
-        t1, t2 = fam.exponents
-        vol = -n * ((1.0 + t1) * lg[0] + (1.0 + t2) * lg[1])
-    else:
-        cols = fam.shapes[n - 1].columns
-        sign, logabs = np.linalg.slogdet(cols)
-        vol = float(logabs) / math.log(2.0) - n * sum(lg)
+    vol = spec.family.log2_volume(spec.system.log2_betas, n)
     total = float(sum(gamma_log2))
     if abs(total - vol) > 1e-9 * max(1.0, abs(vol)):
         raise ConsistencyError(
@@ -453,12 +484,10 @@ def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
     if mode not in ("exact", "limit"):
         raise DomainError(f"mode must be 'exact' or 'limit', got {mode!r}",
                           module=_MODULE)
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"level must be a positive integer, got {n!r}",
-                          module=_MODULE)
+    _check_level(n)
     lg = spec.system.log2_betas
     if mode == "limit":
-        w_rates, g_rates = _rates(spec)
+        w_rates, g_rates = spec.family.rates(lg)
         w = [r * n for r in w_rates]
         g = [r * n for r in g_rates]
         gamma_log2 = tuple(-x for x in g)

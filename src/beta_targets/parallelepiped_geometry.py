@@ -13,21 +13,20 @@ parallelepiped.
 Two routes are provided.  `pivoted_orthogonalize` works on plain float
 columns and recomputes residuals from the original columns at each pivot
 scan (classical, not modified, Gram-Schmidt).  `pivoted_orthogonalize_scaled`
-represents every column as a unit direction plus a log2 scale, so columns
-whose magnitudes differ by hundreds of binary orders (images under n-fold
-contraction) never underflow.  The scaled route replaces the last residual
-norm by a determinant identity whenever cancellation would poison it:
-prod_k |gamma_k| equals |det| of the column matrix, so
-
-    log2|gamma_d| = sum_j L_j + log2|det(units)| - sum_{k<d} log2|gamma_k|
-
-with L_j the column log2 norms.  For d = 2 the rescue is always applied;
-the two routes are asserted to agree whenever the residual is healthy.
+takes every entry as a sign and a log2 magnitude and never leaves the log
+domain: by Cauchy-Binet the squared product of the first k norms is a sum
+of squared k x k minors, each minor is a signed log-sum-exp of its
+Leibniz terms (grouped by expansion along the newest pivot column), and
+the pivot choice "largest residual" becomes "largest Gram sum".  Columns
+whose magnitudes differ by thousands of binary orders (images under
+n-fold contraction) therefore never underflow, and no numpy.linalg call
+is made.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Optional, Sequence, Tuple
 
@@ -62,12 +61,8 @@ DEGENERACY_RTOL = 1e-12
 # trig values this close to zero are snapped exactly (cos(pi/2) ~ 6.1e-17)
 _TRIG_SNAP = 1e-15
 
-# |w| thresholds for the scaled route's determinant rescue of the last norm
-_RESCUE_BELOW = 1e-8
-_AGREE_ABOVE = 1e-6
-
 # pivot keys within this relative band count as ties (smaller index wins);
-# absorbs normalization fuzz so both routes break exact ties the same way
+# absorbs rounding fuzz so both routes break exact ties the same way
 _PIVOT_TIE_TOL = 1e-12
 
 # log2 scale magnitude beyond which float64 work is refused
@@ -189,25 +184,15 @@ class OrthoFrame:
 
 @dataclasses.dataclass(frozen=True)
 class ScaledOrthoFrame:
-    """Scaled-route frame: unit directions plus log2 norms.
-
-    units[:, k] * 2**log2_norms[k] reconstructs gamma_k; the product may
-    under- or overflow float64, which is exactly why the parts are kept
-    separate.
-    """
+    """Log-domain frame: pivot order (1-based, as in OrthoFrame) and
+    log2 |gamma_k|, which stay finite long after the norms underflow."""
 
     permutation: Tuple[int, ...]
-    log2_norms: np.ndarray
-    units: np.ndarray
-    U: np.ndarray
+    log2_norms: Tuple[float, ...]
 
     @property
     def dimension(self) -> int:
-        return self.units.shape[0]
-
-    def gammas(self) -> np.ndarray:
-        """Materialized gamma columns; may flush to 0/inf out of range."""
-        return self.units * np.exp2(self.log2_norms)[None, :]
+        return len(self.log2_norms)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,134 +310,102 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
     return OrthoFrame(tuple(i + 1 for i in perm), gammas, U)
 
 
-def _scaled_column_form(signs: np.ndarray, log2_magnitudes: np.ndarray):
-    """Per-column log2 norm L_j and unit direction via shifted exponents."""
-    d = signs.shape[0]
-    L = np.empty(d)
-    units = np.zeros((d, d))
-    for j in range(d):
-        lm = log2_magnitudes[:, j]
-        m = float(np.max(lm))
-        if m == -np.inf:
-            raise DegenerateInputError(f"column {j + 1} is zero",
-                                       module=_MODULE)
-        r = np.exp2(2.0 * (lm - m))  # exp2(-inf) -> 0
-        L[j] = m + 0.5 * math.log2(float(np.sum(r)))
-        units[:, j] = signs[:, j] * np.exp2(lm - L[j])
-    return L, units
+def _log2_sum(signs, logs):
+    """(sign, log2|total|) of the sum of s * 2**l; (0.0, -inf) if the
+    sum is empty or cancels exactly."""
+    if not logs:
+        return 0.0, -math.inf
+    m = max(logs)
+    total = 0.0
+    for s, l in zip(signs, logs):
+        total += s * 2.0 ** (l - m)
+    if not total:
+        return 0.0, -math.inf
+    return math.copysign(1.0, total), math.log2(abs(total)) + m
+
+
+def _extend_minors(sg, lm, minors: dict, l: int, k: int) -> dict:
+    """Signed log2 minors det A[R, S + (l,)] for every row set R of size k.
+
+    minors maps each (k-1)-row set R' to (sign, log2|det A[R', S]|).  The
+    new minors are expanded along their last column l, which groups
+    their Leibniz terms by the entry taken from column l.
+    """
+    out = {}
+    for rows in itertools.combinations(range(len(sg)), k):
+        signs, logs = [], []
+        for i, r in enumerate(rows):
+            s_sub, l_sub = minors[rows[:i] + rows[i + 1:]]
+            s = s_sub * sg[r][l] * (-1.0 if (k - 1 - i) % 2 else 1.0)
+            if s and lm[r][l] != -math.inf:
+                signs.append(s)
+                logs.append(l_sub + lm[r][l])
+        out[rows] = _log2_sum(signs, logs)
+    return out
+
+
+def _beats(key: float, best: float) -> bool:
+    """key wins only beyond the tie band, so earlier columns win ties."""
+    if best == -math.inf:
+        return key > best
+    return key > best + _PIVOT_TIE_TOL * max(1.0, abs(best))
 
 
 def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> ScaledOrthoFrame:
-    """Pivoted Gram-Schmidt on columns given as signs and log2 magnitudes.
+    """Pivoted orthogonalization of columns given as signs and log2
+    magnitudes, computed entirely in the log domain.
 
-    Entry (i, j) of the implied matrix is signs[i, j] * 2**log2_magnitudes[i, j]
-    (use sign 0 with magnitude -inf for exact zeros).  Pivoting compares
-    log2 of the actual residual norms, L_l + log2|w_l| with w_l the residual
-    of the unit direction, so scale differences of hundreds of binary orders
-    are handled exactly.  The last norm is replaced by the determinant
-    identity when the residual is lost to cancellation (always for d = 2);
-    when the residual is healthy the two values are asserted to agree.
+    Entry (i, j) of the implied matrix A is signs[i, j] * 2**log2_magnitudes[i, j]
+    (use sign 0 with magnitude -inf for exact zeros).  By Cauchy-Binet,
+    |gamma_1 ... gamma_k|^2 = Gram(S_k), the sum of det(A[R, S_k])^2 over
+    row sets R, so step k picks the remaining column l maximizing
+    Gram(S_{k-1} + l) (the largest residual; ties within _PIVOT_TIE_TOL
+    go to the smaller index) and sets
+
+        log2|gamma_k| = (log2 Gram(S_k) - log2 Gram(S_{k-1})) / 2.
+
+    Each minor is a signed log-sum-exp of its Leibniz terms, grouped by
+    expansion along the newest column so that the minors of S_{k-1} are
+    reused.  Every term takes one entry per row and per column, so when
+    A = diag(r) M diag(c) all terms share the scales of r and c and only
+    the cancellation of the moderate minor of M remains: levels whose
+    entries span thousands of binary orders cost nothing extra.  For
+    d = 2 this is the largest column norm followed by
+    log2|det| - log2|gamma_1|.  A vanishing Gram sum raises
+    DegenerateInputError.
     """
     sg = np.asarray(signs, dtype=float)
     lm = np.asarray(log2_magnitudes, dtype=float)
     if sg.shape != lm.shape or sg.ndim != 2 or sg.shape[0] != sg.shape[1]:
         raise DomainError("signs and log2_magnitudes must be equal square "
                           "matrices", module=_MODULE)
-    if np.any(np.isnan(lm)) or np.any(lm == np.inf):
+    sg, lm = sg.tolist(), lm.tolist()
+    if any(x != x or x == math.inf for row in lm for x in row):
         raise DomainError("log2 magnitudes must be < inf and not NaN",
                           module=_MODULE)
-    d = sg.shape[0]
-    L, units = _scaled_column_form(sg, lm)
-
-    sign_det, logabs = np.linalg.slogdet(units)
-    if sign_det == 0.0:
-        raise DegenerateInputError("unit directions are linearly dependent",
-                                   module=_MODULE)
-    log2_det_units = float(logabs) / math.log(2.0)
-
-    remaining = list(range(d))
-    basis: list = []
-    qmat = np.zeros((d, d))
-    G = np.empty(d)
-    U = np.eye(d)
-    perm = []
-    for k in range(d):
-        def pivot_key(l):
-            nl = float(np.linalg.norm(_residual(units[:, l], basis)))
-            return L[l] + (math.log2(nl) if nl > 0.0 else -np.inf)
-
-        best_l = remaining[0]
-        best_key = pivot_key(best_l)
-        for l in remaining[1:]:
-            key = pivot_key(l)
-            if best_key == -np.inf:
-                better = key > best_key
-            else:
-                better = key > best_key + _PIVOT_TIE_TOL * max(
-                    1.0, abs(best_key))
-            if better:
-                best_l, best_key = l, key
-        i_k = best_l
-        remaining.remove(i_k)
-        perm.append(i_k)
-        u = units[:, i_k]
-        coeffs = np.array([u @ q for q in basis])
-        w = u - sum(c * q for c, q in zip(coeffs, basis)) if basis else u.copy()
-        if d > 4 and basis:
-            extra = np.array([w @ q for q in basis])
-            w = w - sum(c * q for c, q in zip(extra, basis))
-            coeffs = coeffs + extra
-        nw = float(np.linalg.norm(w))
-        last = (k == d - 1)
-        if not last:
-            if nw < DEGENERACY_RTOL:
-                raise DegenerateInputError(
-                    f"residual collapsed at step {k + 1}", module=_MODULE)
-            G[k] = L[i_k] + math.log2(nw)
-            q = w / nw
-        else:
-            g_det = float(np.sum(L)) + log2_det_units - float(np.sum(G[:k]))
-            if d == 2 or nw < _RESCUE_BELOW:
-                G[k] = g_det
-            else:
-                G[k] = L[i_k] + math.log2(nw)
-            if nw > _AGREE_ABOVE:
-                g_gs = L[i_k] + math.log2(nw)
-                if abs(g_gs - g_det) > 1e-6:
-                    raise ConsistencyError(
-                        "Gram-Schmidt and determinant routes disagree on the "
-                        f"last norm: {g_gs} vs {g_det} (log2)", module=_MODULE)
-            q = _orthonormal_complement(qmat[:, :k], w, nw)
-        for j in range(k):
-            dotv = float(coeffs[j])
-            if dotv == 0.0:
-                U[j, k] = 0.0
-            else:
-                le = (L[i_k] - G[j]) + math.log2(abs(dotv))
-                if le > 512.0:
-                    raise ConsistencyError(
-                        "change-of-basis entry out of range; pivoting should "
-                        "keep U bounded", module=_MODULE)
-                U[j, k] = math.copysign(2.0 ** le, dotv)
-        qmat[:, k] = q
-        basis.append(q)
-    return ScaledOrthoFrame(tuple(i + 1 for i in perm), G, qmat, U)
-
-
-def _orthonormal_complement(prev: np.ndarray, w: np.ndarray,
-                            nw: float) -> np.ndarray:
-    """Unit vector orthogonal to the columns of prev, aligned with w."""
-    d = w.shape[0]
-    if prev.shape[1] == 0:
-        return w / nw if nw > 0.0 else np.eye(d)[:, 0]
-    if nw >= _RESCUE_BELOW:
-        return w / nw
-    # residual direction is unreliable: take the QR completion instead
-    q_full, _ = np.linalg.qr(prev, mode="complete")
-    cand = q_full[:, prev.shape[1]]
-    if nw > 0.0 and (w @ cand) < 0.0:
-        cand = -cand
-    return cand
+    remaining = list(range(len(sg)))
+    chosen: list = []
+    norms: list = []
+    minors = {(): (1.0, 0.0)}  # the empty minor is 1
+    g_prev = 0.0  # log2 Gram of the empty set
+    for k in range(1, len(sg) + 1):
+        best = None
+        for l in remaining:
+            ext = _extend_minors(sg, lm, minors, l, k)
+            doubled = [2.0 * v for s, v in ext.values() if s]
+            _, g = _log2_sum([1.0] * len(doubled), doubled)
+            key = 0.5 * (g - g_prev)
+            if best is None or _beats(key, best[0]):
+                best = (key, l, g, ext)
+        key, l, g_prev, minors = best
+        if g_prev == -math.inf:
+            raise DegenerateInputError(
+                f"Gram sum vanished at step {k}: column {l + 1} lies in "
+                "the span of the pivots before it", module=_MODULE)
+        remaining.remove(l)
+        chosen.append(l)
+        norms.append(key)
+    return ScaledOrthoFrame(tuple(i + 1 for i in chosen), tuple(norms))
 
 
 def bounding_hyperrectangle(p: Parallelepiped,

@@ -28,10 +28,15 @@ _FUSE_TOL = 1e-14
 
 
 def polygon_area(vertices: np.ndarray) -> float:
-    """Signed shoelace area; positive for counterclockwise order."""
+    """Signed shoelace area; positive for counterclockwise order.
+
+    Vertices are taken relative to the first one, so small polygons far
+    from the origin keep the precision of their own extent.
+    """
     v = np.asarray(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
         return 0.0
+    v = v - v[0]
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 

@@ -221,6 +221,16 @@ class TestCounts:
         assert count_admissible(PHI, 1500) == b
 
 
+    def test_full_count_failure_message_at_depth(self, monkeypatch):
+        # beta**2000 overflows a float; the failed bound must still be
+        # reported as a ConsistencyError, not an OverflowError
+        from beta_targets import beta_dynamics
+        monkeypatch.setattr(beta_dynamics, "_level_distribution",
+                            lambda param, n, node_cap: {1.0: 1})
+        with pytest.raises(ConsistencyError, match="full count 1 below"):
+            count_full(2.5, 2000)
+
+
 class TestFindFull:
     def test_dyadic_window(self):
         # the guarantee hypotheses fail for these params; the scan still

@@ -3,10 +3,17 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from beta_targets.cli_io import main, parse_config, run, validate_config
+from beta_targets.cli_io import (
+    _TOP_KEYS,
+    main,
+    parse_config,
+    run,
+    validate_config,
+)
 from beta_targets.errors import ConfigError, DomainError
 
 PI4 = math.pi / 4.0
@@ -53,9 +60,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n_min"):
             parse_config('{"n_min": 5, "n_max": 2}')
 
-    def test_threads_floor(self):
-        with pytest.raises(ConfigError, match="threads"):
-            parse_config('{"threads": 0}')
+    def test_threads_is_unknown_key(self):
+        with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+            parse_config('{"threads": 1}')
+
+    def test_schema_keys_match_run_config(self):
+        schema = Path(__file__).resolve().parents[1] / "schema" / \
+            "run_config.schema.json"
+        props = json.loads(schema.read_text())["properties"]
+        assert set(props) == _TOP_KEYS
 
     def test_only_full_must_be_boolean(self):
         with pytest.raises(ConfigError, match="only_full"):
@@ -89,7 +102,7 @@ class TestParseConfig:
         assert cfg.taus == (0.25, 0.125)
         assert cfg.s == (1.5,)
         assert cfg.only_full is True
-        assert cfg.window == 20 and cfg.threads == 1
+        assert cfg.window == 20
 
     def test_unknown_subcommand_rejected_by_run(self):
         with pytest.raises(ConfigError, match="subcommand"):

@@ -7,6 +7,7 @@ of the defining objective, no shared code) and frozen here.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,86 @@ class TestGammaMagnitudes:
         assert np.array_equal(sa[1], sb[1])
         assert gamma_magnitudes(decay_spec(0.0), 9, as_log2=True) == \
             gamma_magnitudes(rotated_spec(0.0), 9, as_log2=True)
+
+
+DEEP_LEVELS = (1075, 1811, 2119, 10 ** 5)
+DEEP_SPECS = {
+    "rot24-0.3": rotated_spec(0.3),
+    "rot24-pi/4": rotated_spec(math.pi / 4),
+    "rot24-1.0": rotated_spec(1.0),
+    "rot23-0.7": TargetSpec(BetaSystem((2.0, 3.0)),
+                            Rotated2DFamily("const", theta_value=0.7)),
+    "arccos-0.5": decay_spec(0.5),
+    "arccos-1.5": decay_spec(1.5),
+    "axis3": TargetSpec(BetaSystem((2.0, 3.0, (1 + 5 ** 0.5) / 2)),
+                        AxisFamily((0.5, 1.0, 2.0))),
+}
+DENSE3 = np.array([[0.06, 0.02, 0.01],
+                   [0.03, 0.07, 0.02],
+                   [0.01, 0.03, 0.08]])
+
+
+def mp_gamma_log2(columns, betas, n, dps=120):
+    """Pivoted Gram-Schmidt of diag(beta^-n) @ columns in mpmath."""
+    d = len(betas)
+    with mpmath.workdps(dps):
+        cols = [[mpmath.mpf(float(columns[i, j])) * mpmath.mpf(betas[i]) ** -n
+                 for i in range(d)] for j in range(d)]
+        basis, out, remaining = [], [], list(range(d))
+        for _ in range(d):
+            best = None
+            for j in remaining:
+                w = list(cols[j])
+                for q in basis:
+                    c = mpmath.fsum(a * b for a, b in zip(w, q))
+                    w = [a - c * b for a, b in zip(w, q)]
+                nw = mpmath.sqrt(mpmath.fsum(a * a for a in w))
+                if best is None or nw > best[0]:
+                    best = (nw, j, w)
+            nw, j, w = best
+            remaining.remove(j)
+            basis.append([a / nw for a in w])
+            out.append(float(mpmath.log(nw, 2)))
+    return out
+
+
+class TestDeepLevels:
+    """Exact mode at levels whose frame entries span thousands of
+    binary orders inside one column."""
+
+    @pytest.mark.parametrize("n", DEEP_LEVELS)
+    @pytest.mark.parametrize("name", sorted(DEEP_SPECS))
+    def test_exact_tracks_limit(self, name, n):
+        spec = DEEP_SPECS[name]
+        exact = s_n(spec, n, mode="exact")
+        limit = s_n(spec, n, mode="limit")
+        vol = spec.family.log2_volume(spec.system.log2_betas, n)
+        assert abs(sum(exact.gamma_log2) - vol) <= 1e-9 * abs(vol)
+        assert n * abs(exact.s_n - limit.s_n) <= 0.5
+
+    @pytest.mark.parametrize("n", (129, 2000))
+    def test_dense_table(self, n):
+        betas = (2.0, 2.5, 3.0)
+        shape = Parallelepiped((0.4, 0.4, 0.4), DENSE3)
+        spec = TargetSpec(BetaSystem(betas), ExplicitTargets((shape,) * n))
+        got = gamma_magnitudes(spec, n, as_log2=True)
+        assert got == pytest.approx(mp_gamma_log2(DENSE3, betas, n),
+                                    rel=1e-12)
+        vol = spec.family.log2_volume(spec.system.log2_betas, n)
+        assert abs(sum(got) - vol) <= 1e-9 * abs(vol)
+        assert 0.0 < s_n(spec, n).s_n <= 3.0
+
+    def test_two_d_makes_no_linalg_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and \
+                    not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        for spec in (rotated_spec(0.7), decay_spec(0.5)):
+            for n in (1, 40, 1075, 10 ** 5):
+                assert 1.0 <= s_n(spec, n).s_n <= 2.0
 
 
 class TestObjectiveProperties:

@@ -215,6 +215,13 @@ class TestBruteForce:
             est = brute_force_content_2d(poly, s)
             assert 0.5 ** s * (1.0 - 1e-9) <= est.upper <= 0.5 ** s * 1.02
 
+    def test_thin_rectangle_far_from_origin(self):
+        # at s = 2 the MDP spot check at r = h/8 holds with equality, so
+        # the clipped areas must keep the precision of the shape itself
+        poly = [[0.8, 0.6], [0.9, 0.6], [0.9, 0.602], [0.8, 0.602]]
+        est = brute_force_content_2d(poly, 2.0)
+        assert est.lower <= est.upper
+
     def test_empty_and_degenerate(self):
         est = brute_force_content_2d(np.zeros((2, 2)), 1.5)
         assert est.lower == 0.0 and est.upper == 0.0

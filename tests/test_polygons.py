@@ -19,6 +19,15 @@ def test_area_unit_square():
     assert polygon_area(SQUARE) == 1.0
 
 
+def test_area_translation_invariant():
+    # a 5e-4 x 2e-3 box near (0.85, 0.6): absolute coordinates must not
+    # cost the shoelace sum its relative precision
+    box = np.array([[0.0, 0.0], [5e-4, 0.0], [5e-4, 2e-3], [0.0, 2e-3]])
+    far = box + np.array([0.85, 0.6])
+    assert polygon_area(far) == pytest.approx(polygon_area(box), rel=1e-12,
+                                              abs=0.0)
+
+
 def test_ensure_ccw_flips_clockwise():
     cw = SQUARE[::-1]
     assert polygon_area(cw) == -1.0
