@@ -85,9 +85,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.left <= other.left and other.right <= self.right
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.left < other.right and other.left < self.right
-
 
 @dataclass(frozen=True)
 class CylinderNode:

@@ -1,11 +1,14 @@
 """Config parsing, subcommand dispatch, and artifact output.
 
 One JSON config drives every subcommand; unknown keys are rejected by
-name so typos fail loudly instead of silently using a default.  Tabular
-results go to CSV (header row plus a comment line with the config
-hash), structured results to JSON.  Outputs are byte-identical for
-identical config and seed: floats are written with repr and nothing
-records wall-clock state.
+name so typos fail loudly instead of silently using a default.  Each
+key is read by the typed converter that its RunConfig field, or its
+target kind in _TARGETS, declares; range checks the library already
+makes (theta rule, exponents, levels) stay there.  Tabular results go
+to CSV (header row plus a comment line with the config hash),
+structured results to JSON.  Outputs are byte-identical for identical
+config and seed: floats are written with repr and nothing records
+wall-clock state.
 
 Exponentially small quantities appear in output columns as log2 values;
 plain magnitudes would flush to zero long before the interesting range.
@@ -20,11 +23,12 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .beta_dynamics import (
+    DEFAULT_NODE_CAP,
     Interval,
     count_admissible,
     count_full,
@@ -41,8 +45,10 @@ from .dimension_engine import (
     s_star,
 )
 from .errors import BetaTargetsError, ConfigError, DomainError
-from .hausdorff_content import brute_force_content_2d
+from .hausdorff_content import DEFAULT_DEPTHS, brute_force_content_2d
 from .numerical_lab import (
+    DEFAULT_CELL_CAP,
+    DEFAULT_COPY_CAP,
     build_measure,
     cover_exponent_scan,
     verify_measure_bound,
@@ -61,238 +67,189 @@ SUBCOMMANDS = ("expand", "cylinders", "count", "ortho", "content",
                "dimension", "verify-cover", "verify-measure")
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    betas: Optional[Tuple[float, ...]] = None
-    target: Optional[dict] = None
-    n: Optional[int] = None
-    n_min: Optional[int] = None
-    n_max: Optional[int] = None
-    window: int = 20
-    mode: str = "exact"
-    tolerance: float = 1e-3
-    seed: int = 0
-    out: str = "."
-    copy_cap: Optional[int] = None
-    cell_cap: Optional[int] = None
-    node_cap: Optional[int] = None
-    samples: int = 2000
-    t: Optional[float] = None
-    eps: Optional[float] = None
-    D: Optional[tuple] = None
-    taus: Optional[Tuple[float, ...]] = None
-    s: Optional[tuple] = None
-    x: Optional[float] = None
-    interval: Optional[Tuple[float, float]] = None
-    only_full: bool = False
-    shape: Optional[tuple] = None
-    depths: Optional[Tuple[int, ...]] = None
-    columns: Optional[tuple] = None
-    raw: dict = dataclasses.field(default_factory=dict)
-
-
-_TOP_KEYS = {f.name for f in dataclasses.fields(RunConfig)} - {"raw"}
-
-
 def _fail(msg: str):
     raise ConfigError(msg, module=_MODULE)
 
 
-def _as_number(v, key: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"config key {key!r} must be a number, got {v!r}")
-    return float(v)
+# Converters: parse(value, what) returns the typed value or raises a
+# ConfigError naming `what`, the place of the value in the config.
+
+def _number(v, what: str) -> float:
+    if (isinstance(v, float) and math.isfinite(v)) or (
+            isinstance(v, int) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max):
+        return float(v)
+    _fail(f"{what} must be finite and numeric, got {v!r}")
 
 
-def _as_int(v, key: str, minimum: Optional[int] = None) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        _fail(f"config key {key!r} must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        _fail(f"config key {key!r} must be >= {minimum}, got {v}")
+def _integer(floor: int) -> Callable:
+    def parse(v, what: str) -> int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            _fail(f"{what} must be an integer, got {v!r}")
+        if v < floor:
+            _fail(f"{what} must be >= {floor}, got {v}")
+        return v
+    return parse
+
+
+def _string(v, what: str) -> str:
+    if not isinstance(v, str):
+        _fail(f"{what} must be a string, got {v!r}")
     return v
 
 
-def _as_pair(v, key: str) -> Tuple[float, float]:
-    if not isinstance(v, (list, tuple)) or len(v) != 2:
-        _fail(f"config key {key!r} must be a pair, got {v!r}")
-    return (_as_number(v[0], key), _as_number(v[1], key))
+def _boolean(v, what: str) -> bool:
+    if not isinstance(v, bool):
+        _fail(f"{what} must be a boolean, got {v!r}")
+    return v
+
+
+def _object(v, what: str) -> dict:
+    if not isinstance(v, dict):
+        _fail(f"{what} must be an object, got {v!r}")
+    return v
+
+
+def _choice(*options: str) -> Callable:
+    def parse(v, what: str) -> str:
+        if v not in options:
+            _fail(f"{what} must be one of {', '.join(map(repr, options))}, "
+                  f"got {v!r}")
+        return v
+    return parse
+
+
+def _list_of(item: Callable, size: int = 1, exact: bool = False) -> Callable:
+    """Tuple parser for a list of `size` items, or at least `size`."""
+    def parse(v, what: str) -> tuple:
+        if not isinstance(v, list) or len(v) < size or \
+                (exact and len(v) > size):
+            _fail(f"{what} must be a list of {size}"
+                  f"{'' if exact else ' or more'} items, got {v!r}")
+        return tuple(item(e, f"{what}[{i}]") for i, e in enumerate(v))
+    return parse
+
+
+_numbers = _list_of(_number)
+_pair = _list_of(_number, 2, exact=True)
+
+
+def _number_or_list(v, what: str) -> tuple:
+    return _numbers(v if isinstance(v, list) else [v], what)
+
+
+def _matrix(v, what: str) -> tuple:
+    """Square matrix as a tuple of columns."""
+    cols = _list_of(_numbers)(v, what)
+    if any(len(c) != len(cols) for c in cols):
+        _fail(f"{what} must form a square matrix")
+    return cols
+
+
+def _base(v, what: str) -> float:
+    b = _number(v, what)
+    if not b > 1.0:
+        raise DomainError(f"every base must exceed 1, got {b}",
+                          module=_MODULE)
+    return b
+
+
+def _fields(obj, required: dict, optional: dict, what: str) -> dict:
+    """Parsed keys of an object, each through its parser in `required`
+    or `optional`; unknown and missing keys are refused by name."""
+    _object(obj, what)
+    for k in obj:
+        if k not in required and k not in optional:
+            _fail(f"unknown {what} key {k!r}")
+    for k in required:
+        if k not in obj:
+            _fail(f"{what} needs {k!r}")
+    return {k: parse(obj[k], f"{what} key {k!r}")
+            for k, parse in {**required, **optional}.items() if k in obj}
+
+
+def _key(parse: Callable, default=None):
+    """A RunConfig field read from the config key of the same name."""
+    return dataclasses.field(default=default, metadata={"parse": parse})
+
+
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """A validated config; raw is the effective JSON object it came from,
+    which the artifact hash covers."""
+
+    betas: Optional[Tuple[float, ...]] = _key(_list_of(_base))
+    target: Optional[dict] = _key(_object)
+    n: Optional[int] = _key(_integer(1))
+    n_min: Optional[int] = _key(_integer(1))
+    n_max: Optional[int] = _key(_integer(1))
+    window: int = _key(_integer(1), 20)
+    mode: str = _key(_choice("exact", "limit"), "exact")
+    tolerance: float = _key(_number, 1e-3)
+    seed: int = _key(_integer(0), 0)
+    out: str = _key(_string, ".")
+    copy_cap: int = _key(_integer(1), DEFAULT_COPY_CAP)
+    cell_cap: int = _key(_integer(1), DEFAULT_CELL_CAP)
+    node_cap: int = _key(_integer(1), DEFAULT_NODE_CAP)
+    samples: int = _key(_integer(4), 2000)
+    t: Optional[float] = _key(_number)
+    eps: Optional[float] = _key(_number)
+    D: tuple = _key(_list_of(_pair, 2, exact=True), ((0.0, 1.0), (0.0, 1.0)))
+    taus: Optional[Tuple[float, ...]] = _key(_numbers)
+    s: Optional[Tuple[float, ...]] = _key(_number_or_list)
+    x: Optional[float] = _key(_number)
+    interval: Optional[Tuple[float, float]] = _key(_pair)
+    only_full: bool = _key(_boolean, False)
+    shape: Optional[tuple] = _key(_list_of(_pair, 3))
+    depths: Tuple[int, ...] = _key(_list_of(_integer(1)), DEFAULT_DEPTHS)
+    columns: Optional[tuple] = _key(_matrix)
+    raw: dict = dataclasses.field(default_factory=dict)
+
+
+_PARSERS = {f.name: f.metadata["parse"]
+            for f in dataclasses.fields(RunConfig) if "parse" in f.metadata}
+_TOP_KEYS = set(_PARSERS)
+
+
+def _load(text: str) -> dict:
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: integers past the str -> int digit
+        # limit, and nesting past the recursion limit
+        _fail(f"config is not valid JSON: {exc}")
+    return _object(data, "config")
 
 
 def parse_config(text: str) -> RunConfig:
     """Validated RunConfig from a JSON document; unknown keys rejected."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        _fail(f"config is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        _fail("config must be a JSON object")
-    return validate_config(data)
+    return validate_config(_load(text))
 
 
 def validate_config(data: dict) -> RunConfig:
-    for key in data:
-        if key not in _TOP_KEYS:
-            _fail(f"unknown config key {key!r}")
-    out = {}
-    if "betas" in data:
-        v = data["betas"]
-        if not isinstance(v, list) or not v:
-            _fail("config key 'betas' must be a non-empty list")
-        betas = tuple(_as_number(b, "betas") for b in v)
-        for b in betas:
-            if not (b > 1.0):
-                raise DomainError(f"every base must exceed 1, got {b}",
-                                  module=_MODULE)
-        out["betas"] = betas
-    if "target" in data:
-        if not isinstance(data["target"], dict):
-            _fail("config key 'target' must be an object")
-        out["target"] = data["target"]
-    for key, minimum in (("n", 1), ("n_min", 1), ("n_max", 1),
-                         ("window", 1), ("seed", 0), ("copy_cap", 1),
-                         ("cell_cap", 1), ("node_cap", 1), ("samples", 4)):
-        if key in data:
-            out[key] = _as_int(data[key], key, minimum)
-    if "n_min" in out and "n_max" in out and out["n_min"] > out["n_max"]:
-        _fail(f"need n_min <= n_max, got [{out['n_min']}, {out['n_max']}]")
-    if "mode" in data:
-        if data["mode"] not in ("exact", "limit"):
-            _fail(f"config key 'mode' must be 'exact' or 'limit', "
-                  f"got {data['mode']!r}")
-        out["mode"] = data["mode"]
-    for key in ("tolerance", "t", "eps", "x"):
-        if key in data:
-            out[key] = _as_number(data[key], key)
-    if "tolerance" in out and out["tolerance"] <= 0.0:
-        _fail("config key 'tolerance' must be positive")
-    if "out" in data:
-        if not isinstance(data["out"], str):
-            _fail("config key 'out' must be a string")
-        out["out"] = data["out"]
-    if "D" in data:
-        v = data["D"]
-        if not isinstance(v, list) or len(v) != 2:
-            _fail("config key 'D' must be a list of two intervals")
-        out["D"] = tuple(_as_pair(I, "D") for I in v)
-    if "taus" in data:
-        v = data["taus"]
-        if not isinstance(v, list) or not v:
-            _fail("config key 'taus' must be a non-empty list")
-        out["taus"] = tuple(_as_number(tau, "taus") for tau in v)
-    if "s" in data:
-        v = data["s"]
-        if isinstance(v, list):
-            if not v:
-                _fail("config key 's' must not be an empty list")
-            out["s"] = tuple(_as_number(e, "s") for e in v)
-        else:
-            out["s"] = (_as_number(v, "s"),)
-    if "interval" in data:
-        out["interval"] = _as_pair(data["interval"], "interval")
-    if "only_full" in data:
-        if not isinstance(data["only_full"], bool):
-            _fail("config key 'only_full' must be a boolean")
-        out["only_full"] = data["only_full"]
-    if "shape" in data:
-        v = data["shape"]
-        if not isinstance(v, list) or len(v) < 3:
-            _fail("config key 'shape' needs at least three vertices")
-        out["shape"] = tuple(_as_pair(p, "shape") for p in v)
-    if "depths" in data:
-        v = data["depths"]
-        if not isinstance(v, list) or not v:
-            _fail("config key 'depths' must be a non-empty list")
-        out["depths"] = tuple(_as_int(e, "depths", 1) for e in v)
-    if "columns" in data:
-        v = data["columns"]
-        if not isinstance(v, list) or not v:
-            _fail("config key 'columns' must be a list of column vectors")
-        cols = []
-        for c in v:
-            if not isinstance(c, list) or len(c) != len(v):
-                _fail("config key 'columns' must form a square matrix")
-            cols.append(tuple(_as_number(e, "columns") for e in c))
-        out["columns"] = tuple(cols)
-    return RunConfig(**out, raw=data)
+    """RunConfig from a decoded config object, each key read by the
+    parser its RunConfig field declares."""
+    cfg = RunConfig(**_fields(data, {}, _PARSERS, "config"), raw=data)
+    if cfg.n_min is not None and cfg.n_max is not None and \
+            cfg.n_min > cfg.n_max:
+        _fail(f"need n_min <= n_max, got [{cfg.n_min}, {cfg.n_max}]")
+    return cfg
 
 
-def make_target_spec(cfg: RunConfig) -> TargetSpec:
-    """TargetSpec from the 'betas' and 'target' config sections."""
-    if cfg.betas is None:
-        _fail("missing config key 'betas'")
-    if cfg.target is None:
-        _fail("missing config key 'target'")
-    system = BetaSystem(cfg.betas)
-    tgt = dict(cfg.target)
-    kind = tgt.pop("kind", None)
-    if kind == "axis":
-        known = {"exponents", "origin"}
-        for k in tgt:
-            if k not in known:
-                _fail(f"unknown axis target key {k!r}")
-        if "exponents" not in tgt:
-            _fail("axis target needs 'exponents'")
-        fam = AxisFamily(tgt["exponents"], tgt.get("origin"))
-    elif kind == "rotated2d":
-        known = {"theta", "theta_value", "a", "exponents"}
-        for k in tgt:
-            if k not in known:
-                _fail(f"unknown rotated2d target key {k!r}")
-        if "theta" not in tgt:
-            _fail("rotated2d target needs 'theta'")
-        fam = Rotated2DFamily(
-            tgt["theta"],
-            theta_value=float(tgt.get("theta_value", 0.0)),
-            a=float(tgt.get("a", 0.0)),
-            exponents=tuple(tgt.get("exponents", (1.0, 1.0))),
-        )
-    elif kind == "explicit":
-        known = {"shapes"}
-        for k in tgt:
-            if k not in known:
-                _fail(f"unknown explicit target key {k!r}")
-        shapes = tgt.get("shapes")
-        if not isinstance(shapes, list) or not shapes:
-            _fail("explicit target needs a non-empty 'shapes' list")
-        fam = ExplicitTargets(tuple(
-            _explicit_shape(i, sh) for i, sh in enumerate(shapes)))
-    elif kind == "table":
-        known = {"path"}
-        for k in tgt:
-            if k not in known:
-                _fail(f"unknown table target key {k!r}")
-        if "path" not in tgt:
-            _fail("table target needs 'path'")
-        fam = _load_table(tgt["path"], system.dimension)
-    else:
-        _fail(f"unknown target kind {kind!r}")
-    return TargetSpec(system, fam)
+_SHAPE_KEYS = {"origin": _numbers, "columns": _matrix}
 
 
-def _explicit_shape(i: int, sh) -> Parallelepiped:
-    if not isinstance(sh, dict):
-        _fail(f"explicit shape {i} must be an object, got {sh!r}")
-    for k in sh:
-        if k not in ("origin", "columns"):
-            _fail(f"unknown explicit shape key {k!r}")
-    for k in ("origin", "columns"):
-        if k not in sh:
-            _fail(f"explicit shape {i} needs {k!r}")
-    try:
-        origin = np.asarray(sh["origin"], dtype=float)
-        columns = np.column_stack(np.asarray(sh["columns"], dtype=float))
-    except (TypeError, ValueError):
-        _fail(f"explicit shape {i}: 'origin' and 'columns' must be "
-              "numeric arrays")
-    return Parallelepiped(origin, columns)
+def _shape(v, what: str) -> Parallelepiped:
+    keys = _fields(v, _SHAPE_KEYS, {}, what)
+    return Parallelepiped(keys["origin"], np.column_stack(keys["columns"]))
 
 
-def _load_table(path: str, d: int) -> ExplicitTargets:
+def _load_table(d: int, path: str) -> ExplicitTargets:
     """Per-level targets from CSV rows: n, origin (d), columns
     column-major (d*d)."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         _fail(f"cannot read target table {path!r}: {exc}")
     width = 1 + d + d * d
     rows = {}
@@ -326,6 +283,30 @@ def _load_table(path: str, d: int) -> ExplicitTargets:
     return ExplicitTargets(tuple(shapes))
 
 
+_TARGETS = {
+    # kind: (builder(dimension, **keys), required keys, optional keys)
+    "axis": (lambda d, **keys: AxisFamily(**keys),
+             {"exponents": _numbers}, {"origin": _numbers}),
+    "rotated2d": (lambda d, **keys: Rotated2DFamily(**keys),
+                  {"theta": _string},
+                  {"theta_value": _number, "a": _number,
+                   "exponents": _numbers}),
+    "explicit": (lambda d, **keys: ExplicitTargets(**keys),
+                 {"shapes": _list_of(_shape)}, {}),
+    "table": (_load_table, {"path": _string}, {}),
+}
+
+
+def make_target_spec(cfg: RunConfig) -> TargetSpec:
+    """TargetSpec from the 'betas' and 'target' config sections."""
+    system = BetaSystem(_need(cfg.betas, "betas"))
+    target = dict(_need(cfg.target, "target"))
+    kind = _choice(*_TARGETS)(target.pop("kind", None), "target key 'kind'")
+    build, required, optional = _TARGETS[kind]
+    keys = _fields(target, required, optional, f"{kind} target")
+    return TargetSpec(system, build(system.dimension, **keys))
+
+
 def _config_sha(effective: dict) -> str:
     canon = json.dumps(effective, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -347,19 +328,20 @@ def _write_csv(path: Path, header: Sequence[str], rows,
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     lines.extend(trailing)
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, obj: dict, sha: str) -> None:
     payload = dict(obj)
     payload["config_sha256"] = sha
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _first_beta(cfg: RunConfig) -> float:
-    if cfg.betas is None:
-        _fail("missing config key 'betas'")
-    return cfg.betas[0]
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        _fail(f"cannot write {str(path)!r}: {exc}")
 
 
 def _need(value, key: str):
@@ -369,7 +351,7 @@ def _need(value, key: str):
 
 
 def _cmd_expand(cfg: RunConfig, out: Path, sha: str) -> int:
-    beta = _first_beta(cfg)
+    beta = _need(cfg.betas, "betas")[0]
     x = _need(cfg.x, "x")
     n = _need(cfg.n, "n")
     word = digits(beta, x, n)
@@ -384,16 +366,12 @@ def _cmd_expand(cfg: RunConfig, out: Path, sha: str) -> int:
 
 
 def _cmd_cylinders(cfg: RunConfig, out: Path, sha: str) -> int:
-    beta = _first_beta(cfg)
+    beta = _need(cfg.betas, "betas")[0]
     n = _need(cfg.n, "n")
-    kwargs = {}
-    if cfg.interval is not None:
-        kwargs["within"] = Interval(*cfg.interval)
-    if cfg.node_cap is not None:
-        kwargs["node_cap"] = cfg.node_cap
+    within = Interval(*cfg.interval) if cfg.interval is not None else None
     rows = []
     for node in enumerate_cylinders(beta, n, only_full=cfg.only_full,
-                                    **kwargs):
+                                    within=within, node_cap=cfg.node_cap):
         rows.append(("".join(str(d) for d in node.word), n,
                      float(node.left), float(node.length),
                      1 if node.full else 0))
@@ -404,7 +382,7 @@ def _cmd_cylinders(cfg: RunConfig, out: Path, sha: str) -> int:
 
 
 def _cmd_count(cfg: RunConfig, out: Path, sha: str) -> int:
-    beta = _first_beta(cfg)
+    beta = _need(cfg.betas, "betas")[0]
     n = _need(cfg.n, "n")
     admissible = count_admissible(beta, n)
     full = count_full(beta, n)
@@ -417,7 +395,7 @@ def _cmd_count(cfg: RunConfig, out: Path, sha: str) -> int:
 
 def _cmd_ortho(cfg: RunConfig, out: Path, sha: str) -> int:
     cols = _need(cfg.columns, "columns")
-    matrix = np.column_stack([np.asarray(c, dtype=float) for c in cols])
+    matrix = np.column_stack(cols)
     frame = pivoted_orthogonalize(matrix)
     norms = [float(np.linalg.norm(frame.gammas[:, k]))
              for k in range(matrix.shape[1])]
@@ -446,13 +424,10 @@ def _cmd_ortho(cfg: RunConfig, out: Path, sha: str) -> int:
 def _cmd_content(cfg: RunConfig, out: Path, sha: str) -> int:
     shape = _need(cfg.shape, "shape")
     exponents = _need(cfg.s, "s")
-    kwargs = {}
-    if cfg.depths is not None:
-        kwargs["depths"] = cfg.depths
     rows = []
     for s in exponents:
         est = brute_force_content_2d(np.asarray(shape, dtype=float),
-                                     float(s), **kwargs)
+                                     float(s), depths=cfg.depths)
         rows.append((float(s), est.lower, est.upper))
     _write_csv(out / "content.csv", ("s", "lower", "upper"), rows, sha)
     print(f"wrote {out / 'content.csv'}")
@@ -482,15 +457,12 @@ def _cmd_verify_cover(cfg: RunConfig, out: Path, sha: str) -> int:
     spec = make_target_spec(cfg)
     n_min = _need(cfg.n_min, "n_min")
     n_max = _need(cfg.n_max, "n_max")
-    kwargs = {}
-    if cfg.copy_cap is not None:
-        kwargs["copy_cap"] = cfg.copy_cap
-    if cfg.cell_cap is not None:
-        kwargs["cell_cap"] = cfg.cell_cap
     s = cfg.s[0] if cfg.s is not None else None
     rows = []
     for n in range(n_min, n_max + 1):
-        scan = cover_exponent_scan(spec, n, taus=cfg.taus, s=s, **kwargs)
+        scan = cover_exponent_scan(spec, n, taus=cfg.taus, s=s,
+                                   copy_cap=cfg.copy_cap,
+                                   cell_cap=cfg.cell_cap)
         for row in scan.rows:
             rows.append((n, row.tau, row.count, row.predicted, row.ratio))
     _write_csv(out / "verify_cover.csv",
@@ -503,14 +475,11 @@ def _cmd_verify_measure(cfg: RunConfig, out: Path, sha: str) -> int:
     spec = make_target_spec(cfg)
     n_min = _need(cfg.n_min, "n_min")
     n_max = _need(cfg.n_max, "n_max")
-    D = cfg.D if cfg.D is not None else ((0.0, 1.0), (0.0, 1.0))
-    kwargs = {}
-    if cfg.copy_cap is not None:
-        kwargs["copy_cap"] = cfg.copy_cap
     rows = []
     for n in range(n_min, n_max + 1):
         t = cfg.t if cfg.t is not None else s_n(spec, n).s_n - 0.1
-        M = build_measure(spec, n, D, t, eps=cfg.eps, **kwargs)
+        M = build_measure(spec, n, cfg.D, t, eps=cfg.eps,
+                          copy_cap=cfg.copy_cap)
         rep = verify_measure_bound(M, samples=cfg.samples,
                                    rng_seed=cfg.seed)
         side = M.box_side
@@ -541,7 +510,10 @@ def run(subcommand: str, cfg: RunConfig) -> int:
     if subcommand not in _HANDLERS:
         _fail(f"unknown subcommand {subcommand!r}")
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        _fail(f"cannot create output directory {cfg.out!r}: {exc}")
     sha = _config_sha(cfg.raw)
     return _HANDLERS[subcommand](cfg, out, sha)
 
@@ -561,6 +533,19 @@ class _QuietParser(argparse.ArgumentParser):
         raise _ArgsError(message)
 
 
+_FLAGS = {
+    # subcommand (None: all of them) -> (flag, type, config key) overrides
+    None: (("--out", str, "out"), ("--seed", int, "seed")),
+    "count": (("--beta", float, "betas"), ("--n", int, "n")),
+    "dimension": (("--nmin", int, "n_min"), ("--nmax", int, "n_max"),
+                  ("--window", int, "window")),
+}
+
+
+def _flags(subcommand: str):
+    return _FLAGS[None] + _FLAGS.get(subcommand, ())
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _QuietParser(prog="beta-targets", description=(
         "shrinking-target toolkit: expansions, covering counts, and the "
@@ -568,16 +553,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in SUBCOMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        if name == "count":
-            p.add_argument("--beta", type=float, default=None)
-            p.add_argument("--n", type=int, default=None)
-        if name == "dimension":
-            p.add_argument("--nmin", type=int, default=None)
-            p.add_argument("--nmax", type=int, default=None)
-            p.add_argument("--window", type=int, default=None)
+        p.add_argument("--config")
+        for flag, kind, key in _flags(name):
+            p.add_argument(flag, type=kind, dest=key,
+                           metavar=flag.lstrip("-").upper())
     return parser
 
 
@@ -591,37 +570,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _emit_error("cli_io.config", str(exc))
         return 2
     try:
+        data = {}
         if args.config is not None:
             try:
                 text = Path(args.config).read_text()
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 _fail(f"cannot read config {args.config!r}: {exc}")
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                _fail("config must be a JSON object")
-        else:
-            data = {}
-        if args.out is not None:
-            data["out"] = args.out
-        if args.seed is not None:
-            data["seed"] = args.seed
-        if args.subcommand == "count":
-            if args.beta is not None:
-                data["betas"] = [args.beta]
-            if args.n is not None:
-                data["n"] = args.n
-        if args.subcommand == "dimension":
-            if args.nmin is not None:
-                data["n_min"] = args.nmin
-            if args.nmax is not None:
-                data["n_max"] = args.nmax
-            if args.window is not None:
-                data["window"] = args.window
-        cfg = validate_config(data)
-        return run(args.subcommand, cfg)
-    except json.JSONDecodeError as exc:
-        _emit_error("cli_io.config", f"config is not valid JSON: {exc}")
-        return 2
+            data = _load(text)
+        for _, _, key in _flags(args.subcommand):
+            value = getattr(args, key)
+            if value is not None:
+                # --beta names the one base of a 1-D system
+                data[key] = [value] if key == "betas" else value
+        return run(args.subcommand, validate_config(data))
     except BetaTargetsError as exc:
         _emit_error(exc.code, str(exc))
         return 2

@@ -277,10 +277,11 @@ def brute_force_content_2d(shape, s: float,
     the unit square.
 
     upper is the value of the cheapest genuine square cover found
-    (dyadic occupancy per depth, merged mixed-scale dyadic, anchored
-    uniform meshes, remainder tiling of the bounding box); lower is the
-    mass distribution bound with the normalized area measure, which by
-    the sandwich equals area-ratio * 2^-d * phi^s of the bounding box.
+    (merged mixed-scale dyadic up to the merge depth, plain dyadic
+    occupancy per deeper depth, anchored uniform meshes, remainder
+    tiling of the bounding box); lower is the mass distribution bound
+    with the normalized area measure, which by the sandwich equals
+    area-ratio * 2^-d * phi^s of the bounding box.
     """
     if depths is None:
         depths = DEFAULT_DEPTHS
@@ -315,11 +316,13 @@ def brute_force_content_2d(shape, s: float,
         return ContentEstimate(0.0, 0.0, scale_grid)
     lower_chain, upper_chain = envelope_chains(poly)
 
+    # the merged cover dominates the plain ones at depths up to its own
+    k_merge = min(max(depths), _MERGE_DEPTH)
     candidates = _dyadic_candidates(lower_chain, upper_chain,
-                                    (x0, y0, x1, y1), s, depths)
+                                    (x0, y0, x1, y1), s,
+                                    [k for k in depths if k > k_merge])
     candidates.append(_merged_dyadic_cover(
-        lower_chain, upper_chain, (x0, y0, x1, y1), s,
-        min(max(depths), _MERGE_DEPTH)))
+        lower_chain, upper_chain, (x0, y0, x1, y1), s, k_merge))
     candidates.extend(_mesh_candidates(w, h, s))
     candidates.append(_remainder_tiling(w, h, s))
     upper = min(candidates)

@@ -77,8 +77,7 @@ class EnSet:
     """All copies f^n P_n + z* at one level.
 
     The copies share one base shape; z_star holds the translations,
-    row-major with the first axis varying slowest.  axis_words[i][k] is
-    the k-th admissible word along axis i, aligned with the z* grid.
+    row-major with the first axis varying slowest.
     """
 
     spec: TargetSpec
@@ -87,7 +86,6 @@ class EnSet:
     base: Parallelepiped
     polygon: np.ndarray
     z_star: np.ndarray
-    axis_words: Tuple[Tuple[tuple, ...], ...]
     D: Optional[Tuple[Interval, Interval]] = None
 
     @property
@@ -97,10 +95,6 @@ class EnSet:
     @property
     def copy_area(self) -> float:
         return abs(float(np.linalg.det(self.base.columns)))
-
-    def word(self, i: int) -> Tuple[tuple, tuple]:
-        n2 = len(self.axis_words[1])
-        return self.axis_words[0][i // n2], self.axis_words[1][i % n2]
 
     def copy_polygon(self, i: int) -> np.ndarray:
         return self.polygon + self.z_star[i]
@@ -270,13 +264,12 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
 
     lefts = [np.array([float(nd.left) for nd in nodes])
              for nodes in per_axis]
-    words = tuple(tuple(nd.word for nd in nodes) for nodes in per_axis)
     n1, n2 = len(lefts[0]), len(lefts[1])
     z = np.empty((n1 * n2, 2))
     z[:, 0] = np.repeat(lefts[0], n2)
     z[:, 1] = np.tile(lefts[1], n1)
     return EnSet(spec=spec, n=n, mode=mode, base=base, polygon=poly,
-                 z_star=z, axis_words=words, D=box)
+                 z_star=z, D=box)
 
 
 def _grouped_arange(lengths: np.ndarray) -> np.ndarray:

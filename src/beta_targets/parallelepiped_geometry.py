@@ -155,10 +155,6 @@ class Parallelepiped:
         eps = ((np.arange(2 ** d)[:, None] >> np.arange(d)[None, :]) & 1)
         return self.origin[None, :] + eps.astype(float) @ self.columns.T
 
-    def translate(self, offset) -> "Parallelepiped":
-        off = np.asarray(offset, dtype=float)
-        return Parallelepiped(self.origin + off, self.columns)
-
 
 @dataclasses.dataclass(frozen=True)
 class OrthoFrame:

@@ -7,7 +7,7 @@ none of it is meant for general polygon soup.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -18,8 +18,6 @@ __all__ = [
     "parallelogram_polygon",
     "clip_halfplane",
     "clip_to_box",
-    "clip_convex",
-    "point_in_convex",
     "envelope_chains",
 ]
 
@@ -127,38 +125,6 @@ def clip_to_box(vertices: np.ndarray,
         if v.shape[0] == 0:
             return v
     return v
-
-
-def clip_convex(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
-    """Clip one convex polygon against another (both counterclockwise)."""
-    v = np.asarray(subject, dtype=float)
-    c = ensure_ccw(clip)
-    m = c.shape[0]
-    for i in range(m):
-        p, q = c[i], c[(i + 1) % m]
-        # inward normal of a ccw edge is (-(qy-py), qx-px); keep its side
-        ex, ey = q[0] - p[0], q[1] - p[1]
-        normal = (ey, -ex)
-        offset = ey * p[0] - ex * p[1]
-        v = clip_halfplane(v, normal, offset)
-        if v.shape[0] == 0:
-            return v
-    return v
-
-
-def point_in_convex(vertices: np.ndarray, point,
-                    tol: float = 1e-12) -> bool:
-    v = np.asarray(vertices, dtype=float)
-    if v.shape[0] < 3:
-        return False
-    px, py = float(point[0]), float(point[1])
-    m = v.shape[0]
-    for i in range(m):
-        p, q = v[i], v[(i + 1) % m]
-        cross = (q[0] - p[0]) * (py - p[1]) - (q[1] - p[1]) * (px - p[0])
-        if cross < -tol:
-            return False
-    return True
 
 
 def envelope_chains(vertices: np.ndarray):

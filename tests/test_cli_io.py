@@ -1,20 +1,27 @@
 """Config validation, subcommand artifacts, and error reporting."""
 
+import contextlib
+import copy
 import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from beta_targets.cli_io import (
+    _SHAPE_KEYS,
+    _TARGETS,
     _TOP_KEYS,
     main,
+    make_target_spec,
     parse_config,
     run,
     validate_config,
 )
-from beta_targets.errors import ConfigError, DomainError
+from beta_targets.errors import BetaTargetsError, ConfigError, DomainError
 
 PI4 = math.pi / 4.0
 
@@ -69,6 +76,17 @@ class TestParseConfig:
             "run_config.schema.json"
         props = json.loads(schema.read_text())["properties"]
         assert set(props) == _TOP_KEYS
+        branches = {b["properties"]["kind"]["const"]: b
+                    for b in props["target"]["oneOf"]}
+        assert set(branches) == set(_TARGETS)
+        for kind, (_, required, optional) in _TARGETS.items():
+            branch = branches[kind]
+            assert set(branch["properties"]) == \
+                {"kind", *required, *optional}
+            assert set(branch["required"]) == {"kind", *required}
+        item = branches["explicit"]["properties"]["shapes"]["items"]
+        assert set(item["properties"]) == set(_SHAPE_KEYS)
+        assert set(item["required"]) == set(_SHAPE_KEYS)
 
     def test_only_full_must_be_boolean(self):
         with pytest.raises(ConfigError, match="only_full"):
@@ -107,6 +125,46 @@ class TestParseConfig:
     def test_unknown_subcommand_rejected_by_run(self):
         with pytest.raises(ConfigError, match="subcommand"):
             run("solve", validate_config({}))
+
+
+# any JSON value, NaN and infinities included (json.loads reads them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+VALID_TARGETS = {
+    "axis": {"kind": "axis", "exponents": [1.0, 2.0]},
+    "rotated2d": {"kind": "rotated2d", "theta": "const"},
+    "explicit": {"kind": "explicit", "shapes": [
+        {"origin": [0.1, 0.1], "columns": [[0.1, 0.0], [0.0, 0.1]]}]},
+    "table": {"kind": "table", "path": "missing.csv"},
+}
+
+
+class TestAnyValue:
+    """Whatever JSON value a key holds, only typed errors come out."""
+
+    @given(key=st.sampled_from(sorted(_TOP_KEYS)), value=JSON_VALUES)
+    def test_top_level_key(self, key, value):
+        with contextlib.suppress(BetaTargetsError):
+            validate_config({key: value})
+
+    @given(kind=st.sampled_from(sorted(_TARGETS)), data=st.data())
+    def test_target_sub_key(self, kind, data):
+        _, required, optional = _TARGETS[kind]
+        # (key of an explicit shape?, key)
+        slots = [(False, k) for k in ("kind", *required, *optional)]
+        if kind == "explicit":
+            slots += [(True, k) for k in _SHAPE_KEYS]
+        in_shape, key = data.draw(st.sampled_from(slots))
+        target = copy.deepcopy(VALID_TARGETS[kind])
+        holder = target["shapes"][0] if in_shape else target
+        holder[key] = data.draw(JSON_VALUES)
+        with contextlib.suppress(BetaTargetsError):
+            make_target_spec(validate_config(
+                {"betas": [2, 4], "target": target}))
 
 
 class TestCount:
@@ -375,7 +433,75 @@ class TestVerifyMeasure:
         assert (out / "verify_measure.csv").read_bytes() == first
 
 
+def _with_config(subcommand, config):
+    """argv builder running `subcommand` on a config given as an object,
+    JSON text or raw bytes."""
+    raw = json.dumps(config) if isinstance(config, dict) else config
+    raw = raw.encode() if isinstance(raw, str) else raw
+
+    def argv(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(raw)
+        return [subcommand, "--config", str(path),
+                "--out", str(tmp_path / "out")]
+    return argv
+
+
+def _out_names_a_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return ["count", "--beta", "2", "--n", "3",
+            "--out", str(tmp_path / "taken")]
+
+
+def _rotated(**target):
+    return {"betas": [2, 4], "target": dict(
+        {"kind": "rotated2d", "theta": "const"}, **target),
+        "n_min": 1, "n_max": 2}
+
+
+def _axis(**target):
+    return {"betas": [2, 4], "target": dict(
+        {"kind": "axis", "exponents": [1, 1]}, **target),
+        "n_min": 1, "n_max": 2}
+
+
+def _table(path):
+    return {"betas": [2, 4], "target": {"kind": "table", "path": path},
+            "n_min": 1, "n_max": 2}
+
+
+# inputs that escaped main as a traceback, or were accepted silently
+INPUT_HOLES = {
+    "theta_value-string": _with_config("dimension", _rotated(theta_value="x")),
+    "theta_value-null": _with_config("dimension", _rotated(theta_value=None)),
+    "axis-exponents-number": _with_config("dimension", _axis(exponents=5)),
+    "axis-exponents-string": _with_config("dimension",
+                                          _axis(exponents=["a", 1])),
+    "axis-origin-number": _with_config("dimension", _axis(origin=5)),
+    "table-path-number": _with_config("dimension", _table(5)),
+    "table-path-nul": _with_config("dimension", _table("a\x00b")),
+    "betas-infinite": _with_config("count", {"betas": [math.inf], "n": 3}),
+    "a-string": _with_config("dimension",
+                             _rotated(theta="arccos_pow2", a="1")),
+    "tolerance-nan": _with_config("dimension",
+                                  dict(_rotated(), tolerance=math.nan)),
+    "config-too-deep": _with_config("count", "[" * 100_000),
+    "config-integer-too-long": _with_config("count",
+                                            '{"n": ' + "1" * 5000 + "}"),
+    "config-not-utf8": _with_config("count", b"\xff\xfe\x81"),
+    "out-names-a-file": _out_names_a_file,
+}
+
+
 class TestErrorReporting:
+    @pytest.mark.parametrize("argv", INPUT_HOLES.values(),
+                             ids=INPUT_HOLES.keys())
+    def test_input_hole_exits_two(self, tmp_path, capsys, argv):
+        assert main(argv(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert set(json.loads(err)["error"]) == {"code", "message"}
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"betaz": [2]})
         rc = main(["count", "--config", path, "--out", str(tmp_path)])

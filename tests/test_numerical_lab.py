@@ -65,8 +65,6 @@ class TestBuildEn:
         E = build_E_n(pi4_spec(), 2, mode="all")
         assert E.copy_count == 64  # 2^2 * 4^2, integer bases are full
         assert E.z_star.shape == (64, 2)
-        w1, w2 = E.word(17)
-        assert len(w1) == 2 and len(w2) == 2
 
     def test_dyadic_left_endpoints(self):
         E = build_E_n(square_spec(), 1, mode="all")

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from beta_targets.polygons import (
-    clip_convex,
     clip_halfplane,
     clip_to_box,
     ensure_ccw,
     parallelogram_polygon,
-    point_in_convex,
     polygon_area,
     polygon_bbox,
 )
@@ -56,25 +54,6 @@ def test_clip_to_box_intersection():
     shifted = SQUARE + np.array([0.5, 0.5])
     inner = clip_to_box(shifted, 0.0, 0.0, 1.0, 1.0)
     assert polygon_area(inner) == pytest.approx(0.25)
-
-
-def test_clip_convex_square_against_diamond():
-    # |x-0.5| + |y-0.5| <= 0.75 cuts four corner triangles with legs 1/4
-    diamond = ensure_ccw(np.array(
-        [[1.25, 0.5], [0.5, 1.25], [-0.25, 0.5], [0.5, -0.25]]))
-    inter = clip_convex(SQUARE, diamond)
-    assert polygon_area(inter) == pytest.approx(1.0 - 4.0 * 0.25 ** 2 / 2.0)
-
-
-def test_clip_convex_disjoint_is_empty():
-    far = SQUARE + np.array([5.0, 0.0])
-    assert clip_convex(SQUARE, far).shape[0] == 0
-
-
-def test_point_in_convex():
-    assert point_in_convex(SQUARE, (0.5, 0.5))
-    assert point_in_convex(SQUARE, (0.0, 0.0))  # boundary counts
-    assert not point_in_convex(SQUARE, (1.2, 0.5))
 
 
 def test_clip_area_never_grows():
