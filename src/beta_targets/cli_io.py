@@ -44,7 +44,12 @@ from .dimension_engine import (
     s_n,
     s_star,
 )
-from .errors import BetaTargetsError, ConfigError, DomainError
+from .errors import (
+    BetaTargetsError,
+    ConfigError,
+    DomainError,
+    ScaleRangeError,
+)
 from .hausdorff_content import DEFAULT_DEPTHS, brute_force_content_2d
 from .numerical_lab import (
     DEFAULT_CELL_CAP,
@@ -334,7 +339,13 @@ def _write_csv(path: Path, header: Sequence[str], rows,
 def _write_json(path: Path, obj: dict, sha: str) -> None:
     payload = dict(obj)
     payload["config_sha256"] = sha
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ScaleRangeError(
+            f"{path.name} would hold a non-finite value ({exc}): the float "
+            "route over- or underflows on this input", module=_MODULE)
+    _write(path, text + "\n")
 
 
 def _write(path: Path, text: str) -> None:

@@ -10,10 +10,10 @@ engines numerically:
   * measure: the uniform per-copy area measure and the ball-mass bound
     mu(B(x, r)) <= C r^t / |D|^d over stratified radius regimes.
 
-Everything here is 2-D by design: exact polygon clipping and envelope
-walks make every number independently checkable.  The formula-side
-modules handle general dimension; this lab is their witness, not their
-replacement.
+Everything here is 2-D by design: envelope walks and exact integrals
+between the envelope chains make every number independently checkable.
+The formula-side modules handle general dimension; this lab is their
+witness, not their replacement.
 
 A grid cell is counted as occupied when its OPEN square meets a copy,
 which for convex copies is the same as positive-area overlap with the
@@ -25,6 +25,7 @@ unions (integer bases, axis-aligned targets) come out sharp.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 from typing import Dict, Optional, Sequence, Tuple
@@ -70,14 +71,17 @@ DEFAULT_COPY_CAP = 200_000
 DEFAULT_CELL_CAP = 30_000_000
 
 _KEY_SHIFT = np.int64(1) << np.int64(32)
+# grid indices, coordinate / tau, must fit the halves of those keys
+_INDEX_LIMIT = 2.0 ** 31
 
 
 @dataclasses.dataclass(frozen=True)
 class EnSet:
     """All copies f^n P_n + z* at one level.
 
-    The copies share one base shape; z_star holds the translations,
-    row-major with the first axis varying slowest.
+    The copies share one base shape; lefts are the ascending cylinder
+    left ends of each axis, and copy i * len(lefts[1]) + j sits at
+    (lefts[0][i], lefts[1][j]).
     """
 
     spec: TargetSpec
@@ -85,12 +89,19 @@ class EnSet:
     mode: str
     base: Parallelepiped
     polygon: np.ndarray
-    z_star: np.ndarray
+    lefts: Tuple[np.ndarray, np.ndarray]
     D: Optional[Tuple[Interval, Interval]] = None
+
+    @functools.cached_property
+    def z_star(self) -> np.ndarray:
+        """The translations, row-major with the first axis varying
+        slowest."""
+        xs, ys = self.lefts
+        return np.column_stack([np.repeat(xs, len(ys)), np.tile(ys, len(xs))])
 
     @property
     def copy_count(self) -> int:
-        return self.z_star.shape[0]
+        return len(self.lefts[0]) * len(self.lefts[1])
 
     @property
     def copy_area(self) -> float:
@@ -262,14 +273,14 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 "contracted target leaks out of its cylinder product",
                 module=_MODULE)
 
-    lefts = [np.array([float(nd.left) for nd in nodes])
-             for nodes in per_axis]
-    n1, n2 = len(lefts[0]), len(lefts[1])
-    z = np.empty((n1 * n2, 2))
-    z[:, 0] = np.repeat(lefts[0], n2)
-    z[:, 1] = np.tile(lefts[1], n1)
+    lefts = tuple(np.array([float(nd.left) for nd in nodes])
+                  for nodes in per_axis)
+    # lexicographic digit order is numeric order of the cylinders
+    if any(np.any(np.diff(l) < 0.0) for l in lefts):
+        raise ConsistencyError("cylinder left ends are not ascending",
+                               module=_MODULE)
     return EnSet(spec=spec, n=n, mode=mode, base=base, polygon=poly,
-                 z_star=z, D=box)
+                 lefts=lefts, D=box)
 
 
 def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
@@ -301,6 +312,12 @@ def empirical_cover_count(E: EnSet, tau: float,
     zx = E.z_star[:, 0]
     zy = E.z_star[:, 1]
     ncop = E.copy_count
+    reach = np.abs(E.z_star).max() + np.abs(E.polygon).max()
+    if not reach / tau < _INDEX_LIMIT:
+        raise ResourceLimitError(
+            f"mesh {tau!r} too fine: grid indices would overflow the "
+            "packed int64 cell keys",
+            module=_MODULE)
 
     # column range per copy: open slab (k tau, (k+1) tau) must meet
     # [xmin, xmax]
@@ -389,6 +406,10 @@ def predicted_cover_count(spec: TargetSpec, n: int, tau: float,
     for g in level.gamma_log2:
         if g >= lt:
             out += g - lt
+    if not out < 1024.0:
+        raise DomainError(
+            f"predicted count 2^{out:.6g} at mesh {tau!r} exceeds the float "
+            "range", module=_MODULE)
     return float(2.0 ** out)
 
 
@@ -415,8 +436,8 @@ def cover_exponent_scan(spec: TargetSpec, n: int,
     rows = []
     for tau in taus:
         tau = float(tau)
-        count = empirical_cover_count(E, tau, cell_cap=cell_cap)
         pred = predicted_cover_count(spec, n, tau, level=level)
+        count = empirical_cover_count(E, tau, cell_cap=cell_cap)
         rows.append(CoverRow(
             tau=tau,
             count=count,
@@ -454,40 +475,134 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
     return MuMeasure(en=en, t=t, eps=eps, level=level)
 
 
+# straddling (ball, copy) pairs per kernel pass: bounds its temporaries
+_PAIR_CHUNK = 1 << 14
+
+
+def _axis_ranges(lo, hi, ends0, ends1):
+    """Per ball, the copies along one axis that overlap [lo, hi], as
+    [o0, o1), and those of them wholly inside it, as [i0, i1).
+
+    ends0 and ends1 are the copies' low and high bounding-box ends on the
+    axis, both ascending, so each set is one run of indices.
+    """
+    o0 = np.searchsorted(ends1, lo, side="right")
+    o1 = np.maximum(np.searchsorted(ends0, hi, side="left"), o0)
+    i0 = np.clip(np.searchsorted(ends0, lo, side="left"), o0, o1)
+    i1 = np.clip(np.searchsorted(ends1, hi, side="right"), i0, o1)
+    return o0, o1, i0, i1
+
+
+def _edges(polygon: np.ndarray):
+    """(x0, y0, x1, y1, sign) of the non-vertical envelope edges, with
+    coordinates relative to the bounding box's lower-left corner; sign is
+    +1 on the upper chain and -1 on the lower one."""
+    lower, upper = envelope_chains(polygon)
+    parts = []
+    for chain, sign in ((upper, 1.0), (lower, -1.0)):
+        e = np.hstack([chain[:-1], chain[1:]])
+        e = e[e[:, 2] > e[:, 0]]
+        parts.append(np.column_stack([e, np.full(len(e), sign)]))
+    e = np.vstack(parts)
+    e[:, [0, 2]] -= polygon[:, 0].min()
+    e[:, [1, 3]] -= polygon[:, 1].min()
+    return e.T
+
+
+def _box_areas(edges, a, b, lo, hi) -> np.ndarray:
+    """Area of the polygon inside each box [a, b] x [lo, hi].
+
+    The area is the integral of clamp(upper) - clamp(lower) over x.  On
+    each envelope edge, the clamped line is linear between the crossings
+    of y = lo and y = hi, so three trapezoids per edge are exact.
+    """
+    x0, y0, x1, y1, sign = edges
+    a, b, lo, hi = (v[:, None] for v in (a, b, lo, hi))
+    p = np.clip(a, x0, x1)
+    q = np.clip(b, x0, x1)
+    dxdy = np.divide(x1 - x0, y1 - y0, out=np.zeros_like(x0),
+                     where=y1 != y0)
+    t_lo = x0 + (lo - y0) * dxdy
+    t_hi = x0 + (hi - y0) * dxdy
+    c1 = np.clip(np.minimum(t_lo, t_hi), p, q)
+    c2 = np.clip(np.maximum(t_lo, t_hi), p, q)
+    slope = (y1 - y0) / (x1 - x0)
+    vp, v1, v2, vq = (np.clip(y0 + (x - x0) * slope, lo, hi)
+                      for x in (p, c1, c2, q))
+    per_edge = 0.5 * ((c1 - p) * (vp + v1) + (c2 - c1) * (v1 + v2)
+                      + (q - c2) * (v2 + vq))
+    return np.maximum((per_edge * sign).sum(axis=1), 0.0)
+
+
+def _ball_masses(M: MuMeasure, centers: np.ndarray,
+                 radii: np.ndarray) -> np.ndarray:
+    """Masses of the max-norm balls B(centers[k], radii[k]).
+
+    Copies whose bounding box lies in the ball's square add their whole
+    weight; each straddler adds the weight times the fraction of its area
+    inside the square, in ascending copy order per ball.
+    """
+    en = M.en
+    bx0, by0, bx1, by1 = polygon_bbox(en.polygon)
+    xs, ys = en.lefts
+    cx, cy = centers[:, 0], centers[:, 1]
+    xlo, xhi, ylo, yhi = cx - radii, cx + radii, cy - radii, cy + radii
+    ox0, ox1, ix0, ix1 = _axis_ranges(xlo, xhi, xs + bx0, xs + bx1)
+    oy0, oy1, iy0, iy1 = _axis_ranges(ylo, yhi, ys + by0, ys + by1)
+    w = M.weight
+    masses = ((ix1 - ix0) * (iy1 - iy0)).astype(float) * w
+
+    # straddlers (O_x - I_x) x O_y and I_x x (O_y - I_y) as four blocks
+    # of rows x columns per ball
+    row0 = np.stack([ox0, ix1, ix0, ix0], axis=1)
+    rows = np.stack([ix0 - ox0, ox1 - ix1, ix1 - ix0, ix1 - ix0], axis=1)
+    col0 = np.stack([oy0, oy0, oy0, iy1], axis=1)
+    cols = np.stack([oy1 - oy0, oy1 - oy0, iy0 - oy0, oy1 - iy1], axis=1)
+    rows = np.where(cols > 0, rows, 0)
+    pairs = np.cumsum((rows * cols).sum(axis=1))
+    edges = _edges(en.polygon)
+    area = en.copy_area
+    ncop = en.copy_count
+    start = 0
+    while start < len(radii):
+        done = pairs[start - 1] if start else 0
+        stop = max(int(np.searchsorted(pairs, done + _PAIR_CHUNK,
+                                       side="right")), start + 1)
+        if pairs[stop - 1] > done:
+            blk = np.arange(4 * start, 4 * stop)
+            nr = rows.ravel()[blk]
+            blk = np.repeat(blk, nr)
+            ix = row0.ravel()[blk] + _grouped_arange(nr)
+            nc = cols.ravel()[blk]
+            blk = np.repeat(blk, nc)
+            ix = np.repeat(ix, nc)
+            iy = col0.ravel()[blk] + _grouped_arange(nc)
+            ball = blk // 4
+            order = np.argsort(ball * ncop + ix * len(ys) + iy)
+            ball, ix, iy = ball[order], ix[order], iy[order]
+            piece = _box_areas(edges, xlo[ball] - xs[ix] - bx0,
+                               xhi[ball] - xs[ix] - bx0,
+                               ylo[ball] - ys[iy] - by0,
+                               yhi[ball] - ys[iy] - by0)
+            np.add.at(masses, ball, piece / area * w)
+        start = stop
+    return masses
+
+
 def mu_ball_mass(M: MuMeasure, center, r: float) -> float:
     """Exact mass of the max-norm ball B(center, r).
 
     Copies fully inside the ball's square contribute their whole weight;
-    straddlers are clipped exactly.  Copies are scanned through a
-    vectorized bounding-box prefilter, so only true straddlers pay for
-    polygon clipping.
+    each straddler contributes its weight times the fraction of its area
+    inside the square, integrated in closed form.  A batch of one through
+    the kernel of verify_measure_bound.
     """
     r = float(r)
     if r <= 0.0:
         raise DomainError(f"radius must be positive, got {r}",
                           module=_MODULE)
-    cx, cy = float(center[0]), float(center[1])
-    xlo, xhi = cx - r, cx + r
-    ylo, yhi = cy - r, cy + r
-    en = M.en
-    bx0, by0, bx1, by1 = polygon_bbox(en.polygon)
-    zx = en.z_star[:, 0]
-    zy = en.z_star[:, 1]
-    overlap = ((zx + bx0 < xhi) & (zx + bx1 > xlo) &
-               (zy + by0 < yhi) & (zy + by1 > ylo))
-    inside = (overlap &
-              (zx + bx0 >= xlo) & (zx + bx1 <= xhi) &
-              (zy + by0 >= ylo) & (zy + by1 <= yhi))
-    w = M.weight
-    total = float(np.count_nonzero(inside)) * w
-    area = en.copy_area
-    for i in np.nonzero(overlap & ~inside)[0]:
-        piece = clip_to_box(en.polygon,
-                            xlo - zx[i], ylo - zy[i],
-                            xhi - zx[i], yhi - zy[i])
-        if piece.shape[0] >= 3:
-            total += polygon_area(piece) / area * w
-    return float(total)
+    c = np.array([[float(center[0]), float(center[1])]])
+    return float(_ball_masses(M, c, np.array([r]))[0])
 
 
 def _radius_samplers(M: MuMeasure):
@@ -524,8 +639,11 @@ def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
 
     Centers are uniform over random copies (hence inside E_n and D);
     radii are stratified across four regimes so each branch of the
-    ball-mass case analysis is exercised.  Returns the maximum of
-    mu(B) |D|^d / r^t with its witness; deterministic for a fixed seed.
+    ball-mass case analysis is exercised.  All balls are drawn first and
+    their masses computed in one batch, the same values mu_ball_mass
+    gives one at a time.  Returns the maximum of mu(B) |D|^d / r^t with
+    its witness, the first ball to reach it; deterministic for a fixed
+    seed.
     """
     if t is None:
         t = M.t
@@ -545,19 +663,33 @@ def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
     per = samples // len(regimes)
     extra = samples - per * len(regimes)
 
+    # draw every ball first, with the RNG calls of a per-ball loop
+    sizes = [per + (extra if ridx == 0 else 0) for ridx in range(len(regimes))]
+    idx = np.empty(samples, dtype=np.int64)
+    uv = np.empty((samples, 2))
+    radii = np.empty(samples)
+    j = 0
+    for (_, draw), size in zip(regimes, sizes):
+        for k in range(size):
+            idx[j] = rng.integers(en.copy_count)
+            uv[j] = rng.random(2)
+            radii[j] = draw(rng, k)
+            j += 1
+    centers = (en.z_star[idx] + origin + uv[:, :1] * cols[:, 0]
+               + uv[:, 1:] * cols[:, 1])
+    masses = _ball_masses(M, centers, radii)
+
     best = -math.inf
     worst = ((math.nan, math.nan), math.nan, "", math.nan)
     regime_max: Dict[str, float] = {}
     regime_witness: Dict[str, Tuple[Tuple[float, float], float, float]] = {}
-    for ridx, (name, draw) in enumerate(regimes):
-        todo = per + (extra if ridx == 0 else 0)
+    start = 0
+    for (name, _), size in zip(regimes, sizes):
         peak = -math.inf
-        for k in range(todo):
-            i = int(rng.integers(en.copy_count))
-            u, v = rng.random(2)
-            c = en.z_star[i] + origin + u * cols[:, 0] + v * cols[:, 1]
-            r = draw(rng, k)
-            mass = mu_ball_mass(M, c, r)
+        # element by element: lists of all balls would leave the
+        # interpreter's heap fragmented, raising later peak memory
+        for j in range(start, start + size):
+            c, r, mass = centers[j], float(radii[j]), float(masses[j])
             ratio = mass * side ** 2 / r ** t
             if ratio > peak:
                 peak = ratio
@@ -566,6 +698,7 @@ def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
                 best = ratio
                 worst = ((float(c[0]), float(c[1])), r, name, mass)
         regime_max[name] = peak
+        start += size
     return MeasureBoundReport(
         max_ratio=best,
         worst_center=worst[0],

@@ -262,8 +262,8 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
     original index); its residual becomes gamma_k.  Residuals are always
     recomputed from the original columns.  For d > 4 a second projection
     sweep is applied to the winning residual, folding the correction back
-    into U.  A residual below DEGENERACY_RTOL times its column's norm
-    raises DegenerateInputError.
+    into U.  A residual below DEGENERACY_RTOL times its column's norm, or
+    one whose norm is zero or underflows, raises DegenerateInputError.
     """
     if isinstance(columns, Parallelepiped):
         cols = columns.columns
@@ -294,6 +294,10 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
             w = w - sum(c * q for c, q in zip(extra, basis))
             coeffs = coeffs + extra
         nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            raise DegenerateInputError(
+                f"residual of column {i_k + 1} at step {k + 1} is zero or "
+                "underflows", module=_MODULE)
         if nw < DEGENERACY_RTOL * float(np.linalg.norm(a)):
             raise DegenerateInputError(
                 f"residual collapsed at step {k + 1}: column {i_k + 1} lies "

@@ -490,6 +490,14 @@ INPUT_HOLES = {
                                             '{"n": ' + "1" * 5000 + "}"),
     "config-not-utf8": _with_config("count", b"\xff\xfe\x81"),
     "out-names-a-file": _out_names_a_file,
+    "ortho-zero-columns": _with_config("ortho", {"columns": [[0, 0], [0, 0]]}),
+    "ortho-subnormal-columns": _with_config(
+        "ortho", {"columns": [[1e-320, 0], [0, 1e-320]]}),
+    "ortho-near-float-max": _with_config(
+        "ortho", {"columns": [[1e308, 1e308], [1e308, -1e308]]}),
+    "verify-cover-tiny-tau": _with_config(
+        "verify-cover", dict(_rotated(theta_value=0.3), n_min=2, n_max=2,
+                             taus=[1e-300])),
 }
 
 
@@ -501,6 +509,19 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert set(json.loads(err)["error"]) == {"code", "message"}
+
+    @pytest.mark.parametrize("hole,code", [
+        ("ortho-zero-columns", "parallelepiped_geometry.degenerate_input"),
+        ("ortho-subnormal-columns",
+         "parallelepiped_geometry.degenerate_input"),
+        ("ortho-near-float-max", "cli_io.scale_range"),
+        ("verify-cover-tiny-tau", "numerical_lab.domain"),
+    ])
+    def test_library_refusal_code(self, tmp_path, capsys, hole, code):
+        assert main(INPUT_HOLES[hole](tmp_path)) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == code
+        # no artifact holding Infinity or NaN is left behind
+        assert not list((tmp_path / "out").glob("*.json"))
 
     def test_unknown_config_key(self, tmp_path, capsys):
         path = write_config(tmp_path, {"betaz": [2]})

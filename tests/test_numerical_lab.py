@@ -2,7 +2,8 @@
 
 Grid counts and ball masses were frozen from an independent
 implementation (cell-by-cell polygon clipping with its own
-Sutherland-Hodgman code, no shared helpers).
+Sutherland-Hodgman code, no shared helpers).  The batched closed-form
+ball masses are also checked against per-ball polygon clipping.
 """
 
 import math
@@ -25,7 +26,10 @@ from beta_targets.errors import (
     DomainError,
     ResourceLimitError,
 )
+from beta_targets import numerical_lab
 from beta_targets.numerical_lab import (
+    _ball_masses,
+    _radius_samplers,
     build_E_n,
     build_measure,
     cover_exponent_scan,
@@ -245,6 +249,13 @@ class TestCoverCount:
         with pytest.raises(ResourceLimitError):
             empirical_cover_count(E, 1e-5, cell_cap=1000)
 
+    def test_mesh_past_key_range(self):
+        # grid indices past 2^31 would wrap the packed cell keys; at
+        # 1e-300 they overflowed the int64 cast and the count read 0
+        E = build_E_n(pi4_spec(), 2, mode="all")
+        with pytest.raises(ResourceLimitError):
+            empirical_cover_count(E, 1e-300)
+
 
 class TestPredicted:
     def test_axis_aligned_exact(self):
@@ -269,6 +280,13 @@ class TestPredicted:
     def test_validation(self):
         with pytest.raises(DomainError):
             predicted_cover_count(pi4_spec(), 2, 1.5)
+
+    def test_count_beyond_float_range(self):
+        spec = TargetSpec(SYS24, Rotated2DFamily("const", theta_value=0.3))
+        with pytest.raises(DomainError):
+            predicted_cover_count(spec, 2, 1e-300)
+        with pytest.raises(DomainError):
+            cover_exponent_scan(spec, 2, taus=[1e-300])
 
 
 class TestCoverScan:
@@ -302,6 +320,68 @@ class TestCoverScan:
     def test_bad_exponent(self):
         with pytest.raises(DomainError):
             cover_exponent_scan(pi4_spec(), 2, s=2.5)
+
+
+def clip_ball_mass(M, center, r):
+    """Reference mass: Sutherland-Hodgman clipping of every straddling
+    copy against the ball's square, one ball at a time."""
+    cx, cy = float(center[0]), float(center[1])
+    xlo, xhi = cx - r, cx + r
+    ylo, yhi = cy - r, cy + r
+    en = M.en
+    bx0, by0, bx1, by1 = polygon_bbox(en.polygon)
+    zx = en.z_star[:, 0]
+    zy = en.z_star[:, 1]
+    overlap = ((zx + bx0 < xhi) & (zx + bx1 > xlo) &
+               (zy + by0 < yhi) & (zy + by1 > ylo))
+    inside = (overlap &
+              (zx + bx0 >= xlo) & (zx + bx1 <= xhi) &
+              (zy + by0 >= ylo) & (zy + by1 <= yhi))
+    w = M.weight
+    total = float(np.count_nonzero(inside)) * w
+    area = en.copy_area
+    for i in np.nonzero(overlap & ~inside)[0]:
+        piece = clip_to_box(en.polygon,
+                            xlo - zx[i], ylo - zy[i],
+                            xhi - zx[i], yhi - zy[i])
+        if piece.shape[0] >= 3:
+            total += polygon_area(piece) / area * w
+    return float(total)
+
+
+def reference_measure_bound(M, samples, rng_seed):
+    """Per-ball loop over the same draws as verify_measure_bound:
+    {regime: (peak ratio, center, radius, mass)} in regime order."""
+    rng = np.random.default_rng(rng_seed)
+    en = M.en
+    cols = en.base.columns
+    regimes = _radius_samplers(M)
+    per = samples // len(regimes)
+    extra = samples - per * len(regimes)
+    out = {}
+    for ridx, (name, draw) in enumerate(regimes):
+        peak = (-math.inf, None, None, None)
+        for k in range(per + (extra if ridx == 0 else 0)):
+            i = int(rng.integers(en.copy_count))
+            u, v = rng.random(2)
+            c = en.z_star[i] + en.base.origin + u * cols[:, 0] + \
+                v * cols[:, 1]
+            r = draw(rng, k)
+            mass = clip_ball_mass(M, c, r)
+            ratio = mass * M.box_side ** 2 / r ** M.t
+            if ratio > peak[0]:
+                peak = (ratio, (float(c[0]), float(c[1])), r, mass)
+        out[name] = peak
+    return out
+
+
+MEASURE_BETAS = [(2.0, 4.0), (3.0, 2.0), (2.5, PHI), (PHI, 3.7)]
+
+
+def rotated_measure(betas, theta, n, D=UNIT_D):
+    spec = TargetSpec(BetaSystem(betas),
+                      Rotated2DFamily("const", theta_value=theta))
+    return build_measure(spec, n, D, t=0.5 * s_n(spec, n).s_n)
 
 
 class TestBallMass:
@@ -349,6 +429,59 @@ class TestBallMass:
         with pytest.raises(DomainError):
             mu_ball_mass(M, (0.5, 0.5), 0.0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(MEASURE_BETAS),
+           st.floats(0.0, math.pi, exclude_max=True),
+           st.sampled_from([2, 3]),
+           st.sampled_from([UNIT_D, ((0.25, 0.75), (0.3, 0.8))]),
+           st.data())
+    def test_batch_matches_clipping(self, betas, theta, n, D, data):
+        try:
+            M = rotated_measure(betas, theta, n, D)
+        except DomainError:
+            return  # level too small for the sub-box
+        en = M.en
+        small = 2.0 ** M.level.gamma_log2[-1] * 1e-2
+        balls = data.draw(st.lists(st.tuples(
+            st.one_of(
+                # a point of a copy, as verify_measure_bound draws them
+                st.tuples(st.integers(0, en.copy_count - 1),
+                          st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+                    lambda p: en.z_star[p[0]] + en.base.origin
+                    + p[1] * en.base.columns[:, 0]
+                    + p[2] * en.base.columns[:, 1]),
+                st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))),
+            # every radius regime, up to balls past the unit square
+            st.floats(math.log(small), math.log(3.0))),
+            min_size=1, max_size=40))
+        centers = np.array([c for c, _ in balls], dtype=float)
+        radii = np.exp([lr for _, lr in balls])
+        want = [clip_ball_mass(M, c, r) for c, r in zip(centers, radii)]
+        got = _ball_masses(M, centers, radii)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert mu_ball_mass(M, centers[0], radii[0]) == got[0]
+
+    def test_batch_extremes(self):
+        M = rotated_measure((2.5, PHI), 0.4, 3)
+        centers = np.array([[5.0, 5.0], [-1.0, 0.5], [0.5, 0.5],
+                            [0.5, 0.5], [0.0, 1.0], [0.3, 0.6]])
+        radii = np.array([0.1, 0.5, 0.6, 2.5, 1.0, 1e-9])
+        want = [clip_ball_mass(M, c, r) for c, r in zip(centers, radii)]
+        got = _ball_masses(M, centers, radii)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got[0] == got[1] == 0.0      # miss every copy
+        assert got[2] == got[3] == 1.0      # contain every copy
+
+    def test_chunks_do_not_change_masses(self, monkeypatch):
+        M = rotated_measure((2.0, 4.0), 0.9, 3)
+        rng = np.random.default_rng(4)
+        centers = rng.uniform(-0.2, 1.2, (300, 2))
+        radii = np.exp(rng.uniform(math.log(1e-3), math.log(1.5), 300))
+        whole = _ball_masses(M, centers, radii)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(numerical_lab, "_PAIR_CHUNK", chunk)
+            assert np.array_equal(_ball_masses(M, centers, radii), whole)
+
 
 class TestBuildMeasure:
     def test_defaults(self):
@@ -393,6 +526,26 @@ class TestMeasureBound:
         a = verify_measure_bound(M, samples=60, rng_seed=1)
         b = verify_measure_bound(M, samples=60, rng_seed=2)
         assert a.worst_radius != b.worst_radius
+
+    @pytest.mark.parametrize("betas,theta,n,seed", [
+        ((2.0, 4.0), math.pi / 4, 2, 0),
+        ((2.0, 4.0), math.pi / 4, 3, 5),
+        ((2.0, 4.0), 0.0, 3, 1),
+        ((2.5, PHI), 2.2, 3, 9),
+    ])
+    def test_witnesses_match_per_ball_loop(self, betas, theta, n, seed):
+        M = rotated_measure(betas, theta, n)
+        rep = verify_measure_bound(M, samples=402, rng_seed=seed)
+        ref = reference_measure_bound(M, 402, seed)
+        assert list(rep.regime_max) == list(ref)
+        for name, (ratio, center, radius, mass) in ref.items():
+            got_center, got_radius, got_mass = rep.regime_witness[name]
+            assert (got_center, got_radius) == (center, radius)
+            assert got_mass == pytest.approx(mass, rel=0.0, abs=1e-12)
+            assert rep.regime_max[name] == pytest.approx(ratio, rel=1e-12)
+        peak = max(ref, key=lambda k: ref[k][0])
+        assert rep.worst_regime == peak
+        assert (rep.worst_center, rep.worst_radius) == ref[peak][1:3]
 
     def test_validation(self):
         M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)

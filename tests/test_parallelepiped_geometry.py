@@ -139,6 +139,12 @@ class TestSimpleCases:
         with pytest.raises(DegenerateInputError):
             pivoted_orthogonalize(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    @pytest.mark.parametrize("scale", [0.0, 1e-320, 1e-170])
+    def test_zero_or_underflowing_columns_raise(self, scale):
+        # the residual norm is 0 here, as is the column's own norm
+        with pytest.raises(DegenerateInputError):
+            pivoted_orthogonalize(scale * np.eye(2))
+
     def test_constructor_rejects_dependent_columns(self):
         with pytest.raises(DegenerateInputError):
             Parallelepiped((0.0, 0.0), np.array([[1.0, 1.0], [1.0, 1.0]]))
