@@ -664,7 +664,8 @@ def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
     extra = samples - per * len(regimes)
 
     # draw every ball first, with the RNG calls of a per-ball loop
-    sizes = [per + (extra if ridx == 0 else 0) for ridx in range(len(regimes))]
+    sizes = [per] * len(regimes)
+    sizes[0] += extra
     idx = np.empty(samples, dtype=np.int64)
     uv = np.empty((samples, 2))
     radii = np.empty(samples)
