@@ -74,7 +74,6 @@ from .parallelepiped_geometry import (
     Hyperrectangle,
     OrthoFrame,
     Parallelepiped,
-    ScaledOrthoFrame,
     bounding_hyperrectangle,
     pivoted_orthogonalize,
     pivoted_orthogonalize_scaled,
@@ -109,7 +108,6 @@ __all__ = [
     "ResourceLimitError",
     "Rotated2DFamily",
     "ScaleRangeError",
-    "ScaledOrthoFrame",
     "SortedRectangle",
     "TargetSpec",
     "bounding_hyperrectangle",

@@ -344,7 +344,7 @@ def _write_json(path: Path, obj: dict, sha: str) -> None:
     except ValueError as exc:
         raise ScaleRangeError(
             f"{path.name} would hold a non-finite value ({exc}): the float "
-            "route over- or underflows on this input", module=_MODULE)
+            "values overflow on this input", module=_MODULE)
     _write(path, text + "\n")
 
 
@@ -408,18 +408,19 @@ def _cmd_ortho(cfg: RunConfig, out: Path, sha: str) -> int:
     cols = _need(cfg.columns, "columns")
     matrix = np.column_stack(cols)
     frame = pivoted_orthogonalize(matrix)
-    norms = [float(np.linalg.norm(frame.gammas[:, k]))
-             for k in range(matrix.shape[1])]
-    recon = frame.gammas @ frame.U
-    err = float(np.max(np.abs(
-        matrix[:, np.asarray(frame.permutation) - 1] - recon)))
+    norms = frame.norms.tolist()
+    # values that overflow are refused by _write_json
+    with np.errstate(over="ignore", invalid="ignore"):
+        recon = frame.gammas @ frame.U
+        err = float(np.max(np.abs(
+            matrix[:, np.asarray(frame.permutation) - 1] - recon)))
     payload = {
         "permutation": list(frame.permutation),
         "gamma_norms": norms,
-        "gamma_log2": [math.log2(v) for v in norms],
+        "gamma_log2": list(frame.log2_norms),
         "gammas": frame.gammas.T.tolist(),
         "U": frame.U.tolist(),
-        "volume": float(np.prod(norms)),
+        "volume": math.prod(norms),
         "checks": {
             "norms_sorted": bool(all(a >= b for a, b in
                                      zip(norms, norms[1:]))),

@@ -300,8 +300,7 @@ class ExplicitTargets:
             module=_MODULE)
 
     def log2_volume(self, log2_betas, n: int) -> float:
-        _, logabs = np.linalg.slogdet(self.target(None, n).columns)
-        return float(logabs) / math.log(2.0) - n * sum(log2_betas)
+        return self.target(None, n).log2_volume - n * sum(log2_betas)
 
 
 @dataclasses.dataclass(frozen=True)

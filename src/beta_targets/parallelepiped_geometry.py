@@ -1,31 +1,26 @@
 """Parallelepipeds, pivoted orthogonalization, and bounding boxes.
 
 A parallelepiped is origin + {sum_i t_i alpha_i : t in [0,1]^d} with the
-alpha_i stored as matrix columns.  The pivoted Gram-Schmidt here picks, at
-every step, the remaining column with the largest residual against the
-span already built.  That ordering is what makes the resulting orthogonal
-frame useful: the norms come out non-increasing, the change-of-basis
-matrix U (columns-after-permutation = gammas @ U) stays unit upper
-triangular with controlled entries, and the hyperrectangle spanned by
+alpha_i stored as matrix columns.  The pivoted Gram-Schmidt frame picks,
+at every step, the remaining column with the largest residual against
+the span already built.  That ordering is what makes the frame useful:
+the norms come out non-increasing, the change-of-basis matrix U
+(columns-after-permutation = gammas @ U) stays unit upper triangular
+with controlled entries, and the hyperrectangle spanned by
 2^d * |gamma_i| along each frame axis is guaranteed to contain the
 parallelepiped.
 
-Two routes are provided.  `pivoted_orthogonalize` works on plain float
-columns and recomputes residuals from the original columns at each pivot
-scan (classical, not modified, Gram-Schmidt).  `pivoted_orthogonalize_scaled`
-takes every entry as a sign and a log2 magnitude and never leaves the log
-domain: by Cauchy-Binet the squared product of the first k norms is a sum
-of squared k x k minors, each minor is a signed log-sum-exp of its
-Leibniz terms (grouped by expansion along the newest pivot column), and
-the pivot choice "largest residual" becomes "largest Gram sum".  Columns
-whose magnitudes differ by thousands of binary orders (images under
-n-fold contraction) therefore never underflow, and no numpy.linalg call
-is made.
+There is one route, in the log domain (`pivoted_orthogonalize_scaled`):
+norms and U come from Cauchy-Binet sums of signed log2 minors, so
+columns whose magnitudes differ by thousands of binary orders never
+underflow and no numpy.linalg call is made.  `pivoted_orthogonalize` is
+its float front end, which adds the plain gamma vectors.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Optional, Sequence, Tuple
@@ -44,7 +39,6 @@ __all__ = [
     "BetaSystem",
     "Parallelepiped",
     "OrthoFrame",
-    "ScaledOrthoFrame",
     "Hyperrectangle",
     "rotation_matrix",
     "pivoted_orthogonalize",
@@ -55,14 +49,14 @@ __all__ = [
     "rotate2d",
 ]
 
-# residual below this times the pivot column norm means dependent columns
+# |det| below this times the product of the column norms: dependent columns
 DEGENERACY_RTOL = 1e-12
 
 # trig values this close to zero are snapped exactly (cos(pi/2) ~ 6.1e-17)
 _TRIG_SNAP = 1e-15
 
 # pivot keys within this relative band count as ties (smaller index wins);
-# absorbs rounding fuzz so both routes break exact ties the same way
+# absorbs rounding fuzz so exact ties break to the smaller index
 _PIVOT_TIE_TOL = 1e-12
 
 # log2 scale magnitude beyond which float64 work is refused
@@ -81,6 +75,13 @@ def _as_matrix(columns) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise DomainError("columns must be finite", module=_MODULE)
     return m
+
+
+def _scaled_columns(cols: np.ndarray):
+    """cols with column j divided by 2**e_j, e_j the binary exponent of its
+    largest |entry|, and e: nonzero column norms land in [0.5, sqrt(d)]."""
+    exps = np.frexp(np.abs(cols).max(axis=0))[1]
+    return np.ldexp(cols, -exps), exps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,6 +115,8 @@ class Parallelepiped:
 
     origin: np.ndarray
     columns: np.ndarray
+    # log2 |det columns|, finite where the determinant over- or underflows
+    log2_volume: float = dataclasses.field(repr=False, compare=False)
 
     def __init__(self, origin, columns):
         cols = _as_matrix(columns)
@@ -125,18 +128,23 @@ class Parallelepiped:
                 module=_MODULE)
         if not np.all(np.isfinite(org)):
             raise DomainError("origin must be finite", module=_MODULE)
-        norms = np.linalg.norm(cols, axis=0)
-        if np.any(norms == 0.0):
+        # |det| / prod |a_i| is invariant under scaling a column
+        scaled, exps = _scaled_columns(cols)
+        sq_norms = np.einsum("ij,ij->j", scaled, scaled)
+        if not sq_norms.all():
             raise DegenerateInputError("zero column", module=_MODULE)
-        det = np.linalg.det(cols)
-        if abs(det) < DEGENERACY_RTOL * float(np.prod(norms)):
+        det = float(np.linalg.det(scaled))
+        ratio = abs(det) / math.sqrt(math.prod(sq_norms.tolist()))
+        if ratio < DEGENERACY_RTOL:
             raise DegenerateInputError(
-                f"columns nearly dependent: |det|={abs(det):.3e} against "
-                f"norm product {float(np.prod(norms)):.3e}", module=_MODULE)
+                f"columns nearly dependent: |det| is {ratio:.3e} times the "
+                "product of the column norms", module=_MODULE)
         org.setflags(write=False)
         cols.setflags(write=False)
         object.__setattr__(self, "origin", org)
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "log2_volume",
+                           math.log2(abs(det)) + int(exps.sum()))
 
     @property
     def dimension(self) -> int:
@@ -144,7 +152,8 @@ class Parallelepiped:
 
     @property
     def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.columns, axis=0)
+        scaled, exps = _scaled_columns(self.columns)
+        return np.ldexp(np.sqrt(np.einsum("ij,ij->j", scaled, scaled)), exps)
 
     def vertices(self) -> np.ndarray:
         """All 2^d corner points, origin first, as a (2^d, d) array."""
@@ -158,37 +167,61 @@ class Parallelepiped:
 
 @dataclasses.dataclass(frozen=True)
 class OrthoFrame:
-    """Result of pivoted orthogonalization on plain float columns.
-
-    permutation is 1-based: permutation[k] is the original index of the
-    column whose residual became gammas[:, k].  U is unit upper triangular
-    and satisfies columns[:, permutation-1] == gammas @ U up to rounding.
-    """
-
-    permutation: Tuple[int, ...]
-    gammas: np.ndarray
-    U: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.gammas.shape[0]
-
-    @property
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.gammas, axis=0)
-
-
-@dataclasses.dataclass(frozen=True)
-class ScaledOrthoFrame:
-    """Log-domain frame: pivot order (1-based, as in OrthoFrame) and
-    log2 |gamma_k|, which stay finite long after the norms underflow."""
+    """Pivoted frame: permutation is 1-based (permutation[k] is the
+    original index of the column whose residual is gamma_k), log2_norms[k]
+    = log2 |gamma_k| stays finite where |gamma_k| leaves float range, and
+    columns[:, permutation-1] == gammas @ U with U unit upper triangular.
+    U and gammas are formed on first use; gammas needs the float columns,
+    which only pivoted_orthogonalize keeps."""
 
     permutation: Tuple[int, ...]
     log2_norms: Tuple[float, ...]
+    # per step k: (log2 Gram(S_k), {candidate l: minors of S_{k-1} + l})
+    _steps: tuple = dataclasses.field(repr=False, compare=False)
+    _columns: Optional[np.ndarray] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
         return len(self.log2_norms)
+
+    @property
+    def norms(self) -> np.ndarray:
+        """|gamma_k| as floats; 0.0 or inf once they leave float range."""
+        with np.errstate(over="ignore"):
+            return np.exp2(np.array(self.log2_norms))
+
+    @functools.cached_property
+    def U(self) -> np.ndarray:
+        """U[k, m] = sum_R det A[R, S_k] det A[R, S_{k-1} + j] / Gram(S_k)
+        by Cauchy-Binet, j the column of pivot m; step k built the minors."""
+        u = np.eye(self.dimension)
+        piv = [i - 1 for i in self.permutation]
+        for k, (g, exts) in enumerate(self._steps):
+            own = exts[piv[k]]
+            for m in range(k + 1, self.dimension):
+                other = exts[piv[m]]
+                signs, logs = [], []
+                for rows, (s, l) in own.items():
+                    t, lt = other[rows]
+                    if s and t:
+                        signs.append(s * t)
+                        logs.append(l + lt)
+                s, l = _log2_sum(signs, logs)
+                u[k, m] = s * 2.0 ** (l - g)
+        return u
+
+    @functools.cached_property
+    def gammas(self) -> np.ndarray:
+        """columns[:, permutation-1] @ U^-1, by back substitution."""
+        if self._columns is None:
+            raise DomainError("gammas need pivoted_orthogonalize's float "
+                              "columns", module=_MODULE)
+        g = self._columns[:, np.asarray(self.permutation) - 1]
+        u = self.U
+        for m in range(1, self.dimension):
+            g[:, m] -= g[:, :m] @ u[:m, m]
+        return g
 
 
 @dataclasses.dataclass(frozen=True)
@@ -247,69 +280,6 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _residual(col: np.ndarray, basis: list) -> np.ndarray:
-    w = col.copy()
-    for q in basis:
-        w -= (col @ q) * q
-    return w
-
-
-def pivoted_orthogonalize(columns) -> OrthoFrame:
-    """Pivoted classical Gram-Schmidt on float columns.
-
-    At step k the remaining column with the largest residual norm against
-    span(gamma_1..gamma_{k-1}) is chosen (ties break to the smallest
-    original index); its residual becomes gamma_k.  Residuals are always
-    recomputed from the original columns.  For d > 4 a second projection
-    sweep is applied to the winning residual, folding the correction back
-    into U.  A residual below DEGENERACY_RTOL times its column's norm, or
-    one whose norm is zero or underflows, raises DegenerateInputError.
-    """
-    if isinstance(columns, Parallelepiped):
-        cols = columns.columns
-    else:
-        cols = _as_matrix(columns)
-    d = cols.shape[0]
-    remaining = list(range(d))
-    basis: list = []  # orthonormal directions q_1..q_k
-    gammas = np.zeros((d, d))
-    U = np.eye(d)
-    perm = []
-    norms = []
-    for k in range(d):
-        best_l, best_norm = remaining[0], float(
-            np.linalg.norm(_residual(cols[:, remaining[0]], basis)))
-        for l in remaining[1:]:
-            nl = float(np.linalg.norm(_residual(cols[:, l], basis)))
-            if nl > best_norm * (1.0 + _PIVOT_TIE_TOL):
-                best_l, best_norm = l, nl
-        i_k = best_l
-        remaining.remove(i_k)
-        perm.append(i_k)
-        a = cols[:, i_k]
-        coeffs = np.array([a @ q for q in basis])
-        w = a - sum(c * q for c, q in zip(coeffs, basis)) if basis else a.copy()
-        if d > 4 and basis:
-            extra = np.array([w @ q for q in basis])
-            w = w - sum(c * q for c, q in zip(extra, basis))
-            coeffs = coeffs + extra
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            raise DegenerateInputError(
-                f"residual of column {i_k + 1} at step {k + 1} is zero or "
-                "underflows", module=_MODULE)
-        if nw < DEGENERACY_RTOL * float(np.linalg.norm(a)):
-            raise DegenerateInputError(
-                f"residual collapsed at step {k + 1}: column {i_k + 1} lies "
-                "in the span of the pivots before it", module=_MODULE)
-        gammas[:, k] = w
-        for j in range(k):
-            U[j, k] = coeffs[j] / norms[j]
-        basis.append(w / nw)
-        norms.append(nw)
-    return OrthoFrame(tuple(i + 1 for i in perm), gammas, U)
-
-
 def _log2_sum(signs, logs):
     """(sign, log2|total|) of the sum of s * 2**l; (0.0, -inf) if the
     sum is empty or cancels exactly."""
@@ -351,7 +321,7 @@ def _beats(key: float, best: float) -> bool:
     return key > best + _PIVOT_TIE_TOL * max(1.0, abs(best))
 
 
-def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> ScaledOrthoFrame:
+def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> OrthoFrame:
     """Pivoted orthogonalization of columns given as signs and log2
     magnitudes, computed entirely in the log domain.
 
@@ -372,8 +342,13 @@ def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> ScaledOrthoFrame:
     entries span thousands of binary orders cost nothing extra.  For
     d = 2 this is the largest column norm followed by
     log2|det| - log2|gamma_1|.  A vanishing Gram sum raises
-    DegenerateInputError.
+    DegenerateInputError.  Every candidate's minors are kept for U.
     """
+    return _pivot_scan(signs, log2_magnitudes)
+
+
+def _pivot_scan(signs, log2_magnitudes, columns=None) -> OrthoFrame:
+    """pivoted_orthogonalize_scaled, keeping columns for gammas."""
     sg = np.asarray(signs, dtype=float)
     lm = np.asarray(log2_magnitudes, dtype=float)
     if sg.shape != lm.shape or sg.ndim != 2 or sg.shape[0] != sg.shape[1]:
@@ -386,26 +361,44 @@ def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> ScaledOrthoFrame:
     remaining = list(range(len(sg)))
     chosen: list = []
     norms: list = []
+    steps: list = []
     minors = {(): (1.0, 0.0)}  # the empty minor is 1
     g_prev = 0.0  # log2 Gram of the empty set
     for k in range(1, len(sg) + 1):
+        exts: dict = {}
         best = None
         for l in remaining:
-            ext = _extend_minors(sg, lm, minors, l, k)
+            ext = exts[l] = _extend_minors(sg, lm, minors, l, k)
             doubled = [2.0 * v for s, v in ext.values() if s]
             _, g = _log2_sum([1.0] * len(doubled), doubled)
             key = 0.5 * (g - g_prev)
             if best is None or _beats(key, best[0]):
-                best = (key, l, g, ext)
-        key, l, g_prev, minors = best
+                best = (key, l, g)
+        key, l, g_prev = best
         if g_prev == -math.inf:
             raise DegenerateInputError(
                 f"Gram sum vanished at step {k}: column {l + 1} lies in "
                 "the span of the pivots before it", module=_MODULE)
+        minors = exts[l]
+        steps.append((g_prev, exts))
         remaining.remove(l)
         chosen.append(l)
         norms.append(key)
-    return ScaledOrthoFrame(tuple(i + 1 for i in chosen), tuple(norms))
+    return OrthoFrame(tuple(i + 1 for i in chosen), tuple(norms),
+                      tuple(steps), columns)
+
+
+def pivoted_orthogonalize(columns) -> OrthoFrame:
+    """pivoted_orthogonalize_scaled on the signs and log2 magnitudes of a
+    Parallelepiped's columns, or of a square matrix validated by building
+    one (zero or nearly dependent columns raise DegenerateInputError)."""
+    if not isinstance(columns, Parallelepiped):
+        # a copy, so the caller's array is not made read-only
+        cols = np.array(columns, dtype=float)
+        columns = Parallelepiped(np.zeros(cols.shape[:1]), cols)
+    cols = columns.columns
+    with np.errstate(divide="ignore"):
+        return _pivot_scan(np.sign(cols), np.log2(np.abs(cols)), cols)
 
 
 def bounding_hyperrectangle(p: Parallelepiped,
@@ -420,7 +413,7 @@ def bounding_hyperrectangle(p: Parallelepiped,
     extent.  Violation raises ConsistencyError.
     """
     if frame is None:
-        frame = pivoted_orthogonalize(p.columns)
+        frame = pivoted_orthogonalize(p)
     d = p.dimension
     norms = frame.norms
     axes = frame.gammas / norms[None, :]
@@ -446,7 +439,7 @@ def volume(p: Parallelepiped) -> float:
     relative 1e-9; disagreement raises ConsistencyError.
     """
     v = float(abs(np.linalg.det(p.columns)))
-    frame = pivoted_orthogonalize(p.columns)
+    frame = pivoted_orthogonalize(p)
     v_frame = float(np.prod(frame.norms))
     d = p.dimension
     box = bounding_hyperrectangle(p, frame)

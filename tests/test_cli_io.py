@@ -5,6 +5,10 @@ import copy
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,6 +254,21 @@ class TestOrtho:
         assert payload["volume"] == pytest.approx(3.0, rel=1e-12)
         assert len(payload["config_sha256"]) == 64
 
+    def test_subnormal_columns(self, tmp_path, capsys):
+        # squared norms underflow; the frame is exact in log2, and the
+        # float norms and volume are its values
+        path = write_config(tmp_path, {"columns": [[1e-320, 0], [0, 1e-320]]})
+        rc = main(["ortho", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "ortho.json").read_text())
+        assert payload["permutation"] == [1, 2]
+        assert payload["gamma_log2"] == [math.log2(1e-320)] * 2
+        assert payload["gamma_norms"] == [1e-320, 1e-320]
+        assert payload["gammas"] == [[1e-320, 0.0], [0.0, 1e-320]]
+        assert payload["U"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert payload["volume"] == 0.0
+        assert payload["checks"]["reconstruction_max_abs_err"] == 0.0
+
 
 class TestContent:
     def test_rows_per_exponent(self, tmp_path, capsys):
@@ -359,6 +378,21 @@ class TestDimension:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "cli_io.config"
         assert needle in err["error"]["message"]
+
+    def test_explicit_shape_with_underflowing_norms(self, tmp_path, capsys):
+        shape = {"origin": [0.1, 0.1], "columns": [[1e-170, 0], [0, 1e-170]]}
+        path = write_config(tmp_path, {
+            "betas": [2, 4],
+            "target": {"kind": "explicit", "shapes": [shape] * 3},
+            "n_min": 1, "n_max": 3,
+        })
+        rc = main(["dimension", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows, _, _ = read_csv(tmp_path / "dimension.csv")
+        # gamma norms 2^-n * 1e-170 and 4^-n * 1e-170
+        for n, row in enumerate(rows, start=1):
+            assert float(row[1]) == pytest.approx(math.log2(1e-170) - n)
+            assert float(row[2]) == pytest.approx(math.log2(1e-170) - 2 * n)
 
     def test_unknown_target_kind(self, tmp_path, capsys):
         path = write_config(tmp_path, {
@@ -491,8 +525,6 @@ INPUT_HOLES = {
     "config-not-utf8": _with_config("count", b"\xff\xfe\x81"),
     "out-names-a-file": _out_names_a_file,
     "ortho-zero-columns": _with_config("ortho", {"columns": [[0, 0], [0, 0]]}),
-    "ortho-subnormal-columns": _with_config(
-        "ortho", {"columns": [[1e-320, 0], [0, 1e-320]]}),
     "ortho-near-float-max": _with_config(
         "ortho", {"columns": [[1e308, 1e308], [1e308, -1e308]]}),
     "verify-cover-tiny-tau": _with_config(
@@ -505,15 +537,39 @@ class TestErrorReporting:
     @pytest.mark.parametrize("argv", INPUT_HOLES.values(),
                              ids=INPUT_HOLES.keys())
     def test_input_hole_exits_two(self, tmp_path, capsys, argv):
-        assert main(argv(tmp_path)) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv(tmp_path)) == 2
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert set(json.loads(err)["error"]) == {"code", "message"}
 
+    @pytest.mark.parametrize("subcommand,config", [
+        ("ortho", {"columns": [[1e308, 1e308], [1e308, -1e308]]}),
+        ("dimension", {
+            "betas": [2, 4], "n_min": 1, "n_max": 1,
+            "target": {"kind": "explicit", "shapes": [{
+                "origin": [0.1, 0.1],
+                "columns": [[1e308, 1e308], [1e308, -1e308]]}]}}),
+    ], ids=["ortho", "dimension"])
+    def test_stderr_is_one_json_object(self, tmp_path, subcommand, config):
+        # a subprocess sees what pytest's capture hides: warnings printed
+        # on stderr ahead of the JSON error
+        argv = _with_config(subcommand, config)(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parents[1] / "src")]
+            + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "beta_targets.cli_io", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert set(json.loads(lines[0])["error"]) == {"code", "message"}
+
     @pytest.mark.parametrize("hole,code", [
         ("ortho-zero-columns", "parallelepiped_geometry.degenerate_input"),
-        ("ortho-subnormal-columns",
-         "parallelepiped_geometry.degenerate_input"),
         ("ortho-near-float-max", "cli_io.scale_range"),
         ("verify-cover-tiny-tau", "numerical_lab.domain"),
     ])

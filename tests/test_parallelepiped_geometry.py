@@ -62,6 +62,18 @@ def scaled_form(m):
     return np.sign(m), lm
 
 
+def qr_reference(cols, permutation):
+    """Frame of cols in the given pivot order from numpy's QR: the norms
+    |diag R|, U = R / diag(R), and for each step k the largest residual
+    of a column at or after k against the k pivots before it (the pivot
+    norm must reach it)."""
+    r = np.linalg.qr(cols[:, np.asarray(permutation) - 1], mode="r")
+    d = r.shape[0]
+    reach = np.array([max(np.linalg.norm(r[k:m + 1, m]) for m in range(k, d))
+                      for k in range(d)])
+    return np.abs(np.diag(r)), r / np.diag(r)[:, None], reach
+
+
 class TestWorkedExample:
     def test_permutation_and_gammas(self):
         frame = pivoted_orthogonalize(WORKED_COLS)
@@ -129,7 +141,9 @@ class TestSimpleCases:
         assert box.half_extents == pytest.approx((8.0, 8.0, 8.0))
 
     def test_axis_rectangle_pivots_long_side(self):
-        frame = pivoted_orthogonalize(np.array([[1.0, 0.0], [0.0, 5.0]]))
+        cols = np.array([[1.0, 0.0], [0.0, 5.0]])
+        frame = pivoted_orthogonalize(cols)
+        assert cols.flags.writeable
         assert frame.permutation == (2, 1)
         assert frame.gammas[:, 0] == pytest.approx((0.0, 5.0))
         assert frame.gammas[:, 1] == pytest.approx((1.0, 0.0))
@@ -139,11 +153,19 @@ class TestSimpleCases:
         with pytest.raises(DegenerateInputError):
             pivoted_orthogonalize(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
-    @pytest.mark.parametrize("scale", [0.0, 1e-320, 1e-170])
+    @pytest.mark.parametrize("scale", [0.0])
     def test_zero_or_underflowing_columns_raise(self, scale):
-        # the residual norm is 0 here, as is the column's own norm
         with pytest.raises(DegenerateInputError):
             pivoted_orthogonalize(scale * np.eye(2))
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-170])
+    def test_underflowing_columns_stay_exact(self, scale):
+        # squared norms underflow to 0 here; the log-domain frame does not
+        frame = pivoted_orthogonalize(scale * np.eye(2))
+        assert frame.permutation == (1, 2)
+        assert frame.log2_norms == (math.log2(scale), math.log2(scale))
+        assert np.array_equal(frame.U, np.eye(2))
+        assert np.array_equal(frame.gammas, scale * np.eye(2))
 
     def test_constructor_rejects_dependent_columns(self):
         with pytest.raises(DegenerateInputError):
@@ -162,11 +184,14 @@ class TestSimpleCases:
 
 class TestScaledRoute:
     def test_matches_plain_on_moderate_matrix(self):
-        frame = pivoted_orthogonalize(INT4_COLS)
+        # the plain reference is numpy's QR of the pivoted columns
         sframe = pivoted_orthogonalize_scaled(*scaled_form(INT4_COLS))
-        assert sframe.permutation == frame.permutation
-        assert np.allclose(np.exp2(sframe.log2_norms), frame.norms,
+        norms, u, reach = qr_reference(INT4_COLS, sframe.permutation)
+        assert sframe.permutation == INT4_PERM
+        assert np.all(norms >= reach * (1.0 - 1e-12))
+        assert np.allclose(np.exp2(sframe.log2_norms), norms,
                            rtol=1e-12, atol=0.0)
+        assert np.allclose(sframe.U, u, rtol=1e-12, atol=1e-15)
 
     def test_extreme_scales(self):
         signs = np.array([[1.0, -1.0], [1.0, 1.0]])
@@ -221,12 +246,28 @@ class TestScaledRoute:
     @pytest.mark.parametrize("d", (6, 8))
     def test_higher_dimensions_match_plain(self, d):
         cols = np.random.default_rng(d).standard_normal((d, d))
-        frame = pivoted_orthogonalize(cols)
         sframe = pivoted_orthogonalize_scaled(*scaled_form(cols))
-        assert sframe.permutation == frame.permutation
+        norms, u, reach = qr_reference(cols, sframe.permutation)
         assert sframe.dimension == d
-        assert np.exp2(sframe.log2_norms) == pytest.approx(frame.norms,
-                                                           rel=1e-12)
+        assert np.all(norms >= reach * (1.0 - 1e-12))
+        assert np.exp2(sframe.log2_norms) == pytest.approx(norms, rel=1e-12)
+        assert np.allclose(sframe.U, u, rtol=1e-12, atol=1e-15)
+
+    def test_frame_and_box_make_no_linalg_call(self, monkeypatch):
+        p = Parallelepiped(np.zeros(4), INT4_COLS)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg called")
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and \
+                    not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        frame = pivoted_orthogonalize(p)
+        box = bounding_hyperrectangle(p, frame)
+        assert frame.permutation == INT4_PERM
+        assert tuple(box.half_extents) == pytest.approx(
+            tuple(16.0 * x for x in INT4_NORMS))
 
     def test_exact_zero_entries(self):
         signs, lm = scaled_form(np.array([[1.0, 0.0], [0.0, 5.0]]))
@@ -354,8 +395,11 @@ class TestProperties:
     def test_scaled_route_agrees(self, cols):
         frame = pivoted_orthogonalize(cols)
         sframe = pivoted_orthogonalize_scaled(*scaled_form(cols))
+        norms, u, reach = qr_reference(cols, sframe.permutation)
         assert sframe.permutation == frame.permutation
-        assert np.allclose(np.exp2(sframe.log2_norms), frame.norms, rtol=1e-9)
+        assert np.all(norms >= reach * (1.0 - 1e-9))
+        assert np.allclose(np.exp2(sframe.log2_norms), norms, rtol=1e-9)
+        assert np.allclose(frame.U, u, rtol=1e-9, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 4).flatmap(well_conditioned_matrices),
