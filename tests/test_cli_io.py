@@ -525,6 +525,10 @@ INPUT_HOLES = {
     "config-not-utf8": _with_config("count", b"\xff\xfe\x81"),
     "out-names-a-file": _out_names_a_file,
     "ortho-zero-columns": _with_config("ortho", {"columns": [[0, 0], [0, 0]]}),
+    # equal columns at subnormal scale: the scale-free degeneracy rule
+    # still refuses them (1e-320 * I itself is a valid frame)
+    "ortho-subnormal-columns": _with_config(
+        "ortho", {"columns": [[1e-320, 1e-320], [1e-320, 1e-320]]}),
     "ortho-near-float-max": _with_config(
         "ortho", {"columns": [[1e308, 1e308], [1e308, -1e308]]}),
     "verify-cover-tiny-tau": _with_config(
@@ -570,6 +574,8 @@ class TestErrorReporting:
 
     @pytest.mark.parametrize("hole,code", [
         ("ortho-zero-columns", "parallelepiped_geometry.degenerate_input"),
+        ("ortho-subnormal-columns",
+         "parallelepiped_geometry.degenerate_input"),
         ("ortho-near-float-max", "cli_io.scale_range"),
         ("verify-cover-tiny-tau", "numerical_lab.domain"),
     ])
