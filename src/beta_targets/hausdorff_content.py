@@ -31,11 +31,14 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .polygons import (
-    clip_to_box,
+    box_areas,
+    cell_range,
     ensure_ccw,
     envelope_chains,
+    envelope_edges,
     polygon_area,
     polygon_bbox,
+    slab_ranges,
 )
 
 __all__ = [
@@ -165,27 +168,20 @@ def _column_intervals(lower: np.ndarray, upper: np.ndarray,
     """Occupied dyadic cells per grid column at depth k.
 
     Returns (c0, lo, hi): columns c0..c0+len-1 where column i spans row
-    cells lo[i]..hi[i] inclusive.  Boundary-touching cells count.
+    cells lo[i]..hi[i] inclusive.  Cells follow cell_range's floor rule:
+    column c counts when the polygon meets the half-open strip
+    [c h, (c+1) h), and its rows are the half-open [r h, (r+1) h) that
+    the polygon meets over the closed strip [c h, (c+1) h].  So a cell
+    whose low edge touches the polygon counts; one whose high edge alone
+    touches it does not, unless that edge is a column's right edge
+    inside the polygon's x-extent.
     """
-    scale = float(2 ** k)
-    c0 = int(math.floor(x0 * scale))
-    c1 = int(math.floor(x1 * scale))
-    edges = np.arange(c0, c1 + 2) / scale
-    edges[0] = max(edges[0], x0)
-    edges[-1] = min(edges[-1], x1)
-    lo_e = np.interp(edges, lower[:, 0], lower[:, 1])
-    up_e = np.interp(edges, upper[:, 0], upper[:, 1])
-    ymin = np.minimum(lo_e[:-1], lo_e[1:])
-    ymax = np.maximum(up_e[:-1], up_e[1:])
-    # envelope extremes interior to a column come from polygon vertices
-    for chain, agg, arr in ((lower, np.minimum, ymin), (upper, np.maximum,
-                                                        ymax)):
-        cols = np.floor(chain[:, 0] * scale).astype(np.int64) - c0
-        cols = np.clip(cols, 0, len(arr) - 1)
-        agg.at(arr, cols, chain[:, 1])
-    lo = np.floor(ymin * scale).astype(np.int64)
-    hi = np.floor(ymax * scale).astype(np.int64)
-    return c0, lo, np.maximum(hi, lo)
+    h = 2.0 ** -k
+    c0, c1 = cell_range(x0, x1, h, open=False)
+    ylo, yhi = slab_ranges(lower, upper, np.zeros(1), np.array([c0]),
+                           np.array([c1 - c0 + 1]), h)
+    lo, hi = cell_range(ylo, yhi, h, open=False)
+    return c0, lo, hi
 
 
 def _dyadic_candidates(lower, upper, bbox, s: float,
@@ -217,18 +213,17 @@ def _merged_dyadic_cover(lower, upper, bbox, s: float, k_top: int) -> float:
     cost = np.where(occ, side ** s, 0.0)
     col_off, row_off = c0, r0
     for _ in range(k_top):
-        # align the slice to even absolute indices, pad to even shape
+        # place the level at even absolute indices in an even-shaped grid
         pl, pb = col_off % 2, row_off % 2
         nx, ny = cost.shape
-        pr = (nx + pl) % 2
-        pt = (ny + pb) % 2
-        cost = np.pad(cost, ((pl, pr), (pb, pt)))
-        occ = np.pad(occ, ((pl, pr), (pb, pt)))
-        nx, ny = cost.shape
-        sums = cost.reshape(nx // 2, 2, ny // 2, 2).sum(axis=(1, 3))
-        occ = occ.reshape(nx // 2, 2, ny // 2, 2).any(axis=(1, 3))
+        grid = np.zeros((nx + pl + (nx + pl) % 2, ny + pb + (ny + pb) % 2))
+        grid[pl:pl + nx, pb:pb + ny] = cost
+        gx, gy = grid.shape
+        sums = grid.reshape(gx // 2, 2, gy // 2, 2).sum(axis=(1, 3))
         side *= 2.0
-        cost = np.minimum(np.where(occ, side ** s, 0.0), sums)
+        # a cell is occupied exactly when its children's sum is positive,
+        # and an empty one keeps cost min(side^s, 0) = 0
+        cost = np.minimum(side ** s, sums)
         col_off = (col_off - pl) // 2
         row_off = (row_off - pb) // 2
         if cost.size == 1:
@@ -281,7 +276,9 @@ def brute_force_content_2d(shape, s: float,
     occupancy per deeper depth, anchored uniform meshes, remainder
     tiling of the bounding box); lower is the mass distribution bound
     with the normalized area measure, which by the sandwich equals
-    area-ratio * 2^-d * phi^s of the bounding box.
+    area-ratio * 2^-d * phi^s of the bounding box.  Vertices up to
+    1e-9 outside the unit square are clamped onto it; farther ones are
+    refused.
     """
     if depths is None:
         depths = DEFAULT_DEPTHS
@@ -305,9 +302,9 @@ def brute_force_content_2d(shape, s: float,
     if (poly.min() < -1e-9) or (poly.max() > 1.0 + 1e-9):
         raise DomainError("shape must lie inside the unit square",
                           module=_MODULE)
-    poly = ensure_ccw(clip_to_box(poly, 0.0, 0.0, 1.0, 1.0))
+    poly = ensure_ccw(np.clip(poly, 0.0, 1.0))
     area = polygon_area(poly)
-    if poly.shape[0] < 3 or area <= 0.0:
+    if area <= 0.0:
         return ContentEstimate(0.0, 0.0, scale_grid)
 
     x0, y0, x1, y1 = polygon_bbox(poly)
@@ -332,14 +329,14 @@ def brute_force_content_2d(shape, s: float,
     c_ratio = min(1.0, area / (w * h))
     c_mdp = 4.0 / (c_ratio * phi)  # mu(B) <= 2^d r^s / (c phi^s)
 
-    def measure_query(center, r: float) -> float:
-        cx, cy = float(center[0]), float(center[1])
-        cell = clip_to_box(poly, cx - r, cy - r, cx + r, cy + r)
-        return polygon_area(cell) / area if cell.shape[0] >= 3 else 0.0
-
+    # the four spot-check balls about the vertex centroid, in one batch
     cx = float(poly[:, 0].mean())
     cy = float(poly[:, 1].mean())
-    checks = [((cx, cy), r) for r in
-              (0.125 * h, 0.5 * h, 0.5 * w, max(w, h))]
-    lower = mdp_lower_bound(measure_query, 1.0, c_mdp, s, spot_check=checks)
+    radii = np.array([0.125 * h, 0.5 * h, 0.5 * w, max(w, h)])
+    masses = box_areas(envelope_edges(poly), cx - radii - x0,
+                       cx + radii - x0, cy - radii - y0,
+                       cy + radii - y0) / area
+    mass = dict(zip(radii.tolist(), masses.tolist()))
+    lower = mdp_lower_bound(lambda center, r: mass[r], 1.0, c_mdp, s,
+                            spot_check=[((cx, cy), r) for r in mass])
     return ContentEstimate(lower, upper, scale_grid)

@@ -42,12 +42,15 @@ from .dimension_engine import LevelData, TargetSpec, generate_target, s_n
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .parallelepiped_geometry import Parallelepiped, scale_by_f
 from .polygons import (
-    clip_to_box,
+    box_areas,
+    cell_range,
     ensure_ccw,
     envelope_chains,
+    envelope_edges,
     parallelogram_polygon,
     polygon_area,
     polygon_bbox,
+    slab_ranges,
 )
 
 __all__ = [
@@ -73,6 +76,8 @@ DEFAULT_CELL_CAP = 30_000_000
 _KEY_SHIFT = np.int64(1) << np.int64(32)
 # grid indices, coordinate / tau, must fit the halves of those keys
 _INDEX_LIMIT = 2.0 ** 31
+# (ball, copy) or (copy, column) pairs per kernel pass: bounds temporaries
+_PAIR_CHUNK = 1 << 14
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,11 +268,13 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
     poly = ensure_ccw(parallelogram_polygon(
         base.origin, base.columns[:, 0], base.columns[:, 1]))
     if mode == "full_in_D":
-        # copies must stay inside their cylinder product, so clipping
-        # the base to [0, beta^-n)^2 has to be a no-op
-        clipped = clip_to_box(poly, 0.0, 0.0,
-                              betas[0] ** float(-n), betas[1] ** float(-n))
-        a0, a1 = polygon_area(poly), polygon_area(clipped)
+        # copies must stay inside their cylinder product, so the base
+        # must keep all its area inside [0, beta^-n)^2
+        corner = poly.min(axis=0)
+        top = np.array([b ** float(-n) for b in betas]) - corner
+        a0 = polygon_area(poly)
+        a1 = box_areas(envelope_edges(poly), -corner[:1], top[:1],
+                       -corner[1:], top[1:])[0]
         if abs(a0 - a1) > 1e-9 * a0:
             raise ConsistencyError(
                 "contracted target leaks out of its cylinder product",
@@ -294,92 +301,67 @@ def empirical_cover_count(E: EnSet, tau: float,
                           cell_cap: int = DEFAULT_CELL_CAP) -> int:
     """Occupied cells of the mesh-tau grid, exactly.
 
-    Works per copy through the shared base polygon: each grid column is
-    an x-slab, the copy's y-range over the slab comes from the convex
-    lower/upper envelope chains, and the touched rows follow.  Open-cell
-    semantics at both steps (strict inequalities at slab and row
-    boundaries), so abutting copies never double-book a boundary cell.
-    The count is the size of the union of those row intervals within
-    each column, so memory grows with the (copy, grid column) pairs, not
-    with the cells; cell_cap bounds the number of such pairs.
+    Each grid column is an x-slab; a copy's y-range over the slab comes
+    from the base polygon's envelope chains, and the touched rows follow.
+    The copies are the lattice lefts_x x lefts_y of one base polygon, so
+    the slab ranges are computed once per x-left, and each y-left adds
+    its shift to them before they become rows.  Open-cell semantics at
+    both steps (strict inequalities at slab and row boundaries), so
+    abutting copies never double-book a boundary cell.  The count is the
+    size of the union of those row intervals within each column, so
+    memory grows with the (copy, grid column) pairs, not with the cells;
+    cell_cap bounds the number of such pairs.
     """
     tau = float(tau)
     if not (0.0 < tau < 1.0):
         raise DomainError(f"mesh must lie in (0, 1), got {tau}",
                           module=_MODULE)
     lower, upper = envelope_chains(E.polygon)
-    bx0, by0, bx1, by1 = polygon_bbox(E.polygon)
-    zx = E.z_star[:, 0]
-    zy = E.z_star[:, 1]
-    ncop = E.copy_count
-    reach = np.abs(E.z_star).max() + np.abs(E.polygon).max()
+    bx0, _, bx1, _ = polygon_bbox(E.polygon)
+    xs, ys = E.lefts
+    reach = np.abs(np.concatenate(E.lefts)).max() + np.abs(E.polygon).max()
     if not reach / tau < _INDEX_LIMIT:
         raise ResourceLimitError(
             f"mesh {tau!r} too fine: grid indices would overflow the "
             "packed int64 cell keys",
             module=_MODULE)
 
-    # column range per copy: open slab (k tau, (k+1) tau) must meet
-    # [xmin, xmax]
-    xmin = bx0 + zx
-    xmax = bx1 + zx
-    k_low = np.floor(xmin / tau).astype(np.int64)
-    k_low[(k_low + 1).astype(float) * tau <= xmin] += 1
-    k_high = (np.ceil(xmax / tau) - 1).astype(np.int64)
-    k_high[k_high.astype(float) * tau >= xmax] -= 1
+    k_low, k_high = cell_range(bx0 + xs, bx1 + xs, tau, open=True)
     cols = np.maximum(k_high - k_low + 1, 0)
-    total_cols = int(cols.sum())
-    if total_cols > cell_cap:
+    pairs = int(cols.sum()) * len(ys)
+    if pairs > cell_cap:
         raise ResourceLimitError(
-            f"{total_cols} grid columns exceed cap {cell_cap}; "
+            f"{pairs} grid columns exceed cap {cell_cap}; "
             "raise cell_cap or coarsen the mesh", module=_MODULE)
+    ylo, yhi = slab_ranges(lower, upper, xs, k_low, cols, tau)
+    # the column in the high bits keeps every row interval in its column
+    col = (np.repeat(k_low, cols) + _grouped_arange(cols)) * _KEY_SHIFT
 
-    copy_idx = np.repeat(np.arange(ncop), cols)
-    k_flat = k_low[copy_idx] + _grouped_arange(cols)
-    # slab in base coordinates, clamped to the polygon's x-extent
-    a = np.maximum(k_flat.astype(float) * tau - zx[copy_idx], bx0)
-    b = np.minimum((k_flat + 1).astype(float) * tau - zx[copy_idx], bx1)
-    b = np.maximum(b, a)
-    ylo = np.minimum(np.interp(a, lower[:, 0], lower[:, 1]),
-                     np.interp(b, lower[:, 0], lower[:, 1]))
-    yhi = np.maximum(np.interp(a, upper[:, 0], upper[:, 1]),
-                     np.interp(b, upper[:, 0], upper[:, 1]))
-    # per-pair arrays set the memory peak: each is dropped once dead
-    del a, b
-    # chain vertices interior to a slab can beat both slab endpoints
-    offsets = np.cumsum(cols) - cols
-    for chain, buf, op in ((lower, ylo, np.minimum),
-                           (upper, yhi, np.maximum)):
-        for vx, vy in chain[1:-1]:
-            kv = np.floor((vx + zx) / tau).astype(np.int64)
-            pos = offsets + np.clip(kv - k_low, 0, np.maximum(cols - 1, 0))
-            keep = cols > 0
-            op.at(buf, pos[keep], vy)
-    yhi = np.maximum(yhi, ylo)
-    ylo = ylo + zy[copy_idx]
-    yhi = yhi + zy[copy_idx]
-    del copy_idx
-
-    l_low = np.floor(ylo / tau).astype(np.int64)
-    l_low[(l_low + 1).astype(float) * tau <= ylo] += 1
-    l_high = (np.ceil(yhi / tau) - 1).astype(np.int64)
-    l_high[l_high.astype(float) * tau >= yhi] -= 1
-    del ylo, yhi
-
-    # union of the integer intervals [l_low, l_high] within each column:
-    # sorted by start, an interval adds the rows past the running reach.
-    # The column in the high bits keeps every reach inside its column.
-    keep = l_high >= l_low
-    col = k_flat[keep] * _KEY_SHIFT
-    start = col + l_low[keep]
-    end = col + l_high[keep]
-    del k_flat, l_low, l_high, keep, col
-    order = np.argsort(start, kind="stable")
-    start = start[order]
-    end = end[order]
-    reach = np.maximum.accumulate(end)
-    start[1:] = np.maximum(start[1:], reach[:-1] + 1)
-    return int(np.maximum(end - start + 1, 0).sum())
+    # row intervals [start, end] per (x-left column, y-left), in chunks
+    # that bound the float temporaries
+    start = np.empty((len(col), len(ys)), dtype=np.int64)
+    end = np.empty_like(start)
+    step = max(1, _PAIR_CHUNK // len(ys))
+    for r in range(0, len(col), step):
+        rs = slice(r, r + step)
+        l_low, l_high = cell_range(ylo[rs, None] + ys, yhi[rs, None] + ys,
+                                   tau, open=True)
+        start[rs] = col[rs, None] + l_low
+        end[rs] = col[rs, None] + l_high
+    # cell x is covered when more intervals start at or before x than end
+    # before it.  An empty interval has end = start - 1 (cell_range is
+    # monotone and ylo <= yhi), which moves neither count.  With starts
+    # and ends sorted apart, the i-th term counts the cells of
+    # (end[i-1], end[i]] from start[i] on: each covered cell once.  The
+    # stable sort merges the ascending runs, one per x-left; the rest runs
+    # in place, so the two key arrays set the memory peak.
+    start, end = start.ravel(), end.ravel()
+    start.sort(kind="stable")
+    end.sort(kind="stable")
+    start -= 1
+    np.maximum(start[1:], end[:-1], out=start[1:])
+    end -= start
+    return int(np.maximum(end, 0, out=end).sum())
 
 
 def predicted_cover_count(spec: TargetSpec, n: int, tau: float,
@@ -475,10 +457,6 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
     return MuMeasure(en=en, t=t, eps=eps, level=level)
 
 
-# straddling (ball, copy) pairs per kernel pass: bounds its temporaries
-_PAIR_CHUNK = 1 << 14
-
-
 def _axis_ranges(lo, hi, ends0, ends1):
     """Per ball, the copies along one axis that overlap [lo, hi], as
     [o0, o1), and those of them wholly inside it, as [i0, i1).
@@ -491,47 +469,6 @@ def _axis_ranges(lo, hi, ends0, ends1):
     i0 = np.clip(np.searchsorted(ends0, lo, side="left"), o0, o1)
     i1 = np.clip(np.searchsorted(ends1, hi, side="right"), i0, o1)
     return o0, o1, i0, i1
-
-
-def _edges(polygon: np.ndarray):
-    """(x0, y0, x1, y1, sign) of the non-vertical envelope edges, with
-    coordinates relative to the bounding box's lower-left corner; sign is
-    +1 on the upper chain and -1 on the lower one."""
-    lower, upper = envelope_chains(polygon)
-    parts = []
-    for chain, sign in ((upper, 1.0), (lower, -1.0)):
-        e = np.hstack([chain[:-1], chain[1:]])
-        e = e[e[:, 2] > e[:, 0]]
-        parts.append(np.column_stack([e, np.full(len(e), sign)]))
-    e = np.vstack(parts)
-    e[:, [0, 2]] -= polygon[:, 0].min()
-    e[:, [1, 3]] -= polygon[:, 1].min()
-    return e.T
-
-
-def _box_areas(edges, a, b, lo, hi) -> np.ndarray:
-    """Area of the polygon inside each box [a, b] x [lo, hi].
-
-    The area is the integral of clamp(upper) - clamp(lower) over x.  On
-    each envelope edge, the clamped line is linear between the crossings
-    of y = lo and y = hi, so three trapezoids per edge are exact.
-    """
-    x0, y0, x1, y1, sign = edges
-    a, b, lo, hi = (v[:, None] for v in (a, b, lo, hi))
-    p = np.clip(a, x0, x1)
-    q = np.clip(b, x0, x1)
-    dxdy = np.divide(x1 - x0, y1 - y0, out=np.zeros_like(x0),
-                     where=y1 != y0)
-    t_lo = x0 + (lo - y0) * dxdy
-    t_hi = x0 + (hi - y0) * dxdy
-    c1 = np.clip(np.minimum(t_lo, t_hi), p, q)
-    c2 = np.clip(np.maximum(t_lo, t_hi), p, q)
-    slope = (y1 - y0) / (x1 - x0)
-    vp, v1, v2, vq = (np.clip(y0 + (x - x0) * slope, lo, hi)
-                      for x in (p, c1, c2, q))
-    per_edge = 0.5 * ((c1 - p) * (vp + v1) + (c2 - c1) * (v1 + v2)
-                      + (q - c2) * (v2 + vq))
-    return np.maximum((per_edge * sign).sum(axis=1), 0.0)
 
 
 def _ball_masses(M: MuMeasure, centers: np.ndarray,
@@ -560,7 +497,7 @@ def _ball_masses(M: MuMeasure, centers: np.ndarray,
     cols = np.stack([oy1 - oy0, oy1 - oy0, iy0 - oy0, oy1 - iy1], axis=1)
     rows = np.where(cols > 0, rows, 0)
     pairs = np.cumsum((rows * cols).sum(axis=1))
-    edges = _edges(en.polygon)
+    edges = envelope_edges(en.polygon)
     area = en.copy_area
     ncop = en.copy_count
     start = 0
@@ -580,10 +517,10 @@ def _ball_masses(M: MuMeasure, centers: np.ndarray,
             ball = blk // 4
             order = np.argsort(ball * ncop + ix * len(ys) + iy)
             ball, ix, iy = ball[order], ix[order], iy[order]
-            piece = _box_areas(edges, xlo[ball] - xs[ix] - bx0,
-                               xhi[ball] - xs[ix] - bx0,
-                               ylo[ball] - ys[iy] - by0,
-                               yhi[ball] - ys[iy] - by0)
+            piece = box_areas(edges, xlo[ball] - xs[ix] - bx0,
+                              xhi[ball] - xs[ix] - bx0,
+                              ylo[ball] - ys[iy] - by0,
+                              yhi[ball] - ys[iy] - by0)
             np.add.at(masses, ball, piece / area * w)
         start = stop
     return masses

@@ -62,6 +62,9 @@ _PIVOT_TIE_TOL = 1e-12
 # log2 scale magnitude beyond which float64 work is refused
 _MAX_LOG2_SCALE = 900.0
 
+# relative tolerance 1e-9 of the volume identities, in log2
+_LOG2_RTOL = math.log2(1.0 + 1e-9)
+
 _MODULE = "parallelepiped_geometry"
 
 
@@ -410,14 +413,20 @@ def bounding_hyperrectangle(p: Parallelepiped,
     Containment of the parallelepiped is verified directly: along each
     frame axis the extreme vertex coordinate (max of the positive and
     negative parts of the column projections) must stay within the half
-    extent.  Violation raises ConsistencyError.
+    extent.  Violation raises ConsistencyError; a half extent that is 0
+    or inf as a float raises ScaleRangeError.
     """
     if frame is None:
         frame = pivoted_orthogonalize(p)
     d = p.dimension
     norms = frame.norms
+    with np.errstate(over="ignore"):
+        half = (2.0 ** d) * norms
+    if not np.all((half > 0.0) & (half < np.inf)):
+        raise ScaleRangeError(
+            "a half extent 2^d |gamma_i| leaves float64 range",
+            module=_MODULE)
     axes = frame.gammas / norms[None, :]
-    half = (2.0 ** d) * norms
     proj = axes.T @ p.columns  # proj[j, i] = axis_j . alpha_i
     pos = np.sum(np.clip(proj, 0.0, None), axis=1)
     neg = np.sum(np.clip(-proj, 0.0, None), axis=1)
@@ -432,23 +441,32 @@ def bounding_hyperrectangle(p: Parallelepiped,
 
 
 def volume(p: Parallelepiped) -> float:
-    """|det| of the columns, cross-checked against the orthogonal frame.
+    """|det| of the columns, 2^log2_volume, cross-checked against the
+    orthogonal frame.
 
     Asserts the two identities vol(P) = prod |gamma_i| and
     vol(P) = 2^(-d(d+1)) vol(R) for the bounding hyperrectangle R, both to
-    relative 1e-9; disagreement raises ConsistencyError.
+    relative 1e-9 and in log2, so no side over- or underflows;
+    disagreement raises ConsistencyError.  A volume that is 0 or inf as a
+    float raises ScaleRangeError.
     """
-    v = float(abs(np.linalg.det(p.columns)))
+    log2_v = p.log2_volume
     frame = pivoted_orthogonalize(p)
-    v_frame = float(np.prod(frame.norms))
     d = p.dimension
     box = bounding_hyperrectangle(p, frame)
-    v_box = (2.0 ** (-d * (d + 1))) * box.volume
-    for label, other in (("frame product", v_frame), ("box scaling", v_box)):
-        if abs(other - v) > 1e-9 * max(v, other):
+    for label, other in (
+            ("frame product", math.fsum(frame.log2_norms)),
+            ("box scaling", -d * (d + 1) + float(
+                np.sum(np.log2(box.side_lengths))))):
+        if abs(other - log2_v) > _LOG2_RTOL:
             raise ConsistencyError(
-                f"volume via determinant ({v!r}) disagrees with {label} "
-                f"({other!r})", module=_MODULE)
+                f"log2 volume via determinant ({log2_v!r}) disagrees with "
+                f"{label} ({other!r})", module=_MODULE)
+    with np.errstate(over="ignore", under="ignore"):
+        v = float(np.exp2(log2_v))
+    if not 0.0 < v < math.inf:
+        raise ScaleRangeError(f"volume 2^{log2_v:.1f} leaves float64 range",
+                              module=_MODULE)
     return v
 
 

@@ -40,11 +40,11 @@ from beta_targets.numerical_lab import (
 )
 from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
 from beta_targets.polygons import (
-    clip_to_box,
     envelope_chains,
     polygon_area,
     polygon_bbox,
 )
+from clipping import clip_to_box
 
 SYS24 = BetaSystem((2.0, 4.0))
 UNIT_D = ((0.0, 1.0), (0.0, 1.0))

@@ -322,6 +322,26 @@ class TestScaling:
         q = scale_by_f(p, BetaSystem((2.0, 4.0)), 2)
         assert volume(q) == pytest.approx(WORKED_VOLUME / (4.0 * 16.0))
 
+    # under the suite's error::RuntimeWarning filter a numpy warning on
+    # the way to the typed error fails these as well
+    @pytest.mark.parametrize("cols", [
+        [[1e308, 1e308], [1e308, -1e308]],
+        [[1e-170, 0.0], [0.0, 1e-170]],
+    ], ids=["near-1e308", "1e-170"])
+    def test_volume_out_of_float_range(self, cols):
+        with pytest.raises(ScaleRangeError):
+            volume(Parallelepiped((0.0, 0.0), cols))
+
+    def test_box_out_of_float_range(self):
+        p = Parallelepiped((0.0, 0.0), [[1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(ScaleRangeError):
+            bounding_hyperrectangle(p)
+        # 2^d |gamma_i| = 4e-170 is still a float
+        tiny = Parallelepiped((0.0, 0.0), [[1e-170, 0.0], [0.0, 1e-170]])
+        box = bounding_hyperrectangle(tiny)
+        assert tuple(box.half_extents) == pytest.approx((4e-170, 4e-170),
+                                                        rel=1e-12)
+
 
 class TestRotation:
     def test_rotation_matrix_snaps_trig(self):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from beta_targets.polygons import (
-    clip_halfplane,
-    clip_to_box,
     ensure_ccw,
     parallelogram_polygon,
     polygon_area,
     polygon_bbox,
 )
+from clipping import clip_halfplane, clip_to_box
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
