@@ -7,15 +7,29 @@ under the n-fold map.  A node with image length t has a child for every
 digit k with k/beta < t, and the child's image length is min(beta*t - k, 1).
 Fullness is exactly t == 1, i.e. maximal length beta**-n.
 
-Floating point: t is snapped to 1 whenever it lands within FULLNESS_TOL of
-1, so fullness tests are exact equalities afterwards.  A child whose image
-length would fall below the spurious-child tolerance is treated as a
-rounding ghost and dropped.  For beta near 1 or deep levels, construct
-BetaParam with dps set; the same recursion then runs under mpmath with
-tolerance 10**(5 - dps).
+Every image length the recursion produces is 1 or t_j = T^j(1), reached by
+a run of j top digits after a full prefix (Parry 1960).  So the recursion
+is an automaton on the orbit of 1: state j has digits 0..top_j, the lower
+ones lead back to state 0 and the top one to state j + 1.  The orbit runs
+once per call in exact dyadic integers on the binary value of beta, so
+each digit and each snap below is decided exactly, and t_j is rounded
+once to the working precision.  The counts are an integer recurrence over
+the states; the walk and cylinder_of_word read each node's children from
+the same table.
+
+Tolerances: a top child whose length lands within FULLNESS_TOL of 1 is
+snapped to 1, and a digit k with beta*t - k at most SPURIOUS_CHILD_TOL is
+a rounding ghost and dropped.  Non-top children are full without help, so
+both rules can fire only on the orbit of 1, where a snap closes the
+orbit.  They keep the float golden mean counting Fibonacci, although its
+exact binary value has beta*T(1) = 1 + 1e-16.  For beta near 1 or deep
+levels, construct BetaParam with dps set; the orbit then uses beta rounded
+to that many digits, tolerance 10**(5 - dps), and t_j and the walk run
+under mpmath.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import warnings
@@ -39,8 +53,9 @@ class BetaParam:
 
     ``beta`` may be a float or an mpmath number; it must exceed 1.  Setting
     ``dps`` routes every operation through mpmath at that many decimal
-    digits, which is the escape hatch for beta near 1 or deep levels where
-    double-precision drift in the image-length recursion matters.
+    digits and shrinks the snap tolerances to 10**(5 - dps), which is the
+    escape hatch for beta near 1 or deep levels, where the double
+    tolerances and cylinder endpoints are too coarse.
     """
 
     beta: object
@@ -140,32 +155,78 @@ class _Ctx:
                 self.full_tol = mpmath.mpf(10) ** (5 - self.dps)
                 self.spur_tol = self.full_tol
 
-    def _ceil(self, x) -> int:
-        return math.ceil(x) if self.mp is None else int(self.mp.ceil(x))
+    def length(self, num: int, shift: int):
+        """num / 2**shift rounded once to the working precision."""
+        if self.mp is None:
+            return num / (1 << shift)
+        return self.mp.ldexp(self.mp.mpf(num), -shift)
 
     def _floor(self, x) -> int:
         return math.floor(x) if self.mp is None else int(self.mp.floor(x))
-
-    def children(self, t):
-        """(digit, child image length) pairs for a node with image length t.
-
-        The spur_tol shave on beta*t keeps a rounded-up product from
-        manufacturing a phantom last child; the snap keeps fullness exact.
-        """
-        kmax = self._ceil(self.beta * t - self.spur_tol) - 1
-        out = []
-        for k in range(kmax + 1):
-            tc = self.beta * t - k
-            if tc >= self.one - self.full_tol:
-                tc = self.one
-            out.append((k, tc))
-        return out
 
     def step(self, x):
         """One application of the map: x -> (digit, beta*x mod 1)."""
         y = self.beta * x
         k = self._floor(y)
         return k, y - k
+
+
+def _dyadic(x) -> tuple:
+    """(num, e) with x == num / 2**e exactly, for a float or an mpf."""
+    if isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        return num, den.bit_length() - 1
+    man, exp = x.man_exp
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
+
+
+def _orbit(ctx: _Ctx) -> Iterator[tuple]:
+    """The orbit of 1 as automaton states, decided in exact arithmetic.
+
+    State j stands for the image length t_j = T^j(1), with t_0 = 1; a node
+    is in state j when its word ends in a run of j top digits after a full
+    prefix.  Yields, for j = 0, 1, ..., the top digit of state j and the
+    exact length (num, shift), t_{j+1} = num / 2**shift, of its top child,
+    or None when that child snaps to 1; the snap closes the orbit.  The
+    digits and snaps follow the tolerance rule of the module docstring,
+    applied to the exact binary values of beta and the tolerances.
+    """
+    p, e = _dyadic(ctx.beta)
+    s, es = _dyadic(ctx.spur_tol)
+    f, ef = _dyadic(ctx.full_tol)
+    num, shift = 1, 0
+    while True:
+        shift += e
+        bt = p * num  # beta * t_j == bt / 2**shift
+        k = bt >> shift
+        frac = bt - (k << shift)
+        if frac << es <= s << shift:
+            # beta*t_j is within spur_tol above the integer k: digit k
+            # would be a ghost, and the top child k - 1 has length >= 1
+            yield k - 1, None
+            return
+        if frac << ef >= ((1 << ef) - f) << shift:
+            yield k, None
+            return
+        num = frac
+        yield k, (num, shift)
+
+
+def _state_table(ctx: _Ctx, n: int):
+    """Children of the orbit states that words shorter than n reach.
+
+    kids[j] lists (digit, child state, child image length) in digit order;
+    ts[j] is t_j rounded once to the working precision.
+    """
+    ts = [ctx.one]
+    kids = []
+    for top, nxt in itertools.islice(_orbit(ctx), n):
+        if nxt is not None:
+            ts.append(ctx.length(*nxt))
+        child = 0 if nxt is None else len(ts) - 1
+        kids.append([(k, 0, ctx.one) for k in range(top)]
+                    + [(top, child, ts[child])])
+    return kids, ts
 
 
 def _run(param: BetaParam, fn: Callable):
@@ -270,20 +331,23 @@ def enumerate_cylinders(
 def _walk(ctx, n, only_full, within, predicate, node_cap):
     lo = within.left if within is not None else None
     hi = within.right if within is not None else None
+    kids, ts = _state_table(ctx, n)
     visited = 0
-    # stack entries: (word, left, t, beta**-level); children pushed in
-    # reverse digit order so the smallest digit pops first (lex order)
-    stack = [((), ctx.zero, ctx.one, ctx.one)]
+    # stack entries: (word, left, orbit state, beta**-level); children
+    # pushed in reverse digit order so the smallest digit pops first
+    # (lex order)
+    stack = [((), ctx.zero, 0, ctx.one)]
     while stack:
-        word, left, t, scale = stack.pop()
+        word, left, j, scale = stack.pop()
         visited += 1
         if visited > node_cap:
             raise ResourceLimitError(
                 f"node walk exceeded cap {node_cap:.3g}",
                 module="beta_dynamics")
         if len(word) == n:
-            if only_full and t != ctx.one:
+            if only_full and j:
                 continue
+            t = ts[j]
             length = t * scale
             if within is not None and not (left >= lo and left + length <= hi):
                 continue
@@ -293,13 +357,13 @@ def _walk(ctx, n, only_full, within, predicate, node_cap):
             yield node
             continue
         child_scale = scale / ctx.beta
-        for k, tc in reversed(ctx.children(t)):
+        for k, child, tc in reversed(kids[j]):
             cleft = left + k * child_scale
             if within is not None:
                 # prune on overlap; containment is rechecked at the leaves
                 if not (cleft < hi and lo < cleft + tc * child_scale):
                     continue
-            stack.append((word + (k,), cleft, tc, child_scale))
+            stack.append((word + (k,), cleft, child, child_scale))
 
 
 def cylinder_of_word(beta: BetaLike, word: Word) -> Optional[CylinderNode]:
@@ -310,59 +374,70 @@ def cylinder_of_word(beta: BetaLike, word: Word) -> Optional[CylinderNode]:
     ctx = _Ctx(param)
 
     def walk():
-        left, t, scale = ctx.zero, ctx.one, ctx.one
+        kids, ts = _state_table(ctx, len(word))
+        left, j, scale = ctx.zero, 0, ctx.one
         for k in word:
             if not isinstance(k, int) or k < 0:
                 raise DomainError(f"bad digit {k!r}", module="beta_dynamics")
-            kids = ctx.children(t)
-            if k > len(kids) - 1:
+            if k >= len(kids[j]):
                 return None
             scale = scale / ctx.beta
             left = left + k * scale
-            t = kids[k][1]
-        return CylinderNode(tuple(word), left, t, t * scale)
+            j = kids[j][k][1]
+        return CylinderNode(tuple(word), left, ts[j], ts[j] * scale)
 
     return _run(param, walk)
 
 
-def _level_distribution(param: BetaParam, n: int, node_cap: float) -> dict:
-    """Map image-length -> number of admissible words of length n carrying it.
+def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
+    """(admissible, full): the numbers of words of length n and of the full
+    ones among them, from the orbit of 1.
 
-    Distinct image lengths at level k number at most k+1 (the snap folds
-    every full branch onto exactly 1), so this is polynomial in n.  Rounding
-    can split one mathematical t across neighbouring float keys; totals are
-    unaffected since counts are per-word.
+    With gain_j the number of children of orbit state j that are full,
+    c(m), the number of full words of length m, obeys
+    c(m) = sum_j gain_j * c(m - 1 - j).  A word in state j is a full word
+    followed by j top digits, so the admissible count is the sum of
+    c(n - j) over the live states j.  The work, n times the live states,
+    is checked against node_cap as the orbit grows, before the recurrence.
     """
-    if (n + 1) ** 2 * (param.max_digit + 1) > node_cap:
-        raise ResourceLimitError(
-            f"level distribution at n={n} exceeds cap {node_cap:.3g}",
-            module="beta_dynamics")
-    ctx = _Ctx(param)
-
-    def walk():
-        dist = {ctx.one: 1}
-        for _ in range(n):
-            nxt: dict = {}
-            for t, cnt in dist.items():
-                for _, tc in ctx.children(t):
-                    nxt[tc] = nxt.get(tc, 0) + cnt
-            dist = nxt
-        return dist
-
-    return _run(param, walk)
+    gains = []
+    for top, nxt in itertools.islice(_orbit(_Ctx(param)), n):
+        gains.append(top + (nxt is None))
+        # the top child's state is live unless it snapped back to state 0
+        live = len(gains) + (nxt is not None)
+        if n * live > node_cap:
+            raise ResourceLimitError(
+                f"count at n={n} over at least {live} orbit states: "
+                f"n x states exceeds cap {node_cap:.3g}",
+                module="beta_dynamics")
+    # c[-1 - j] == c(m - 1 - j); the zeros stand for c at negative lengths.
+    # States are grouped by gain, so each gain above 1 costs one product.
+    ones = [-1 - j for j, g in enumerate(gains) if g == 1]
+    scaled = [(a, [-1 - j for j, g in enumerate(gains) if g == a])
+              for a in set(gains) if a > 1]
+    c = [0] * (live - 1) + [1]
+    get = c.__getitem__
+    for _ in range(n):
+        c.append(sum([a * sum(map(get, idx)) for a, idx in scaled],
+                     sum(map(get, ones))))
+        if len(c) > 2 * live:
+            del c[:-live]
+    return sum(c[-live:]), c[-1]
 
 
 def count_admissible(beta: BetaLike, n: int,
                      node_cap: float = DEFAULT_NODE_CAP) -> int:
     """Exact number of admissible words of length n.
 
-    The result is asserted against Renyi's sandwich
+    Counted on the orbit of 1 (see the module docstring); refuses when n
+    times the number of orbit states it needs exceeds node_cap.  The
+    result is asserted against Renyi's sandwich
     beta**n <= count <= beta**(n+1)/(beta-1) before being returned.
     """
     param = as_beta_param(beta)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
-    count = sum(_level_distribution(param, n, node_cap).values())
+    count, _ = _counts(param, n, node_cap)
     b = float(param.beta)
     logc = math.log(count)
     lo = n * math.log(b)
@@ -409,13 +484,12 @@ def full_count_constant(beta: BetaLike) -> float:
 def count_full(beta: BetaLike, n: int,
                node_cap: float = DEFAULT_NODE_CAP) -> int:
     """Exact number of full words of length n, asserted against the
-    applicable lower bound (exact equality beta**n for integer beta)."""
+    applicable lower bound (exact equality beta**n for integer beta).
+    Counted and capped like count_admissible."""
     param = as_beta_param(beta)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
-    dist = _level_distribution(param, n, node_cap)
-    ctx_one = 1.0 if param.dps is None else _Ctx(param).one
-    count = dist.get(ctx_one, 0)
+    _, count = _counts(param, n, node_cap)
     b = float(param.beta)
     if b.is_integer():
         if count != int(b) ** n:

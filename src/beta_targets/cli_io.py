@@ -48,6 +48,7 @@ from .errors import (
     BetaTargetsError,
     ConfigError,
     DomainError,
+    ResourceLimitError,
     ScaleRangeError,
 )
 from .hausdorff_content import DEFAULT_DEPTHS, brute_force_content_2d
@@ -392,10 +393,24 @@ def _cmd_cylinders(cfg: RunConfig, out: Path, sha: str) -> int:
     return 0
 
 
+def _unprintable(beta: float, n: int, limit: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"the count for beta={beta}, n={n} has more than {limit} decimal "
+        "digits, the interpreter's int-to-str limit", module=_MODULE)
+
+
 def _cmd_count(cfg: RunConfig, out: Path, sha: str) -> int:
     beta = _need(cfg.betas, "betas")[0]
     n = _need(cfg.n, "n")
+    # printing an int with more digits than this raises ValueError
+    limit = sys.get_int_max_str_digits()
+    # Renyi: the count is at least beta**n, so a level whose bound alone
+    # passes the limit is refused before counting
+    if limit and n * math.log10(beta) > limit + 1:
+        raise _unprintable(beta, n, limit)
     admissible = count_admissible(beta, n)
+    if limit and admissible >= 10 ** limit:
+        raise _unprintable(beta, n, limit)
     full = count_full(beta, n)
     _write_csv(out / "count.csv",
                ("beta", "n", "admissible", "full"),

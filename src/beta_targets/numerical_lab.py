@@ -213,6 +213,14 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
     betas = spec.system.betas
     box: Optional[Tuple[Interval, Interval]] = None
     if mode == "all":
+        # Renyi: each axis has at least beta**n words, so a level whose
+        # bound alone passes the cap is refused before counting (and before
+        # the message would print a count too long for str())
+        if n * math.log(betas[0] * betas[1]) > \
+                math.log(max(copy_cap, 1)) + 1e-6:
+            raise ResourceLimitError(
+                f"at least {betas[0]}**{n} * {betas[1]}**{n} copies exceed "
+                f"cap {copy_cap}", module=_MODULE)
         counts = [count_admissible(b, n) for b in betas]
         if counts[0] * counts[1] > copy_cap:
             raise ResourceLimitError(

@@ -190,7 +190,10 @@ class OrthoFrame:
 
     @property
     def norms(self) -> np.ndarray:
-        """|gamma_k| as floats; 0.0 or inf once they leave float range."""
+        """|gamma_k| as floats, 2**log2_norms; 0.0 or inf once they leave
+        float range.  The relative error is up to about
+        |log2_norms[k]| * 2**-52 (1e-170 columns give
+        1.0000000000000226e-170); use log2_norms where that matters."""
         with np.errstate(over="ignore"):
             return np.exp2(np.array(self.log2_norms))
 

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import cylinder_reference
 
 from beta_targets import (
     ConsistencyError,
@@ -39,6 +42,38 @@ PHI_ADMISSIBLE = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377]
 PHI_FULL = [1, 2, 3, 5, 8, 13, 21, 34]
 C_PHI = 0.12080192186185396
 PHI_DIGITS_HALF = (0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0)
+
+
+def fraction_level_distribution(beta, n):
+    """Exact image length -> number of words of length n: the recursion in
+    Fraction arithmetic on the float value of beta, with no tolerances."""
+    b = Fraction(beta)
+    one = Fraction(1)
+    dist = {one: 1}
+    for _ in range(n):
+        nxt: dict = {}
+        for t, count in dist.items():
+            bt = b * t
+            k = 0
+            while k < bt:
+                tc = min(bt - k, one)
+                nxt[tc] = nxt.get(tc, 0) + count
+                k += 1
+        dist = nxt
+    return dist
+
+
+def fibonacci(n):
+    """F_n by fast doubling: F(2k) = F(k)(2F(k+1) - F(k)),
+    F(2k+1) = F(k)**2 + F(k+1)**2."""
+    def pair(m):
+        if m == 0:
+            return 0, 1
+        a, b = pair(m >> 1)
+        c, d = a * (2 * b - a), a * a + b * b
+        return (d, c + d) if m & 1 else (c, d)
+
+    return pair(n)[0]
 
 
 def brute_cylinders(beta, n):
@@ -157,6 +192,29 @@ class TestEnumerate:
         assert len(nodes) == 2**10
 
 
+class TestReferenceWalk:
+    @pytest.mark.parametrize("beta, n", [(PHI, 20), (2.0, 14), (2.5, 10),
+                                         (3.0, 9)])
+    def test_bit_identical(self, beta, n):
+        # every t_j here is exact in a double, however it is reached
+        got = [(x.word, x.left, x.image_length, x.length)
+               for x in enumerate_cylinders(beta, n)]
+        assert got == cylinder_reference.walk(beta, n)
+
+    @pytest.mark.parametrize("beta", [math.e, 3.7, 1.3, 1.8])
+    def test_lengths_within_float_recursion_error(self, beta):
+        # the reference propagates t through the float recursion, whose
+        # error grows like beta**n; the library rounds the exact t_j once
+        for n in range(1, 9):
+            got = list(enumerate_cylinders(beta, n))
+            want = cylinder_reference.walk(beta, n)
+            assert [(x.word, x.left) for x in got] == \
+                [(w[0], w[1]) for w in want]
+            bound = beta ** n * 2.0 ** -52
+            for x, w in zip(got, want):
+                assert abs(x.image_length - w[2]) <= bound
+
+
 class TestCylinderOfWord:
     def test_roundtrip(self):
         for node in enumerate_cylinders(PHI, 5):
@@ -221,12 +279,38 @@ class TestCounts:
         assert count_admissible(PHI, 1500) == b
 
 
+    @pytest.mark.parametrize("n", [60, 90])
+    @pytest.mark.parametrize("beta", [3.7, math.e, math.pi, 1.628, 2.5])
+    def test_exact_oracle(self, beta, n):
+        # float image-length keys drift at these levels; the orbit of 1
+        # decided in exact arithmetic does not
+        dist = fraction_level_distribution(beta, n)
+        assert count_admissible(beta, n) == sum(dist.values())
+        assert count_full(beta, n) == dist[1]
+
+    def test_deep_fibonacci_is_linear_work(self):
+        # two orbit states, so the recurrence does O(n) big-integer adds
+        assert count_admissible(PHI, 100_000) == fibonacci(100_002)
+        assert count_full(PHI, 100_000) == fibonacci(100_001)
+
+    def test_work_cap_is_levels_times_orbit_states(self):
+        # phi's orbit closes after two states; 1.3's stays open past n
+        assert count_admissible(PHI, 1000, node_cap=2000) == fibonacci(1002)
+        with pytest.raises(ResourceLimitError):
+            count_full(1.3, 1000, node_cap=10**5)
+
+    def test_extended_precision_matches_walk(self):
+        beta = BetaParam(1.1, dps=30)
+        nodes = list(enumerate_cylinders(beta, 40, node_cap=2.0**40))
+        assert count_admissible(beta, 40) == len(nodes)
+        assert count_full(beta, 40) == sum(1 for x in nodes if x.full)
+
     def test_full_count_failure_message_at_depth(self, monkeypatch):
         # beta**2000 overflows a float; the failed bound must still be
         # reported as a ConsistencyError, not an OverflowError
         from beta_targets import beta_dynamics
-        monkeypatch.setattr(beta_dynamics, "_level_distribution",
-                            lambda param, n, node_cap: {1.0: 1})
+        monkeypatch.setattr(beta_dynamics, "_counts",
+                            lambda param, n, node_cap: (1, 1))
         with pytest.raises(ConsistencyError, match="full count 1 below"):
             count_full(2.5, 2000)
 

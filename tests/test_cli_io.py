@@ -196,6 +196,25 @@ class TestCount:
         assert rc == 0
         assert len(capsys.readouterr().out.strip()) == 314
 
+    @pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                        reason="this interpreter has no int-to-str limit")
+    def test_count_past_int_str_limit(self, tmp_path, capsys):
+        # 10**n has n + 1 digits: n = limit - 1 still prints; n = limit is
+        # refused after counting, n = limit + 700 before
+        limit = sys.get_int_max_str_digits()
+        rc = main(["count", "--beta", "10", "--n", str(limit - 1),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "1" + "0" * (limit - 1)
+        for n in (limit, limit + 700):
+            rc = main(["count", "--beta", "10", "--n", str(n),
+                       "--out", str(tmp_path)])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"]["code"] == "cli_io.resource_limit"
+            assert f"more than {limit} decimal digits" in \
+                err["error"]["message"]
+
     def test_config_file_route(self, tmp_path, capsys):
         path = write_config(tmp_path, {"betas": [1.8], "n": 4})
         rc = main(["count", "--config", path, "--out", str(tmp_path)])

@@ -127,6 +127,12 @@ class TestBuildEn:
         with pytest.raises(ResourceLimitError):
             build_E_n(pi4_spec(), 6, mode="all")
 
+    def test_copy_cap_refused_before_counting(self):
+        # 4**3000 words per axis: the refusal must neither count them nor
+        # print a product past the 4300-digit int-to-str limit
+        with pytest.raises(ResourceLimitError, match=r"4\.0\*\*3000"):
+            build_E_n(pi4_spec(), 3000, mode="all")
+
 
 def _grouped_arange(lengths):
     ends = np.cumsum(lengths)

@@ -167,6 +167,13 @@ class TestSimpleCases:
         assert np.array_equal(frame.U, np.eye(2))
         assert np.array_equal(frame.gammas, scale * np.eye(2))
 
+    def test_float_norms_within_log_domain_bound(self):
+        # norms is 2**log2_norms: a half-ulp error in a log2 near -565
+        # becomes a relative error of a few 1e-14 in the norm
+        frame = pivoted_orthogonalize(1e-170 * np.eye(2))
+        for norm, log2_norm in zip(frame.norms, frame.log2_norms):
+            assert abs(norm / 1e-170 - 1) <= abs(log2_norm) * 2.0 ** -52
+
     def test_constructor_rejects_dependent_columns(self):
         with pytest.raises(DegenerateInputError):
             Parallelepiped((0.0, 0.0), np.array([[1.0, 1.0], [1.0, 1.0]]))
