@@ -14,12 +14,15 @@ The package is organised bottom-up:
 from __future__ import annotations
 
 from .beta_dynamics import (
+    CylinderBlock,
     CylinderNode,
     FullSearchParams,
     Interval,
     count_admissible,
     count_full,
     count_full_in_interval,
+    count_words,
+    cylinder_blocks,
     cylinder_of_word,
     digits,
     enumerate_cylinders,
@@ -91,6 +94,7 @@ __all__ = [
     "ConsistencyError",
     "ContentEstimate",
     "CoverScan",
+    "CylinderBlock",
     "CylinderNode",
     "DegenerateInputError",
     "DimensionReport",
@@ -119,7 +123,9 @@ __all__ = [
     "count_admissible",
     "count_full",
     "count_full_in_interval",
+    "count_words",
     "cover_exponent_scan",
+    "cylinder_blocks",
     "cylinder_of_word",
     "digits",
     "empirical_cover_count",

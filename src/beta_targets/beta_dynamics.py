@@ -14,8 +14,20 @@ ones lead back to state 0 and the top one to state j + 1.  The orbit runs
 once per call in exact dyadic integers on the binary value of beta, so
 each digit and each snap below is decided exactly, and t_j is rounded
 once to the working precision.  The counts are an integer recurrence over
-the states; the walk and cylinder_of_word read each node's children from
-the same table.
+the states; the walk and cylinder_of_word read each node's digit range
+from the same table, which stores per state only top_j, the top child's
+state and t_j.
+
+The walk is one array walk for both precisions: a block of nodes of one
+level is held as arrays of lefts, orbit states and digit words, and its
+children come from np.repeat over each node's digit range (all of
+0..top_j, or the digits whose cylinder meets the ``within`` window).
+Blocks are expanded depth first, their children pushed as sub-blocks in
+reverse, so the leaves come out in lexicographic order and the memory
+stays bounded; node_cap is checked against the summed child counts
+before each expansion is allocated.  Under mpmath the same code runs on
+object arrays of mpf.  CylinderNode is built only by enumerate_cylinders;
+cylinder_blocks hands out the leaf arrays themselves.
 
 Tolerances: a top child whose length lands within FULLNESS_TOL of 1 is
 snapped to 1, and a digit k with beta*t - k at most SPURIOUS_CHILD_TOL is
@@ -34,7 +46,9 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
+
+import numpy as np
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 
@@ -43,6 +57,9 @@ log = logging.getLogger(__name__)
 FULLNESS_TOL = 1e-9
 SPURIOUS_CHILD_TOL = 1e-12
 DEFAULT_NODE_CAP = 10**8
+# the walk expands its nodes in sub-blocks of at most this many children
+# (more only when one node has more digits)
+BLOCK = 1 << 12
 
 Word = tuple  # digit tuples; level == len(word)
 
@@ -139,6 +156,7 @@ class _Ctx:
         self.dps = param.dps
         if self.dps is None:
             self.mp = None
+            self.dtype = np.float64
             self.beta = float(param.beta)
             self.one = 1.0
             self.zero = 0.0
@@ -148,6 +166,7 @@ class _Ctx:
             import mpmath
 
             self.mp = mpmath
+            self.dtype = object
             with mpmath.workdps(self.dps):
                 self.beta = mpmath.mpf(param.beta)
                 self.one = mpmath.mpf(1)
@@ -160,6 +179,21 @@ class _Ctx:
         if self.mp is None:
             return num / (1 << shift)
         return self.mp.ldexp(self.mp.mpf(num), -shift)
+
+    def array(self, values) -> np.ndarray:
+        """values as a 1-D array of the working type (mpf objects under
+        mpmath)."""
+        out = np.empty(len(values), dtype=self.dtype)
+        out[:] = values
+        return out
+
+    def multiples(self, ks: np.ndarray, scale) -> np.ndarray:
+        """k * scale for each integer k of ks, as the scalar product
+        rounds it; under mpmath one mpf product per distinct k."""
+        if self.mp is None:
+            return ks * scale
+        used, which = np.unique(ks, return_inverse=True)
+        return self.array([k * scale for k in used.tolist()])[which]
 
     def _floor(self, x) -> int:
         return math.floor(x) if self.mp is None else int(self.mp.floor(x))
@@ -213,20 +247,18 @@ def _orbit(ctx: _Ctx) -> Iterator[tuple]:
 
 
 def _state_table(ctx: _Ctx, n: int):
-    """Children of the orbit states that words shorter than n reach.
-
-    kids[j] lists (digit, child state, child image length) in digit order;
-    ts[j] is t_j rounded once to the working precision.
-    """
+    """(tops, nexts, ts) for the orbit states that words shorter than n
+    reach: state j has the digits 0..tops[j], the top one leads to state
+    nexts[j] (0 when it snaps) and the others to state 0; ts[j] is t_j
+    rounded once to the working precision."""
     ts = [ctx.one]
-    kids = []
+    tops, nexts = [], []
     for top, nxt in itertools.islice(_orbit(ctx), n):
         if nxt is not None:
             ts.append(ctx.length(*nxt))
-        child = 0 if nxt is None else len(ts) - 1
-        kids.append([(k, 0, ctx.one) for k in range(top)]
-                    + [(top, child, ts[child])])
-    return kids, ts
+        tops.append(top)
+        nexts.append(0 if nxt is None else len(ts) - 1)
+    return tops, nexts, ts
 
 
 def _run(param: BetaParam, fn: Callable):
@@ -287,6 +319,54 @@ def _projected_node_count(beta: float, n: int, within: Optional[Interval]):
         return math.inf
 
 
+class CylinderBlock(NamedTuple):
+    """Consecutive level-n cylinders in lexicographic order, as columns.
+
+    Row i of ``words`` is a digit word; ``lefts``, ``image_lengths`` and
+    ``lengths`` hold its CylinderNode fields (floats, or mpf objects under
+    dps), and ``full`` says whether it is full.
+    """
+
+    words: np.ndarray
+    lefts: np.ndarray
+    image_lengths: np.ndarray
+    lengths: np.ndarray
+    full: np.ndarray
+
+
+def cylinder_blocks(
+    beta: BetaLike,
+    n: int,
+    *,
+    only_full: bool = False,
+    within: Optional[Interval] = None,
+    node_cap: float = DEFAULT_NODE_CAP,
+) -> Iterator[CylinderBlock]:
+    """The cylinders of enumerate_cylinders, in blocks of arrays.
+
+    Same order, filters and caps as enumerate_cylinders (less the
+    predicate); the checks that need no walk raise at the call.
+    """
+    param = as_beta_param(beta)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
+    if within is not None and not (0 <= within.left and within.right <= 1):
+        raise DomainError(f"search interval {within} not inside [0, 1]",
+                          module="beta_dynamics")
+    projected = _projected_node_count(float(param.beta), n, within)
+    if projected > node_cap:
+        raise ResourceLimitError(
+            f"projected node count {float(projected):.3g} exceeds cap "
+            f"{node_cap:.3g}; lower n, restrict the interval, or raise node_cap",
+            module="beta_dynamics")
+    blocks = _walk_blocks(_Ctx(param), n, only_full, within, node_cap)
+    if param.dps is None:
+        return blocks
+    # mpmath precision is process-global state, so walk eagerly while our
+    # working precision is active
+    return iter(_run(param, lambda: list(blocks)))
+
+
 def enumerate_cylinders(
     beta: BetaLike,
     n: int,
@@ -305,65 +385,113 @@ def enumerate_cylinders(
     node_cap, and again mid-walk should the projection prove optimistic.
     """
     param = as_beta_param(beta)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
-    if within is not None and not (0 <= within.left and within.right <= 1):
-        raise DomainError(f"search interval {within} not inside [0, 1]",
-                          module="beta_dynamics")
-    projected = _projected_node_count(float(param.beta), n, within)
-    if projected > node_cap:
-        raise ResourceLimitError(
-            f"projected node count {float(projected):.3g} exceeds cap "
-            f"{node_cap:.3g}; lower n, restrict the interval, or raise node_cap",
-            module="beta_dynamics")
-    ctx = _Ctx(param)
+    blocks = cylinder_blocks(param, n, only_full=only_full, within=within,
+                             node_cap=node_cap)
+    nodes = _block_nodes(blocks, predicate)
     if param.dps is None:
-        return _walk(ctx, n, only_full, within, predicate, node_cap)
-    # mpmath precision is process-global state, so materialize eagerly
-    # while our working precision is active.
-    import mpmath
-
-    with mpmath.workdps(param.dps):
-        nodes = list(_walk(ctx, n, only_full, within, predicate, node_cap))
-    return iter(nodes)
+        return nodes
+    # the predicate sees the nodes under the working precision too
+    return iter(_run(param, lambda: list(nodes)))
 
 
-def _walk(ctx, n, only_full, within, predicate, node_cap):
-    lo = within.left if within is not None else None
-    hi = within.right if within is not None else None
-    kids, ts = _state_table(ctx, n)
-    visited = 0
-    # stack entries: (word, left, orbit state, beta**-level); children
-    # pushed in reverse digit order so the smallest digit pops first
-    # (lex order)
-    stack = [((), ctx.zero, 0, ctx.one)]
+def _block_nodes(blocks, predicate) -> Iterator[CylinderNode]:
+    for b in blocks:
+        for node in map(CylinderNode, map(tuple, b.words.tolist()),
+                        b.lefts.tolist(), b.image_lengths.tolist(),
+                        b.lengths.tolist()):
+            if predicate is None or predicate(node):
+                yield node
+
+
+def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per entry, the least k in [lo, hi) with pred(k) true, else hi, for
+    a pred that is monotone (false, then true) in k; by bisection.  A
+    settled entry has mid == hi, which either branch keeps."""
+    while (lo < hi).any():
+        mid = (lo + hi) >> 1
+        p = pred(mid)
+        hi = np.where(p, mid, hi)
+        lo = np.where(p, lo, mid + 1)
+    return hi
+
+
+def _window_digits(ctx, lefts, tops, t_top, child_scale, lo, hi):
+    """(first digit, child count) per node: the digits whose child meets
+    [lo, hi), decided by the walk's own float tests.
+
+    A child k has left = left + k * child_scale and length child_scale,
+    or t_top * child_scale for the top digit; both tests are monotone in
+    k, so the kept digits are one range, found by bisection.
+    """
+    def cleft(k):
+        return lefts + ctx.multiples(k, child_scale)
+
+    zero = np.zeros_like(tops)
+    # the first digit whose left reaches hi, so digits below it pass
+    past = _first_true(lambda k: cleft(k) >= hi, zero, tops + 1)
+    # the first non-top digit whose right end passes lo
+    first = _first_true(lambda k: lo < cleft(k) + child_scale, zero, tops)
+    top_kept = (past > tops) & (lo < cleft(tops) + t_top * child_scale)
+    last = np.where(top_kept, tops, np.minimum(past - 1, tops - 1))
+    return first, np.maximum(last - first + 1, 0)
+
+
+def _walk_blocks(ctx, n, only_full, within, node_cap):
+    """The array walk (see the module docstring): CylinderBlocks of the
+    level-n leaves that pass the filters, in lexicographic order."""
+    tops, nexts, ts = _state_table(ctx, n)
+    top = np.array(tops, dtype=np.int64)
+    nxt = np.array(nexts, dtype=np.intp)
+    t = ctx.array(ts)
+    digit = np.min_scalar_type(max(tops))
+    # sub-blocks of this many nodes have at most BLOCK children
+    split = max(1, BLOCK // (max(tops) + 1))
+    visited = 1
+    # stack entries: (level, beta**-level, words, lefts, orbit states) of
+    # consecutive nodes of one level; sub-blocks are pushed in reverse so
+    # the smallest digits pop first (lex order)
+    stack = [(0, ctx.one, np.zeros((1, n), dtype=digit),
+              ctx.array([ctx.zero]), np.zeros(1, dtype=np.intp))]
     while stack:
-        word, left, j, scale = stack.pop()
-        visited += 1
+        level, scale, words, lefts, states = stack.pop()
+        child_scale = scale / ctx.beta
+        ptop = top[states]
+        if within is None:
+            first = np.zeros_like(ptop)
+            counts = ptop + 1
+        else:
+            first, counts = _window_digits(
+                ctx, lefts, ptop, t[nxt[states]], child_scale, within.left,
+                within.right)
+        total = int(counts.sum())
+        visited += total
         if visited > node_cap:
             raise ResourceLimitError(
                 f"node walk exceeded cap {node_cap:.3g}",
                 module="beta_dynamics")
-        if len(word) == n:
-            if only_full and j:
-                continue
-            t = ts[j]
-            length = t * scale
-            if within is not None and not (left >= lo and left + length <= hi):
-                continue
-            node = CylinderNode(word, left, t, length)
-            if predicate is not None and not predicate(node):
-                continue
-            yield node
+        parent = np.repeat(np.arange(len(states)), counts)
+        ks = np.arange(total) + (first - (np.cumsum(counts) - counts))[parent]
+        states = np.where(ks == ptop[parent], nxt[states][parent], 0)
+        lefts = lefts[parent] + ctx.multiples(ks, child_scale)
+        words = words[parent]
+        words[:, level] = ks
+        level += 1
+        if level < n:
+            for i in reversed(range(0, total, split)):
+                stack.append((level, child_scale, words[i:i + split],
+                              lefts[i:i + split], states[i:i + split]))
             continue
-        child_scale = scale / ctx.beta
-        for k, child, tc in reversed(kids[j]):
-            cleft = left + k * child_scale
-            if within is not None:
-                # prune on overlap; containment is rechecked at the leaves
-                if not (cleft < hi and lo < cleft + tc * child_scale):
-                    continue
-            stack.append((word + (k,), cleft, child, child_scale))
+        full = states == 0
+        lengths = t[states] * child_scale
+        keep = full if only_full else None
+        if within is not None:
+            inside = (lefts >= within.left) & (lefts + lengths <= within.right)
+            keep = inside if keep is None else keep & inside
+        if keep is not None:
+            words, lefts, states, lengths, full = (
+                a[keep] for a in (words, lefts, states, lengths, full))
+        if len(states):
+            yield CylinderBlock(words, lefts, t[states], lengths, full)
 
 
 def cylinder_of_word(beta: BetaLike, word: Word) -> Optional[CylinderNode]:
@@ -374,16 +502,16 @@ def cylinder_of_word(beta: BetaLike, word: Word) -> Optional[CylinderNode]:
     ctx = _Ctx(param)
 
     def walk():
-        kids, ts = _state_table(ctx, len(word))
+        tops, nexts, ts = _state_table(ctx, len(word))
         left, j, scale = ctx.zero, 0, ctx.one
         for k in word:
             if not isinstance(k, int) or k < 0:
                 raise DomainError(f"bad digit {k!r}", module="beta_dynamics")
-            if k >= len(kids[j]):
+            if k > tops[j]:
                 return None
             scale = scale / ctx.beta
             left = left + k * scale
-            j = kids[j][k][1]
+            j = nexts[j] if k == tops[j] else 0
         return CylinderNode(tuple(word), left, ts[j], ts[j] * scale)
 
     return _run(param, walk)
@@ -425,6 +553,23 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
     return sum(c[-live:]), c[-1]
 
 
+def _level_param(beta: BetaLike, n: int) -> BetaParam:
+    param = as_beta_param(beta)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
+    return param
+
+
+def count_words(beta: BetaLike, n: int,
+                node_cap: float = DEFAULT_NODE_CAP) -> tuple:
+    """(admissible, full): count_admissible and count_full from one count,
+    each asserted as those two functions assert it."""
+    param = _level_param(beta, n)
+    admissible, full = _counts(param, n, node_cap)
+    return _check_admissible(param, n, admissible), \
+        _check_full(param, n, full)
+
+
 def count_admissible(beta: BetaLike, n: int,
                      node_cap: float = DEFAULT_NODE_CAP) -> int:
     """Exact number of admissible words of length n.
@@ -434,10 +579,11 @@ def count_admissible(beta: BetaLike, n: int,
     result is asserted against Renyi's sandwich
     beta**n <= count <= beta**(n+1)/(beta-1) before being returned.
     """
-    param = as_beta_param(beta)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
-    count, _ = _counts(param, n, node_cap)
+    param = _level_param(beta, n)
+    return _check_admissible(param, n, _counts(param, n, node_cap)[0])
+
+
+def _check_admissible(param: BetaParam, n: int, count: int) -> int:
     b = float(param.beta)
     logc = math.log(count)
     lo = n * math.log(b)
@@ -486,10 +632,11 @@ def count_full(beta: BetaLike, n: int,
     """Exact number of full words of length n, asserted against the
     applicable lower bound (exact equality beta**n for integer beta).
     Counted and capped like count_admissible."""
-    param = as_beta_param(beta)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
-    _, count = _counts(param, n, node_cap)
+    param = _level_param(beta, n)
+    return _check_full(param, n, _counts(param, n, node_cap)[1])
+
+
+def _check_full(param: BetaParam, n: int, count: int) -> int:
     b = float(param.beta)
     if b.is_integer():
         if count != int(b) ** n:
@@ -625,8 +772,8 @@ def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
             f"count preconditions fail for beta={b}, |I|={I.length:.6g}, "
             f"n={n}, delta={delta} (valid n0 found: {n0_found}, "
             f"n large enough: {n_large_enough})", module="beta_dynamics")
-    count = sum(1 for _ in enumerate_cylinders(param, n, only_full=True,
-                                               within=I, node_cap=node_cap))
+    count = sum(len(b.full) for b in cylinder_blocks(
+        param, n, only_full=True, within=I, node_cap=node_cap))
     if preconds:
         c = full_count_constant(param)
         lower_log = math.log(c) + (1 + delta) * math.log(I.length) \

@@ -19,21 +19,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .beta_dynamics import (
     DEFAULT_NODE_CAP,
     Interval,
-    count_admissible,
-    count_full,
+    count_words,
+    cylinder_blocks,
     digits,
-    enumerate_cylinders,
     transform,
 )
 from .dimension_engine import (
@@ -328,13 +328,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv_head(header: Sequence[str], sha: str) -> str:
+    return f"# config_sha256={sha}\n" + ",".join(header) + "\n"
+
+
 def _write_csv(path: Path, header: Sequence[str], rows,
                sha: str, trailing: Sequence[str] = ()) -> None:
-    lines = [f"# config_sha256={sha}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(_fmt(v) for v in row) for row in rows]
     lines.extend(trailing)
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, _csv_head(header, sha) + "".join(f"{x}\n" for x in lines))
 
 
 def _write_json(path: Path, obj: dict, sha: str) -> None:
@@ -352,6 +354,22 @@ def _write_json(path: Path, obj: dict, sha: str) -> None:
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
+    except OSError as exc:
+        _fail(f"cannot write {str(path)!r}: {exc}")
+
+
+def _stream(path: Path, chunks: Iterable[str]) -> None:
+    """Write the chunks as they come, through a sibling temporary file
+    that replaces path only once every chunk is written: a walk refused
+    midway leaves no truncated artifact."""
+    part = path.with_name(path.name + ".part")
+    try:
+        try:
+            with part.open("w") as fh:
+                fh.writelines(chunks)
+            part.replace(path)
+        finally:
+            part.unlink(missing_ok=True)
     except OSError as exc:
         _fail(f"cannot write {str(path)!r}: {exc}")
 
@@ -381,16 +399,35 @@ def _cmd_cylinders(cfg: RunConfig, out: Path, sha: str) -> int:
     beta = _need(cfg.betas, "betas")[0]
     n = _need(cfg.n, "n")
     within = Interval(*cfg.interval) if cfg.interval is not None else None
-    rows = []
-    for node in enumerate_cylinders(beta, n, only_full=cfg.only_full,
-                                    within=within, node_cap=cfg.node_cap):
-        rows.append(("".join(str(d) for d in node.word), n,
-                     float(node.left), float(node.length),
-                     1 if node.full else 0))
-    _write_csv(out / "cylinders.csv",
-               ("word", "level", "left", "length", "full"), rows, sha)
+    blocks = cylinder_blocks(beta, n, only_full=cfg.only_full, within=within,
+                             node_cap=cfg.node_cap)
+    head = _csv_head(("word", "level", "left", "length", "full"), sha)
+    _stream(out / "cylinders.csv", itertools.chain(
+        [head], (_cylinder_rows(b, n) for b in blocks)))
     print(f"wrote {out / 'cylinders.csv'}")
     return 0
+
+
+def _cylinder_rows(block, n: int) -> str:
+    """A block's rows of cylinders.csv.  Its lengths take one value per
+    orbit state, so each (length, full) row tail is formatted once."""
+    lengths, which = np.unique(block.lengths, return_inverse=True)
+    tails = np.array([[f",{x!r},0\n", f",{x!r},1\n"]
+                      for x in lengths.tolist()], dtype=object)
+    level = f",{n},"
+    return "".join([f"{w}{level}{left!r}{tail}" for w, left, tail in zip(
+        _word_column(block.words), block.lefts.tolist(),
+        tails[which, block.full.view(np.uint8)].tolist())])
+
+
+def _word_column(words: np.ndarray) -> list:
+    """Each row of a digit matrix as its digits written one after another:
+    one string view of the character codes when every digit is one
+    character."""
+    if words.max() <= 9:
+        codes = words.astype(np.uint32) + ord("0")
+        return codes.view(f"<U{words.shape[1]}").ravel().tolist()
+    return ["".join(map(str, w)) for w in words.tolist()]
 
 
 def _unprintable(beta: float, n: int, limit: int) -> ResourceLimitError:
@@ -408,10 +445,9 @@ def _cmd_count(cfg: RunConfig, out: Path, sha: str) -> int:
     # passes the limit is refused before counting
     if limit and n * math.log10(beta) > limit + 1:
         raise _unprintable(beta, n, limit)
-    admissible = count_admissible(beta, n)
+    admissible, full = count_words(beta, n)
     if limit and admissible >= 10 ** limit:
         raise _unprintable(beta, n, limit)
-    full = count_full(beta, n)
     _write_csv(out / "count.csv",
                ("beta", "n", "admissible", "full"),
                [(beta, n, admissible, full)], sha)

@@ -36,7 +36,7 @@ from .beta_dynamics import (
     Interval,
     count_admissible,
     count_full,
-    enumerate_cylinders,
+    cylinder_blocks,
 )
 from .dimension_engine import LevelData, TargetSpec, generate_target, s_n
 from .errors import ConsistencyError, DomainError, ResourceLimitError
@@ -226,12 +226,12 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
             raise ResourceLimitError(
                 f"{counts[0] * counts[1]} copies exceed cap {copy_cap}",
                 module=_MODULE)
-        per_axis = [list(enumerate_cylinders(b, n)) for b in betas]
-        for nodes, want in zip(per_axis, counts):
-            if len(nodes) != want:
+        lefts = tuple(_lefts(b, n) for b in betas)
+        for axis, want in zip(lefts, counts):
+            if len(axis) != want:
                 raise ConsistencyError(
                     "enumerated word count disagrees with the recursion "
-                    f"count ({len(nodes)} vs {want})", module=_MODULE)
+                    f"count ({len(axis)} vs {want})", module=_MODULE)
     else:
         box = _validate_box(D)
         side = box[0].right - box[0].left
@@ -249,24 +249,24 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
             raise DomainError(
                 "full-word mode needs the target inside the unit cube",
                 module=_MODULE)
-        per_axis = []
+        lefts = ()
         for b, I in zip(betas, box):
-            nodes = list(enumerate_cylinders(b, n, only_full=True,
-                                             within=I, node_cap=10 * copy_cap))
-            if not nodes:
+            axis = _lefts(b, n, only_full=True, within=I,
+                          node_cap=10 * copy_cap)
+            if not len(axis):
                 raise DomainError(
                     f"no full words of length {n} inside {I} for base "
                     f"{b:.6g}", module=_MODULE)
-            per_axis.append(nodes)
+            lefts += (axis,)
             if I.left == 0.0 and I.right == 1.0:
                 want = count_full(b, n)
-                if len(nodes) != want:
+                if len(axis) != want:
                     raise ConsistencyError(
                         "full-word count disagrees with the recursion "
-                        f"count ({len(nodes)} vs {want})", module=_MODULE)
-        if len(per_axis[0]) * len(per_axis[1]) > copy_cap:
+                        f"count ({len(axis)} vs {want})", module=_MODULE)
+        if len(lefts[0]) * len(lefts[1]) > copy_cap:
             raise ResourceLimitError(
-                f"{len(per_axis[0]) * len(per_axis[1])} copies exceed cap "
+                f"{len(lefts[0]) * len(lefts[1])} copies exceed cap "
                 f"{copy_cap}", module=_MODULE)
 
     with warnings.catch_warnings():
@@ -288,14 +288,18 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 "contracted target leaks out of its cylinder product",
                 module=_MODULE)
 
-    lefts = tuple(np.array([float(nd.left) for nd in nodes])
-                  for nodes in per_axis)
     # lexicographic digit order is numeric order of the cylinders
     if any(np.any(np.diff(l) < 0.0) for l in lefts):
         raise ConsistencyError("cylinder left ends are not ascending",
                                module=_MODULE)
     return EnSet(spec=spec, n=n, mode=mode, base=base, polygon=poly,
                  lefts=lefts, D=box)
+
+
+def _lefts(beta: float, n: int, **walk) -> np.ndarray:
+    """Left ends of one axis's level-n cylinders, in lexicographic order."""
+    return np.concatenate([np.empty(0)] + [
+        b.lefts for b in cylinder_blocks(beta, n, **walk)])
 
 
 def _grouped_arange(lengths: np.ndarray) -> np.ndarray:

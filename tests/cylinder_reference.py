@@ -9,10 +9,16 @@ being read from the exact orbit of 1.  The stack order and the left
 endpoint arithmetic are those of the library walk, so lefts and words
 compare bit for bit.  Tests use it as the reference for
 ``enumerate_cylinders``.
+
+``orbit_walk`` is the same per-node walk over the orbit of 1, computed
+here in Fraction arithmetic, with the library's ``only_full`` and
+``within`` filters: it must match the array walk bit for bit in words,
+lefts, image lengths and lengths.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from beta_targets.beta_dynamics import FULLNESS_TOL, SPURIOUS_CHILD_TOL
 
@@ -43,4 +49,62 @@ def walk(beta: float, n: int):
         for k, tc in reversed(children(beta, t)):
             stack.append((word + (k,), left + k * child_scale, tc,
                           child_scale))
+    return out
+
+
+def orbit_table(beta: float, n: int):
+    """(tops, nexts, ts) of the orbit of 1 for the float beta, in Fraction
+    arithmetic on its exact value: state j has digits 0..tops[j], its top
+    digit leads to state nexts[j] (0 when the top child is dropped as a
+    ghost or snapped to full) and the others to state 0; ts[j] is t_j
+    rounded once to a double."""
+    b = Fraction(beta)
+    spur, full = Fraction(SPURIOUS_CHILD_TOL), 1 - Fraction(FULLNESS_TOL)
+    t = Fraction(1)
+    tops, nexts, ts = [], [], [1.0]
+    while len(tops) < n:
+        k = math.floor(b * t)
+        frac = b * t - k
+        if frac <= spur:
+            tops.append(k - 1)
+            nexts.append(0)
+            break
+        tops.append(k)
+        if frac >= full:
+            nexts.append(0)
+            break
+        t = frac
+        ts.append(float(t))
+        nexts.append(len(ts) - 1)
+    return tops, nexts, ts
+
+
+def orbit_walk(beta: float, n: int, only_full: bool = False, within=None):
+    """(word, left, image_length, length) of every level-n node, in
+    lexicographic order, one node at a time over orbit_table.  ``within``
+    is a (lo, hi) pair: subtrees whose cylinder misses [lo, hi) are
+    pruned, and leaves must lie inside it."""
+    tops, nexts, ts = orbit_table(beta, n)
+    out = []
+    stack = [((), 0.0, 0, 1.0)]
+    while stack:
+        word, left, j, scale = stack.pop()
+        if len(word) == n:
+            length = ts[j] * scale
+            if only_full and j:
+                continue
+            if within is not None and not (
+                    left >= within[0] and left + length <= within[1]):
+                continue
+            out.append((word, left, ts[j], length))
+            continue
+        child_scale = scale / beta
+        for k in reversed(range(tops[j] + 1)):
+            child = nexts[j] if k == tops[j] else 0
+            cleft = left + k * child_scale
+            if within is not None and not (
+                    cleft < within[1]
+                    and within[0] < cleft + ts[child] * child_scale):
+                continue
+            stack.append((word + (k,), cleft, child, child_scale))
     return out

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,8 @@ from beta_targets.beta_dynamics import (
     count_admissible,
     count_full,
     count_full_in_interval,
+    count_words,
+    cylinder_blocks,
     cylinder_of_word,
     digits,
     enumerate_cylinders,
@@ -215,6 +219,112 @@ class TestReferenceWalk:
                 assert abs(x.image_length - w[2]) <= bound
 
 
+def node_tuples(nodes):
+    return [(x.word, x.left, x.image_length, x.length) for x in nodes]
+
+
+@st.composite
+def walk_cases(draw):
+    """(beta, n, only_full, within) with at most about 4000 leaves."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    beta = draw(st.floats(min_value=1.0, max_value=min(12.0, 4000 ** (1 / n)),
+                          exclude_min=True))
+    within = None
+    if draw(st.booleans()):
+        a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                    max_size=2, unique=True)))
+        within = (a, b)
+    return beta, n, draw(st.booleans()), within
+
+
+class TestArrayWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(walk_cases())
+    def test_matches_per_node_orbit_walk(self, case):
+        beta, n, only_full, within = case
+        # the projected node count of a window is loose near beta = 1
+        got = enumerate_cylinders(
+            beta, n, only_full=only_full,
+            within=Interval(*within) if within else None, node_cap=math.inf)
+        assert node_tuples(got) == cylinder_reference.orbit_walk(
+            beta, n, only_full, within)
+
+    @pytest.mark.parametrize("beta, dps, n, digest", [
+        (1.1, 30, 76,
+         "ec30de1a611369c5a5f548e2d1f0742e30b04db2506670c535090155f5ee4c5f"),
+        (1.15, 40, 52,
+         "b79de8908685ea8c652abe6c9147f3195ee957d1a01f5fb6a411272f1b07a48e"),
+    ])
+    def test_extended_precision_pinned(self, beta, dps, n, digest):
+        # sha256 of the exact mantissas and exponents of every node, as the
+        # per-node stack walk produced them
+        h = hashlib.sha256()
+        for x in enumerate_cylinders(BetaParam(beta, dps=dps), n,
+                                     node_cap=2.0 ** n):
+            h.update(repr((x.word, x.left._mpf_, x.image_length._mpf_,
+                           x.length._mpf_)).encode())
+        assert h.hexdigest() == digest
+
+    def test_blocks_are_the_nodes_as_columns(self):
+        nodes = list(enumerate_cylinders(2.5, 7, within=Interval(0.1, 0.7)))
+        blocks = list(cylinder_blocks(2.5, 7, within=Interval(0.1, 0.7)))
+        assert [tuple(w) for b in blocks for w in b.words.tolist()] == \
+            [x.word for x in nodes]
+        for col, field in (("lefts", "left"), ("image_lengths", "image_length"),
+                           ("lengths", "length"), ("full", "full")):
+            assert [v for b in blocks for v in getattr(b, col).tolist()] == \
+                [getattr(x, field) for x in nodes]
+
+    def test_cap_refuses_a_level_before_allocating_it(self):
+        # the projection ceil(beta)**1 == node_cap passes; the root's 10**6
+        # children would take tens of MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="node walk"):
+                next(cylinder_blocks(1e6, 1, node_cap=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_cap_raises_mid_walk(self, monkeypatch):
+        from beta_targets import beta_dynamics
+        monkeypatch.setattr(beta_dynamics, "_projected_node_count",
+                            lambda beta, n, within: 0)
+        nodes = enumerate_cylinders(2, 24, node_cap=10**5)
+        assert next(nodes).word == (0,) * 24
+        with pytest.raises(ResourceLimitError, match="node walk"):
+            for _ in nodes:
+                pass
+
+    def test_lazy_walk_memory_is_bounded(self):
+        # 2**18 nodes held at once would take well over 50 MiB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_cylinders(2, 18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2**18
+        assert peak < 16 * 2**20
+
+    def test_wide_alphabet_window_visits_its_digits_only(self):
+        I = Interval(0.5, 0.50001)
+        tracemalloc.start()
+        try:
+            got = node_tuples(enumerate_cylinders(1e5, 1, within=I))
+            node = cylinder_of_word(1e5, (3,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == cylinder_reference.orbit_walk(1e5, 1,
+                                                    within=(0.5, 0.50001))
+        assert [w for w, *_ in got] == [(50000,)]
+        assert (node.left, node.length) == (3 * 1e-05, 1e-05)
+        # a table of every digit of every state took 10 MiB here
+        assert peak < 2**20
+
+
 class TestCylinderOfWord:
     def test_roundtrip(self):
         for node in enumerate_cylinders(PHI, 5):
@@ -304,6 +414,23 @@ class TestCounts:
         nodes = list(enumerate_cylinders(beta, 40, node_cap=2.0**40))
         assert count_admissible(beta, 40) == len(nodes)
         assert count_full(beta, 40) == sum(1 for x in nodes if x.full)
+
+    @pytest.mark.parametrize("beta, n", [(PHI, 30), (2.5, 40), (1.3, 200),
+                                         (3.0, 12)])
+    def test_count_words_is_both_counts(self, beta, n):
+        assert count_words(beta, n) == (count_admissible(beta, n),
+                                        count_full(beta, n))
+
+    def test_count_words_keeps_both_checks(self, monkeypatch):
+        from beta_targets import beta_dynamics
+        monkeypatch.setattr(beta_dynamics, "_counts",
+                            lambda param, n, node_cap: (1, 1))
+        with pytest.raises(ConsistencyError, match="Renyi sandwich"):
+            count_words(2.5, 20)
+        monkeypatch.setattr(beta_dynamics, "_counts",
+                            lambda param, n, node_cap: (10**8, 1))
+        with pytest.raises(ConsistencyError, match="full count 1 below"):
+            count_words(2.5, 20)
 
     def test_full_count_failure_message_at_depth(self, monkeypatch):
         # beta**2000 overflows a float; the failed bound must still be

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -215,6 +216,20 @@ class TestCount:
             assert f"more than {limit} decimal digits" in \
                 err["error"]["message"]
 
+    def test_counts_once(self, tmp_path, capsys, monkeypatch):
+        from beta_targets import beta_dynamics
+        calls = []
+        counts = beta_dynamics._counts
+        monkeypatch.setattr(beta_dynamics, "_counts",
+                            lambda *args: calls.append(args) or counts(*args))
+        rc = main(["count", "--beta", "2.5", "--n", "40",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(calls) == 1
+        _, rows, _, _ = read_csv(tmp_path / "count.csv")
+        assert rows == [["2.5", "40", str(beta_dynamics.count_admissible(
+            2.5, 40)), str(beta_dynamics.count_full(2.5, 40))]]
+
     def test_config_file_route(self, tmp_path, capsys):
         path = write_config(tmp_path, {"betas": [1.8], "n": 4})
         rc = main(["count", "--config", path, "--out", str(tmp_path)])
@@ -256,6 +271,81 @@ class TestCylinders:
         _, rows, _, _ = read_csv(tmp_path / "cylinders.csv")
         assert len(rows) == count_full(1.8, 3)
         assert all(r[4] == "1" for r in rows)
+
+
+    # sha256 of the whole file for a config with no "out" key, run from
+    # the output directory; pinned from the per-node stack walk
+    @pytest.mark.parametrize("config, digest", [
+        ({"betas": [(1 + math.sqrt(5)) / 2], "n": 20},
+         "8927fba461fe82ba9d9327ee6689285eadcacd85c9e29c68669521a49d891c19"),
+        ({"betas": [2.0], "n": 14},
+         "5a25057b387deae16b6d4e4ed2eb5b3c755cd028663597a3dbe371e53d5b9a15"),
+        ({"betas": [2.5], "n": 10},
+         "ad229297c72004798f7099b8d71a6306ca93763bfa0c41f3d15f13e0e0d24d95"),
+        ({"betas": [3.0], "n": 9},
+         "f1a6cff1e3f874ffee0bca40eedd8d064434bfbcef427c9b858d9da82af33813"),
+        # digits 10..12 are written with two characters
+        ({"betas": [12.5], "n": 3},
+         "726554bc364f180032bd6094922c081c7b242031e6b3adc609a3b4922751a7be"),
+        # digits past 255
+        ({"betas": [300.0], "n": 2},
+         "190f04fa804999b73de6b6a9d0f9f8932cbfcfd541bff7b0fc70a6f8ec7c7934"),
+        ({"betas": [(1 + math.sqrt(5)) / 2], "n": 16,
+          "interval": [0.3, 0.55], "only_full": True},
+         "1048bbe4290d933f04b6a81bd104a7df21d073ba740882483561cae7d6eba560"),
+        ({"betas": [math.e], "n": 9, "interval": [0.123, 0.6]},
+         "bf788d0465ee90d1ea42625a0f1db1d2c27928c7e809699b4b9dee0bb2d4d5a3"),
+    ], ids=["phi-20", "2-14", "2.5-10", "3-9", "12.5-3", "300-2",
+            "phi-16-interval-full", "e-9-interval"])
+    def test_csv_bytes_pinned(self, tmp_path, monkeypatch, capsys, config,
+                              digest):
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, config)
+        assert main(["cylinders", "--config", path]) == 0
+        data = (tmp_path / "cylinders.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_csv_is_streamed(self, tmp_path, capsys):
+        # 2**18 rows: the whole file as one string would take 12 MiB, and
+        # the rows as tuples far more
+        path = write_config(tmp_path, {"betas": [2], "n": 18})
+        tracemalloc.start()
+        try:
+            rc = main(["cylinders", "--config", path,
+                       "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert (tmp_path / "cylinders.csv").stat().st_size > 12 * 2**20
+        assert peak < 8 * 2**20
+
+    def test_write_error_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "cylinders.csv").mkdir()
+        path = write_config(tmp_path, {"betas": [2], "n": 3})
+        assert main(["cylinders", "--config", path,
+                     "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "cli_io.config"
+        assert "cannot write" in err["message"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["config.json", "cylinders.csv"]
+
+    def test_mid_walk_refusal_leaves_old_artifact(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from beta_targets import beta_dynamics
+        (tmp_path / "cylinders.csv").write_text("old\n")
+        monkeypatch.setattr(beta_dynamics, "_projected_node_count",
+                            lambda beta, n, within: 0)
+        path = write_config(tmp_path, {"betas": [2], "n": 20,
+                                       "node_cap": 10**5})
+        assert main(["cylinders", "--config", path,
+                     "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "beta_dynamics.resource_limit"
+        assert (tmp_path / "cylinders.csv").read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["config.json", "cylinders.csv"]
 
 
 class TestOrtho:
