@@ -27,7 +27,9 @@ reverse, so the leaves come out in lexicographic order and the memory
 stays bounded; node_cap is checked against the summed child counts
 before each expansion is allocated.  Under mpmath the same code runs on
 object arrays of mpf.  CylinderNode is built only by enumerate_cylinders;
-cylinder_blocks hands out the leaf arrays themselves.
+cylinder_blocks hands out the leaf arrays themselves.  Both are lazy for
+either precision: the arguments are checked at the call, and the walk
+runs as its output is consumed.
 
 Tolerances: a top child whose length lands within FULLNESS_TOL of 1 is
 snapped to 1, and a digit k with beta*t - k at most SPURIOUS_CHILD_TOL is
@@ -37,16 +39,21 @@ orbit.  They keep the float golden mean counting Fibonacci, although its
 exact binary value has beta*T(1) = 1 + 1e-16.  For beta near 1 or deep
 levels, construct BetaParam with dps set; the orbit then uses beta rounded
 to that many digits, tolerance 10**(5 - dps), and t_j and the walk run
-under mpmath.
+under mpmath.  That precision lives in a private mpmath context, one per
+dps, never in the global mpmath.mp: every mpf the module returns belongs
+to it, so it prints and computes at its own dps wherever it goes next,
+and the caller's mpmath settings neither affect the walk nor are touched
+by it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -68,20 +75,25 @@ Word = tuple  # digit tuples; level == len(word)
 class BetaParam:
     """Transformation parameter.
 
-    ``beta`` may be a float or an mpmath number; it must exceed 1.  Setting
-    ``dps`` routes every operation through mpmath at that many decimal
-    digits and shrinks the snap tolerances to 10**(5 - dps), which is the
-    escape hatch for beta near 1 or deep levels, where the double
-    tolerances and cylinder endpoints are too coarse.
+    ``beta`` may be a float or an mpmath number; it must be finite and
+    exceed 1.  Setting ``dps`` routes every operation through a private
+    mpmath context at that many decimal digits and shrinks the snap
+    tolerances to 10**(5 - dps), which is the escape hatch for beta near
+    1 or deep levels, where the double tolerances and cylinder endpoints
+    are too coarse.  The mpf values handed back carry that context, so
+    they print and compute at dps digits whatever the global mpmath
+    precision is.
     """
 
     beta: object
     dps: Optional[int] = None
 
     def __post_init__(self):
-        if not float(self.beta) > 1:
-            raise DomainError(f"beta must exceed 1, got {self.beta!r}",
-                              module="beta_dynamics")
+        b = float(self.beta)
+        if not (b > 1 and math.isfinite(b)):
+            raise DomainError(
+                f"beta must be finite and exceed 1, got {self.beta!r}",
+                module="beta_dynamics")
 
     @property
     def max_digit(self) -> int:
@@ -149,30 +161,38 @@ class CylinderNode:
         return Interval(self.left, self.right)
 
 
+@functools.lru_cache(maxsize=16)
+def _mp_context(dps: int):
+    """The private mpmath context at dps digits.  An mpf computes at the
+    precision of its own context, so the numbers made here need no global
+    precision switch.  A context takes about a millisecond to build, so
+    the last few are cached; an evicted one lives on in its mpf values."""
+    from mpmath.ctx_mp import MPContext
+
+    mp = MPContext()
+    mp.dps = dps
+    return mp
+
+
 class _Ctx:
-    """Arithmetic context: plain doubles, or mpmath at a fixed dps."""
+    """Arithmetic context: plain doubles, or the private mpmath context
+    of param.dps (``mp`` is that context, or None for doubles)."""
 
     def __init__(self, param: BetaParam):
-        self.dps = param.dps
-        if self.dps is None:
+        if param.dps is None:
             self.mp = None
             self.dtype = np.float64
             self.beta = float(param.beta)
-            self.one = 1.0
-            self.zero = 0.0
-            self.full_tol = FULLNESS_TOL
-            self.spur_tol = SPURIOUS_CHILD_TOL
+            self.one, self.zero = 1.0, 0.0
+            self.full_tol, self.spur_tol = FULLNESS_TOL, SPURIOUS_CHILD_TOL
+            self.floor = math.floor
         else:
-            import mpmath
-
-            self.mp = mpmath
+            self.mp = mp = _mp_context(param.dps)
             self.dtype = object
-            with mpmath.workdps(self.dps):
-                self.beta = mpmath.mpf(param.beta)
-                self.one = mpmath.mpf(1)
-                self.zero = mpmath.mpf(0)
-                self.full_tol = mpmath.mpf(10) ** (5 - self.dps)
-                self.spur_tol = self.full_tol
+            self.beta = mp.mpf(param.beta)
+            self.one, self.zero = mp.one, mp.zero
+            self.full_tol = self.spur_tol = mp.mpf(10) ** (5 - param.dps)
+            self.floor = lambda x: int(mp.floor(x))
 
     def length(self, num: int, shift: int):
         """num / 2**shift rounded once to the working precision."""
@@ -195,13 +215,10 @@ class _Ctx:
         used, which = np.unique(ks, return_inverse=True)
         return self.array([k * scale for k in used.tolist()])[which]
 
-    def _floor(self, x) -> int:
-        return math.floor(x) if self.mp is None else int(self.mp.floor(x))
-
     def step(self, x):
         """One application of the map: x -> (digit, beta*x mod 1)."""
         y = self.beta * x
-        k = self._floor(y)
+        k = self.floor(y)
         return k, y - k
 
 
@@ -261,14 +278,10 @@ def _state_table(ctx: _Ctx, n: int):
     return tops, nexts, ts
 
 
-def _run(param: BetaParam, fn: Callable):
-    """Run fn() under the param's precision regime."""
-    if param.dps is None:
-        return fn()
-    import mpmath
-
-    with mpmath.workdps(param.dps):
-        return fn()
+def _check_level(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise DomainError(f"level must be a positive integer, got {n!r}",
+                          module="beta_dynamics")
 
 
 def _check_unit_point(x, module="beta_dynamics"):
@@ -280,43 +293,43 @@ def transform(beta: BetaLike, x):
     """One step of the map x -> beta*x mod 1 on [0, 1)."""
     param = as_beta_param(beta)
     _check_unit_point(x)
-    ctx = _Ctx(param)
-    return _run(param, lambda: ctx.step(x)[1])
+    return _Ctx(param).step(x)[1]
 
 
 def digits(beta: BetaLike, x, n: int) -> Word:
     """First n digits of the expansion of x in base beta."""
     param = as_beta_param(beta)
     _check_unit_point(x)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
-    ctx = _Ctx(param)
+    _check_level(n)
+    step = _Ctx(param).step
+    out = []
+    for _ in range(n):
+        k, x = step(x)
+        out.append(k)
+    return tuple(out)
 
-    def walk():
-        out = []
-        y = x
-        for _ in range(n):
-            k, y = ctx.step(y)
-            out.append(k)
-        return tuple(out)
 
-    return _run(param, walk)
+def _power(base: float, exp: int) -> float:
+    try:
+        return float(base) ** exp
+    except OverflowError:
+        return math.inf
 
 
 def _projected_node_count(beta: float, n: int, within: Optional[Interval]):
     """Worst-case node count of a level-n walk, before doing it.
 
-    Unfiltered: the loose alphabet bound ceil(beta)**n.  With an interval
-    filter the walk only visits nodes meeting the interval, roughly
-    |I| * beta**(k+1) / (beta - 1) + 2 of them at level k.
+    The loose alphabet bound ceil(beta)**n, or with an interval filter the
+    smaller of it and |I| * beta**(n+1) / (beta - 1) + 2(n + 1): the walk
+    only visits nodes meeting the interval, roughly
+    |I| * beta**(k+1) / (beta - 1) + 2 of them at level k.  The window
+    bound alone blows up as beta nears 1, where the alphabet bound holds.
     """
-    if within is None:
-        return math.ceil(beta) ** n
-    length = min(within.length, 1.0)
-    try:
-        return length * beta ** (n + 1) / (beta - 1) + 2.0 * (n + 1)
-    except OverflowError:
-        return math.inf
+    bound = _power(math.ceil(beta), n)
+    if within is not None:
+        bound = min(bound, min(within.length, 1.0) * _power(beta, n + 1)
+                    / (beta - 1) + 2.0 * (n + 1))
+    return bound
 
 
 class CylinderBlock(NamedTuple):
@@ -344,27 +357,21 @@ def cylinder_blocks(
 ) -> Iterator[CylinderBlock]:
     """The cylinders of enumerate_cylinders, in blocks of arrays.
 
-    Same order, filters and caps as enumerate_cylinders (less the
-    predicate); the checks that need no walk raise at the call.
+    Same order, filters and caps as enumerate_cylinders; the checks that
+    need no walk raise at the call.
     """
     param = as_beta_param(beta)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
+    _check_level(n)
     if within is not None and not (0 <= within.left and within.right <= 1):
         raise DomainError(f"search interval {within} not inside [0, 1]",
                           module="beta_dynamics")
     projected = _projected_node_count(float(param.beta), n, within)
     if projected > node_cap:
         raise ResourceLimitError(
-            f"projected node count {float(projected):.3g} exceeds cap "
+            f"projected node count {projected:.3g} exceeds cap "
             f"{node_cap:.3g}; lower n, restrict the interval, or raise node_cap",
             module="beta_dynamics")
-    blocks = _walk_blocks(_Ctx(param), n, only_full, within, node_cap)
-    if param.dps is None:
-        return blocks
-    # mpmath precision is process-global state, so walk eagerly while our
-    # working precision is active
-    return iter(_run(param, lambda: list(blocks)))
+    return _walk_blocks(_Ctx(param), n, only_full, within, node_cap)
 
 
 def enumerate_cylinders(
@@ -373,34 +380,25 @@ def enumerate_cylinders(
     *,
     only_full: bool = False,
     within: Optional[Interval] = None,
-    predicate: Optional[Callable[[CylinderNode], bool]] = None,
     node_cap: float = DEFAULT_NODE_CAP,
 ) -> Iterator[CylinderNode]:
     """Every admissible word of length n, in lexicographic digit order.
 
     ``within`` restricts the output to nodes whose interval is contained in
     it (the walk also prunes subtrees that miss it, so narrow intervals are
-    cheap).  ``only_full`` keeps full nodes only; ``predicate`` is a final
-    per-node filter.  Refuses upfront when the projected node count exceeds
-    node_cap, and again mid-walk should the projection prove optimistic.
+    cheap).  ``only_full`` keeps full nodes only.  Refuses upfront when the
+    projected node count exceeds node_cap, and again mid-walk should the
+    projection prove optimistic.
     """
-    param = as_beta_param(beta)
-    blocks = cylinder_blocks(param, n, only_full=only_full, within=within,
-                             node_cap=node_cap)
-    nodes = _block_nodes(blocks, predicate)
-    if param.dps is None:
-        return nodes
-    # the predicate sees the nodes under the working precision too
-    return iter(_run(param, lambda: list(nodes)))
+    return _block_nodes(cylinder_blocks(beta, n, only_full=only_full,
+                                        within=within, node_cap=node_cap))
 
 
-def _block_nodes(blocks, predicate) -> Iterator[CylinderNode]:
+def _block_nodes(blocks) -> Iterator[CylinderNode]:
     for b in blocks:
-        for node in map(CylinderNode, map(tuple, b.words.tolist()),
-                        b.lefts.tolist(), b.image_lengths.tolist(),
-                        b.lengths.tolist()):
-            if predicate is None or predicate(node):
-                yield node
+        yield from map(CylinderNode, map(tuple, b.words.tolist()),
+                       b.lefts.tolist(), b.image_lengths.tolist(),
+                       b.lengths.tolist())
 
 
 def _first_true(pred, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -440,6 +438,10 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
     """The array walk (see the module docstring): CylinderBlocks of the
     level-n leaves that pass the filters, in lexicographic order."""
     tops, nexts, ts = _state_table(ctx, n)
+    if max(tops) >= np.iinfo(np.int64).max:
+        raise ResourceLimitError(
+            f"digit {max(tops)} of beta={ctx.beta} does not fit the walk's "
+            "64-bit digit arrays", module="beta_dynamics")
     top = np.array(tops, dtype=np.int64)
     nxt = np.array(nexts, dtype=np.intp)
     t = ctx.array(ts)
@@ -482,7 +484,7 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
                               lefts[i:i + split], states[i:i + split]))
             continue
         full = states == 0
-        lengths = t[states] * child_scale
+        lengths = (t * child_scale)[states]
         keep = full if only_full else None
         if within is not None:
             inside = (lefts >= within.left) & (lefts + lengths <= within.right)
@@ -499,22 +501,19 @@ def cylinder_of_word(beta: BetaLike, word: Word) -> Optional[CylinderNode]:
     param = as_beta_param(beta)
     if len(word) == 0:
         raise DomainError("empty word has no cylinder", module="beta_dynamics")
+    for k in word:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+            raise DomainError(f"bad digit {k!r}", module="beta_dynamics")
     ctx = _Ctx(param)
-
-    def walk():
-        tops, nexts, ts = _state_table(ctx, len(word))
-        left, j, scale = ctx.zero, 0, ctx.one
-        for k in word:
-            if not isinstance(k, int) or k < 0:
-                raise DomainError(f"bad digit {k!r}", module="beta_dynamics")
-            if k > tops[j]:
-                return None
-            scale = scale / ctx.beta
-            left = left + k * scale
-            j = nexts[j] if k == tops[j] else 0
-        return CylinderNode(tuple(word), left, ts[j], ts[j] * scale)
-
-    return _run(param, walk)
+    tops, nexts, ts = _state_table(ctx, len(word))
+    left, j, scale = ctx.zero, 0, ctx.one
+    for k in word:
+        if k > tops[j]:
+            return None
+        scale = scale / ctx.beta
+        left = left + k * scale
+        j = nexts[j] if k == tops[j] else 0
+    return CylinderNode(tuple(word), left, ts[j], ts[j] * scale)
 
 
 def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
@@ -553,18 +552,12 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
     return sum(c[-live:]), c[-1]
 
 
-def _level_param(beta: BetaLike, n: int) -> BetaParam:
-    param = as_beta_param(beta)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
-    return param
-
-
 def count_words(beta: BetaLike, n: int,
                 node_cap: float = DEFAULT_NODE_CAP) -> tuple:
     """(admissible, full): count_admissible and count_full from one count,
     each asserted as those two functions assert it."""
-    param = _level_param(beta, n)
+    param = as_beta_param(beta)
+    _check_level(n)
     admissible, full = _counts(param, n, node_cap)
     return _check_admissible(param, n, admissible), \
         _check_full(param, n, full)
@@ -579,7 +572,8 @@ def count_admissible(beta: BetaLike, n: int,
     result is asserted against Renyi's sandwich
     beta**n <= count <= beta**(n+1)/(beta-1) before being returned.
     """
-    param = _level_param(beta, n)
+    param = as_beta_param(beta)
+    _check_level(n)
     return _check_admissible(param, n, _counts(param, n, node_cap)[0])
 
 
@@ -632,7 +626,8 @@ def count_full(beta: BetaLike, n: int,
     """Exact number of full words of length n, asserted against the
     applicable lower bound (exact equality beta**n for integer beta).
     Counted and capped like count_admissible."""
-    param = _level_param(beta, n)
+    param = as_beta_param(beta)
+    _check_level(n)
     return _check_full(param, n, _counts(param, n, node_cap)[1])
 
 
@@ -753,8 +748,7 @@ def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
     """
     param = as_beta_param(beta)
     _check_unit_interval(I)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}", module="beta_dynamics")
+    _check_level(n)
     if not delta > 0:
         raise DomainError(f"delta must be positive, got {delta}",
                           module="beta_dynamics")

@@ -232,6 +232,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 raise ConsistencyError(
                     "enumerated word count disagrees with the recursion "
                     f"count ({len(axis)} vs {want})", module=_MODULE)
+        target = _quiet_target(spec, n)
     else:
         box = _validate_box(D)
         side = box[0].right - box[0].left
@@ -241,10 +242,8 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 raise DomainError(
                     f"level {n} too small for |D|={side:.3g} under "
                     f"base {b:.6g}: need n >= {need:.3f}", module=_MODULE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            p = generate_target(spec, n)
-        v = p.vertices()
+        target = _quiet_target(spec, n)
+        v = target.vertices()
         if np.any(v < 0.0) or np.any(v >= 1.0):
             raise DomainError(
                 "full-word mode needs the target inside the unit cube",
@@ -269,9 +268,6 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 f"{len(lefts[0]) * len(lefts[1])} copies exceed cap "
                 f"{copy_cap}", module=_MODULE)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        target = generate_target(spec, n)
     base = scale_by_f(target, spec.system, n)
     poly = ensure_ccw(parallelogram_polygon(
         base.origin, base.columns[:, 0], base.columns[:, 1]))
@@ -294,6 +290,14 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                                module=_MODULE)
     return EnSet(spec=spec, n=n, mode=mode, base=base, polygon=poly,
                  lefts=lefts, D=box)
+
+
+def _quiet_target(spec: TargetSpec, n: int):
+    """P_n without the warning for a target outside the unit cube, which
+    mode "all" accepts and mode "full_in_D" refuses with its own error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return generate_target(spec, n)
 
 
 def _lefts(beta: float, n: int, **walk) -> np.ndarray:
@@ -629,8 +633,6 @@ def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
                + uv[:, 1:] * cols[:, 1])
     masses = _ball_masses(M, centers, radii)
 
-    best = -math.inf
-    worst = ((math.nan, math.nan), math.nan, "", math.nan)
     regime_max: Dict[str, float] = {}
     regime_witness: Dict[str, Tuple[Tuple[float, float], float, float]] = {}
     start = 0
@@ -644,17 +646,19 @@ def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
             if ratio > peak:
                 peak = ratio
                 regime_witness[name] = ((float(c[0]), float(c[1])), r, mass)
-            if ratio > best:
-                best = ratio
-                worst = ((float(c[0]), float(c[1])), r, name, mass)
         regime_max[name] = peak
         start += size
+    # the first ball to reach the maximum is the witness of the first
+    # regime, in draw order, whose peak is the maximum
+    best = max(regime_max.values())
+    worst = next(name for name, peak in regime_max.items() if peak == best)
+    center, radius, mass = regime_witness[worst]
     return MeasureBoundReport(
         max_ratio=best,
-        worst_center=worst[0],
-        worst_radius=worst[1],
-        worst_regime=worst[2],
-        worst_mass=worst[3],
+        worst_center=center,
+        worst_radius=radius,
+        worst_regime=worst,
+        worst_mass=mass,
         regime_max=regime_max,
         regime_witness=regime_witness,
         samples=samples,

@@ -242,10 +242,9 @@ class TestArrayWalk:
     @given(walk_cases())
     def test_matches_per_node_orbit_walk(self, case):
         beta, n, only_full, within = case
-        # the projected node count of a window is loose near beta = 1
         got = enumerate_cylinders(
             beta, n, only_full=only_full,
-            within=Interval(*within) if within else None, node_cap=math.inf)
+            within=Interval(*within) if within else None)
         assert node_tuples(got) == cylinder_reference.orbit_walk(
             beta, n, only_full, within)
 
@@ -264,6 +263,43 @@ class TestArrayWalk:
             h.update(repr((x.word, x.left._mpf_, x.image_length._mpf_,
                            x.length._mpf_)).encode())
         assert h.hexdigest() == digest
+
+    def test_window_projection_near_one(self):
+        # the window bound |I| beta**(n+1) / (beta - 1) alone is 4.5e15
+        # here; the alphabet bound ceil(beta)**n is 2
+        got = list(enumerate_cylinders(1.0000000000000002, 1,
+                                       within=Interval(0, 1)))
+        assert [x.word for x in got] == [(0,)]
+
+    def test_digits_past_int64_are_refused(self):
+        # the cap admits the 10**19 children of the root, but the walk
+        # holds digits as 64-bit integers
+        blocks = cylinder_blocks(1e19, 1, node_cap=1e20)
+        with pytest.raises(ResourceLimitError, match="64-bit"):
+            next(blocks)
+
+    def test_dps_values_keep_their_precision(self):
+        nodes = list(enumerate_cylinders(BetaParam(1.1, dps=30), 76,
+                                         node_cap=2.0 ** 76))
+        # mantissa bit counts: a right end of at most 53 bits has been
+        # rounded to double precision
+        assert max(x.right._mpf_[3] for x in nodes) > 53
+        # arithmetic on the returned values stays at 30 digits too
+        x = nodes[len(nodes) // 2]
+        assert abs((x.right - x.left) / x.length - 1) < 1e-25
+
+    def test_lazy_dps_walk_memory_is_bounded(self):
+        # building all 58750 nodes before yielding the first would take
+        # over 50 MiB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_cylinders(
+                BetaParam(1.5, dps=20), 26))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == count_admissible(1.5, 26)
+        assert peak < 24 * 2**20
 
     def test_blocks_are_the_nodes_as_columns(self):
         nodes = list(enumerate_cylinders(2.5, 7, within=Interval(0.1, 0.7)))
@@ -323,6 +359,34 @@ class TestArrayWalk:
         assert (node.left, node.length) == (3 * 1e-05, 1e-05)
         # a table of every digit of every state took 10 MiB here
         assert peak < 2**20
+
+
+REFUSALS = {
+    "digits-level-float": (lambda: digits(2, 0.3, 2.5), DomainError),
+    "digits-level-bool": (lambda: digits(2, 0.3, True), DomainError),
+    "admissible-level-float": (lambda: count_admissible(2, 2.5), DomainError),
+    "admissible-level-bool": (lambda: count_admissible(2, True), DomainError),
+    "full-level-zero": (lambda: count_full(2, 0), DomainError),
+    "count-words-level-bool": (lambda: count_words(2, True), DomainError),
+    "blocks-level-float": (lambda: cylinder_blocks(2, 2.5), DomainError),
+    "enumerate-level-bool": (lambda: enumerate_cylinders(2, True),
+                             DomainError),
+    "in-interval-level-float": (lambda: count_full_in_interval(
+        2, Interval(0, 1), 2.5, 0.5), DomainError),
+    "word-bool-digit": (lambda: cylinder_of_word(2, (True,)), DomainError),
+    "beta-infinite": (lambda: count_admissible(math.inf, 2), DomainError),
+    "beta-param-infinite": (lambda: BetaParam(math.inf, dps=20), DomainError),
+    # ceil(beta)**n is past the float range: refused, not an OverflowError
+    "projection-past-float-range": (lambda: enumerate_cylinders(2, 1100),
+                                    ResourceLimitError),
+}
+
+
+@pytest.mark.parametrize("call, error", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_typed_refusal_at_the_call(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestCylinderOfWord:

@@ -643,6 +643,8 @@ INPUT_HOLES = {
     "verify-cover-tiny-tau": _with_config(
         "verify-cover", dict(_rotated(theta_value=0.3), n_min=2, n_max=2,
                              taus=[1e-300])),
+    "cylinders-digits-past-int64": _with_config(
+        "cylinders", {"betas": [1e19], "n": 1, "node_cap": 10**20}),
 }
 
 
@@ -687,6 +689,7 @@ class TestErrorReporting:
          "parallelepiped_geometry.degenerate_input"),
         ("ortho-near-float-max", "cli_io.scale_range"),
         ("verify-cover-tiny-tau", "numerical_lab.domain"),
+        ("cylinders-digits-past-int64", "beta_dynamics.resource_limit"),
     ])
     def test_library_refusal_code(self, tmp_path, capsys, hole, code):
         assert main(INPUT_HOLES[hole](tmp_path)) == 2
