@@ -59,6 +59,28 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 
+__all__ = [
+    "FULLNESS_TOL",
+    "SPURIOUS_CHILD_TOL",
+    "DEFAULT_NODE_CAP",
+    "BetaParam",
+    "Interval",
+    "CylinderNode",
+    "CylinderBlock",
+    "FullSearchParams",
+    "transform",
+    "digits",
+    "cylinder_blocks",
+    "enumerate_cylinders",
+    "cylinder_of_word",
+    "count_words",
+    "count_admissible",
+    "count_full",
+    "full_count_constant",
+    "find_full_in_interval",
+    "count_full_in_interval",
+]
+
 log = logging.getLogger(__name__)
 
 FULLNESS_TOL = 1e-9
@@ -76,13 +98,13 @@ class BetaParam:
     """Transformation parameter.
 
     ``beta`` may be a float or an mpmath number; it must be finite and
-    exceed 1.  Setting ``dps`` routes every operation through a private
-    mpmath context at that many decimal digits and shrinks the snap
-    tolerances to 10**(5 - dps), which is the escape hatch for beta near
-    1 or deep levels, where the double tolerances and cylinder endpoints
-    are too coarse.  The mpf values handed back carry that context, so
-    they print and compute at dps digits whatever the global mpmath
-    precision is.
+    exceed 1.  Setting ``dps``, an integer of at least 6, routes every
+    operation through a private mpmath context at that many decimal
+    digits and shrinks the snap tolerances to 10**(5 - dps), which is the
+    escape hatch for beta near 1 or deep levels, where the double
+    tolerances and cylinder endpoints are too coarse.  The mpf values
+    handed back carry that context, so they print and compute at dps
+    digits whatever the global mpmath precision is.
     """
 
     beta: object
@@ -94,10 +116,13 @@ class BetaParam:
             raise DomainError(
                 f"beta must be finite and exceed 1, got {self.beta!r}",
                 module="beta_dynamics")
-
-    @property
-    def max_digit(self) -> int:
-        return math.ceil(float(self.beta) - 1)
+        # below 6 digits the snap tolerance 10**(5 - dps) reaches 1
+        if self.dps is not None and (
+                not isinstance(self.dps, int) or isinstance(self.dps, bool)
+                or self.dps < 6):
+            raise DomainError(
+                f"dps must be an integer >= 6, got {self.dps!r}",
+                module="beta_dynamics")
 
 
 BetaLike = Union[float, int, BetaParam]
@@ -122,12 +147,6 @@ class Interval:
     @property
     def length(self) -> float:
         return self.right - self.left
-
-    def contains_point(self, x) -> bool:
-        return self.left <= x < self.right
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.left <= other.left and other.right <= self.right
 
 
 @dataclass(frozen=True)
@@ -155,10 +174,6 @@ class CylinderNode:
     @property
     def full(self) -> bool:
         return self.image_length == 1
-
-    @property
-    def interval(self) -> Interval:
-        return Interval(self.left, self.right)
 
 
 @functools.lru_cache(maxsize=16)
@@ -278,10 +293,10 @@ def _state_table(ctx: _Ctx, n: int):
     return tops, nexts, ts
 
 
-def _check_level(n) -> None:
+def _check_level(n, module="beta_dynamics") -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"level must be a positive integer, got {n!r}",
-                          module="beta_dynamics")
+                          module=module)
 
 
 def _check_unit_point(x, module="beta_dynamics"):
@@ -446,6 +461,9 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
     nxt = np.array(nexts, dtype=np.intp)
     t = ctx.array(ts)
     digit = np.min_scalar_type(max(tops))
+    # bytes per child in the widest child array: its word row, or its
+    # 8-byte left, state or digit; numpy addresses at most intp max bytes
+    row_bytes = max(8, n * digit.itemsize)
     # sub-blocks of this many nodes have at most BLOCK children
     split = max(1, BLOCK // (max(tops) + 1))
     visited = 1
@@ -471,6 +489,10 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
             raise ResourceLimitError(
                 f"node walk exceeded cap {node_cap:.3g}",
                 module="beta_dynamics")
+        if total * row_bytes > np.iinfo(np.intp).max:
+            raise ResourceLimitError(
+                f"{total} children of one expansion exceed the arrays "
+                "numpy can address", module="beta_dynamics")
         parent = np.repeat(np.arange(len(states)), counts)
         ks = np.arange(total) + (first - (np.cumsum(counts) - counts))[parent]
         states = np.where(ks == ptop[parent], nxt[states][parent], 0)
@@ -589,15 +611,6 @@ def _check_admissible(param: BetaParam, n: int, count: int) -> int:
     log.debug("count_admissible(beta=%s, n=%d): log count %.6g within "
               "[%.6g, %.6g]", b, n, logc, lo, hi)
     return count
-
-
-def admissible_count_bounds(beta: BetaLike, n: int) -> tuple:
-    """The Renyi sandwich (beta**n, beta**(n+1)/(beta-1)) as floats."""
-    b = float(as_beta_param(beta).beta)
-    try:
-        return b ** n, b ** (n + 1) / (b - 1)
-    except OverflowError:
-        return math.inf, math.inf
 
 
 def full_count_constant(beta: BetaLike) -> float:
@@ -735,16 +748,14 @@ def find_full_in_interval(beta: BetaLike, I: Interval,
 
 
 def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
-                           *, strict: bool = False,
                            node_cap: float = DEFAULT_NODE_CAP) -> int:
     """Exact number of full level-n cylinders contained in I.
 
     When the (delta, n0) preconditions can be verified (some n0 in 3..400
     makes the window hypothesis and the length bound hold, and n is at
     least -(1+delta)*log_beta |I|), the result is asserted to be at least
-    c_beta * |I|**(1+delta) * beta**n.  With strict=True a precondition
-    failure raises instead of merely skipping that assertion; the exact
-    count itself is always computed by enumeration.
+    c_beta * |I|**(1+delta) * beta**n; otherwise that assertion is
+    skipped.  The exact count itself is always computed by enumeration.
     """
     param = as_beta_param(beta)
     _check_unit_interval(I)
@@ -759,13 +770,8 @@ def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
         if cand.window_hypothesis_holds(b) and I.length < n0 * b ** (-n0):
             n0_found = n0
             break
-    n_large_enough = n >= -(1 + delta) * math.log(I.length) / math.log(b)
-    preconds = n0_found is not None and n_large_enough
-    if strict and not preconds:
-        raise DomainError(
-            f"count preconditions fail for beta={b}, |I|={I.length:.6g}, "
-            f"n={n}, delta={delta} (valid n0 found: {n0_found}, "
-            f"n large enough: {n_large_enough})", module="beta_dynamics")
+    preconds = n0_found is not None and \
+        n >= -(1 + delta) * math.log(I.length) / math.log(b)
     count = sum(len(b.full) for b in cylinder_blocks(
         param, n, only_full=True, within=I, node_cap=node_cap))
     if preconds:

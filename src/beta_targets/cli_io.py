@@ -69,9 +69,6 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 _MODULE = "cli_io"
 
-SUBCOMMANDS = ("expand", "cylinders", "count", "ortho", "content",
-               "dimension", "verify-cover", "verify-measure")
-
 
 def _fail(msg: str):
     raise ConfigError(msg, module=_MODULE)
@@ -445,7 +442,7 @@ def _cmd_count(cfg: RunConfig, out: Path, sha: str) -> int:
     # passes the limit is refused before counting
     if limit and n * math.log10(beta) > limit + 1:
         raise _unprintable(beta, n, limit)
-    admissible, full = count_words(beta, n)
+    admissible, full = count_words(beta, n, node_cap=cfg.node_cap)
     if limit and admissible >= 10 ** limit:
         raise _unprintable(beta, n, limit)
     _write_csv(out / "count.csv",
@@ -614,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "shrinking-target toolkit: expansions, covering counts, and the "
         "dimension formula"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config")
         for flag, kind, key in _flags(name):
@@ -648,6 +645,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run(args.subcommand, validate_config(data))
     except BetaTargetsError as exc:
         _emit_error(exc.code, str(exc))
+        return 2
+    except MemoryError as exc:
+        _emit_error(f"{_MODULE}.resource_limit", f"out of memory: {exc}")
         return 2
 
 

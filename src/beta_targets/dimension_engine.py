@@ -43,6 +43,7 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
+from .beta_dynamics import _check_level
 from .errors import ConsistencyError, DomainError
 from .parallelepiped_geometry import (
     BetaSystem,
@@ -64,7 +65,6 @@ __all__ = [
     "gamma_magnitudes",
     "s_n",
     "s_star",
-    "closed_form_example",
 ]
 
 _MODULE = "dimension_engine"
@@ -351,16 +351,8 @@ class LevelData:
                                    module=_MODULE)
 
     @property
-    def gamma_norms(self) -> Tuple[float, ...]:
-        return tuple(float(np.exp2(g)) for g in self.gamma_log2)
-
-    @property
     def candidates(self) -> Tuple[float, ...]:
         return tuple(float(np.exp2(c)) for c in self.candidates_log2_tau)
-
-    @property
-    def argmin_tau(self) -> float:
-        return float(np.exp2(self.argmin_tau_log2))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -372,28 +364,12 @@ class DimensionReport:
     tail_min: float
     tail_max: float
     tolerance: float
-    # Reported, not computed: the limsup set lies in Falconer's large
-    # intersection class G^s of the unit cube with s = s_star, so
-    # countable bi-Lipschitz intersections keep dimension.
-    large_intersection_class: str = ""
-
-    def __post_init__(self):
-        if self.large_intersection_class == "":
-            object.__setattr__(
-                self, "large_intersection_class",
-                f"G^{{{self.s_star:.6g}}}([0,1]^d)")
-
-
-def _check_level(n) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"level must be a positive integer, got {n!r}",
-                          module=_MODULE)
 
 
 def log_columns(spec: TargetSpec, n: int):
     """Columns of f^n P_n as (signs, log2 magnitudes), computed without
     ever materializing the underflowing values."""
-    _check_level(n)
+    _check_level(n, _MODULE)
     return spec.family.log_columns(spec.system.log2_betas, n)
 
 
@@ -403,7 +379,7 @@ def generate_target(spec: TargetSpec, n: int) -> Parallelepiped:
     Warns when the target pokes outside [0,1)^d; degenerate targets fail
     in the Parallelepiped constructor.
     """
-    _check_level(n)
+    _check_level(n, _MODULE)
     p = spec.family.target(spec.system.betas, n)
     v = p.vertices()
     if np.any(v < 0.0) or np.any(v >= 1.0):
@@ -483,7 +459,7 @@ def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
     if mode not in ("exact", "limit"):
         raise DomainError(f"mode must be 'exact' or 'limit', got {mode!r}",
                           module=_MODULE)
-    _check_level(n)
+    _check_level(n, _MODULE)
     lg = spec.system.log2_betas
     if mode == "limit":
         w_rates, g_rates = spec.family.rates(lg)
@@ -533,27 +509,3 @@ def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
         tolerance=tolerance,
     )
 
-
-def closed_form_example(which: int, param: float) -> float:
-    """Known closed-form dimensions for the two worked 2-D families
-    (bases 2 and 4, unit exponents); used as a test oracle.
-
-    which=1: constant rotation by theta in [0, pi/2]; 5/4 except at the
-    right angle, where the value drops to 1.
-    which=2: cos theta_n = 2^(-a n) with a >= 0; 1 + (1-a)/(4-a) up to
-    a = 1, then 1.
-    """
-    if which == 1:
-        theta = float(param)
-        if not (0.0 <= theta <= math.pi / 2.0):
-            raise DomainError(f"theta must lie in [0, pi/2], got {theta}",
-                              module=_MODULE)
-        return 1.0 if theta == math.pi / 2.0 else 1.25
-    if which == 2:
-        a = float(param)
-        if not (a >= 0.0 and math.isfinite(a)):
-            raise DomainError(f"decay parameter must be >= 0, got {a}",
-                              module=_MODULE)
-        return 1.0 + (1.0 - a) / (4.0 - a) if a <= 1.0 else 1.0
-    raise DomainError(f"example must be 1 or 2, got {which!r}",
-                      module=_MODULE)

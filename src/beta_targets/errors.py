@@ -5,6 +5,16 @@ so the command line layer can emit machine readable failures.
 """
 from __future__ import annotations
 
+__all__ = [
+    "BetaTargetsError",
+    "DomainError",
+    "DegenerateInputError",
+    "ResourceLimitError",
+    "ScaleRangeError",
+    "ConsistencyError",
+    "ConfigError",
+]
+
 
 class BetaTargetsError(Exception):
     """Base class. Subclasses fix ``kind``; raise sites may set ``module``."""

@@ -27,18 +27,18 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import warnings
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .beta_dynamics import (
     Interval,
+    _check_level,
     count_admissible,
     count_full,
     cylinder_blocks,
 )
-from .dimension_engine import LevelData, TargetSpec, generate_target, s_n
+from .dimension_engine import LevelData, TargetSpec, s_n
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .parallelepiped_geometry import Parallelepiped, scale_by_f
 from .polygons import (
@@ -111,9 +111,6 @@ class EnSet:
     @property
     def copy_area(self) -> float:
         return abs(float(np.linalg.det(self.base.columns)))
-
-    def copy_polygon(self, i: int) -> np.ndarray:
-        return self.polygon + self.z_star[i]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -207,6 +204,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
     """
     if spec.dimension != 2:
         raise DomainError("the lab is 2-D only", module=_MODULE)
+    _check_level(n, _MODULE)
     if mode not in ("all", "full_in_D"):
         raise DomainError(f"mode must be 'all' or 'full_in_D', got {mode!r}",
                           module=_MODULE)
@@ -232,7 +230,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 raise ConsistencyError(
                     "enumerated word count disagrees with the recursion "
                     f"count ({len(axis)} vs {want})", module=_MODULE)
-        target = _quiet_target(spec, n)
+        target = spec.family.target(betas, n)
     else:
         box = _validate_box(D)
         side = box[0].right - box[0].left
@@ -242,7 +240,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 raise DomainError(
                     f"level {n} too small for |D|={side:.3g} under "
                     f"base {b:.6g}: need n >= {need:.3f}", module=_MODULE)
-        target = _quiet_target(spec, n)
+        target = spec.family.target(betas, n)
         v = target.vertices()
         if np.any(v < 0.0) or np.any(v >= 1.0):
             raise DomainError(
@@ -290,14 +288,6 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                                module=_MODULE)
     return EnSet(spec=spec, n=n, mode=mode, base=base, polygon=poly,
                  lefts=lefts, D=box)
-
-
-def _quiet_target(spec: TargetSpec, n: int):
-    """P_n without the warning for a target outside the unit cube, which
-    mode "all" accepts and mode "full_in_D" refuses with its own error."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return generate_target(spec, n)
 
 
 def _lefts(beta: float, n: int, **walk) -> np.ndarray:
@@ -585,10 +575,9 @@ def _radius_samplers(M: MuMeasure):
     ]
 
 
-def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
-                         samples: int = 2000,
+def verify_measure_bound(M: MuMeasure, samples: int = 2000,
                          rng_seed: int = 0) -> MeasureBoundReport:
-    """Monte-Carlo check of mu(B(x, r)) <= C r^t / |D|^d.
+    """Monte-Carlo check of mu(B(x, r)) <= C r^t / |D|^d, t = M.t.
 
     Centers are uniform over random copies (hence inside E_n and D);
     radii are stratified across four regimes so each branch of the
@@ -598,9 +587,7 @@ def verify_measure_bound(M: MuMeasure, t: Optional[float] = None,
     its witness, the first ball to reach it; deterministic for a fixed
     seed.
     """
-    if t is None:
-        t = M.t
-    t = float(t)
+    t = M.t
     if t < 0.0 or t >= M.level.s_n - M.eps + 1e-12:
         raise DomainError(
             f"need 0 <= t < s_n - eps = {M.level.s_n - M.eps:.6g}, got {t}",

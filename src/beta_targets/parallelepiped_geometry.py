@@ -46,7 +46,6 @@ __all__ = [
     "bounding_hyperrectangle",
     "volume",
     "scale_by_f",
-    "rotate2d",
 ]
 
 # |det| below this times the product of the column norms: dependent columns
@@ -152,11 +151,6 @@ class Parallelepiped:
     @property
     def dimension(self) -> int:
         return self.columns.shape[0]
-
-    @property
-    def column_norms(self) -> np.ndarray:
-        scaled, exps = _scaled_columns(self.columns)
-        return np.ldexp(np.sqrt(np.einsum("ij,ij->j", scaled, scaled)), exps)
 
     def vertices(self) -> np.ndarray:
         """All 2^d corner points, origin first, as a (2^d, d) array."""
@@ -269,11 +263,6 @@ class Hyperrectangle:
     @property
     def volume(self) -> float:
         return float(np.prod(self.side_lengths))
-
-    def contains_point(self, point, rtol: float = 1e-9) -> bool:
-        x = np.asarray(point, dtype=float)
-        coords = self.axes.T @ (x - self.center)
-        return bool(np.all(np.abs(coords) <= self.half_extents * (1.0 + rtol)))
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
@@ -491,10 +480,3 @@ def scale_by_f(p: Parallelepiped, system: BetaSystem, n: int) -> Parallelepiped:
     scales = np.exp2(-float(n) * lg)
     return Parallelepiped(scales * p.origin, scales[:, None] * p.columns)
 
-
-def rotate2d(p: Parallelepiped, theta: float) -> Parallelepiped:
-    """Rotate the shape about its origin vertex (2-D only)."""
-    if p.dimension != 2:
-        raise DomainError("rotate2d needs a 2-D parallelepiped",
-                          module=_MODULE)
-    return Parallelepiped(p.origin, rotation_matrix(theta) @ p.columns)

@@ -14,7 +14,6 @@ import pytest
 from beta_targets.beta_dynamics import (
     FullSearchParams,
     Interval,
-    admissible_count_bounds,
     count_admissible,
     count_full,
     enumerate_cylinders,
@@ -45,6 +44,7 @@ from beta_targets.parallelepiped_geometry import (
     pivoted_orthogonalize,
 )
 from beta_targets.polygons import ensure_ccw, polygon_area, polygon_bbox
+from closed_forms import admissible_count_bounds
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 

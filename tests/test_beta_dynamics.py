@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cylinder_reference
+from closed_forms import admissible_count_bounds
 
 from beta_targets import (
     ConsistencyError,
@@ -17,8 +18,6 @@ from beta_targets.beta_dynamics import (
     BetaParam,
     FullSearchParams,
     Interval,
-    admissible_count_bounds,
-    as_beta_param,
     count_admissible,
     count_full,
     count_full_in_interval,
@@ -181,7 +180,7 @@ class TestEnumerate:
         I = Interval(0.25, 0.75)
         nodes = list(enumerate_cylinders(2, 3, within=I))
         assert [n.word for n in nodes] == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
-        assert all(I.contains_interval(n.interval) for n in nodes)
+        assert all(I.left <= n.left and n.right <= I.right for n in nodes)
 
     def test_node_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -277,6 +276,12 @@ class TestArrayWalk:
         blocks = cylinder_blocks(1e19, 1, node_cap=1e20)
         with pytest.raises(ResourceLimitError, match="64-bit"):
             next(blocks)
+
+    def test_unaddressable_expansion_is_refused(self):
+        # 4e18 children fit the cap and int64, but not numpy's array size
+        # limit; the refusal comes before anything is allocated
+        with pytest.raises(ResourceLimitError, match="numpy can address"):
+            next(cylinder_blocks(4e18, 1, node_cap=1e19))
 
     def test_dps_values_keep_their_precision(self):
         nodes = list(enumerate_cylinders(BetaParam(1.1, dps=30), 76,
@@ -376,6 +381,10 @@ REFUSALS = {
     "word-bool-digit": (lambda: cylinder_of_word(2, (True,)), DomainError),
     "beta-infinite": (lambda: count_admissible(math.inf, 2), DomainError),
     "beta-param-infinite": (lambda: BetaParam(math.inf, dps=20), DomainError),
+    # below 6 digits the snap tolerance 10**(5 - dps) is at least 1
+    **{f"dps-{dps!r}": (lambda dps=dps: count_admissible(
+        BetaParam(1.5, dps=dps), 10), DomainError)
+       for dps in (5, 3, 2.5, 0, -3, True)},
     # ceil(beta)**n is past the float range: refused, not an OverflowError
     "projection-past-float-range": (lambda: enumerate_cylinders(2, 1100),
                                     ResourceLimitError),
@@ -542,7 +551,7 @@ class TestFindFull:
             node = find_full_in_interval(
                 2, Interval(0.300001, 0.3003), FullSearchParams(delta=0.5, n0=15))
         assert node.full
-        assert Interval(0.300001, 0.3003).contains_interval(node.interval)
+        assert 0.300001 <= node.left and node.right <= 0.3003
 
     def test_param_validation(self):
         with pytest.raises(DomainError):
@@ -565,18 +574,20 @@ class TestCountFullInInterval:
         assert count == 6
         assert count >= C_PHI * 0.2**2 * PHI**8
 
-    def test_strict_mode_raises_on_precondition(self):
-        with pytest.raises(DomainError):
-            count_full_in_interval(3, Interval(0.1, 0.35), 4, 0.5, strict=True)
-
-    def test_strict_mode_accepts_valid_case(self):
+    def test_preconditions_hold_dyadic(self):
+        # the preconditions hold, so the lower bound is asserted too
         I = Interval(0.5, 0.5 + 2**-12)
         n = 20  # comfortably above (1+delta) * log2 |I|
-        count = count_full_in_interval(2, I, n, 0.5, strict=True)
+        count = count_full_in_interval(2, I, n, 0.5)
         assert count == 2**8
 
 
 class TestExtendedPrecision:
+    def test_smallest_dps(self):
+        param = BetaParam(1.5, dps=6)
+        assert len(list(enumerate_cylinders(param, 10))) == 90
+        assert count_admissible(param, 10) == 90
+
     def test_transform_mpf(self):
         import mpmath
 
@@ -660,5 +671,5 @@ class TestProperties:
     def test_random_beta_counts_consistent(self, beta, n):
         nodes = list(enumerate_cylinders(beta, n))
         assert count_admissible(beta, n) == len(nodes)
-        assert as_beta_param(beta).max_digit == max(
+        assert math.ceil(beta - 1) == max(
             max(node.word) for node in nodes)

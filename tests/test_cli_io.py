@@ -230,6 +230,15 @@ class TestCount:
         assert rows == [["2.5", "40", str(beta_dynamics.count_admissible(
             2.5, 40)), str(beta_dynamics.count_full(2.5, 40))]]
 
+    def test_node_cap_from_config(self, tmp_path, capsys):
+        # n x orbit states is at least 1500, past the cap of 10
+        path = write_config(tmp_path, {"betas": [1.3], "n": 1500,
+                                       "node_cap": 10})
+        assert main(["count", "--config", path, "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "beta_dynamics.resource_limit"
+        assert not (tmp_path / "count.csv").exists()
+
     def test_config_file_route(self, tmp_path, capsys):
         path = write_config(tmp_path, {"betas": [1.8], "n": 4})
         rc = main(["count", "--config", path, "--out", str(tmp_path)])
@@ -649,6 +658,19 @@ INPUT_HOLES = {
 
 
 class TestErrorReporting:
+    def test_memory_error_is_json(self, tmp_path, capsys, monkeypatch):
+        from beta_targets import cli_io
+
+        def exhausted(cfg, out, sha):
+            raise MemoryError("simulated")
+
+        monkeypatch.setitem(cli_io._HANDLERS, "count", exhausted)
+        assert main(["count", "--beta", "2", "--n", "3",
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"]["code"] == "cli_io.resource_limit"
+
     @pytest.mark.parametrize("argv", INPUT_HOLES.values(),
                              ids=INPUT_HOLES.keys())
     def test_input_hole_exits_two(self, tmp_path, capsys, argv):

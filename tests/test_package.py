@@ -1,0 +1,72 @@
+"""The package namespace: each library module's __all__, and nothing else."""
+
+import importlib
+import inspect
+
+import pytest
+
+import beta_targets
+
+MODULES = ("beta_dynamics", "dimension_engine", "errors", "hausdorff_content",
+           "numerical_lab", "parallelepiped_geometry")
+
+# (module, attribute path) of names that were public and are gone
+REMOVED = [
+    ("beta_dynamics", "admissible_count_bounds"),
+    ("beta_dynamics", "BetaParam.max_digit"),
+    ("beta_dynamics", "Interval.contains_point"),
+    ("beta_dynamics", "Interval.contains_interval"),
+    ("beta_dynamics", "CylinderNode.interval"),
+    ("dimension_engine", "closed_form_example"),
+    ("dimension_engine", "LevelData.gamma_norms"),
+    ("dimension_engine", "LevelData.argmin_tau"),
+    ("dimension_engine", "DimensionReport.large_intersection_class"),
+    ("numerical_lab", "EnSet.copy_polygon"),
+    ("numerical_lab", "_quiet_target"),
+    ("parallelepiped_geometry", "rotate2d"),
+    ("parallelepiped_geometry", "Parallelepiped.column_norms"),
+    ("parallelepiped_geometry", "Hyperrectangle.contains_point"),
+    ("cli_io", "SUBCOMMANDS"),
+]
+
+
+def _module(name):
+    return importlib.import_module(f"beta_targets.{name}")
+
+
+def test_all_is_the_modules_lists():
+    names = [n for m in MODULES for n in _module(m).__all__]
+    assert beta_targets.__all__ == names
+    assert len(set(names)) == len(names)
+
+
+def test_names_resolve_to_module_objects():
+    for m in MODULES:
+        for name in _module(m).__all__:
+            assert getattr(beta_targets, name) is getattr(_module(m), name)
+
+
+def test_beta_param_importable():
+    from beta_targets import BetaParam
+
+    assert BetaParam(1.5, dps=20).dps == 20
+
+
+@pytest.mark.parametrize("module,path", REMOVED,
+                         ids=[p for _, p in REMOVED])
+def test_removed_names_are_gone(module, path):
+    owner = _module(module)
+    head, _, attr = path.rpartition(".")
+    if head:
+        owner = getattr(owner, head)
+    else:
+        assert not hasattr(beta_targets, attr)
+    assert not hasattr(owner, attr)
+
+
+@pytest.mark.parametrize("function,keyword", [
+    (beta_targets.count_full_in_interval, "strict"),
+    (beta_targets.verify_measure_bound, "t"),
+])
+def test_removed_keywords_are_gone(function, keyword):
+    assert keyword not in inspect.signature(function).parameters
