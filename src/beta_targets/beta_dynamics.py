@@ -299,9 +299,16 @@ def _check_level(n, module="beta_dynamics") -> None:
                           module=module)
 
 
-def _check_unit_point(x, module="beta_dynamics"):
+def _check_unit_point(x):
     if not (0 <= x < 1):
-        raise DomainError(f"point {x!r} outside [0, 1)", module=module)
+        raise DomainError(f"point {x!r} outside [0, 1)",
+                          module="beta_dynamics")
+
+
+def _check_unit_interval(I: Interval):
+    if not (0 <= I.left and I.right <= 1):
+        raise DomainError(f"interval {I} not inside [0, 1]",
+                          module="beta_dynamics")
 
 
 def transform(beta: BetaLike, x):
@@ -331,20 +338,18 @@ def _power(base: float, exp: int) -> float:
         return math.inf
 
 
-def _projected_node_count(beta: float, n: int, within: Optional[Interval]):
-    """Worst-case node count of a level-n walk, before doing it.
+def _node_floor(ctx: _Ctx, n: int, within: Optional[Interval]) -> float:
+    """(|I| - n * tol) * beta**n, a floor on the nodes of a level-n walk;
+    I = [0, 1) without a window, and tol is the ghost tolerance.
 
-    The loose alphabet bound ceil(beta)**n, or with an interval filter the
-    smaller of it and |I| * beta**(n+1) / (beta - 1) + 2(n + 1): the walk
-    only visits nodes meeting the interval, roughly
-    |I| * beta**(k+1) / (beta - 1) + 2 of them at level k.  The window
-    bound alone blows up as beta nears 1, where the alphabet bound holds.
+    The level-n cylinders tile [0, 1), none longer than beta**-n (Renyi
+    1957), so at least |I| * beta**n meet I; the walk makes each, and its
+    n ancestors outnumber the two its float window tests can miss.  A
+    dropped ghost leaves out at most tol * beta**-(l+1) under a level-l
+    node at least beta**-(l+1) long, so at most tol of [0, 1) per level.
     """
-    bound = _power(math.ceil(beta), n)
-    if within is not None:
-        bound = min(bound, min(within.length, 1.0) * _power(beta, n + 1)
-                    / (beta - 1) + 2.0 * (n + 1))
-    return bound
+    length = 1.0 if within is None else within.length
+    return (length - n * float(ctx.spur_tol)) * _power(ctx.beta, n)
 
 
 class CylinderBlock(NamedTuple):
@@ -373,20 +378,20 @@ def cylinder_blocks(
     """The cylinders of enumerate_cylinders, in blocks of arrays.
 
     Same order, filters and caps as enumerate_cylinders; the checks that
-    need no walk raise at the call.
+    need no walk, the node floor among them, raise at the call.
     """
     param = as_beta_param(beta)
     _check_level(n)
-    if within is not None and not (0 <= within.left and within.right <= 1):
-        raise DomainError(f"search interval {within} not inside [0, 1]",
-                          module="beta_dynamics")
-    projected = _projected_node_count(float(param.beta), n, within)
-    if projected > node_cap:
+    if within is not None:
+        _check_unit_interval(within)
+    ctx = _Ctx(param)
+    floor = _node_floor(ctx, n, within)
+    if floor > node_cap:
         raise ResourceLimitError(
-            f"projected node count {projected:.3g} exceeds cap "
+            f"the walk makes at least {floor:.3g} nodes, past cap "
             f"{node_cap:.3g}; lower n, restrict the interval, or raise node_cap",
             module="beta_dynamics")
-    return _walk_blocks(_Ctx(param), n, only_full, within, node_cap)
+    return _walk_blocks(ctx, n, only_full, within, node_cap)
 
 
 def enumerate_cylinders(
@@ -401,9 +406,9 @@ def enumerate_cylinders(
 
     ``within`` restricts the output to nodes whose interval is contained in
     it (the walk also prunes subtrees that miss it, so narrow intervals are
-    cheap).  ``only_full`` keeps full nodes only.  Refuses upfront when the
-    projected node count exceeds node_cap, and again mid-walk should the
-    projection prove optimistic.
+    cheap).  ``only_full`` keeps full nodes only.  Refuses at the call when
+    the walk's node floor, about |I| * beta**n, exceeds node_cap, else
+    during the walk, before allocating the expansion that passes it.
     """
     return _block_nodes(cylinder_blocks(beta, n, only_full=only_full,
                                         within=within, node_cap=node_cap))
@@ -682,11 +687,6 @@ class FullSearchParams:
     def window_hypothesis_holds(self, beta: float) -> bool:
         lhs = (1 + self.delta) * (math.log(beta) + math.log(self.n0))
         return lhs < self.n0 * self.delta * math.log(beta)
-
-
-def _check_unit_interval(I: Interval, module="beta_dynamics"):
-    if not (0 <= I.left and I.right <= 1):
-        raise DomainError(f"interval {I} not inside [0, 1]", module=module)
 
 
 def _full_search_levels(b: float, length: float, delta: float):

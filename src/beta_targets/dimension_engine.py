@@ -89,9 +89,9 @@ class TargetFamily(Protocol):
         """P_n itself in plain floats."""
 
     def rates(self, log2_betas):
-        """Leading decay rates per level, log2 units: (w_rates, g_rates)
-        with w_i the contraction rate and g_i the gamma-norm decay rate;
-        DomainError when the family has no decay law."""
+        """Leading gamma-norm decay rates per level, log2 units (the
+        contraction rates are log2_betas in every family); DomainError
+        when the family has no decay law."""
 
     def log2_volume(self, log2_betas, n: int) -> float:
         """log2 vol(f^n P_n), independent of the frame."""
@@ -143,8 +143,8 @@ class AxisFamily:
         return Parallelepiped(self.origin, np.diag(sides))
 
     def rates(self, log2_betas):
-        g = sorted((1.0 + t) * l for t, l in zip(self.exponents, log2_betas))
-        return tuple(log2_betas), tuple(g)
+        return tuple(sorted((1.0 + t) * l
+                            for t, l in zip(self.exponents, log2_betas)))
 
     def log2_volume(self, log2_betas, n: int) -> float:
         return -n * sum((1.0 + t) * l
@@ -249,12 +249,10 @@ class Rotated2DFamily:
             col1.append(t1 * l1 + l2 + sin_rate)
             col2.append(t2 * l2 + l1 + sin_rate)
         g1 = min(min(col1), min(col2))
-        return tuple(log2_betas), (g1, -self.log2_volume(log2_betas, 1) - g1)
+        return g1, -self.log2_volume(log2_betas, 1) - g1
 
-    def log2_volume(self, log2_betas, n: int) -> float:
-        t1, t2 = self.exponents
-        l1, l2 = log2_betas
-        return -n * ((1.0 + t1) * l1 + (1.0 + t2) * l2)
+    # the rotation keeps the volume of the axis box
+    log2_volume = AxisFamily.log2_volume
 
 
 @dataclasses.dataclass(frozen=True)
@@ -461,14 +459,12 @@ def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
                           module=_MODULE)
     _check_level(n, _MODULE)
     lg = spec.system.log2_betas
+    w = [n * l for l in lg]
     if mode == "limit":
-        w_rates, g_rates = spec.family.rates(lg)
-        w = [r * n for r in w_rates]
-        g = [r * n for r in g_rates]
+        g = [r * n for r in spec.family.rates(lg)]
         gamma_log2 = tuple(-x for x in g)
     else:
         gamma_log2 = gamma_magnitudes(spec, n, as_log2=True)
-        w = [n * l for l in lg]
         g = [-x for x in gamma_log2]
     value, lam, cands = _minimize_objective(w, g)
     return LevelData(

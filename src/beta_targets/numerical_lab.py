@@ -44,7 +44,6 @@ from .parallelepiped_geometry import Parallelepiped, scale_by_f
 from .polygons import (
     box_areas,
     cell_range,
-    ensure_ccw,
     envelope_chains,
     envelope_edges,
     parallelogram_polygon,
@@ -267,8 +266,8 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 f"{copy_cap}", module=_MODULE)
 
     base = scale_by_f(target, spec.system, n)
-    poly = ensure_ccw(parallelogram_polygon(
-        base.origin, base.columns[:, 0], base.columns[:, 1]))
+    poly = parallelogram_polygon(base.origin, base.columns[:, 0],
+                                 base.columns[:, 1])
     if mode == "full_in_D":
         # copies must stay inside their cylinder product, so the base
         # must keep all its area inside [0, beta^-n)^2

@@ -257,15 +257,13 @@ class TestArrayWalk:
         # sha256 of the exact mantissas and exponents of every node, as the
         # per-node stack walk produced them
         h = hashlib.sha256()
-        for x in enumerate_cylinders(BetaParam(beta, dps=dps), n,
-                                     node_cap=2.0 ** n):
+        for x in enumerate_cylinders(BetaParam(beta, dps=dps), n):
             h.update(repr((x.word, x.left._mpf_, x.image_length._mpf_,
                            x.length._mpf_)).encode())
         assert h.hexdigest() == digest
 
     def test_window_projection_near_one(self):
-        # the window bound |I| beta**(n+1) / (beta - 1) alone is 4.5e15
-        # here; the alphabet bound ceil(beta)**n is 2
+        # the node floor |I| * beta**n is about 1 however close beta is to 1
         got = list(enumerate_cylinders(1.0000000000000002, 1,
                                        within=Interval(0, 1)))
         assert [x.word for x in got] == [(0,)]
@@ -284,8 +282,7 @@ class TestArrayWalk:
             next(cylinder_blocks(4e18, 1, node_cap=1e19))
 
     def test_dps_values_keep_their_precision(self):
-        nodes = list(enumerate_cylinders(BetaParam(1.1, dps=30), 76,
-                                         node_cap=2.0 ** 76))
+        nodes = list(enumerate_cylinders(BetaParam(1.1, dps=30), 76))
         # mantissa bit counts: a right end of at most 53 bits has been
         # rounded to double precision
         assert max(x.right._mpf_[3] for x in nodes) > 53
@@ -317,7 +314,7 @@ class TestArrayWalk:
                 [getattr(x, field) for x in nodes]
 
     def test_cap_refuses_a_level_before_allocating_it(self):
-        # the projection ceil(beta)**1 == node_cap passes; the root's 10**6
+        # the node floor beta**1 == node_cap passes; the root's 10**6
         # children would take tens of MiB
         tracemalloc.start()
         try:
@@ -328,15 +325,42 @@ class TestArrayWalk:
             tracemalloc.stop()
         assert peak < 2**20
 
-    def test_cap_raises_mid_walk(self, monkeypatch):
-        from beta_targets import beta_dynamics
-        monkeypatch.setattr(beta_dynamics, "_projected_node_count",
-                            lambda beta, n, within: 0)
-        nodes = enumerate_cylinders(2, 24, node_cap=10**5)
-        assert next(nodes).word == (0,) * 24
+    def test_cap_raises_mid_walk(self):
+        # the floor 2**16 fits the cap, the 2**17 - 1 nodes made do not
+        nodes = enumerate_cylinders(2, 16, node_cap=10**5)
+        assert next(nodes).word == (0,) * 16
         with pytest.raises(ResourceLimitError, match="node walk"):
             for _ in nodes:
                 pass
+
+    @pytest.mark.parametrize("beta, n", [
+        (BetaParam(1.1, dps=30), 76), (BetaParam(1.15, dps=40), 52),
+        (PHI, 30), (2.01, 17), (1.5, 27)])
+    def test_walks_at_the_default_cap(self, beta, n):
+        # 2**n, the bound of a two-letter alphabet, is past the cap in
+        # each case; the leaves number a few thousand to two million
+        leaves = sum(len(b.full) for b in cylinder_blocks(beta, n))
+        assert leaves == count_admissible(beta, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_node_floor_admits_the_cylinders_met(self, data):
+        # a cap of the number of level-n cylinders meeting the window,
+        # counted from the unfiltered walk, never refuses at the call
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        beta = data.draw(st.floats(min_value=1.0,
+                                   max_value=min(4.0, 4000 ** (1 / n)),
+                                   exclude_min=True))
+        within = None
+        if data.draw(st.booleans()):
+            within = Interval(*sorted(data.draw(st.lists(
+                st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))))
+        met = 0
+        for b in cylinder_blocks(beta, n):
+            met += len(b.lefts) if within is None else int(
+                ((b.lefts < within.right)
+                 & (b.lefts + b.lengths > within.left)).sum())
+        cylinder_blocks(beta, n, within=within, node_cap=met)
 
     def test_lazy_walk_memory_is_bounded(self):
         # 2**18 nodes held at once would take well over 50 MiB
@@ -385,9 +409,13 @@ REFUSALS = {
     **{f"dps-{dps!r}": (lambda dps=dps: count_admissible(
         BetaParam(1.5, dps=dps), 10), DomainError)
        for dps in (5, 3, 2.5, 0, -3, True)},
-    # ceil(beta)**n is past the float range: refused, not an OverflowError
+    # the node floor beta**n is past the float range: refused, not an
+    # OverflowError
     "projection-past-float-range": (lambda: enumerate_cylinders(2, 1100),
                                     ResourceLimitError),
+    # 0.3 * 2**40 nodes meet the window
+    "node-floor-in-window": (lambda: enumerate_cylinders(
+        2, 40, within=Interval(0.3, 0.6)), ResourceLimitError),
 }
 
 
@@ -484,7 +512,7 @@ class TestCounts:
 
     def test_extended_precision_matches_walk(self):
         beta = BetaParam(1.1, dps=30)
-        nodes = list(enumerate_cylinders(beta, 40, node_cap=2.0**40))
+        nodes = list(enumerate_cylinders(beta, 40))
         assert count_admissible(beta, 40) == len(nodes)
         assert count_full(beta, 40) == sum(1 for x in nodes if x.full)
 

@@ -329,6 +329,14 @@ class TestCylinders:
         assert (tmp_path / "cylinders.csv").stat().st_size > 12 * 2**20
         assert peak < 8 * 2**20
 
+    def test_walk_below_two_at_the_default_cap(self, tmp_path, capsys):
+        # 2**27 is past the default node_cap; the walk makes far fewer
+        path = write_config(tmp_path, {"betas": [1.5], "n": 27})
+        assert main(["cylinders", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        _, rows, _, _ = read_csv(tmp_path / "cylinders.csv")
+        assert len(rows) == 88_123
+
     def test_write_error_is_config_error(self, tmp_path, capsys):
         (tmp_path / "cylinders.csv").mkdir()
         path = write_config(tmp_path, {"betas": [2], "n": 3})
@@ -344,8 +352,8 @@ class TestCylinders:
                                                   monkeypatch):
         from beta_targets import beta_dynamics
         (tmp_path / "cylinders.csv").write_text("old\n")
-        monkeypatch.setattr(beta_dynamics, "_projected_node_count",
-                            lambda beta, n, within: 0)
+        monkeypatch.setattr(beta_dynamics, "_node_floor",
+                            lambda ctx, n, within: 0)
         path = write_config(tmp_path, {"betas": [2], "n": 20,
                                        "node_cap": 10**5})
         assert main(["cylinders", "--config", path,
