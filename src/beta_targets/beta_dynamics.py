@@ -506,9 +506,12 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
         words[:, level] = ks
         level += 1
         if level < n:
+            # copies, so that no pending sub-block keeps the whole level
+            # alive: under mpmath its lefts are mpf objects
             for i in reversed(range(0, total, split)):
-                stack.append((level, child_scale, words[i:i + split],
-                              lefts[i:i + split], states[i:i + split]))
+                stack.append((level, child_scale, words[i:i + split].copy(),
+                              lefts[i:i + split].copy(),
+                              states[i:i + split].copy()))
             continue
         full = states == 0
         lengths = (t * child_scale)[states]
@@ -607,7 +610,10 @@ def count_admissible(beta: BetaLike, n: int,
 def _check_admissible(param: BetaParam, n: int, count: int) -> int:
     b = float(param.beta)
     logc = math.log(count)
-    lo = n * math.log(b)
+    # dropped ghosts leave at most n * tol of [0, 1) uncovered, as in
+    # _node_floor, so the lower side is (1 - n * tol) * beta**n
+    covered = 1 - n * float(_Ctx(param).spur_tol)
+    lo = n * math.log(b) + (math.log(covered) if covered > 0 else -math.inf)
     hi = (n + 1) * math.log(b) - math.log(b - 1)
     if logc < lo - 1e-9 or logc > hi + 1e-9:
         raise ConsistencyError(
@@ -622,21 +628,27 @@ def full_count_constant(beta: BetaLike) -> float:
     """The constant c with #(full words of length n) >= c * beta**n.
 
     Integer beta gives equality with c = 1; beta > 2 gives
-    (beta-2)/(beta-1); for 1 < beta < 2 the constant is the convergent
-    product prod_i (1 - beta**-i), truncated once the tail factor
-    beta**-i/(beta-1) drops below 1e-12.
+    (beta-2)/(beta-1); for 1 < beta < 2 the constant is the infinite
+    product prod_i (1 - beta**-i).  It underflows to 0.0 for beta below
+    about 1.0022; the count checks use its log, which does not.
     """
-    b = float(as_beta_param(beta).beta)
+    return math.exp(_log_full_count_constant(float(as_beta_param(beta).beta)))
+
+
+def _log_full_count_constant(b: float) -> float:
+    """log c of full_count_constant, with no loop over the product.
+
+    With t = log beta the product is the Dedekind eta factor
+    prod_i (1 - e**(-i t)), whose modular transform gives
+    log prod = log(2 pi / t) / 2 - pi**2 / (6 t) + t / 24 + r with
+    |r| < 2 exp(-4 pi**2 / t) < 1e-24 for beta < 2: exact to rounding.
+    """
     if b.is_integer():
-        return 1.0
+        return 0.0
     if b > 2:
-        return (b - 2) / (b - 1)
-    prod = 1.0
-    i = 1
-    while b ** (-i) / (b - 1) >= 1e-12:
-        prod *= 1 - b ** (-i)
-        i += 1
-    return prod
+        return math.log((b - 2) / (b - 1))
+    t = math.log(b)
+    return 0.5 * math.log(2 * math.pi / t) - math.pi ** 2 / (6 * t) + t / 24
 
 
 def count_full(beta: BetaLike, n: int,
@@ -657,7 +669,7 @@ def _check_full(param: BetaParam, n: int, count: int) -> int:
                 f"integer beta={b} must have exactly beta**n full words, "
                 f"got {count} at n={n}", module="beta_dynamics")
         return count
-    lower_log = math.log(full_count_constant(param)) + n * math.log(b)
+    lower_log = _log_full_count_constant(b) + n * math.log(b)
     if count <= 0 or math.log(count) < lower_log - 1e-9:
         raise ConsistencyError(
             f"full count {count} below c*beta**n = exp({lower_log:.6g}) for "
@@ -775,8 +787,8 @@ def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
     count = sum(len(b.full) for b in cylinder_blocks(
         param, n, only_full=True, within=I, node_cap=node_cap))
     if preconds:
-        c = full_count_constant(param)
-        lower_log = math.log(c) + (1 + delta) * math.log(I.length) \
+        lower_log = _log_full_count_constant(b) \
+            + (1 + delta) * math.log(I.length) \
             + n * math.log(b)
         if count <= 0 or math.log(count) < lower_log - 1e-9:
             raise ConsistencyError(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -606,7 +607,11 @@ def _flags(subcommand: str):
     return _FLAGS[None] + _FLAGS.get(subcommand, ())
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on first use: it
+    holds no state between parse_args calls, and building it costs some
+    twenty times what a parse does."""
     parser = _QuietParser(prog="beta-targets", description=(
         "shrinking-target toolkit: expansions, covering counts, and the "
         "dimension formula"))

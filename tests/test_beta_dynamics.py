@@ -303,6 +303,19 @@ class TestArrayWalk:
         assert count == count_admissible(1.5, 26)
         assert peak < 24 * 2**20
 
+    def test_pending_dps_blocks_free_their_level(self):
+        # pushed sub-blocks are copies, so a level's mpf arrays go once
+        # its own sub-blocks are walked: 8.7 MiB when they were views
+        tracemalloc.start()
+        try:
+            count = sum(len(b.lefts) for b in cylinder_blocks(
+                BetaParam(1.1, dps=30), 76))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == count_admissible(BetaParam(1.1, dps=30), 76)
+        assert peak < 7 * 2**20
+
     def test_blocks_are_the_nodes_as_columns(self):
         nodes = list(enumerate_cylinders(2.5, 7, within=Interval(0.1, 0.7)))
         blocks = list(cylinder_blocks(2.5, 7, within=Interval(0.1, 0.7)))
@@ -476,6 +489,31 @@ class TestCounts:
         assert full_count_constant(3) == 1.0
         assert full_count_constant(2.5) == pytest.approx(1 / 3)
         assert full_count_constant(PHI) == pytest.approx(C_PHI, rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [1.01, 1.1, 1.3, PHI, 1.9, 1.999])
+    def test_full_constant_is_the_infinite_product(self, beta):
+        terms = math.fsum(math.log1p(-beta ** -i) for i in range(1, 20_000))
+        assert math.log(full_count_constant(beta)) == \
+            pytest.approx(terms, rel=1e-13, abs=1e-12)
+
+    @pytest.mark.parametrize("beta, counts", [(1.0001, (6, 1)),
+                                              (1 + 2**-52, (1, 1))])
+    def test_counts_near_one(self, beta, counts):
+        # c underflows to 0.0 below beta ~ 1.0022; the checks take its log
+        assert full_count_constant(beta) == 0.0
+        assert count_words(beta, 5) == counts
+        assert (count_admissible(beta, 5), count_full(beta, 5)) == counts
+
+    def test_renyi_floor_allows_dropped_ghosts(self):
+        # 1 + 2**-52 drops digit 1 as a ghost, so its count is 1 at every
+        # n, below beta**n past n ~ 4.5e6; the dropped ghosts cover at most
+        # n * SPURIOUS_CHILD_TOL of [0, 1), which the lower side allows
+        from beta_targets.beta_dynamics import _check_admissible
+        assert _check_admissible(BetaParam(1 + 2**-52), 5_000_000, 1) == 1
+        # that allowance is 2e-11 at n = 20: a count 1e-8 short still fails
+        short = math.ceil(2.5 ** 20 * (1 - 1e-8))
+        with pytest.raises(ConsistencyError, match="Renyi sandwich"):
+            _check_admissible(BetaParam(2.5), 20, short)
 
     def test_counts_deep_levels_cheap(self):
         # the distribution recursion is polynomial in n

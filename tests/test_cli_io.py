@@ -246,6 +246,16 @@ class TestCount:
         # Renyi sandwich for 1 < beta < 2: strictly fewer words than 2^n
         assert int(capsys.readouterr().out.strip()) < 16
 
+    @pytest.mark.parametrize("beta, count", [("1.0001", "6"),
+                                             ("1.0000000000000002", "1")])
+    def test_count_near_one(self, tmp_path, capsys, beta, count):
+        # the full-count bound's constant underflows to 0.0 here, and its
+        # product would take some 10**17 factors at 1 + 2**-52
+        rc = main(["count", "--beta", beta, "--n", "5",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == count
+
 
 class TestExpand:
     def test_orbit_rows(self, tmp_path, capsys):
@@ -783,3 +793,87 @@ class TestErrorReporting:
         rc = main(["count", "--beta", "2", "--n", "3", "--out", str(out)])
         assert rc == 0
         assert (out / "count.csv").exists()
+
+
+class TestParserReuse:
+    """main may be called repeatedly in one process: the parser is built
+    on the first call, and every call parses its own argv afresh."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        from beta_targets import cli_io
+        cli_io._build_parser.cache_clear()
+
+    def artifact(self, argv, name, capsys):
+        """(exit code, stdout, artifact bytes) of one main call."""
+        rc = main(argv)
+        out = capsys.readouterr().out
+        return rc, out, Path(argv[argv.index("--out") + 1], name).read_bytes()
+
+    def test_built_once(self):
+        from beta_targets import cli_io
+        assert cli_io._build_parser() is cli_io._build_parser()
+
+    def test_interleaved_subcommands(self, tmp_path, capsys):
+        configs = {
+            "count": ({"betas": [2.5], "n": 8}, "count.csv"),
+            "expand": ({"betas": [2], "x": 0.375, "n": 3}, "expand.csv"),
+            "cylinders": ({"betas": [1.8], "n": 4}, "cylinders.csv"),
+            "dimension": (_rotated(theta_value=0.3), "dimension.csv"),
+            "ortho": ({"columns": [[1, 2], [3, 4]]}, "ortho.json"),
+        }
+        calls = []
+        for sub, (config, name) in configs.items():
+            path = write_config(tmp_path, config, f"{sub}.json")
+            calls.append(([sub, "--config", path,
+                           "--out", str(tmp_path / sub)], name))
+        first = [self.artifact(argv, name, capsys) for argv, name in calls]
+        assert [rc for rc, _, _ in first] == [0] * len(calls)
+        for _ in range(2):
+            for (argv, name), want in zip(reversed(calls), reversed(first)):
+                assert self.artifact(argv, name, capsys) == want
+
+    @pytest.mark.parametrize("interruption, code", [
+        (["count", "--bogus", "1"], 2),
+        (["dimension", "--nmin", "x"], 2),
+        (["solve"], 2),
+        (["--help"], 0),
+        (["count", "--help"], 0),
+    ])
+    def test_error_or_help_then_good_call(self, tmp_path, capsys,
+                                          interruption, code):
+        argv = ["count", "--beta", "2", "--n", "5", "--out", str(tmp_path)]
+        first = self.artifact(argv, "count.csv", capsys)
+        assert first[:2] == (0, "32\n")
+        assert main(interruption) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            lines = captured.err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"]["code"] == "cli_io.config"
+        else:
+            assert "usage: beta-targets" in captured.out
+        assert self.artifact(argv, "count.csv", capsys) == first
+
+    def test_no_flag_carries_over(self, tmp_path, capsys):
+        # the config-only call takes betas, n and out from its config, and
+        # the plain call has no seed, whatever the calls between them set
+        path = write_config(tmp_path, {"betas": [1.8], "n": 4,
+                                       "out": str(tmp_path / "config")})
+        config_only = ["count", "--config", path]
+        plain = ["count", "--beta", "2", "--n", "5",
+                 "--out", str(tmp_path / "flags")]
+        seeded = plain + ["--seed", "3"]
+
+        def call(argv):
+            rc = main(argv)
+            out = (tmp_path / ("config" if argv is config_only else "flags")
+                   / "count.csv").read_bytes()
+            return rc, capsys.readouterr().out, out
+
+        first = {"config": call(config_only), "plain": call(plain)}
+        assert first["config"][:2] == (0, "13\n")
+        assert first["plain"][:2] == (0, "32\n")
+        assert call(seeded)[2] != first["plain"][2]
+        assert call(config_only) == first["config"]
+        assert call(plain) == first["plain"]
