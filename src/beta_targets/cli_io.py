@@ -212,7 +212,6 @@ class RunConfig:
 
 _PARSERS = {f.name: f.metadata["parse"]
             for f in dataclasses.fields(RunConfig) if "parse" in f.metadata}
-_TOP_KEYS = set(_PARSERS)
 
 
 def _load(text: str) -> dict:
@@ -273,6 +272,8 @@ def _load_table(d: int, path: str) -> ExplicitTargets:
             if lineno == 1:
                 continue
             _fail(f"target table line {lineno}: non-numeric entry")
+        if level in rows:
+            _fail(f"target table line {lineno}: level {level} repeated")
         rows[level] = vals
     if not rows:
         _fail(f"target table {path!r} has no data rows")
@@ -326,27 +327,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _csv_head(header: Sequence[str], sha: str) -> str:
-    return f"# config_sha256={sha}\n" + ",".join(header) + "\n"
-
-
-def _write_csv(path: Path, header: Sequence[str], rows,
-               sha: str, trailing: Sequence[str] = ()) -> None:
-    lines = [",".join(_fmt(v) for v in row) for row in rows]
+def _csv(sha: str, header: Sequence[str], rows=(),
+         trailing: Sequence[str] = ()) -> str:
+    """A CSV artifact: config hash comment, header, rows, trailing lines."""
+    lines = [f"# config_sha256={sha}", ",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     lines.extend(trailing)
-    _write(path, _csv_head(header, sha) + "".join(f"{x}\n" for x in lines))
-
-
-def _write_json(path: Path, obj: dict, sha: str) -> None:
-    payload = dict(obj)
-    payload["config_sha256"] = sha
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ScaleRangeError(
-            f"{path.name} would hold a non-finite value ({exc}): the float "
-            "values overflow on this input", module=_MODULE)
-    _write(path, text + "\n")
+    return "".join(f"{x}\n" for x in lines)
 
 
 def _write(path: Path, text: str) -> None:
@@ -378,7 +365,7 @@ def _need(value, key: str):
     return value
 
 
-def _cmd_expand(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_expand(cfg: RunConfig, sha: str) -> str:
     beta = _need(cfg.betas, "betas")[0]
     x = _need(cfg.x, "x")
     n = _need(cfg.n, "n")
@@ -388,22 +375,17 @@ def _cmd_expand(cfg: RunConfig, out: Path, sha: str) -> int:
     for step, digit in enumerate(word, 1):
         rows.append((step, digit, point))
         point = transform(beta, point)
-    _write_csv(out / "expand.csv", ("step", "digit", "point"), rows, sha)
-    print(f"wrote {out / 'expand.csv'}")
-    return 0
+    return _csv(sha, ("step", "digit", "point"), rows)
 
 
-def _cmd_cylinders(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_cylinders(cfg: RunConfig, sha: str) -> Iterable[str]:
     beta = _need(cfg.betas, "betas")[0]
     n = _need(cfg.n, "n")
     within = Interval(*cfg.interval) if cfg.interval is not None else None
     blocks = cylinder_blocks(beta, n, only_full=cfg.only_full, within=within,
                              node_cap=cfg.node_cap)
-    head = _csv_head(("word", "level", "left", "length", "full"), sha)
-    _stream(out / "cylinders.csv", itertools.chain(
-        [head], (_cylinder_rows(b, n) for b in blocks)))
-    print(f"wrote {out / 'cylinders.csv'}")
-    return 0
+    head = _csv(sha, ("word", "level", "left", "length", "full"))
+    return itertools.chain([head], (_cylinder_rows(b, n) for b in blocks))
 
 
 def _cylinder_rows(block, n: int) -> str:
@@ -434,7 +416,7 @@ def _unprintable(beta: float, n: int, limit: int) -> ResourceLimitError:
         "digits, the interpreter's int-to-str limit", module=_MODULE)
 
 
-def _cmd_count(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_count(cfg: RunConfig, sha: str) -> Tuple[str, str]:
     beta = _need(cfg.betas, "betas")[0]
     n = _need(cfg.n, "n")
     # printing an int with more digits than this raises ValueError
@@ -446,19 +428,16 @@ def _cmd_count(cfg: RunConfig, out: Path, sha: str) -> int:
     admissible, full = count_words(beta, n, node_cap=cfg.node_cap)
     if limit and admissible >= 10 ** limit:
         raise _unprintable(beta, n, limit)
-    _write_csv(out / "count.csv",
-               ("beta", "n", "admissible", "full"),
-               [(beta, n, admissible, full)], sha)
-    print(admissible)
-    return 0
+    return _csv(sha, ("beta", "n", "admissible", "full"),
+                [(beta, n, admissible, full)]), str(admissible)
 
 
-def _cmd_ortho(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_ortho(cfg: RunConfig, sha: str) -> str:
     cols = _need(cfg.columns, "columns")
     matrix = np.column_stack(cols)
     frame = pivoted_orthogonalize(matrix)
     norms = frame.norms.tolist()
-    # values that overflow are refused by _write_json
+    # values that overflow are refused by the encoding below
     with np.errstate(over="ignore", invalid="ignore"):
         recon = frame.gammas @ frame.U
         err = float(np.max(np.abs(
@@ -476,13 +455,18 @@ def _cmd_ortho(cfg: RunConfig, out: Path, sha: str) -> int:
             "max_abs_U": float(np.max(np.abs(frame.U))),
             "reconstruction_max_abs_err": err,
         },
+        "config_sha256": sha,
     }
-    _write_json(out / "ortho.json", payload, sha)
-    print(f"wrote {out / 'ortho.json'}")
-    return 0
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ScaleRangeError(
+            f"ortho.json would hold a non-finite value ({exc}): the float "
+            "values overflow on this input", module=_MODULE)
+    return text + "\n"
 
 
-def _cmd_content(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_content(cfg: RunConfig, sha: str) -> str:
     shape = _need(cfg.shape, "shape")
     exponents = _need(cfg.s, "s")
     rows = []
@@ -490,12 +474,10 @@ def _cmd_content(cfg: RunConfig, out: Path, sha: str) -> int:
         est = brute_force_content_2d(np.asarray(shape, dtype=float),
                                      float(s), depths=cfg.depths)
         rows.append((float(s), est.lower, est.upper))
-    _write_csv(out / "content.csv", ("s", "lower", "upper"), rows, sha)
-    print(f"wrote {out / 'content.csv'}")
-    return 0
+    return _csv(sha, ("s", "lower", "upper"), rows)
 
 
-def _cmd_dimension(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_dimension(cfg: RunConfig, sha: str) -> str:
     spec = make_target_spec(cfg)
     n_min = _need(cfg.n_min, "n_min")
     n_max = _need(cfg.n_max, "n_max")
@@ -509,12 +491,12 @@ def _cmd_dimension(cfg: RunConfig, out: Path, sha: str) -> int:
             for lv in report.levels]
     trailing = [f"# s_star={report.s_star!r},"
                 f"converged={'true' if report.converged else 'false'}"]
-    _write_csv(out / "dimension.csv", header, rows, sha, trailing)
-    print(f"wrote {out / 'dimension.csv'}")
-    return 0
+    return _csv(sha, header, rows, trailing)
 
 
-def _cmd_verify_cover(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_verify_cover(cfg: RunConfig, sha: str) -> str:
+    if cfg.s is not None and len(cfg.s) > 1:
+        _fail(f"verify-cover takes a single exponent 's', got {list(cfg.s)}")
     spec = make_target_spec(cfg)
     n_min = _need(cfg.n_min, "n_min")
     n_max = _need(cfg.n_max, "n_max")
@@ -526,13 +508,10 @@ def _cmd_verify_cover(cfg: RunConfig, out: Path, sha: str) -> int:
                                    cell_cap=cfg.cell_cap)
         for row in scan.rows:
             rows.append((n, row.tau, row.count, row.predicted, row.ratio))
-    _write_csv(out / "verify_cover.csv",
-               ("n", "tau", "measured", "formula", "ratio"), rows, sha)
-    print(f"wrote {out / 'verify_cover.csv'}")
-    return 0
+    return _csv(sha, ("n", "tau", "measured", "formula", "ratio"), rows)
 
 
-def _cmd_verify_measure(cfg: RunConfig, out: Path, sha: str) -> int:
+def _cmd_verify_measure(cfg: RunConfig, sha: str) -> str:
     spec = make_target_spec(cfg)
     n_min = _need(cfg.n_min, "n_min")
     n_max = _need(cfg.n_max, "n_max")
@@ -548,35 +527,47 @@ def _cmd_verify_measure(cfg: RunConfig, out: Path, sha: str) -> int:
             _, radius, mass = rep.regime_witness[regime]
             bound = radius ** rep.t / side ** 2
             rows.append((n, regime, mass, bound, ratio))
-    _write_csv(out / "verify_measure.csv",
-               ("n", "regime", "measured", "formula", "ratio"), rows, sha)
-    print(f"wrote {out / 'verify_measure.csv'}")
-    return 0
+    return _csv(sha, ("n", "regime", "measured", "formula", "ratio"), rows)
 
 
-_HANDLERS = {
-    "expand": _cmd_expand,
-    "cylinders": _cmd_cylinders,
-    "count": _cmd_count,
-    "ortho": _cmd_ortho,
-    "content": _cmd_content,
-    "dimension": _cmd_dimension,
-    "verify-cover": _cmd_verify_cover,
-    "verify-measure": _cmd_verify_measure,
+_COMMON_FLAGS = (("--out", str, "out"), ("--seed", int, "seed"))
+
+_SUBCOMMANDS = {
+    # name: (handler(cfg, sha), artifact file name, (flag, type, config
+    # key) overrides besides _COMMON_FLAGS); a handler returns the
+    # artifact's text, its lazy chunks, or (text, line printed instead of
+    # "wrote <path>")
+    "expand": (_cmd_expand, "expand.csv", ()),
+    "cylinders": (_cmd_cylinders, "cylinders.csv", ()),
+    "count": (_cmd_count, "count.csv",
+              (("--beta", float, "betas"), ("--n", int, "n"))),
+    "ortho": (_cmd_ortho, "ortho.json", ()),
+    "content": (_cmd_content, "content.csv", ()),
+    "dimension": (_cmd_dimension, "dimension.csv",
+                  (("--nmin", int, "n_min"), ("--nmax", int, "n_max"),
+                   ("--window", int, "window"))),
+    "verify-cover": (_cmd_verify_cover, "verify_cover.csv", ()),
+    "verify-measure": (_cmd_verify_measure, "verify_measure.csv", ()),
 }
 
 
 def run(subcommand: str, cfg: RunConfig) -> int:
-    """Dispatch a validated config; artifacts land in cfg.out."""
-    if subcommand not in _HANDLERS:
+    """Dispatch a validated config; the artifact lands in cfg.out."""
+    if subcommand not in _SUBCOMMANDS:
         _fail(f"unknown subcommand {subcommand!r}")
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         _fail(f"cannot create output directory {cfg.out!r}: {exc}")
-    sha = _config_sha(cfg.raw)
-    return _HANDLERS[subcommand](cfg, out, sha)
+    handler, name, _ = _SUBCOMMANDS[subcommand]
+    path = out / name
+    body = handler(cfg, _config_sha(cfg.raw))
+    body, line = body if isinstance(body, tuple) else (body, f"wrote {path}")
+    # only lazy chunks can fail midway, so only they pay for .part
+    (_write if isinstance(body, str) else _stream)(path, body)
+    print(line)
+    return 0
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -594,17 +585,8 @@ class _QuietParser(argparse.ArgumentParser):
         raise _ArgsError(message)
 
 
-_FLAGS = {
-    # subcommand (None: all of them) -> (flag, type, config key) overrides
-    None: (("--out", str, "out"), ("--seed", int, "seed")),
-    "count": (("--beta", float, "betas"), ("--n", int, "n")),
-    "dimension": (("--nmin", int, "n_min"), ("--nmax", int, "n_max"),
-                  ("--window", int, "window")),
-}
-
-
 def _flags(subcommand: str):
-    return _FLAGS[None] + _FLAGS.get(subcommand, ())
+    return _COMMON_FLAGS + _SUBCOMMANDS[subcommand][2]
 
 
 @functools.cache
@@ -616,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "shrinking-target toolkit: expansions, covering counts, and the "
         "dimension formula"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
+    for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config")
         for flag, kind, key in _flags(name):

@@ -265,14 +265,12 @@ class ExplicitTargets:
         sh = tuple(shapes)
         if not sh:
             raise DomainError("need at least one target", module=_MODULE)
-        d = sh[0].dimension
-        for p in sh:
-            if not isinstance(p, Parallelepiped):
-                raise DomainError("explicit targets must be parallelepipeds",
-                                  module=_MODULE)
-            if p.dimension != d:
-                raise DomainError("all targets must share one dimension",
-                                  module=_MODULE)
+        if not all(isinstance(p, Parallelepiped) for p in sh):
+            raise DomainError("explicit targets must be parallelepipeds",
+                              module=_MODULE)
+        if any(p.dimension != sh[0].dimension for p in sh):
+            raise DomainError("all targets must share one dimension",
+                              module=_MODULE)
         object.__setattr__(self, "shapes", sh)
 
     @property
@@ -482,14 +480,17 @@ def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
     """Windowed limsup estimate: s* = max of s_n over the last `window`
     levels of [n_min, n_max], with converged set when that window's
     spread is below the tolerance.  No extrapolation is attempted."""
-    if not (1 <= n_min <= n_max):
+    _check_level(n_min, _MODULE)
+    _check_level(n_max, _MODULE)
+    if n_min > n_max:
         raise DomainError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]",
                           module=_MODULE)
     count = n_max - n_min + 1
-    if not (1 <= window <= count):
-        raise DomainError(
-            f"window must lie in [1, {count}], got {window}", module=_MODULE)
-    if tolerance <= 0.0:
+    if isinstance(window, bool) or not isinstance(window, int) or \
+            not 1 <= window <= count:
+        raise DomainError(f"window must be an integer in [1, {count}], "
+                          f"got {window!r}", module=_MODULE)
+    if not tolerance > 0.0:
         raise DomainError("tolerance must be positive", module=_MODULE)
     levels = tuple(s_n(spec, n, mode=mode) for n in range(n_min, n_max + 1))
     tail = levels[-window:]

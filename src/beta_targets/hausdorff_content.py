@@ -303,14 +303,14 @@ def brute_force_content_2d(shape, s: float,
         raise DomainError("shape must lie inside the unit square",
                           module=_MODULE)
     poly = ensure_ccw(np.clip(poly, 0.0, 1.0))
+    # relative to its first vertex, a polygon of zero width or height has
+    # shoelace area exactly 0.0, so w and h below are positive
     area = polygon_area(poly)
     if area <= 0.0:
         return ContentEstimate(0.0, 0.0, scale_grid)
 
     x0, y0, x1, y1 = polygon_bbox(poly)
     w, h = x1 - x0, y1 - y0
-    if w <= 0.0 or h <= 0.0:
-        return ContentEstimate(0.0, 0.0, scale_grid)
     lower_chain, upper_chain = envelope_chains(poly)
 
     # the merged cover dominates the plain ones at depths up to its own

@@ -17,9 +17,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from beta_targets.cli_io import (
+    _PARSERS,
     _SHAPE_KEYS,
+    _SUBCOMMANDS,
     _TARGETS,
-    _TOP_KEYS,
     main,
     make_target_spec,
     parse_config,
@@ -80,7 +81,7 @@ class TestParseConfig:
         schema = Path(__file__).resolve().parents[1] / "schema" / \
             "run_config.schema.json"
         props = json.loads(schema.read_text())["properties"]
-        assert set(props) == _TOP_KEYS
+        assert set(props) == set(_PARSERS)
         branches = {b["properties"]["kind"]["const"]: b
                     for b in props["target"]["oneOf"]}
         assert set(branches) == set(_TARGETS)
@@ -151,7 +152,7 @@ VALID_TARGETS = {
 class TestAnyValue:
     """Whatever JSON value a key holds, only typed errors come out."""
 
-    @given(key=st.sampled_from(sorted(_TOP_KEYS)), value=JSON_VALUES)
+    @given(key=st.sampled_from(sorted(_PARSERS)), value=JSON_VALUES)
     def test_top_level_key(self, key, value):
         with contextlib.suppress(BetaTargetsError):
             validate_config({key: value})
@@ -494,6 +495,25 @@ class TestDimension:
         rc = main(["dimension", "--config", path, "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_table_levels_must_be_unique(self, tmp_path, capsys):
+        # the repeated level used to replace the earlier row silently
+        table = tmp_path / "targets.csv"
+        table.write_text("1,0,0,0.5,0,0,0.5\n2,0,0,0.25,0,0,0.25\n"
+                         "2,0,0,0.2,0,0,0.2\n3,0,0,0.125,0,0,0.125\n")
+        path = write_config(tmp_path, {
+            "betas": [2, 2],
+            "target": {"kind": "table", "path": str(table)},
+            "n_min": 1, "n_max": 3,
+        })
+        out = tmp_path / "out"
+        rc = main(["dimension", "--config", path, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "cli_io.config"
+        assert "line 3" in err["message"]
+        assert "level 2" in err["message"]
+        assert not (out / "dimension.csv").exists()
+
     @pytest.mark.parametrize("shape, needle", [
         ({"columns": [[0.1, 0.0], [0.0, 0.1]]}, "'origin'"),
         ({"origin": [0.1, 0.1]}, "'columns'"),
@@ -563,6 +583,40 @@ class TestVerifyCover:
         assert float(ratio) == pytest.approx(
             256.0 / float(formula), rel=1e-12)
 
+    def config(self, tmp_path, s):
+        return write_config(tmp_path, {
+            "betas": [2, 4],
+            "target": {"kind": "rotated2d", "theta": "const",
+                       "theta_value": PI4},
+            "n_min": 2, "n_max": 2,
+            "taus": [0.015625],
+            "s": s,
+        })
+
+    @pytest.mark.parametrize("s", [1.2, [1.2]], ids=["number", "list-of-one"])
+    def test_single_exponent(self, tmp_path, capsys, s):
+        rc = main(["verify-cover", "--config", self.config(tmp_path, s),
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows, _, _ = read_csv(tmp_path / "verify_cover.csv")
+        assert [r[:3] for r in rows] == [["2", "0.015625", "256"]]
+
+    def test_two_exponents_refused(self, tmp_path, capsys, monkeypatch):
+        # the second exponent used to be dropped without a word
+        from beta_targets import cli_io
+        scans = []
+        monkeypatch.setattr(cli_io, "cover_exponent_scan",
+                            lambda *args, **kwargs: scans.append(args))
+        out = tmp_path / "out"
+        rc = main(["verify-cover", "--config",
+                   self.config(tmp_path, [1.2, 1.9]), "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "cli_io.config"
+        assert "single exponent" in err["message"]
+        assert scans == []
+        assert list(out.iterdir()) == []
+
 
 class TestVerifyMeasure:
     def test_regime_rows(self, tmp_path, capsys):
@@ -601,6 +655,53 @@ class TestVerifyMeasure:
         assert main(["verify-measure", "--config", path, "--out", str(out),
                      "--seed", "11"]) == 0
         assert (out / "verify_measure.csv").read_bytes() == first
+
+
+# a small config for each subcommand, and the stdout it gives
+MINIMAL = {
+    "expand": {"betas": [2], "x": 0.375, "n": 3},
+    "cylinders": {"betas": [1.8], "n": 4},
+    "count": {"betas": [2], "n": 5},
+    "ortho": {"columns": [[1, 2], [3, 4]]},
+    "content": {"shape": [[0, 0], [1, 0], [1, 1], [0, 1]], "s": 1.0,
+                "depths": [3]},
+    "dimension": {"betas": [2, 4], "n_min": 1, "n_max": 2,
+                  "target": {"kind": "rotated2d", "theta": "const"}},
+    "verify-cover": {"betas": [2, 4], "n_min": 2, "n_max": 2,
+                     "taus": [0.015625],
+                     "target": {"kind": "rotated2d", "theta": "const",
+                                "theta_value": PI4}},
+    "verify-measure": {"betas": [2, 4], "n_min": 2, "n_max": 2,
+                       "samples": 40,
+                       "target": {"kind": "rotated2d", "theta": "const",
+                                  "theta_value": PI4}},
+}
+
+
+class TestSubcommandTable:
+    """Each row of the subcommand table: its handler's artifact lands in
+    --out under the row's file name, and only its own flags parse."""
+
+    @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+    def test_row(self, tmp_path, capsys, name):
+        _, artifact, flags = _SUBCOMMANDS[name]
+        path = write_config(tmp_path, MINIMAL[name])
+        out = tmp_path / "out"
+        assert main([name, "--config", path, "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == [artifact]
+        printed = capsys.readouterr().out
+        assert printed == ("32\n" if name == "count"
+                           else f"wrote {out / artifact}\n")
+        own = {flag for flag, _, _ in flags}
+        foreign = next(flag for other in _SUBCOMMANDS.values()
+                       for flag, _, _ in other[2] if flag not in own)
+        assert main([name, "--config", path, "--out", str(out),
+                     foreign, "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "cli_io.config"
 
 
 def _with_config(subcommand, config):
@@ -679,10 +780,12 @@ class TestErrorReporting:
     def test_memory_error_is_json(self, tmp_path, capsys, monkeypatch):
         from beta_targets import cli_io
 
-        def exhausted(cfg, out, sha):
+        def exhausted(cfg, sha):
             raise MemoryError("simulated")
 
-        monkeypatch.setitem(cli_io._HANDLERS, "count", exhausted)
+        _, artifact, flags = cli_io._SUBCOMMANDS["count"]
+        monkeypatch.setitem(cli_io._SUBCOMMANDS, "count",
+                            (exhausted, artifact, flags))
         assert main(["count", "--beta", "2", "--n", "3",
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

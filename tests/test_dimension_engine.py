@@ -358,6 +358,14 @@ class TestSStar:
             s_star(spec, 1, 10, window=11)
         with pytest.raises(DomainError):
             s_star(spec, 1, 10, tolerance=0.0)
+        # these raised TypeError, or ran (a NaN tolerance never converges)
+        spec = rotated_spec(0.7)
+        for args, kwargs in [
+                ((1.0, 5), {"window": 5}), ((1, 5.0), {}), ((True, 5), {}),
+                ((1, 5), {"window": 2.5}), ((1, 5), {"window": True}),
+                ((1, 5), {"tolerance": math.nan})]:
+            with pytest.raises(DomainError):
+                s_star(spec, *args, **kwargs)
 
 
 class TestGenerateTarget:
@@ -437,3 +445,14 @@ class TestFamilyValidation:
             TargetSpec(BetaSystem((2.0,)), AxisFamily((1.0, 1.0)))
         with pytest.raises(DomainError):
             ExplicitTargets(())
+
+    @pytest.mark.parametrize("first", [1, None])
+    def test_explicit_needs_shapes(self, first):
+        # a non-shape first entry raised AttributeError
+        shape = Parallelepiped([0.1, 0.1], np.eye(2) * 0.1)
+        with pytest.raises(DomainError, match="parallelepipeds"):
+            ExplicitTargets([first, 2])
+        with pytest.raises(DomainError, match="parallelepipeds"):
+            ExplicitTargets([first, shape])
+        with pytest.raises(DomainError, match="parallelepipeds"):
+            ExplicitTargets([shape, first])
