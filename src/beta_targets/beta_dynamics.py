@@ -51,6 +51,7 @@ import functools
 import itertools
 import logging
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
@@ -299,6 +300,12 @@ def _check_level(n, module="beta_dynamics") -> None:
                           module=module)
 
 
+def _check_indexable(n: int) -> None:
+    if n > sys.maxsize:  # walks and counts index their levels
+        raise ResourceLimitError(f"levels above {sys.maxsize} cannot be "
+                                 "indexed", module="beta_dynamics")
+
+
 def _check_unit_point(x):
     if not (0 <= x < 1):
         raise DomainError(f"point {x!r} outside [0, 1)",
@@ -382,6 +389,7 @@ def cylinder_blocks(
     """
     param = as_beta_param(beta)
     _check_level(n)
+    _check_indexable(n)
     if within is not None:
         _check_unit_interval(within)
     ctx = _Ctx(param)
@@ -557,6 +565,7 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
     c(n - j) over the live states j.  The work, n times the live states,
     is checked against node_cap as the orbit grows, before the recurrence.
     """
+    _check_indexable(n)
     gains = []
     for top, nxt in itertools.islice(_orbit(_Ctx(param)), n):
         gains.append(top + (nxt is None))

@@ -4,7 +4,7 @@ One JSON config drives every subcommand; unknown keys are rejected by
 name so typos fail loudly instead of silently using a default.  Each
 key is read by the typed converter that its RunConfig field, or its
 target kind in _TARGETS, declares; range checks the library already
-makes (theta rule, exponents, levels) stay there.  Tabular results go
+makes (exponents, levels) stay there.  Tabular results go
 to CSV (header row plus a comment line with the config hash),
 structured results to JSON.  Outputs are byte-identical for identical
 config and seed: floats are written with repr and nothing records
@@ -38,8 +38,8 @@ from .beta_dynamics import (
     transform,
 )
 from .dimension_engine import (
-    AxisFamily,
     ExplicitTargets,
+    LinearFamily,
     Rotated2DFamily,
     TargetSpec,
     s_n,
@@ -64,6 +64,7 @@ from .parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
     pivoted_orthogonalize,
+    rotation_matrix,
 )
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -288,12 +289,20 @@ def _load_table(d: int, path: str) -> ExplicitTargets:
     return ExplicitTargets(tuple(shapes))
 
 
+def _rotated(d, theta, theta_value=0.0, a=0.0, exponents=(1.0, 1.0)):
+    """A constant angle is the linear family of R = rotation_matrix."""
+    if theta == "const":
+        return LinearFamily(rotation_matrix(theta_value).tolist(), exponents,
+                            (0.5, 0.5))
+    return Rotated2DFamily(a, exponents)
+
+
 _TARGETS = {
     # kind: (builder(dimension, **keys), required keys, optional keys)
-    "axis": (lambda d, **keys: AxisFamily(**keys),
-             {"exponents": _numbers}, {"origin": _numbers}),
-    "rotated2d": (lambda d, **keys: Rotated2DFamily(**keys),
-                  {"theta": _string},
+    "axis": (lambda d, exponents, origin=None: LinearFamily(
+        np.eye(len(exponents)).tolist(), exponents, origin),
+        {"exponents": _numbers}, {"origin": _numbers}),
+    "rotated2d": (_rotated, {"theta": _choice("const", "arccos_pow2")},
                   {"theta_value": _number, "a": _number,
                    "exponents": _numbers}),
     "explicit": (lambda d, **keys: ExplicitTargets(**keys),
@@ -423,7 +432,7 @@ def _cmd_count(cfg: RunConfig, sha: str) -> Tuple[str, str]:
     limit = sys.get_int_max_str_digits()
     # Renyi: the count is at least beta**n, so a level whose bound alone
     # passes the limit is refused before counting
-    if limit and n * math.log10(beta) > limit + 1:
+    if limit and n > (limit + 1) / math.log10(beta):
         raise _unprintable(beta, n, limit)
     admissible, full = count_words(beta, n, node_cap=cfg.node_cap)
     if limit and admissible >= 10 ** limit:

@@ -20,41 +20,50 @@ Everything runs in the log domain: the objective consumes only logarithms
 and the gamma norms come from the log-domain orthogonalization, so
 levels far beyond float range (beta_i^-n underflowing) cost nothing.
 
-Every family (axis, rotated-2D, explicit list) implements the
-TargetFamily interface; the public functions validate the level once
-and delegate to it.
+Every family (linear o + R diag(beta_j^(-n t_j)) [0,1]^d with R fixed,
+rotated-2D with theta_n = arccos(2^(-a n)), explicit list) implements
+the TargetFamily interface; the public functions validate the level once
+and delegate to it.  Levels whose log2 scales leave float range raise
+ScaleRangeError.
 
 Two evaluation modes.  "exact" uses the finite-n magnitudes as defined
 above.  "limit" replaces each log magnitude by its leading growth rate
 per level (so constants like log cos(theta) drop out); for families whose
 shape is constant in n this reproduces the limiting closed forms at
 every n, where the exact finite-n value only approaches them as n grows.
-Rate extraction needs an analytic family (axis or rotated-2D); explicit
-target lists have no asymptotic rates and raise a domain error.
+Rate extraction needs an analytic family (for d >= 3, a matrix R with
+one nonzero entry per column); other targets raise a domain error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import sys
 import warnings
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from .beta_dynamics import _check_level
-from .errors import ConsistencyError, DomainError
+from .errors import (
+    ConsistencyError,
+    DegenerateInputError,
+    DomainError,
+    ScaleRangeError,
+)
 from .parallelepiped_geometry import (
+    DEGENERACY_RTOL,
     BetaSystem,
     Parallelepiped,
     pivoted_orthogonalize_scaled,
-    rotation_matrix,
 )
 
 __all__ = [
     "TargetFamily",
-    "AxisFamily",
+    "LinearFamily",
     "Rotated2DFamily",
     "ExplicitTargets",
     "TargetSpec",
@@ -71,6 +80,8 @@ _MODULE = "dimension_engine"
 
 # relative dedup tolerance for the candidate set
 _DEDUP_RTOL = 1e-12
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class TargetFamily(Protocol):
@@ -104,155 +115,164 @@ def _log2_parts(v: float):
     return math.copysign(1.0, v), math.log2(abs(v))
 
 
+def _exponents(exponents, d: int) -> Tuple[float, ...]:
+    ex = tuple(map(float, exponents))
+    if len(ex) != d or not all(0.0 < t < math.inf for t in ex):
+        raise DomainError(f"need {d} positive finite exponents, got "
+                          f"{exponents!r}", module=_MODULE)
+    return ex
+
+
+def _contract(signs, logs, exponents, log2_betas, n: int, r_bound=1075.0):
+    """Columns of f^n R diag(beta_j^(-n t_j)) as (signs, log2 magnitudes)
+    from R's, at most r_bound in absolute value (1075 for any float):
+    entry (i, j) is log2|R_ij| - n (t_j l_j + l_i), on the diagonal
+    log2|R_jj| - n (1 + t_j) l_j, with l = log2_betas.  The frame doubles
+    sums of d entries, so a level where 2d times the bound
+    r_bound + n (max t_j l_j + max l_i) on them passes float range raises
+    ScaleRangeError."""
+    tl = [t * l for t, l in zip(exponents, log2_betas)]
+    if not 2 * len(tl) * (r_bound + n * (max(tl) + max(log2_betas))) \
+            < _FLOAT_MAX:
+        raise ScaleRangeError("the log2 magnitudes of f^n P_n are past "
+                              "float range at this level", module=_MODULE)
+    mags = []
+    for i, (row, li) in enumerate(zip(logs, log2_betas)):
+        mags.append([r - n * (x + li) for r, x in zip(row, tl)])
+        mags[i][i] = row[i] - n * (1.0 + exponents[i]) * li
+    return np.array(signs), np.array(mags)
+
+
+def _entry_rate(i: int, j: int, exponents, log2_betas) -> float:
+    """The per-level decay rate of entry (i, j) of _contract."""
+    t, l = exponents[j], log2_betas[j]
+    return (1.0 + t) * l if i == j else t * l + log2_betas[i]
+
+
+def _planar_rates(entry_rates, exponents, log2_betas):
+    """d = 2: the least live entry rate, and the volume rate less it."""
+    g1 = min(entry_rates)
+    return g1, sum((1.0 + t) * l for t, l in zip(exponents, log2_betas)) - g1
+
+
+@functools.lru_cache(maxsize=256)
+def _matrix_parts(rows):
+    """(signs, log2 magnitudes, log2|det|) of a matrix, refused by the
+    Parallelepiped rule with |det| from the log-domain frame; cached, as a
+    run builds the same few matrices once per job."""
+    signs, logs = zip(*(zip(*map(_log2_parts, row)) for row in rows))
+    log2_det = math.fsum(pivoted_orthogonalize_scaled(signs,
+                                                      logs).log2_norms)
+    # column norms from the logs, so that no square over- or underflows
+    ratio = log2_det - sum(max(c) + 0.5 * math.log2(sum(
+        4.0 ** (l - max(c)) for l in c)) for c in zip(*logs))
+    if ratio < math.log2(DEGENERACY_RTOL):
+        raise DegenerateInputError(
+            f"matrix columns nearly dependent: |det| is 2^{ratio:.1f} times "
+            "the product of the column norms", module=_MODULE)
+    return signs, logs, log2_det
+
+
+def _target(rot, betas, exponents, n: int, origin) -> Parallelepiped:
+    sides = [b ** (-n * t) for b, t in zip(betas, exponents)]
+    return Parallelepiped(origin, rot @ np.diag(sides))
+
+
 @dataclasses.dataclass(frozen=True)
-class AxisFamily:
-    """P_n = origin + prod_i [0, beta_i^(-n t_i)] (no rotation)."""
+class LinearFamily:
+    """P_n = origin + R diag(beta_j^(-n t_j)) [0, 1]^d for a fixed R, kept
+    as a tuple of rows: R = I is the axis box, R a rotation the constantly
+    rotated one.  A nearly singular R (|det R| below DEGENERACY_RTOL times
+    the product of its column norms) raises DegenerateInputError."""
 
+    matrix: Tuple[Tuple[float, ...], ...]
     exponents: Tuple[float, ...]
-    origin: Tuple[float, ...] = ()
+    origin: Tuple[float, ...]
 
-    def __init__(self, exponents: Sequence[float],
+    def __init__(self, matrix, exponents: Sequence[float],
                  origin: Optional[Sequence[float]] = None):
-        ex = tuple(float(t) for t in exponents)
-        if not ex or any(not math.isfinite(t) or t <= 0.0 for t in ex):
-            raise DomainError("axis exponents must be positive and finite",
-                              module=_MODULE)
-        org = tuple(float(x) for x in origin) if origin is not None \
-            else (0.0,) * len(ex)
-        if len(org) != len(ex):
-            raise DomainError("origin length must match exponents",
-                              module=_MODULE)
-        object.__setattr__(self, "exponents", ex)
-        object.__setattr__(self, "origin", org)
+        rows = tuple(tuple(map(float, row)) for row in matrix)
+        d = len(rows)
+        org = (0.0,) * d if origin is None else tuple(map(float, origin))
+        if not d or any(len(v) != d for v in (org, *rows)) or \
+                not all(map(math.isfinite, itertools.chain(org, *rows))):
+            raise DomainError("need a finite square matrix and an origin "
+                              "of its size", module=_MODULE)
+        for name, value in zip(
+                ("matrix", "exponents", "origin", "_signs", "_logs",
+                 "_log2_det"),
+                (rows, _exponents(exponents, d), org, *_matrix_parts(rows))):
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
         return len(self.exponents)
 
     def log_columns(self, log2_betas, n: int):
-        d = self.dimension
-        signs = np.zeros((d, d))
-        mags = np.full((d, d), -np.inf)
-        for i, (t, l) in enumerate(zip(self.exponents, log2_betas)):
-            signs[i, i] = 1.0
-            mags[i, i] = -n * (1.0 + t) * l
-        return signs, mags
+        return _contract(self._signs, self._logs, self.exponents,
+                         log2_betas, n)
 
     def target(self, betas, n: int) -> Parallelepiped:
-        sides = [b ** (-n * t) for b, t in zip(betas, self.exponents)]
-        return Parallelepiped(self.origin, np.diag(sides))
+        return _target(np.array(self.matrix), betas, self.exponents, n,
+                       self.origin)
 
     def rates(self, log2_betas):
-        return tuple(sorted((1.0 + t) * l
-                            for t, l in zip(self.exponents, log2_betas)))
+        # one nonzero entry per column: orthogonal contracted columns
+        rates = [_entry_rate(i, j, self.exponents, log2_betas)
+                 for i, row in enumerate(self._signs)
+                 for j, s in enumerate(row) if s]
+        if len(rates) == self.dimension:
+            return tuple(sorted(rates))
+        if self.dimension != 2:
+            raise DomainError("limit rates need d = 2 or one nonzero "
+                              "entry per matrix column", module=_MODULE)
+        return _planar_rates(rates, self.exponents, log2_betas)
 
     def log2_volume(self, log2_betas, n: int) -> float:
-        return -n * sum((1.0 + t) * l
-                        for t, l in zip(self.exponents, log2_betas))
+        return self._log2_det - n * sum(
+            (1.0 + t) * l for t, l in zip(self.exponents, log2_betas))
 
 
 @dataclasses.dataclass(frozen=True)
 class Rotated2DFamily:
-    """P_n = R(theta_n) (prod_i [0, beta_i^(-n t_i)]) + (1/2, 1/2).
+    """P_n = (1/2, 1/2) + R(theta_n) diag(beta_j^(-n t_j)) [0, 1]^2 with
+    cos theta_n = 2^(-a n), straightening as n grows when a > 0."""
 
-    theta rule is either "const" (theta_value radians) or "arccos_pow2"
-    (cos theta_n = 2^(-a n), so the rotation straightens as n grows when
-    a > 0; a = 0 degenerates to no rotation).
-    """
-
-    theta: str
-    theta_value: float = 0.0
-    a: float = 0.0
+    a: float
     exponents: Tuple[float, float] = (1.0, 1.0)
 
-    def __init__(self, theta: str, theta_value: float = 0.0, a: float = 0.0,
-                 exponents: Sequence[float] = (1.0, 1.0)):
-        if theta not in ("const", "arccos_pow2"):
-            raise DomainError(
-                f"theta rule must be 'const' or 'arccos_pow2', got {theta!r}",
-                module=_MODULE)
-        ex = tuple(float(t) for t in exponents)
-        if len(ex) != 2 or any(t <= 0.0 or not math.isfinite(t) for t in ex):
-            raise DomainError("need two positive exponents", module=_MODULE)
-        if theta == "arccos_pow2" and (not math.isfinite(a) or a < 0.0):
+    def __init__(self, a: float, exponents: Sequence[float] = (1.0, 1.0)):
+        if not 0.0 <= a < math.inf:
             raise DomainError(f"decay parameter must be >= 0, got {a}",
                               module=_MODULE)
-        if theta == "const" and not math.isfinite(theta_value):
-            raise DomainError("theta_value must be finite", module=_MODULE)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "theta_value", float(theta_value))
         object.__setattr__(self, "a", float(a))
-        object.__setattr__(self, "exponents", ex)
+        object.__setattr__(self, "exponents", _exponents(exponents, 2))
 
     dimension = 2
-
-    @functools.cached_property
-    def _const_cos_sin(self) -> Tuple[float, float]:
-        """cos and sin of the constant angle, near-zero values snapped."""
-        c, s = rotation_matrix(self.theta_value)[:, 0].tolist()
-        return c, s
-
-    def _theta_parts(self, n: int):
-        """(sign, log2 magnitude) for cos and sin of theta_n."""
-        if self.theta == "const":
-            c, s = self._const_cos_sin
-            return _log2_parts(c), _log2_parts(s)
-        # cos theta_n = 2^(-a n): exact in log2; sin from log1p for accuracy
-        a = self.a
-        if a == 0.0:
-            return (1.0, 0.0), (0.0, -math.inf)
-        lc = -a * n
-        # sin^2 = 1 - 2^(-2an)
-        x = 2.0 ** (-2.0 * a * n) if 2.0 * a * n < 1074 else 0.0
-        ls = 0.5 * math.log1p(-x) / math.log(2.0) if x < 1.0 else -math.inf
-        return (1.0, lc), (1.0, ls)
+    _log2_det = 0.0
+    log2_volume = LinearFamily.log2_volume
 
     def log_columns(self, log2_betas, n: int):
-        (sc, lc), (ss, ls) = self._theta_parts(n)
-        l1, l2 = log2_betas
-        t1, t2 = self.exponents
-        # column j = f^n R(theta) e_j * beta_j^(-n t_j)
-        signs = np.array([[sc, -ss], [ss, sc]])
-        mags = np.array([[lc - n * (1.0 + t1) * l1, ls - n * (t2 * l2 + l1)],
-                         [ls - n * (t1 * l1 + l2), lc - n * (1.0 + t2) * l2]])
-        return signs, mags
+        # log2 cos theta_n = -a n exactly; sin^2 = 1 - 2^(-2an) by log1p
+        lc, ss, ls = -self.a * n, 0.0, -math.inf
+        x = 2.0 ** (-2.0 * self.a * n) if 2.0 * self.a * n < 1074 else 0.0
+        if x < 1.0:
+            ss, ls = 1.0, 0.5 * math.log1p(-x) / math.log(2.0)
+        return _contract(((1.0, -ss), (ss, 1.0)), ((lc, ls), (ls, lc)),
+                         self.exponents, log2_betas, n, 1075.0 - lc)
 
     def target(self, betas, n: int) -> Parallelepiped:
-        if self.theta == "const":
-            rot = rotation_matrix(self.theta_value)
-        else:
-            c = 2.0 ** (-self.a * n)
-            rot = np.array([[c, -math.sqrt(1.0 - c * c)],
-                            [math.sqrt(1.0 - c * c), c]])
-        b1, b2 = betas
-        t1, t2 = self.exponents
-        cols = rot @ np.diag([b1 ** (-n * t1), b2 ** (-n * t2)])
-        return Parallelepiped((0.5, 0.5), cols)
+        c = 2.0 ** (-self.a * n)
+        s = math.sqrt(1.0 - c * c)
+        return _target(np.array([[c, -s], [s, c]]), betas, self.exponents,
+                       n, (0.5, 0.5))
 
     def rates(self, log2_betas):
-        l1, l2 = log2_betas
-        t1, t2 = self.exponents
-        if self.theta == "const":
-            c, s = self._const_cos_sin
-            cos_rate = 0.0 if c != 0.0 else None
-            sin_rate = 0.0 if s != 0.0 else None
-        elif self.a == 0.0:
-            cos_rate, sin_rate = 0.0, None
-        else:
-            cos_rate, sin_rate = self.a, 0.0
-        col1 = []
-        col2 = []
-        if cos_rate is not None:
-            col1.append((1.0 + t1) * l1 + cos_rate)
-            col2.append((1.0 + t2) * l2 + cos_rate)
-        if sin_rate is not None:
-            col1.append(t1 * l1 + l2 + sin_rate)
-            col2.append(t2 * l2 + l1 + sin_rate)
-        g1 = min(min(col1), min(col2))
-        return g1, -self.log2_volume(log2_betas, 1) - g1
-
-    # the rotation keeps the volume of the axis box
-    log2_volume = AxisFamily.log2_volume
+        # cos theta_n decays at rate a; sin theta_n at rate 0, or is 0
+        live = ((0, 0), (1, 1), (0, 1), (1, 0)) if self.a else ((0, 0), (1, 1))
+        return _planar_rates(
+            [_entry_rate(i, j, self.exponents, log2_betas) + self.a * (i == j)
+             for i, j in live], self.exponents, log2_betas)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,6 +335,11 @@ class TargetSpec:
     def dimension(self) -> int:
         return self.system.dimension
 
+    @functools.cached_property
+    def rates(self):
+        """The family's limit rates on this system, computed once."""
+        return self.family.rates(self.system.log2_betas)
+
 
 @dataclasses.dataclass(frozen=True)
 class LevelData:
@@ -362,10 +387,17 @@ class DimensionReport:
     tolerance: float
 
 
+def _check_float_level(n) -> None:
+    _check_level(n, _MODULE)
+    if n > _FLOAT_MAX:  # n log2 beta_i has no float value
+        raise ScaleRangeError("levels above 1.8e308 are past float range",
+                              module=_MODULE)
+
+
 def log_columns(spec: TargetSpec, n: int):
     """Columns of f^n P_n as (signs, log2 magnitudes), computed without
     ever materializing the underflowing values."""
-    _check_level(n, _MODULE)
+    _check_float_level(n)
     return spec.family.log_columns(spec.system.log2_betas, n)
 
 
@@ -375,7 +407,7 @@ def generate_target(spec: TargetSpec, n: int) -> Parallelepiped:
     Warns when the target pokes outside [0,1)^d; degenerate targets fail
     in the Parallelepiped constructor.
     """
-    _check_level(n, _MODULE)
+    _check_float_level(n)
     p = spec.family.target(spec.system.betas, n)
     v = p.vertices()
     if np.any(v < 0.0) or np.any(v >= 1.0):
@@ -394,13 +426,19 @@ def _minimize_objective(w: Sequence[float], g: Sequence[float]):
     resolve to the largest Lambda, i.e. the smallest tau.
     """
     cands: List[float] = []
-    for v in list(w) + list(g):
-        if not (v > 0.0) or not math.isfinite(v):
+    for v in (*w, *g):
+        if v == math.inf:
+            raise ScaleRangeError("a candidate scale is past float range "
+                                  "even in log2", module=_MODULE)
+        if not v > 0.0:
             raise DomainError(
                 "every candidate scale must be strictly below 1; "
                 "the target or a gamma norm is too large", module=_MODULE)
-        if not any(abs(v - c) <= _DEDUP_RTOL * max(abs(v), abs(c))
-                   for c in cands):
+        # v and c are positive: max(v, c) is the larger magnitude
+        for c in cands:
+            if abs(v - c) <= _DEDUP_RTOL * max(v, c):
+                break
+        else:
             cands.append(v)
     cands.sort()
     best_val, best_lam = math.inf, cands[0]
@@ -455,11 +493,10 @@ def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
     if mode not in ("exact", "limit"):
         raise DomainError(f"mode must be 'exact' or 'limit', got {mode!r}",
                           module=_MODULE)
-    _check_level(n, _MODULE)
-    lg = spec.system.log2_betas
-    w = [n * l for l in lg]
+    _check_float_level(n)
+    w = [n * l for l in spec.system.log2_betas]
     if mode == "limit":
-        g = [r * n for r in spec.family.rates(lg)]
+        g = [r * n for r in spec.rates]
         gamma_log2 = tuple(-x for x in g)
     else:
         gamma_log2 = gamma_magnitudes(spec, n, as_log2=True)

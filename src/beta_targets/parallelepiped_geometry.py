@@ -106,7 +106,7 @@ class BetaSystem:
     def dimension(self) -> int:
         return len(self.betas)
 
-    @property
+    @functools.cached_property
     def log2_betas(self) -> Tuple[float, ...]:
         return tuple(math.log2(b) for b in self.betas)
 

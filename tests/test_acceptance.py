@@ -21,7 +21,6 @@ from beta_targets.beta_dynamics import (
     full_count_constant,
 )
 from beta_targets.dimension_engine import (
-    AxisFamily,
     Rotated2DFamily,
     TargetSpec,
     log_columns,
@@ -45,18 +44,19 @@ from beta_targets.parallelepiped_geometry import (
 )
 from beta_targets.polygons import ensure_ccw, polygon_area, polygon_bbox
 from closed_forms import admissible_count_bounds
+from family_reference import axis_family, const_rotation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def example1(theta):
     return TargetSpec(BetaSystem((2.0, 4.0)),
-                      Rotated2DFamily("const", theta_value=theta))
+                      const_rotation(theta))
 
 
 def example2(a):
     return TargetSpec(BetaSystem((2.0, 4.0)),
-                      Rotated2DFamily("arccos_pow2", a=a))
+                      Rotated2DFamily(a))
 
 
 def verdict(capsys, ok: bool, k: int, detail: str,
@@ -123,7 +123,7 @@ def test_criterion_3_one_dimensional_sanity(capsys):
     bad = []
     for beta in (2.0, PHI, 2.5):
         for t in (0.5, 1.0, 3.0):
-            spec = TargetSpec(BetaSystem((beta,)), AxisFamily((t,)))
+            spec = TargetSpec(BetaSystem((beta,)), axis_family((t,)))
             want = 1.0 / (1.0 + t)
             for n in (1, 3, 10, 30):
                 v = s_n(spec, n, mode="exact").s_n

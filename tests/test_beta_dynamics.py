@@ -426,6 +426,12 @@ REFUSALS = {
     # OverflowError
     "projection-past-float-range": (lambda: enumerate_cylinders(2, 1100),
                                     ResourceLimitError),
+    # levels past sys.maxsize: an OverflowError from the node floor, and
+    # a ValueError from itertools.islice
+    "blocks-level-past-index": (lambda: cylinder_blocks(2, 10 ** 309),
+                                ResourceLimitError),
+    "count-words-level-past-index": (lambda: count_words(2.0, 2 ** 64),
+                                     ResourceLimitError),
     # 0.3 * 2**40 nodes meet the window
     "node-floor-in-window": (lambda: enumerate_cylinders(
         2, 40, within=Interval(0.3, 0.6)), ResourceLimitError),

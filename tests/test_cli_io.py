@@ -448,6 +448,26 @@ class TestDimension:
         assert all(r[3] == "1.25" for r in rows)
         assert trailing == ["# s_star=1.25,converged=true"]
 
+    def test_unknown_theta_rule(self, tmp_path, capsys):
+        # read by the config parser, no longer by the library
+        path = self.config(tmp_path, target={"kind": "rotated2d",
+                                             "theta": "linear"})
+        assert main(["dimension", "--config", path,
+                     "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "cli_io.config"
+
+    def test_level_near_float_max(self, tmp_path, capsys):
+        # the frame's log2 sums stay within float range here; at 10**308
+        # they do not (see INPUT_HOLES)
+        path = self.config(tmp_path, target={
+            "kind": "rotated2d", "theta": "const", "theta_value": 0.3},
+            n_min=10**307, n_max=10**307)
+        assert main(["dimension", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        _, rows, _, _ = read_csv(tmp_path / "dimension.csv")
+        assert len(rows) == 1 and 0.0 < float(rows[0][3]) <= 2.0
+
     def test_flag_overrides(self, tmp_path, capsys):
         path = self.config(tmp_path)
         rc = main(["dimension", "--config", path, "--out", str(tmp_path),
@@ -773,6 +793,18 @@ INPUT_HOLES = {
                              taus=[1e-300])),
     "cylinders-digits-past-int64": _with_config(
         "cylinders", {"betas": [1e19], "n": 1, "node_cap": 10**20}),
+    # levels past float range escaped as an OverflowError, and at 10**308
+    # the overflowed log magnitudes read as a degenerate frame
+    **{f"{sub}-level-past-float": _with_config(
+        sub, dict(_rotated(theta_value=0.3), n_min=10**309, n_max=10**309))
+       for sub in ("dimension", "verify-cover", "verify-measure")},
+    "dimension-frame-past-float": _with_config(
+        "dimension", dict(_rotated(theta_value=0.3), n_min=10**308,
+                          n_max=10**308)),
+    "count-level-past-float": _with_config(
+        "count", {"betas": [2], "n": 10**309}),
+    "cylinders-level-past-float": _with_config(
+        "cylinders", {"betas": [2], "n": 10**309}),
 }
 
 
@@ -833,6 +865,12 @@ class TestErrorReporting:
         ("ortho-near-float-max", "cli_io.scale_range"),
         ("verify-cover-tiny-tau", "numerical_lab.domain"),
         ("cylinders-digits-past-int64", "beta_dynamics.resource_limit"),
+        ("dimension-level-past-float", "dimension_engine.scale_range"),
+        ("verify-cover-level-past-float", "dimension_engine.scale_range"),
+        ("verify-measure-level-past-float", "dimension_engine.scale_range"),
+        ("dimension-frame-past-float", "dimension_engine.scale_range"),
+        ("count-level-past-float", "cli_io.resource_limit"),
+        ("cylinders-level-past-float", "beta_dynamics.resource_limit"),
     ])
     def test_library_refusal_code(self, tmp_path, capsys, hole, code):
         assert main(INPUT_HOLES[hole](tmp_path)) == 2

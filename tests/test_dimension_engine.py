@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beta_targets.dimension_engine import (
-    AxisFamily,
     ExplicitTargets,
+    LinearFamily,
     Rotated2DFamily,
     TargetSpec,
     gamma_magnitudes,
@@ -24,19 +24,20 @@ from beta_targets.dimension_engine import (
     s_n,
     s_star,
 )
-from beta_targets.errors import DomainError
+from beta_targets.errors import DegenerateInputError, DomainError
 from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
 from closed_forms import closed_form_example
+from family_reference import axis_family, const_rotation
 
 SYS24 = BetaSystem((2.0, 4.0))
 
 
 def rotated_spec(theta: float) -> TargetSpec:
-    return TargetSpec(SYS24, Rotated2DFamily("const", theta_value=theta))
+    return TargetSpec(SYS24, const_rotation(theta))
 
 
 def decay_spec(a: float) -> TargetSpec:
-    return TargetSpec(SYS24, Rotated2DFamily("arccos_pow2", a=a))
+    return TargetSpec(SYS24, Rotated2DFamily(a))
 
 
 # frozen reference values (independent extended-precision evaluation)
@@ -86,7 +87,7 @@ class TestFrozenExact:
 
     def test_three_dimensional_axis_family(self):
         sys3 = BetaSystem((2.0, math.e, 3.0))
-        spec = TargetSpec(sys3, AxisFamily((0.5, 1.0, 2.0)))
+        spec = TargetSpec(sys3, axis_family((0.5, 1.0, 2.0)))
         lv = s_n(spec, 7, mode="exact")
         assert lv.s_n == pytest.approx(AXIS3_N7[0], rel=0, abs=1e-12)
         assert lv.argmin_tau_log2 == pytest.approx(AXIS3_N7[1], abs=1e-9)
@@ -94,7 +95,7 @@ class TestFrozenExact:
     def test_one_dimensional_closed_form(self):
         # single base: s_n = 1/(1+t) exactly at every level
         for beta, t in [(2.5, 3.0), (2.0, 1.0), (math.pi, 0.25)]:
-            spec = TargetSpec(BetaSystem((beta,)), AxisFamily((t,)))
+            spec = TargetSpec(BetaSystem((beta,)), axis_family((t,)))
             for n in (1, 4, 9):
                 lv = s_n(spec, n, mode="exact")
                 assert lv.s_n == pytest.approx(1.0 / (1.0 + t), abs=1e-9)
@@ -120,13 +121,30 @@ class TestLimitMode:
 
     def test_axis_limit_equals_exact(self):
         # no rotation, no constant offsets: the two modes coincide
-        spec = TargetSpec(BetaSystem((2.0, 3.0)), AxisFamily((1.0, 0.5)))
+        spec = TargetSpec(BetaSystem((2.0, 3.0)), axis_family((1.0, 0.5)))
         for n in (1, 5, 12):
             a = s_n(spec, n, mode="exact")
             b = s_n(spec, n, mode="limit")
             assert a.s_n == pytest.approx(b.s_n, abs=1e-12)
             assert a.argmin_tau_log2 == pytest.approx(b.argmin_tau_log2,
                                                       abs=1e-9)
+
+    @pytest.mark.parametrize("make", [rotated_spec, decay_spec],
+                             ids=["linear", "arccos"])
+    def test_rates_computed_once_per_spec(self, monkeypatch, make):
+        spec = make(0.3)
+        family_type = type(spec.family)
+        rates = family_type.rates
+        calls = []
+
+        def counted(self, log2_betas):
+            calls.append(log2_betas)
+            return rates(self, log2_betas)
+
+        monkeypatch.setattr(family_type, "rates", counted)
+        report = s_star(spec, 1, 40, window=10, mode="limit")
+        assert len(report.levels) == 40
+        assert calls == [SYS24.log2_betas]
 
     def test_explicit_targets_have_no_rates(self):
         shape = Parallelepiped((0.25, 0.25), np.diag([0.1, 0.1]))
@@ -185,11 +203,11 @@ DEEP_SPECS = {
     "rot24-pi/4": rotated_spec(math.pi / 4),
     "rot24-1.0": rotated_spec(1.0),
     "rot23-0.7": TargetSpec(BetaSystem((2.0, 3.0)),
-                            Rotated2DFamily("const", theta_value=0.7)),
+                            const_rotation(0.7)),
     "arccos-0.5": decay_spec(0.5),
     "arccos-1.5": decay_spec(1.5),
     "axis3": TargetSpec(BetaSystem((2.0, 3.0, (1 + 5 ** 0.5) / 2)),
-                        AxisFamily((0.5, 1.0, 2.0))),
+                        axis_family((0.5, 1.0, 2.0))),
 }
 DENSE3 = np.array([[0.06, 0.02, 0.01],
                    [0.03, 0.07, 0.02],
@@ -279,15 +297,15 @@ class TestObjectiveProperties:
     @given(st.floats(1.2, 9.0), st.floats(0.05, 4.0), st.integers(1, 6))
     def test_axis_scaling_monotone(self, beta, t, n):
         # shrinking the target faster can only lower the level value
-        spec_slow = TargetSpec(BetaSystem((beta,)), AxisFamily((t,)))
-        spec_fast = TargetSpec(BetaSystem((beta,)), AxisFamily((t * 2,)))
+        spec_slow = TargetSpec(BetaSystem((beta,)), axis_family((t,)))
+        spec_fast = TargetSpec(BetaSystem((beta,)), axis_family((t * 2,)))
         assert s_n(spec_fast, n).s_n <= s_n(spec_slow, n).s_n + 1e-12
 
     def test_explicit_matches_axis(self):
         # feeding the axis family's own boxes through the explicit path
         # must reproduce the same levels
         sys2 = BetaSystem((2.0, 3.0))
-        fam = AxisFamily((1.0, 0.5), origin=(0.1, 0.2))
+        fam = axis_family((1.0, 0.5), origin=(0.1, 0.2))
         spec = TargetSpec(sys2, fam)
         shapes = tuple(generate_target(spec, n) for n in (1, 2, 3))
         espec = TargetSpec(sys2, ExplicitTargets(shapes))
@@ -371,7 +389,7 @@ class TestSStar:
 class TestGenerateTarget:
     def test_axis_box(self):
         spec = TargetSpec(BetaSystem((2.0, 3.0)),
-                          AxisFamily((1.0, 1.0), origin=(0.25, 0.25)))
+                          axis_family((1.0, 1.0), origin=(0.25, 0.25)))
         p = generate_target(spec, 2)
         assert np.allclose(p.origin, [0.25, 0.25])
         assert np.allclose(p.columns, np.diag([2.0 ** -2, 3.0 ** -2]))
@@ -384,7 +402,7 @@ class TestGenerateTarget:
 
     def test_escaping_target_warns(self):
         spec = TargetSpec(BetaSystem((2.0, 4.0)),
-                          AxisFamily((1.0, 1.0), origin=(0.9, 0.9)))
+                          axis_family((1.0, 1.0), origin=(0.9, 0.9)))
         with pytest.warns(RuntimeWarning):
             generate_target(spec, 1)
 
@@ -421,28 +439,79 @@ class TestClosedForms:
 class TestFamilyValidation:
     def test_axis(self):
         with pytest.raises(DomainError):
-            AxisFamily(())
+            axis_family(())
         with pytest.raises(DomainError):
-            AxisFamily((1.0, -2.0))
+            axis_family((1.0, -2.0))
         with pytest.raises(DomainError):
-            AxisFamily((1.0,), origin=(0.0, 0.0))
+            axis_family((1.0,), origin=(0.0, 0.0))
 
     def test_rotated(self):
         with pytest.raises(DomainError):
-            Rotated2DFamily("linear")
+            Rotated2DFamily(-1.0)
         with pytest.raises(DomainError):
-            Rotated2DFamily("arccos_pow2", a=-1.0)
+            Rotated2DFamily(math.nan)
         with pytest.raises(DomainError):
-            Rotated2DFamily("const", theta_value=math.nan)
+            Rotated2DFamily(0.5, exponents=(1.0,))
         with pytest.raises(DomainError):
-            Rotated2DFamily("const", exponents=(1.0,))
+            const_rotation(math.nan)
+        with pytest.raises(DomainError):
+            const_rotation(0.3, exponents=(1.0,))
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, 2.0], [2.0, 4.0]],
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[1.0, 1.0], [1.0, 1.0 + 1e-14]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]],
+    ], ids=["dependent", "zero-column", "nearly-dependent", "3d"])
+    def test_linear_singular_matrix(self, matrix):
+        with pytest.raises(DegenerateInputError):
+            LinearFamily(matrix, (1.0,) * len(matrix))
+
+    @pytest.mark.parametrize("args", [
+        ([[1.0, math.inf], [0.0, 1.0]], (1.0, 1.0), None),
+        ([[1.0, math.nan], [0.0, 1.0]], (1.0, 1.0), None),
+        ([[1.0, 0.0], [0.0, 1.0]], (1.0, 1.0), (0.5, math.inf)),
+        ([[1.0, 0.0], [0.0, 1.0]], (1.0, 1.0, 1.0), None),
+        ([[1.0, 0.0], [0.0, 1.0]], (1.0,), None),
+        ([[1.0, 0.0], [0.0, 1.0]], (1.0, 1.0), (0.5,)),
+        ([[1.0, 0.0], [0.0, 1.0]], (1.0, 0.0), None),
+        ([[1.0, 0.0], [0.0]], (1.0, 1.0), None),
+        ([], (), None),
+    ], ids=["inf-entry", "nan-entry", "inf-origin", "long-exponents",
+            "short-exponents", "short-origin", "zero-exponent", "ragged",
+            "empty"])
+    def test_linear_domain(self, args):
+        with pytest.raises(DomainError):
+            LinearFamily(*args)
+
+    def test_linear_limit_needs_one_entry_per_column_in_3d(self):
+        dense = [[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]]
+        spec = TargetSpec(BetaSystem((2.0, 3.0, 5.0)),
+                          LinearFamily(dense, (1.0, 1.0, 1.0)))
+        assert 0.0 < s_n(spec, 3).s_n <= 3.0
+        with pytest.raises(DomainError, match="one nonzero"):
+            s_n(spec, 3, mode="limit")
+        # a scaled permutation has orthogonal columns, so it has rates
+        perm = [[0.0, 2.0, 0.0], [0.0, 0.0, -1.0], [0.5, 0.0, 0.0]]
+        spec = TargetSpec(BetaSystem((2.0, 3.0, 5.0)),
+                          LinearFamily(perm, (1.0, 0.5, 2.0)))
+        for n in (1, 9):
+            exact = s_n(spec, n)
+            limit = s_n(spec, n, mode="limit")
+            assert n * abs(exact.s_n - limit.s_n) <= 3.0
+
+    def test_linear_equality_and_hash(self):
+        a = LinearFamily(np.eye(2), [1, 1], [0.25, 0.5])
+        b = LinearFamily(((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0), (0.25, 0.5))
+        assert a == b and hash(a) == hash(b)
+        assert a.matrix == ((1.0, 0.0), (0.0, 1.0))
+        assert a != LinearFamily(np.eye(2), (1.0, 1.0))
 
     def test_spec_dimension_checks(self):
         with pytest.raises(DomainError):
-            TargetSpec(BetaSystem((2.0, 3.0, 5.0)),
-                       Rotated2DFamily("const"))
+            TargetSpec(BetaSystem((2.0, 3.0, 5.0)), const_rotation(0.0))
         with pytest.raises(DomainError):
-            TargetSpec(BetaSystem((2.0,)), AxisFamily((1.0, 1.0)))
+            TargetSpec(BetaSystem((2.0,)), axis_family((1.0, 1.0)))
         with pytest.raises(DomainError):
             ExplicitTargets(())
 

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 
 from beta_targets.beta_dynamics import count_admissible, count_full
 from beta_targets.dimension_engine import (
-    AxisFamily,
     ExplicitTargets,
-    Rotated2DFamily,
     TargetSpec,
     s_n,
 )
@@ -46,6 +44,7 @@ from beta_targets.polygons import (
     polygon_bbox,
 )
 from clipping import clip_to_box
+from family_reference import axis_family, const_rotation
 
 SYS24 = BetaSystem((2.0, 4.0))
 UNIT_D = ((0.0, 1.0), (0.0, 1.0))
@@ -53,11 +52,11 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 
 def pi4_spec():
-    return TargetSpec(SYS24, Rotated2DFamily("const", theta_value=math.pi / 4))
+    return TargetSpec(SYS24, const_rotation(math.pi / 4))
 
 
 def square_spec():
-    return TargetSpec(BetaSystem((2.0, 2.0)), AxisFamily((1.0, 1.0)))
+    return TargetSpec(BetaSystem((2.0, 2.0)), axis_family((1.0, 1.0)))
 
 
 # frozen independent-clipper values for Example family at theta=pi/4, n=2
@@ -85,19 +84,19 @@ class TestBuildEn:
                               np.sort(Ef.z_star, axis=0))
 
     def test_counts_match_recursion(self):
-        spec = TargetSpec(BetaSystem((2.5, 1.9)), AxisFamily((1.0, 1.0)))
+        spec = TargetSpec(BetaSystem((2.5, 1.9)), axis_family((1.0, 1.0)))
         E = build_E_n(spec, 3, mode="all")
         assert E.copy_count == \
             count_admissible(2.5, 3) * count_admissible(1.9, 3)
 
     def test_full_mode_non_integer(self):
         spec = TargetSpec(BetaSystem((1.8, 1.8)),
-                          AxisFamily((1.0, 1.0), origin=(0.2, 0.2)))
+                          axis_family((1.0, 1.0), origin=(0.2, 0.2)))
         E = build_E_n(spec, 3, mode="full_in_D", D=UNIT_D)
         assert E.copy_count == count_full(1.8, 3) ** 2
 
     def test_only_two_dimensional(self):
-        spec = TargetSpec(BetaSystem((2.0,)), AxisFamily((1.0,)))
+        spec = TargetSpec(BetaSystem((2.0,)), axis_family((1.0,)))
         with pytest.raises(DomainError):
             build_E_n(spec, 1)
 
@@ -120,7 +119,7 @@ class TestBuildEn:
                       D=((0.2, 0.5), (0.1, 0.4)))
 
     def test_full_mode_needs_contained_target(self):
-        spec = TargetSpec(SYS24, AxisFamily((1.0, 1.0), origin=(0.9, 0.9)))
+        spec = TargetSpec(SYS24, axis_family((1.0, 1.0), origin=(0.9, 0.9)))
         with pytest.raises(DomainError):
             build_E_n(spec, 1, mode="full_in_D", D=UNIT_D)
 
@@ -208,7 +207,7 @@ class TestCoverCount:
         assert 4 <= empirical_cover_count(E, 0.37) <= 16
 
     def test_matches_brute_force_clipping(self):
-        spec = TargetSpec(SYS24, Rotated2DFamily("const", theta_value=0.7))
+        spec = TargetSpec(SYS24, const_rotation(0.7))
         E = build_E_n(spec, 2, mode="all")
         tau = 1.0 / 40.0
         cells = set()
@@ -230,7 +229,7 @@ class TestCoverCount:
            st.integers(1, 3), st.data())
     def test_matches_key_expansion(self, betas, theta, n, data):
         spec = TargetSpec(BetaSystem(betas),
-                          Rotated2DFamily("const", theta_value=theta))
+                          const_rotation(theta))
         E = build_E_n(spec, n, mode="all")
         tau = data.draw(st.one_of(
             st.sampled_from(s_n(spec, n).candidates),
@@ -241,7 +240,7 @@ class TestCoverCount:
     def test_cap_bounds_pairs_not_cells(self):
         # about 38k (copy, column) pairs but 2.28M candidate cells
         spec = TargetSpec(BetaSystem((2.5, PHI)),
-                          Rotated2DFamily("const", theta_value=0.3))
+                          const_rotation(0.3))
         E = build_E_n(spec, 6, mode="all")
         tau = min(s_n(spec, 6).candidates)
         want = empirical_cover_count(E, tau)
@@ -268,7 +267,7 @@ class TestPredicted:
     def test_axis_aligned_exact(self):
         # theta=0, n=2, tau=2^-8: copies tile rows exactly, so the
         # measured count equals the prediction on the nose
-        spec = TargetSpec(SYS24, Rotated2DFamily("const", theta_value=0.0))
+        spec = TargetSpec(SYS24, const_rotation(0.0))
         E = build_E_n(spec, 2, mode="all")
         tau = 2.0 ** -8
         assert predicted_cover_count(spec, 2, tau) == pytest.approx(1024.0)
@@ -289,7 +288,7 @@ class TestPredicted:
             predicted_cover_count(pi4_spec(), 2, 1.5)
 
     def test_count_beyond_float_range(self):
-        spec = TargetSpec(SYS24, Rotated2DFamily("const", theta_value=0.3))
+        spec = TargetSpec(SYS24, const_rotation(0.3))
         with pytest.raises(DomainError):
             predicted_cover_count(spec, 2, 1e-300)
         with pytest.raises(DomainError):
@@ -387,7 +386,7 @@ MEASURE_BETAS = [(2.0, 4.0), (3.0, 2.0), (2.5, PHI), (PHI, 3.7)]
 
 def rotated_measure(betas, theta, n, D=UNIT_D):
     spec = TargetSpec(BetaSystem(betas),
-                      Rotated2DFamily("const", theta_value=theta))
+                      const_rotation(theta))
     return build_measure(spec, n, D, t=0.5 * s_n(spec, n).s_n)
 
 

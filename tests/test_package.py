@@ -18,6 +18,7 @@ REMOVED = [
     ("beta_dynamics", "Interval.contains_interval"),
     ("beta_dynamics", "CylinderNode.interval"),
     ("dimension_engine", "closed_form_example"),
+    ("dimension_engine", "AxisFamily"),
     ("dimension_engine", "LevelData.gamma_norms"),
     ("dimension_engine", "LevelData.argmin_tau"),
     ("dimension_engine", "DimensionReport.large_intersection_class"),
@@ -67,6 +68,8 @@ def test_removed_names_are_gone(module, path):
 @pytest.mark.parametrize("function,keyword", [
     (beta_targets.count_full_in_interval, "strict"),
     (beta_targets.verify_measure_bound, "t"),
+    (beta_targets.Rotated2DFamily, "theta"),
+    (beta_targets.Rotated2DFamily, "theta_value"),
 ])
 def test_removed_keywords_are_gone(function, keyword):
     assert keyword not in inspect.signature(function).parameters
