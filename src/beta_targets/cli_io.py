@@ -63,6 +63,7 @@ from .numerical_lab import (
 from .parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
+    _parallelepipeds,
     pivoted_orthogonalize,
     rotation_matrix,
 )
@@ -250,7 +251,7 @@ def _shape(v, what: str) -> Parallelepiped:
 
 def _load_table(d: int, path: str) -> ExplicitTargets:
     """Per-level targets from CSV rows: n, origin (d), columns
-    column-major (d*d)."""
+    column-major (d*d), validated as one stack."""
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:
@@ -267,7 +268,7 @@ def _load_table(d: int, path: str) -> ExplicitTargets:
                   f"columns, got {len(parts)}")
         try:
             level = int(parts[0])
-            vals = [float(p) for p in parts[1:]]
+            vals = list(map(float, parts[1:]))
         except ValueError:
             # a header row is allowed once, at the top
             if lineno == 1:
@@ -280,13 +281,12 @@ def _load_table(d: int, path: str) -> ExplicitTargets:
         _fail(f"target table {path!r} has no data rows")
     if sorted(rows) != list(range(1, len(rows) + 1)):
         _fail("target table levels must be exactly 1..K")
-    shapes = []
-    for level in range(1, len(rows) + 1):
-        vals = rows[level]
-        origin = vals[:d]
-        cols = np.array(vals[d:]).reshape(d, d, order="F")
-        shapes.append(Parallelepiped(origin, cols))
-    return ExplicitTargets(tuple(shapes))
+    vals = np.array([rows[level] for level in range(1, len(rows) + 1)])
+    # each row's matrix is column-major: a transposed view of the rows,
+    # not a C-ordered copy, so that the column norms are summed in the
+    # order the rule always used on a table's matrices
+    cols = vals[:, d:].reshape(-1, d, d).transpose(0, 2, 1)
+    return ExplicitTargets(_parallelepipeds(vals[:, :d], cols))
 
 
 def _rotated(d, theta, theta_value=0.0, a=0.0, exponents=(1.0, 1.0)):
@@ -327,6 +327,8 @@ def _config_sha(effective: dict) -> str:
 
 
 def _fmt(v) -> str:
+    if type(v) is float:  # most values: skip the checks below
+        return repr(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -340,7 +342,7 @@ def _csv(sha: str, header: Sequence[str], rows=(),
          trailing: Sequence[str] = ()) -> str:
     """A CSV artifact: config hash comment, header, rows, trailing lines."""
     lines = [f"# config_sha256={sha}", ",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     lines.extend(trailing)
     return "".join(f"{x}\n" for x in lines)
 

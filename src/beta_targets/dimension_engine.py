@@ -41,6 +41,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 import sys
 import warnings
 from typing import List, Optional, Protocol, Sequence, Tuple
@@ -83,6 +84,8 @@ _DEDUP_RTOL = 1e-12
 
 _FLOAT_MAX = sys.float_info.max
 
+_INF = math.inf
+
 
 class TargetFamily(Protocol):
     """A family of targets P_n, n >= 1, as the dimension formula uses it.
@@ -94,7 +97,8 @@ class TargetFamily(Protocol):
     dimension: int
 
     def log_columns(self, log2_betas, n: int):
-        """Columns of f^n P_n as (signs, log2 magnitudes) arrays."""
+        """Columns of f^n P_n as (signs, log2 magnitudes), each a
+        sequence of matrix rows."""
 
     def target(self, betas, n: int) -> Parallelepiped:
         """P_n itself in plain floats."""
@@ -140,7 +144,7 @@ def _contract(signs, logs, exponents, log2_betas, n: int, r_bound=1075.0):
     for i, (row, li) in enumerate(zip(logs, log2_betas)):
         mags.append([r - n * (x + li) for r, x in zip(row, tl)])
         mags[i][i] = row[i] - n * (1.0 + exponents[i]) * li
-    return np.array(signs), np.array(mags)
+    return signs, mags
 
 
 def _entry_rate(i: int, j: int, exponents, log2_betas) -> float:
@@ -149,10 +153,17 @@ def _entry_rate(i: int, j: int, exponents, log2_betas) -> float:
     return (1.0 + t) * l if i == j else t * l + log2_betas[i]
 
 
+@functools.lru_cache(maxsize=256)
+def _volume_rate(exponents, log2_betas) -> float:
+    """sum (1 + t_j) l_j, by which log2 vol(f^n P_n) of a linear family
+    falls per level; cached, as every level of a run asks for it."""
+    return sum((1.0 + t) * l for t, l in zip(exponents, log2_betas))
+
+
 def _planar_rates(entry_rates, exponents, log2_betas):
     """d = 2: the least live entry rate, and the volume rate less it."""
     g1 = min(entry_rates)
-    return g1, sum((1.0 + t) * l for t, l in zip(exponents, log2_betas)) - g1
+    return g1, _volume_rate(exponents, log2_betas) - g1
 
 
 @functools.lru_cache(maxsize=256)
@@ -229,8 +240,8 @@ class LinearFamily:
         return _planar_rates(rates, self.exponents, log2_betas)
 
     def log2_volume(self, log2_betas, n: int) -> float:
-        return self._log2_det - n * sum(
-            (1.0 + t) * l for t, l in zip(self.exponents, log2_betas))
+        return self._log2_det - n * _volume_rate(self.exponents,
+                                                 tuple(log2_betas))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -277,9 +288,14 @@ class Rotated2DFamily:
 
 @dataclasses.dataclass(frozen=True)
 class ExplicitTargets:
-    """P_n given outright; shapes[n-1] is the level-n target."""
+    """P_n given outright; shapes[n-1] is the level-n target.  columns
+    stacks their column matrices, (K, d, d), and log2_volumes holds their
+    log2 |det|."""
 
     shapes: Tuple[Parallelepiped, ...]
+    columns: np.ndarray = dataclasses.field(repr=False, compare=False)
+    log2_volumes: Tuple[float, ...] = dataclasses.field(repr=False,
+                                                        compare=False)
 
     def __init__(self, shapes: Sequence[Parallelepiped]):
         sh = tuple(shapes)
@@ -291,24 +307,41 @@ class ExplicitTargets:
         if any(p.dimension != sh[0].dimension for p in sh):
             raise DomainError("all targets must share one dimension",
                               module=_MODULE)
+        cols = np.stack([p.columns for p in sh])
+        cols.setflags(write=False)
         object.__setattr__(self, "shapes", sh)
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "log2_volumes",
+                           tuple(p.log2_volume for p in sh))
 
     @property
     def dimension(self) -> int:
-        return self.shapes[0].dimension
+        return self.columns.shape[1]
 
-    def target(self, betas, n: int) -> Parallelepiped:
+    def _level(self, n: int) -> int:
         if n > len(self.shapes):
             raise DomainError(
                 f"explicit target list has {len(self.shapes)} levels, "
                 f"asked for {n}", module=_MODULE)
-        return self.shapes[n - 1]
+        return n - 1
+
+    @functools.cached_property
+    def _log_parts(self):
+        """Signs and log2 magnitudes of every level's columns, as lists,
+        taken once for the whole stack."""
+        with np.errstate(divide="ignore"):
+            logs = np.log2(np.abs(self.columns))
+        return np.sign(self.columns).tolist(), logs.tolist()
+
+    def target(self, betas, n: int) -> Parallelepiped:
+        return self.shapes[self._level(n)]
 
     def log_columns(self, log2_betas, n: int):
-        cols = self.target(None, n).columns
-        with np.errstate(divide="ignore"):
-            base = np.log2(np.abs(cols))
-        return np.sign(cols), base - n * np.array(log2_betas)[:, None]
+        k = self._level(n)
+        signs, logs = self._log_parts
+        shifts = [n * l for l in log2_betas]
+        return signs[k], [[x - shift for x in row]
+                          for row, shift in zip(logs[k], shifts)]
 
     def rates(self, log2_betas):
         raise DomainError(
@@ -316,7 +349,7 @@ class ExplicitTargets:
             module=_MODULE)
 
     def log2_volume(self, log2_betas, n: int) -> float:
-        return self.target(None, n).log2_volume - n * sum(log2_betas)
+        return self.log2_volumes[self._level(n)] - n * sum(log2_betas)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -359,15 +392,14 @@ class LevelData:
     mode: str
 
     def __post_init__(self):
-        d = len(self.gamma_log2)
-        if any(not math.isfinite(g) for g in self.gamma_log2):
+        g = self.gamma_log2
+        if not all(map(math.isfinite, g)):
             raise ConsistencyError("gamma norms must be positive and finite",
                                    module=_MODULE)
-        if any(self.gamma_log2[i] < self.gamma_log2[i + 1]
-               for i in range(d - 1)):
+        if any(map(operator.lt, g, g[1:])):
             raise ConsistencyError("gamma norms must be sorted",
                                    module=_MODULE)
-        if not (0.0 < self.s_n <= d + 1e-12):
+        if not (0.0 < self.s_n <= len(g) + 1e-12):
             raise ConsistencyError(f"s_n out of range: {self.s_n}",
                                    module=_MODULE)
 
@@ -387,11 +419,11 @@ class DimensionReport:
     tolerance: float
 
 
-def _check_float_level(n) -> None:
-    _check_level(n, _MODULE)
+def _check_float_level(n, module: str = _MODULE) -> None:
+    _check_level(n, module)
     if n > _FLOAT_MAX:  # n log2 beta_i has no float value
         raise ScaleRangeError("levels above 1.8e308 are past float range",
-                              module=_MODULE)
+                              module=module)
 
 
 def log_columns(spec: TargetSpec, n: int):
@@ -427,21 +459,22 @@ def _minimize_objective(w: Sequence[float], g: Sequence[float]):
     """
     cands: List[float] = []
     for v in (*w, *g):
-        if v == math.inf:
+        if v == _INF:
             raise ScaleRangeError("a candidate scale is past float range "
                                   "even in log2", module=_MODULE)
         if not v > 0.0:
             raise DomainError(
                 "every candidate scale must be strictly below 1; "
                 "the target or a gamma norm is too large", module=_MODULE)
-        # v and c are positive: max(v, c) is the larger magnitude
+        # v and c are positive: the larger is the larger magnitude (the
+        # conditionals here pick what max and min would, without a call)
         for c in cands:
-            if abs(v - c) <= _DEDUP_RTOL * max(v, c):
+            if abs(v - c) <= _DEDUP_RTOL * (c if c > v else v):
                 break
         else:
             cands.append(v)
     cands.sort()
-    best_val, best_lam = math.inf, cands[0]
+    best_val, best_lam = _INF, cands[0]
     for lam in cands:
         val = 0.0
         for wi in w:
@@ -450,7 +483,7 @@ def _minimize_objective(w: Sequence[float], g: Sequence[float]):
             if gi <= lam:
                 val += 1.0 - gi / lam
         if val <= best_val + 1e-15:
-            best_val, best_lam = min(val, best_val), lam
+            best_val, best_lam = (best_val if best_val < val else val), lam
     return best_val, best_lam, cands
 
 
@@ -497,15 +530,15 @@ def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
     w = [n * l for l in spec.system.log2_betas]
     if mode == "limit":
         g = [r * n for r in spec.rates]
-        gamma_log2 = tuple(-x for x in g)
+        gamma_log2 = tuple(map(operator.neg, g))
     else:
         gamma_log2 = gamma_magnitudes(spec, n, as_log2=True)
-        g = [-x for x in gamma_log2]
+        g = list(map(operator.neg, gamma_log2))
     value, lam, cands = _minimize_objective(w, g)
     return LevelData(
         n=n,
         gamma_log2=gamma_log2,
-        candidates_log2_tau=tuple(-c for c in reversed(cands)),
+        candidates_log2_tau=tuple(map(operator.neg, reversed(cands))),
         s_n=float(value),
         argmin_tau_log2=-lam,
         mode=mode,

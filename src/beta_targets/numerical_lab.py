@@ -33,12 +33,16 @@ import numpy as np
 
 from .beta_dynamics import (
     Interval,
-    _check_level,
     count_admissible,
     count_full,
     cylinder_blocks,
 )
-from .dimension_engine import LevelData, TargetSpec, s_n
+from .dimension_engine import (
+    LevelData,
+    TargetSpec,
+    _check_float_level,
+    s_n,
+)
 from .errors import ConsistencyError, DomainError, ResourceLimitError
 from .parallelepiped_geometry import Parallelepiped, scale_by_f
 from .polygons import (
@@ -203,7 +207,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
     """
     if spec.dimension != 2:
         raise DomainError("the lab is 2-D only", module=_MODULE)
-    _check_level(n, _MODULE)
+    _check_float_level(n, _MODULE)
     if mode not in ("all", "full_in_D"):
         raise DomainError(f"mode must be 'all' or 'full_in_D', got {mode!r}",
                           module=_MODULE)

@@ -66,6 +66,8 @@ _LOG2_RTOL = math.log2(1.0 + 1e-9)
 
 _MODULE = "parallelepiped_geometry"
 
+_NEG_INF = -math.inf
+
 
 def _as_matrix(columns) -> np.ndarray:
     m = np.asarray(columns, dtype=float)
@@ -79,11 +81,37 @@ def _as_matrix(columns) -> np.ndarray:
     return m
 
 
-def _scaled_columns(cols: np.ndarray):
-    """cols with column j divided by 2**e_j, e_j the binary exponent of its
-    largest |entry|, and e: nonzero column norms land in [0.5, sqrt(d)]."""
-    exps = np.frexp(np.abs(cols).max(axis=0))[1]
-    return np.ldexp(cols, -exps), exps
+def _stack_log2_volumes(origins: np.ndarray, columns: np.ndarray) -> list:
+    """The Parallelepiped rule over K shapes at once, origins (K, d) and
+    columns (K, d, d): every entry finite, no zero column, and |det| at
+    least DEGENERACY_RTOL times the product of the column norms.  The
+    first shape that breaks it raises the error that its own
+    Parallelepiped would; returns log2 |det columns[k]| per shape,
+    finite where the determinant over- or underflows."""
+    finite = np.isfinite(columns).all(axis=(1, 2)) & \
+        np.isfinite(origins).all(axis=1)
+    first_bad = int(np.argmin(finite)) if not finite.all() else len(finite)
+    # column j of shape k divided by 2**e[k, j], e the binary exponent of
+    # its largest |entry|: |det| / prod |a_j| is invariant under that
+    exps = np.frexp(np.abs(columns[:first_bad]).max(axis=1))[1]
+    scaled = np.ldexp(columns[:first_bad], -exps[:, None, :])
+    sq_norms = np.einsum("kij,kij->kj", scaled, scaled)
+    out = []
+    for det, sq, e in zip(np.linalg.det(scaled).tolist(), sq_norms.tolist(),
+                          exps.tolist()):
+        if not all(sq):
+            raise DegenerateInputError("zero column", module=_MODULE)
+        ratio = abs(det) / math.sqrt(math.prod(sq))
+        if ratio < DEGENERACY_RTOL:
+            raise DegenerateInputError(
+                f"columns nearly dependent: |det| is {ratio:.3e} times the "
+                "product of the column norms", module=_MODULE)
+        out.append(math.log2(abs(det)) + sum(e))
+    if first_bad < len(finite):
+        what = "origin" if np.isfinite(columns[first_bad]).all() \
+            else "columns"
+        raise DomainError(f"{what} must be finite", module=_MODULE)
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,25 +156,16 @@ class Parallelepiped:
             raise DomainError(
                 f"origin shape {org.shape} does not match dimension {d}",
                 module=_MODULE)
-        if not np.all(np.isfinite(org)):
-            raise DomainError("origin must be finite", module=_MODULE)
-        # |det| / prod |a_i| is invariant under scaling a column
-        scaled, exps = _scaled_columns(cols)
-        sq_norms = np.einsum("ij,ij->j", scaled, scaled)
-        if not sq_norms.all():
-            raise DegenerateInputError("zero column", module=_MODULE)
-        det = float(np.linalg.det(scaled))
-        ratio = abs(det) / math.sqrt(math.prod(sq_norms.tolist()))
-        if ratio < DEGENERACY_RTOL:
-            raise DegenerateInputError(
-                f"columns nearly dependent: |det| is {ratio:.3e} times the "
-                "product of the column norms", module=_MODULE)
+        log2_volume, = _stack_log2_volumes(org[None], cols[None])
         org.setflags(write=False)
         cols.setflags(write=False)
-        object.__setattr__(self, "origin", org)
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "log2_volume",
-                           math.log2(abs(det)) + int(exps.sum()))
+        self._fill(org, cols, log2_volume)
+
+    def _fill(self, origin: np.ndarray, columns: np.ndarray,
+              log2_volume: float) -> None:
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "log2_volume", log2_volume)
 
     @property
     def dimension(self) -> int:
@@ -162,6 +181,22 @@ class Parallelepiped:
         return self.origin[None, :] + eps.astype(float) @ self.columns.T
 
 
+def _parallelepipeds(origins: np.ndarray, columns: np.ndarray
+                     ) -> Tuple[Parallelepiped, ...]:
+    """The parallelepipeds origins[k] + columns[k] [0, 1]^d of a finite
+    float stack, validated as one (see _stack_log2_volumes); each holds
+    read-only views of the two arrays."""
+    log2_volumes = _stack_log2_volumes(origins, columns)
+    origins.setflags(write=False)
+    columns.setflags(write=False)
+    shapes = []
+    for org, cols, log2_volume in zip(origins, columns, log2_volumes):
+        p = object.__new__(Parallelepiped)
+        p._fill(org, cols, log2_volume)
+        shapes.append(p)
+    return tuple(shapes)
+
+
 @dataclasses.dataclass(frozen=True)
 class OrthoFrame:
     """Pivoted frame: permutation is 1-based (permutation[k] is the
@@ -173,7 +208,8 @@ class OrthoFrame:
 
     permutation: Tuple[int, ...]
     log2_norms: Tuple[float, ...]
-    # per step k: (log2 Gram(S_k), {candidate l: minors of S_{k-1} + l})
+    # per step k: (log2 Gram(S_k), {candidate l: minors of S_{k-1} + l
+    # by row-set position, see _plan})
     _steps: tuple = dataclasses.field(repr=False, compare=False)
     _columns: Optional[np.ndarray] = dataclasses.field(
         default=None, repr=False, compare=False)
@@ -194,16 +230,15 @@ class OrthoFrame:
     @functools.cached_property
     def U(self) -> np.ndarray:
         """U[k, m] = sum_R det A[R, S_k] det A[R, S_{k-1} + j] / Gram(S_k)
-        by Cauchy-Binet, j the column of pivot m; step k built the minors."""
+        by Cauchy-Binet, j the column of pivot m; step k built the minors,
+        listed by row-set position."""
         u = np.eye(self.dimension)
         piv = [i - 1 for i in self.permutation]
         for k, (g, exts) in enumerate(self._steps):
             own = exts[piv[k]]
             for m in range(k + 1, self.dimension):
-                other = exts[piv[m]]
                 signs, logs = [], []
-                for rows, (s, l) in own.items():
-                    t, lt = other[rows]
+                for (s, l), (t, lt) in zip(own, exts[piv[m]]):
                     if s and t:
                         signs.append(s * t)
                         logs.append(l + lt)
@@ -289,24 +324,24 @@ def _log2_sum(signs, logs):
     return math.copysign(1.0, total), math.log2(abs(total)) + m
 
 
-def _extend_minors(sg, lm, minors: dict, l: int, k: int) -> dict:
-    """Signed log2 minors det A[R, S + (l,)] for every row set R of size k.
-
-    minors maps each (k-1)-row set R' to (sign, log2|det A[R', S]|).  The
-    new minors are expanded along their last column l, which groups
-    their Leibniz terms by the entry taken from column l.
-    """
-    out = {}
-    for rows in itertools.combinations(range(len(sg)), k):
-        signs, logs = [], []
-        for i, r in enumerate(rows):
-            s_sub, l_sub = minors[rows[:i] + rows[i + 1:]]
-            s = s_sub * sg[r][l] * (-1.0 if (k - 1 - i) % 2 else 1.0)
-            if s and lm[r][l] != -math.inf:
-                signs.append(s)
-                logs.append(l_sub + lm[r][l])
-        out[rows] = _log2_sum(signs, logs)
-    return out
+@functools.cache
+def _plan(d: int) -> tuple:
+    """The Cauchy-Binet expansion of a frame of d columns, per step k =
+    1..d: the row sets R of size k, in combinations order, each as its
+    terms (row r, position of the (k-1)-set R - r in step k-1's order,
+    parity of r's place in R).  A minor det A[R, S + (l,)] is the sum
+    over the terms of parity * A[r, l] * det A[R - r, S]: its expansion
+    along the newest column l."""
+    plan, place = [], {(): 0}
+    for k in range(1, d + 1):
+        sets = list(itertools.combinations(range(d), k))
+        plan.append(tuple(
+            tuple((r, place[rows[:i] + rows[i + 1:]],
+                   -1.0 if (k - 1 - i) % 2 else 1.0)
+                  for i, r in enumerate(rows))
+            for rows in sets))
+        place = {rows: p for p, rows in enumerate(sets)}
+    return tuple(plan)
 
 
 def _beats(key: float, best: float) -> bool:
@@ -337,50 +372,109 @@ def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> OrthoFrame:
     entries span thousands of binary orders cost nothing extra.  For
     d = 2 this is the largest column norm followed by
     log2|det| - log2|gamma_1|.  A vanishing Gram sum raises
-    DegenerateInputError.  Every candidate's minors are kept for U.
+    DegenerateInputError.
+
+    The expansion depends on d alone, so it is planned once per d and
+    cached (_plan): for each k, the row sets of size k and, for each set,
+    its terms (row, position of the (k-1)-subset, parity).  The minors
+    of a step are lists indexed by row-set position; every candidate's
+    list is kept for U.  The matrices may be arrays or sequences of rows
+    of numbers; every sum and product is taken in one fixed order.
     """
     return _pivot_scan(signs, log2_magnitudes)
 
 
+def _rows(m):
+    """A matrix as a sequence of rows: an array through tolist, so that
+    the scan works on Python floats; None for an array that is not 2-D.
+    Row sequences are read as given, without a per-level copy."""
+    if isinstance(m, np.ndarray):
+        return m.astype(float).tolist() if m.ndim == 2 else None
+    return m
+
+
 def _pivot_scan(signs, log2_magnitudes, columns=None) -> OrthoFrame:
     """pivoted_orthogonalize_scaled, keeping columns for gammas."""
-    sg = np.asarray(signs, dtype=float)
-    lm = np.asarray(log2_magnitudes, dtype=float)
-    if sg.shape != lm.shape or sg.ndim != 2 or sg.shape[0] != sg.shape[1]:
+    sg, lm = _rows(signs), _rows(log2_magnitudes)
+    try:
+        d = len(sg)
+        square = len(lm) == d and {*map(len, sg), *map(len, lm)} <= {d}
+    except TypeError:
+        square = False
+    if not square:
         raise DomainError("signs and log2_magnitudes must be equal square "
                           "matrices", module=_MODULE)
-    sg, lm = sg.tolist(), lm.tolist()
-    if any(x != x or x == math.inf for row in lm for x in row):
-        raise DomainError("log2 magnitudes must be < inf and not NaN",
-                          module=_MODULE)
-    remaining = list(range(len(sg)))
+    for row in lm:
+        for x in row:
+            if not x < math.inf:
+                raise DomainError("log2 magnitudes must be < inf and not "
+                                  "NaN", module=_MODULE)
+    col_signs, col_logs = list(zip(*sg)), list(zip(*lm))
+    remaining = list(range(d))
     chosen: list = []
     norms: list = []
     steps: list = []
-    minors = {(): (1.0, 0.0)}  # the empty minor is 1
+    minors = [(1.0, 0.0)]  # the empty minor is 1
     g_prev = 0.0  # log2 Gram of the empty set
-    for k in range(1, len(sg) + 1):
+    for k, sets in enumerate(_plan(d), 1):
         exts: dict = {}
         best = None
         for l in remaining:
-            ext = exts[l] = _extend_minors(sg, lm, minors, l, k)
-            doubled = [2.0 * v for s, v in ext.values() if s]
-            _, g = _log2_sum([1.0] * len(doubled), doubled)
+            cs, cl = col_signs[l], col_logs[l]
+            ext = exts[l] = []
+            doubled = []  # 2 log2|minor| of the nonzero minors
+            if k == 1:
+                # the one-row minors are the entries: each is _log2_sum
+                # of its one term (1.0 * entry * 1.0, 0.0 + log), inlined
+                for s, v in zip(cs, cl):
+                    if s and v != _NEG_INF:
+                        x = s * 2.0 ** (v - v)
+                        v = math.log2(abs(x)) + v
+                        ext.append((math.copysign(1.0, x), v))
+                        doubled.append(2.0 * v)
+                    else:
+                        ext.append((0.0, _NEG_INF))
+            for terms in sets if k > 1 else ():
+                signs, logs = [], []
+                for r, p, parity in terms:
+                    s_sub, l_sub = minors[p]
+                    s = s_sub * cs[r] * parity
+                    if s and cl[r] != _NEG_INF:
+                        signs.append(s)
+                        logs.append(l_sub + cl[r])
+                if len(logs) == 1:
+                    # _log2_sum of one term, inlined
+                    v = logs[0]
+                    x = signs[0] * 2.0 ** (v - v)
+                    v = math.log2(abs(x)) + v
+                    ext.append((math.copysign(1.0, x), v))
+                    doubled.append(2.0 * v)
+                else:
+                    ext.append(_log2_sum(signs, logs))
+                    if ext[-1][0]:
+                        doubled.append(2.0 * ext[-1][1])
+            # log2 Gram(S_{k-1} + l), the sum of the squared minors
+            g = _NEG_INF
+            if doubled:
+                m = max(doubled)
+                total = 0.0
+                for x in doubled:
+                    total += 2.0 ** (x - m)
+                g = math.log2(total) + m
             key = 0.5 * (g - g_prev)
             if best is None or _beats(key, best[0]):
                 best = (key, l, g)
         key, l, g_prev = best
-        if g_prev == -math.inf:
+        if g_prev == _NEG_INF:
             raise DegenerateInputError(
                 f"Gram sum vanished at step {k}: column {l + 1} lies in "
                 "the span of the pivots before it", module=_MODULE)
         minors = exts[l]
         steps.append((g_prev, exts))
         remaining.remove(l)
-        chosen.append(l)
+        chosen.append(l + 1)
         norms.append(key)
-    return OrthoFrame(tuple(i + 1 for i in chosen), tuple(norms),
-                      tuple(steps), columns)
+    return OrthoFrame(tuple(chosen), tuple(norms), tuple(steps), columns)
 
 
 def pivoted_orthogonalize(columns) -> OrthoFrame:

@@ -24,6 +24,7 @@ from beta_targets.errors import (
     ConsistencyError,
     DomainError,
     ResourceLimitError,
+    ScaleRangeError,
 )
 from beta_targets import numerical_lab
 from beta_targets.numerical_lab import (
@@ -132,6 +133,17 @@ class TestBuildEn:
         # print a product past the 4300-digit int-to-str limit
         with pytest.raises(ResourceLimitError, match=r"4\.0\*\*3000"):
             build_E_n(pi4_spec(), 3000, mode="all")
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, n: build_E_n(spec, n, mode="all"),
+        lambda spec, n: build_E_n(spec, n, mode="full_in_D"),
+        cover_exponent_scan,
+    ], ids=["all", "full_in_D", "cover_exponent_scan"])
+    def test_level_past_float_range(self, call):
+        # n = 10**309 has no float value: a typed refusal, where mode "all"
+        # raised a bare OverflowError from n * log(beta_1 beta_2)
+        with pytest.raises(ScaleRangeError, match="past float range"):
+            call(pi4_spec(), 10 ** 309)
 
 
 def _grouped_arange(lengths):
