@@ -289,12 +289,16 @@ def _load_table(d: int, path: str) -> ExplicitTargets:
     return ExplicitTargets(_parallelepipeds(vals[:, :d], cols))
 
 
-def _rotated(d, theta, theta_value=0.0, a=0.0, exponents=(1.0, 1.0)):
-    """A constant angle is the linear family of R = rotation_matrix."""
+def _rotated(d, theta, exponents=(1.0, 1.0), **angle):
+    """A constant angle is the linear family of R = rotation_matrix.  Each
+    rule takes its own key only: theta_value for "const", a otherwise."""
+    own = "theta_value" if theta == "const" else "a"
+    for key in angle.keys() - {own}:
+        _fail(f"rotated2d target with theta {theta!r} takes no key {key!r}")
     if theta == "const":
-        return LinearFamily(rotation_matrix(theta_value).tolist(), exponents,
-                            (0.5, 0.5))
-    return Rotated2DFamily(a, exponents)
+        return LinearFamily(rotation_matrix(angle.get(own, 0.0)).tolist(),
+                            exponents, (0.5, 0.5))
+    return Rotated2DFamily(angle.get(own, 0.0), exponents)
 
 
 _TARGETS = {

@@ -132,12 +132,14 @@ def _contract(signs, logs, exponents, log2_betas, n: int, r_bound=1075.0):
     from R's, at most r_bound in absolute value (1075 for any float):
     entry (i, j) is log2|R_ij| - n (t_j l_j + l_i), on the diagonal
     log2|R_jj| - n (1 + t_j) l_j, with l = log2_betas.  The frame doubles
-    sums of d entries, so a level where 2d times the bound
-    r_bound + n (max t_j l_j + max l_i) on them passes float range raises
+    sums over minors, each taking every row and every column at most
+    once, so a level where 2 (d r_bound + n sum_j (1 + t_j) l_j), or
+    n (1 + t_j) on the way to the diagonal, passes float range raises
     ScaleRangeError."""
     tl = [t * l for t, l in zip(exponents, log2_betas)]
-    if not 2 * len(tl) * (r_bound + n * (max(tl) + max(log2_betas))) \
-            < _FLOAT_MAX:
+    if not 2.0 * (len(tl) * r_bound + n * _volume_rate(
+            exponents, tuple(log2_betas))) < _FLOAT_MAX or \
+            not n * (1.0 + max(exponents)) < _FLOAT_MAX:
         raise ScaleRangeError("the log2 magnitudes of f^n P_n are past "
                               "float range at this level", module=_MODULE)
     mags = []

@@ -31,19 +31,19 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beta_dynamics import (
-    Interval,
-    count_admissible,
-    count_full,
-    cylinder_blocks,
-)
+from .beta_dynamics import Interval, count_words, cylinder_blocks
 from .dimension_engine import (
     LevelData,
     TargetSpec,
     _check_float_level,
     s_n,
 )
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    ResourceLimitError,
+    ScaleRangeError,
+)
 from .parallelepiped_geometry import Parallelepiped, scale_by_f
 from .polygons import (
     box_areas,
@@ -75,6 +75,8 @@ _MODULE = "numerical_lab"
 
 DEFAULT_COPY_CAP = 200_000
 DEFAULT_CELL_CAP = 30_000_000
+
+_UNIT = Interval(0.0, 1.0)
 
 _KEY_SHIFT = np.int64(1) << np.int64(32)
 # grid indices, coordinate / tau, must fit the halves of those keys
@@ -200,42 +202,31 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
               copy_cap: int = DEFAULT_COPY_CAP) -> EnSet:
     """Materialize the level-n copy set.
 
-    mode "all" takes every admissible word along each axis; mode
-    "full_in_D" keeps full words whose cylinder sits inside the matching
-    factor of D, and requires n large enough that such cylinders exist
-    at all (the side condition n >= -(1 + eps/d) log_beta |D|).
+    Each axis is walked within a window: mode "all" takes every
+    admissible word; mode "full_in_D" keeps full words whose cylinder
+    sits inside the matching factor of D, and requires n large enough
+    that such cylinders exist at all (the side condition
+    n >= -(1 + eps/d) log_beta |D|) and each copy inside its cylinder
+    product.  Then one flow: a level where a nonzero entry of f^n P_n is
+    below the smallest normal float is refused (ScaleRangeError), a walk
+    over all of [0, 1) must match count_words, and the copies are held
+    to copy_cap once their count is known, before walking when it can.
     """
     if spec.dimension != 2:
         raise DomainError("the lab is 2-D only", module=_MODULE)
     _check_float_level(n, _MODULE)
-    if mode not in ("all", "full_in_D"):
-        raise DomainError(f"mode must be 'all' or 'full_in_D', got {mode!r}",
-                          module=_MODULE)
     betas = spec.system.betas
-    box: Optional[Tuple[Interval, Interval]] = None
     if mode == "all":
-        # Renyi: each axis has at least beta**n words, so a level whose
-        # bound alone passes the cap is refused before counting (and before
-        # the message would print a count too long for str())
+        # Renyi: each axis has at least beta**n words
         if n * math.log(betas[0] * betas[1]) > \
                 math.log(max(copy_cap, 1)) + 1e-6:
             raise ResourceLimitError(
                 f"at least {betas[0]}**{n} * {betas[1]}**{n} copies exceed "
                 f"cap {copy_cap}", module=_MODULE)
-        counts = [count_admissible(b, n) for b in betas]
-        if counts[0] * counts[1] > copy_cap:
-            raise ResourceLimitError(
-                f"{counts[0] * counts[1]} copies exceed cap {copy_cap}",
-                module=_MODULE)
-        lefts = tuple(_lefts(b, n) for b in betas)
-        for axis, want in zip(lefts, counts):
-            if len(axis) != want:
-                raise ConsistencyError(
-                    "enumerated word count disagrees with the recursion "
-                    f"count ({len(axis)} vs {want})", module=_MODULE)
-        target = spec.family.target(betas, n)
-    else:
-        box = _validate_box(D)
+        box, windows, walk = None, (None, None), {}
+    elif mode == "full_in_D":
+        box = windows = _validate_box(D)
+        walk = dict(only_full=True, node_cap=10 * copy_cap)
         side = box[0].right - box[0].left
         for b in betas:
             need = -(1.0 + eps / 2.0) * math.log(side) / math.log(b)
@@ -243,38 +234,50 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                 raise DomainError(
                     f"level {n} too small for |D|={side:.3g} under "
                     f"base {b:.6g}: need n >= {need:.3f}", module=_MODULE)
-        target = spec.family.target(betas, n)
-        v = target.vertices()
-        if np.any(v < 0.0) or np.any(v >= 1.0):
-            raise DomainError(
-                "full-word mode needs the target inside the unit cube",
-                module=_MODULE)
-        lefts = ()
-        for b, I in zip(betas, box):
-            axis = _lefts(b, n, only_full=True, within=I,
-                          node_cap=10 * copy_cap)
-            if not len(axis):
-                raise DomainError(
-                    f"no full words of length {n} inside {I} for base "
-                    f"{b:.6g}", module=_MODULE)
-            lefts += (axis,)
-            if I.left == 0.0 and I.right == 1.0:
-                want = count_full(b, n)
-                if len(axis) != want:
-                    raise ConsistencyError(
-                        "full-word count disagrees with the recursion "
-                        f"count ({len(axis)} vs {want})", module=_MODULE)
-        if len(lefts[0]) * len(lefts[1]) > copy_cap:
-            raise ResourceLimitError(
-                f"{len(lefts[0]) * len(lefts[1])} copies exceed cap "
-                f"{copy_cap}", module=_MODULE)
+    else:
+        raise DomainError(f"mode must be 'all' or 'full_in_D', got {mode!r}",
+                          module=_MODULE)
+
+    signs, logs = spec.family.log_columns(spec.system.log2_betas, n)
+    # -1022: log2 of the smallest normal float
+    if any(s and not x >= -1022.0 for srow, lrow in zip(signs, logs)
+           for s, x in zip(srow, lrow)):
+        raise ScaleRangeError(
+            f"f^n P_n has entries below the smallest normal float at "
+            f"level {n}", module=_MODULE)
+    target = spec.family.target(betas, n)
+    full, v = box is not None, target.vertices()
+    if full and (np.any(v < 0.0) or np.any(v >= 1.0)):
+        raise DomainError(
+            "full-word mode needs the target inside the unit cube",
+            module=_MODULE)
+    # a whole window's exact count, (admissible, full)[full]
+    counts = [count_words(b, n)[full] if I in (None, _UNIT) else None
+              for b, I in zip(betas, windows)]
+    lefts = (np.concatenate([np.empty(0)] + [
+        blk.lefts for blk in cylinder_blocks(b, n, within=I, **walk)])
+        for b, I in zip(betas, windows))
+    if None in counts:
+        lefts = tuple(lefts)
+        counts = [len(l) if c is None else c for l, c in zip(lefts, counts)]
+    copies = counts[0] * counts[1]
+    if copies > copy_cap:
+        raise ResourceLimitError(f"{copies} copies exceed cap {copy_cap}",
+                                 module=_MODULE)
+    if not copies:
+        raise DomainError(f"no full words of length {n} inside {box}",
+                          module=_MODULE)
+    lefts = tuple(lefts)
+    if list(map(len, lefts)) != counts:
+        raise ConsistencyError(
+            f"walked word counts {list(map(len, lefts))} disagree with the "
+            f"recursion counts {counts}", module=_MODULE)
 
     base = scale_by_f(target, spec.system, n)
     poly = parallelogram_polygon(base.origin, base.columns[:, 0],
                                  base.columns[:, 1])
-    if mode == "full_in_D":
-        # copies must stay inside their cylinder product, so the base
-        # must keep all its area inside [0, beta^-n)^2
+    if full:
+        # the base must keep all its area inside [0, beta^-n)^2
         corner = poly.min(axis=0)
         top = np.array([b ** float(-n) for b in betas]) - corner
         a0 = polygon_area(poly)
@@ -291,12 +294,6 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                                module=_MODULE)
     return EnSet(spec=spec, n=n, mode=mode, base=base, polygon=poly,
                  lefts=lefts, D=box)
-
-
-def _lefts(beta: float, n: int, **walk) -> np.ndarray:
-    """Left ends of one axis's level-n cylinders, in lexicographic order."""
-    return np.concatenate([np.empty(0)] + [
-        b.lefts for b in cylinder_blocks(beta, n, **walk)])
 
 
 def _grouped_arange(lengths: np.ndarray) -> np.ndarray:

@@ -379,9 +379,15 @@ def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> OrthoFrame:
     its terms (row, position of the (k-1)-subset, parity).  The minors
     of a step are lists indexed by row-set position; every candidate's
     list is kept for U.  The matrices may be arrays or sequences of rows
-    of numbers; every sum and product is taken in one fixed order.
+    of numbers; every sum and product is taken in one fixed order.  An
+    entry that is not a number (None, a string, even a numeric one)
+    raises DomainError.
     """
-    return _pivot_scan(signs, log2_magnitudes)
+    try:
+        return _pivot_scan(signs, log2_magnitudes)
+    except TypeError as exc:
+        raise DomainError(f"signs and log2 magnitudes must be numbers: {exc}",
+                          module=_MODULE) from None
 
 
 def _rows(m):
@@ -389,7 +395,8 @@ def _rows(m):
     the scan works on Python floats; None for an array that is not 2-D.
     Row sequences are read as given, without a per-level copy."""
     if isinstance(m, np.ndarray):
-        return m.astype(float).tolist() if m.ndim == 2 else None
+        return m.astype(float, casting="same_kind").tolist() \
+            if m.ndim == 2 else None
     return m
 
 
@@ -433,6 +440,7 @@ def _pivot_scan(signs, log2_magnitudes, columns=None) -> OrthoFrame:
                         ext.append((math.copysign(1.0, x), v))
                         doubled.append(2.0 * v)
                     else:
+                        s * 0.0  # TypeError for a sign that is no number
                         ext.append((0.0, _NEG_INF))
             for terms in sets if k > 1 else ():
                 signs, logs = [], []

@@ -457,6 +457,20 @@ class TestDimension:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "cli_io.config"
 
+    @pytest.mark.parametrize("target, key", [
+        ({"theta": "arccos_pow2", "a": 0.5, "theta_value": 1.2},
+         "theta_value"),
+        ({"theta": "const", "theta_value": 0.3, "a": 7}, "a"),
+    ])
+    def test_other_rules_key_refused(self, tmp_path, capsys, target, key):
+        # each rule ignored the other's key before
+        path = self.config(tmp_path, target=dict(kind="rotated2d", **target))
+        assert main(["dimension", "--config", path,
+                     "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "cli_io.config"
+        assert f"no key {key!r}" in err["message"]
+
     def test_level_near_float_max(self, tmp_path, capsys):
         # the frame's log2 sums stay within float range here; at 10**308
         # they do not (see INPUT_HOLES)

@@ -6,6 +6,7 @@ of the defining objective, no shared code) and frozen here.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -24,7 +25,11 @@ from beta_targets.dimension_engine import (
     s_n,
     s_star,
 )
-from beta_targets.errors import DegenerateInputError, DomainError
+from beta_targets.errors import (
+    DegenerateInputError,
+    DomainError,
+    ScaleRangeError,
+)
 from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
 from closed_forms import closed_form_example
 from family_reference import axis_family, const_rotation
@@ -275,6 +280,47 @@ class TestDeepLevels:
         for spec in (rotated_spec(0.7), decay_spec(0.5)):
             for n in (1, 40, 1075, 10 ** 5):
                 assert 1.0 <= s_n(spec, n).s_n <= 2.0
+
+
+class TestFloatRangeBound:
+    """Exact mode refuses a level once 2 (d r + n sum_j (1 + t_j) l_j),
+    which bounds the frame's doubled minor sums, passes the float
+    maximum (r bounds |log2| of the entries of R)."""
+
+    def test_arccos_runs_at_1e307(self):
+        # 2d (r + n (max t l + max l)), the bound before, refused it
+        level = s_n(decay_spec(0.5), 10 ** 307)
+        assert 1.0 <= level.s_n <= 2.0
+        assert all(map(math.isfinite, level.gamma_log2))
+        assert level.s_n == s_n(decay_spec(0.5), 10 ** 307, "limit").s_n
+
+    def test_rotated_edge(self):
+        assert 1.0 <= s_n(rotated_spec(0.7), 10 ** 307).s_n <= 2.0
+        with pytest.raises(ScaleRangeError):
+            s_n(rotated_spec(0.7), 10 ** 308)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(1.01, 16.0), min_size=2, max_size=2),
+           st.lists(st.floats(0.05, 8.0), min_size=2, max_size=2),
+           st.sampled_from(["axis", "const", "arccos"]),
+           st.floats(0.0, 6.3), st.floats(0.5, 1.5))
+    def test_near_bound_finite_or_refused(self, betas, ex, kind, angle,
+                                          factor):
+        family = {"axis": lambda: axis_family(ex),
+                  "const": lambda: const_rotation(angle, ex),
+                  "arccos": lambda: Rotated2DFamily(angle, ex)}[kind]()
+        spec = TargetSpec(BetaSystem(betas), family)
+        rate = sum((1.0 + t) * math.log2(b) for t, b in zip(ex, betas))
+        if kind == "arccos":
+            rate += 2.0 * angle
+        n = int(min(factor * (sys.float_info.max / 2.0 / rate),
+                    sys.float_info.max))
+        try:
+            level = s_n(spec, n)
+        except ScaleRangeError:
+            return
+        assert 0.0 < level.s_n <= 2.0
+        assert all(map(math.isfinite, level.gamma_log2))
 
 
 class TestObjectiveProperties:

@@ -134,6 +134,36 @@ class TestBuildEn:
         with pytest.raises(ResourceLimitError, match=r"4\.0\*\*3000"):
             build_E_n(pi4_spec(), 3000, mode="all")
 
+    @pytest.mark.parametrize("spec, n, D, eps", [
+        (TargetSpec(SYS24, const_rotation(0.7)), 2000, UNIT_D, 0.1),
+        (TargetSpec(SYS24, const_rotation(0.7)), 2 ** 64, UNIT_D, 0.1),
+        # P_n is normal, only f^n P_n's 2^-1200 underflows
+        (TargetSpec(BetaSystem((2.0, 2.0)),
+                    axis_family((1.0, 2.0), origin=(0.2, 0.2))),
+         400, ((0.0, 1e-118), (0.0, 1e-118)), 0.01),
+    ], ids=["rot24-2000", "rot24-2**64", "axis-f^n-only"])
+    def test_underflowing_level_refused(self, spec, n, D, eps):
+        # read as a degenerate "zero column" before
+        with pytest.raises(ScaleRangeError) as info:
+            build_E_n(spec, n, mode="full_in_D", D=D, eps=eps)
+        assert info.value.code == "numerical_lab.scale_range"
+
+    @pytest.mark.parametrize("betas, n, mode, copies", [
+        ((2.0, 4.0), 2, "full_in_D", 64),
+        # past its Renyi floor 1.8**6 = 34, short of its 7 * 7 words
+        ((1.8, 1.8), 3, "all", 49),
+    ])
+    def test_whole_windows_capped_before_walking(self, monkeypatch, betas,
+                                                 n, mode, copies):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(numerical_lab, "cylinder_blocks", refuse)
+        spec = TargetSpec(BetaSystem(betas), const_rotation(math.pi / 4))
+        with pytest.raises(ResourceLimitError,
+                           match=f"^{copies} copies exceed cap 40$"):
+            build_E_n(spec, n, mode=mode, D=UNIT_D, copy_cap=40)
+
     @pytest.mark.parametrize("call", [
         lambda spec, n: build_E_n(spec, n, mode="all"),
         lambda spec, n: build_E_n(spec, n, mode="full_in_D"),

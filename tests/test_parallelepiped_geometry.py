@@ -236,6 +236,25 @@ class TestScaledRoute:
         with pytest.raises(DegenerateInputError):
             pivoted_orthogonalize_scaled(signs, lm)
 
+    @pytest.mark.parametrize("signs, lm", [
+        ([["x"]], [[0.0]]),
+        ([[None]], [[0.0]]),
+        ([["1.5"]], [[0.0]]),
+        ([[""]], [[0.0]]),
+        ([[1.0]], [[None]]),
+        ([[1.0]], [["1.5"]]),
+        ([[1.0, None], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]),
+        ([[1.0, "x"], [0.0, 1.0]], [[0.0, -np.inf], [0.0, 0.0]]),
+        (np.array([["1.5"]]), [[0.0]]),
+        (np.array([[None]]), [[0.0]]),
+    ], ids=["str", "none", "numeric-str", "empty-str", "none-log",
+            "numeric-str-log", "none-in-2x2", "str-over-zero", "str-array",
+            "object-array"])
+    def test_non_numbers_raise_domain_error(self, signs, lm):
+        # a bare TypeError escaped before; None read as a zero sign
+        with pytest.raises(DomainError, match="must be numbers"):
+            pivoted_orthogonalize_scaled(signs, lm)
+
     def test_parallel_directions_raise(self):
         signs, lm = scaled_form(np.array([[1.0, 2.0], [1.0, 2.0]]))
         with pytest.raises(DegenerateInputError):
