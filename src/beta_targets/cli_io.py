@@ -52,7 +52,7 @@ from .errors import (
     ResourceLimitError,
     ScaleRangeError,
 )
-from .hausdorff_content import DEFAULT_DEPTHS, brute_force_content_2d
+from .hausdorff_content import DEFAULT_DEPTHS, content_estimates_2d
 from .numerical_lab import (
     DEFAULT_CELL_CAP,
     DEFAULT_COPY_CAP,
@@ -484,11 +484,10 @@ def _cmd_ortho(cfg: RunConfig, sha: str) -> str:
 def _cmd_content(cfg: RunConfig, sha: str) -> str:
     shape = _need(cfg.shape, "shape")
     exponents = _need(cfg.s, "s")
-    rows = []
-    for s in exponents:
-        est = brute_force_content_2d(np.asarray(shape, dtype=float),
-                                     float(s), depths=cfg.depths)
-        rows.append((float(s), est.lower, est.upper))
+    estimates = content_estimates_2d(np.asarray(shape, dtype=float),
+                                     exponents, depths=cfg.depths)
+    rows = [(float(s), est.lower, est.upper)
+            for s, est in zip(exponents, estimates)]
     return _csv(sha, ("s", "lower", "upper"), rows)
 
 

@@ -19,6 +19,11 @@ cells into larger squares, uniform meshes anchored at the bounding box
 corner, and a remainder-tiling of the bounding box by squares.  Its lower
 bound runs the mass distribution principle with the normalized area
 measure on the polygon.
+
+Only the prices of those covers depend on s: the cell counts, the merge
+depth's occupancy mask, the mesh counts and the spot-check ball masses
+do not.  content_estimates_2d builds them once per shape and prices them
+at each exponent of a list; brute_force_content_2d is its batch of one.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "content_sandwich",
     "mdp_lower_bound",
     "brute_force_content_2d",
+    "content_estimates_2d",
 ]
 
 _MODULE = "hausdorff_content"
@@ -184,31 +190,14 @@ def _column_intervals(lower: np.ndarray, upper: np.ndarray,
     return c0, lo, hi
 
 
-def _dyadic_candidates(lower, upper, bbox, s: float,
-                       depths: Sequence[int]) -> List[float]:
-    """Plain occupied-cell cover values, one per depth."""
-    x0, _, x1, _ = bbox
-    vals = []
-    for k in depths:
-        _, lo, hi = _column_intervals(lower, upper, x0, x1, k)
-        count = int(np.sum(hi - lo + 1))
-        vals.append(count * (2.0 ** -k) ** s)
-    return vals
-
-
-def _merged_dyadic_cover(lower, upper, bbox, s: float, k_top: int) -> float:
+def _merged_dyadic_cover(c0: int, r0: int, occ: np.ndarray, k_top: int,
+                         s: float) -> float:
     """Greedy bottom-up merge: cost(cell) = min(side^s, sum of children).
 
-    Works on the occupied-cell masks of depths k_top down to 1; the
-    result is the best mixed-scale dyadic cover within that range.
+    Works on the occupied-cell mask of depth k_top (cell (c0 + i, r0 + j)
+    at occ[i, j]) and its parents down to depth 1; the result is the best
+    mixed-scale dyadic cover within that range.
     """
-    x0, _, x1, _ = bbox
-    c0, lo, hi = _column_intervals(lower, upper, x0, x1, k_top)
-    width = len(lo)
-    height = int(hi.max() - lo.min() + 1)
-    r0 = int(lo.min())
-    rows = np.arange(r0, r0 + height)
-    occ = (rows[None, :] >= lo[:, None]) & (rows[None, :] <= hi[:, None])
     side = 2.0 ** -k_top
     cost = np.where(occ, side ** s, 0.0)
     col_off, row_off = c0, r0
@@ -231,9 +220,10 @@ def _merged_dyadic_cover(lower, upper, bbox, s: float, k_top: int) -> float:
     return float(cost.sum())
 
 
-def _mesh_candidates(w: float, h: float, s: float) -> List[float]:
-    """Uniform covers anchored at the bounding box corner."""
-    vals = []
+def _mesh_counts(w: float, h: float) -> List[Tuple[int, float]]:
+    """(squares, side) of the uniform covers anchored at the bounding box
+    corner."""
+    meshes = []
     for base in (w, h):
         for j in range(1, _MESH_STEPS + 1):
             delta = base / j
@@ -241,8 +231,8 @@ def _mesh_candidates(w: float, h: float, s: float) -> List[float]:
                 continue
             nx = max(1, math.ceil(w / delta - 1e-12))
             ny = max(1, math.ceil(h / delta - 1e-12))
-            vals.append(nx * ny * delta ** s)
-    return vals
+            meshes.append((nx * ny, delta))
+    return meshes
 
 
 def _remainder_tiling(w: float, h: float, s: float) -> float:
@@ -265,38 +255,23 @@ def _remainder_tiling(w: float, h: float, s: float) -> float:
     return total
 
 
-def brute_force_content_2d(shape, s: float,
-                           depths: Optional[Sequence[int]] = None
-                           ) -> ContentEstimate:
-    """Certified two-sided content estimate for a convex polygon in
-    the unit square.
-
-    upper is the value of the cheapest genuine square cover found
-    (merged mixed-scale dyadic up to the merge depth, plain dyadic
-    occupancy per deeper depth, anchored uniform meshes, remainder
-    tiling of the bounding box); lower is the mass distribution bound
-    with the normalized area measure, which by the sandwich equals
-    area-ratio * 2^-d * phi^s of the bounding box.  Vertices up to
-    1e-9 outside the unit square are clamped onto it; farther ones are
-    refused.
-    """
-    if depths is None:
-        depths = DEFAULT_DEPTHS
-    depths = tuple(int(k) for k in depths)
-    if not depths or any(k < 1 or k > 24 for k in depths):
-        raise DomainError("grid depths must be integers in [1, 24]",
-                          module=_MODULE)
+def _check_exponent(s) -> float:
     s = float(s)
     if not (0.0 < s <= 2.0):
         raise DomainError(f"s must lie in (0, 2], got {s}", module=_MODULE)
-    scale_grid = tuple(2.0 ** -k for k in depths)
+    return s
 
+
+def _shape_covers(shape, depths: Tuple[int, ...]
+                  ) -> Callable[[float], Tuple[float, float]]:
+    """Checks the shape and builds everything of its covers that does not
+    depend on s; returns the (lower, upper) estimate as a function of s."""
     poly = np.asarray(shape, dtype=float)
     if poly.ndim != 2 or poly.shape[1] != 2:
         raise DomainError("shape must be an (m, 2) vertex array",
                           module=_MODULE)
     if poly.shape[0] < 3:
-        return ContentEstimate(0.0, 0.0, scale_grid)
+        return lambda s: (0.0, 0.0)
     if not np.all(np.isfinite(poly)):
         raise DomainError("vertices must be finite", module=_MODULE)
     if (poly.min() < -1e-9) or (poly.max() > 1.0 + 1e-9):
@@ -307,7 +282,7 @@ def brute_force_content_2d(shape, s: float,
     # shoelace area exactly 0.0, so w and h below are positive
     area = polygon_area(poly)
     if area <= 0.0:
-        return ContentEstimate(0.0, 0.0, scale_grid)
+        return lambda s: (0.0, 0.0)
 
     x0, y0, x1, y1 = polygon_bbox(poly)
     w, h = x1 - x0, y1 - y0
@@ -315,19 +290,19 @@ def brute_force_content_2d(shape, s: float,
 
     # the merged cover dominates the plain ones at depths up to its own
     k_merge = min(max(depths), _MERGE_DEPTH)
-    candidates = _dyadic_candidates(lower_chain, upper_chain,
-                                    (x0, y0, x1, y1), s,
-                                    [k for k in depths if k > k_merge])
-    candidates.append(_merged_dyadic_cover(
-        lower_chain, upper_chain, (x0, y0, x1, y1), s, k_merge))
-    candidates.extend(_mesh_candidates(w, h, s))
-    candidates.append(_remainder_tiling(w, h, s))
-    upper = min(candidates)
+    plain = []
+    for k in depths:
+        if k > k_merge:
+            _, lo, hi = _column_intervals(lower_chain, upper_chain, x0, x1, k)
+            plain.append((int(np.sum(hi - lo + 1)), k))
+    c0, lo, hi = _column_intervals(lower_chain, upper_chain, x0, x1, k_merge)
+    r0 = int(lo.min())
+    rows = np.arange(r0, int(hi.max()) + 1)
+    occ = (rows[None, :] >= lo[:, None]) & (rows[None, :] <= hi[:, None])
+    meshes = _mesh_counts(w, h)
 
     bbox_rect = SortedRectangle.from_lengths((w, h))
-    phi = singular_value_function(bbox_rect, s)
     c_ratio = min(1.0, area / (w * h))
-    c_mdp = 4.0 / (c_ratio * phi)  # mu(B) <= 2^d r^s / (c phi^s)
 
     # the four spot-check balls about the vertex centroid, in one batch
     cx = float(poly[:, 0].mean())
@@ -337,6 +312,65 @@ def brute_force_content_2d(shape, s: float,
                        cx + radii - x0, cy - radii - y0,
                        cy + radii - y0) / area
     mass = dict(zip(radii.tolist(), masses.tolist()))
-    lower = mdp_lower_bound(lambda center, r: mass[r], 1.0, c_mdp, s,
-                            spot_check=[((cx, cy), r) for r in mass])
-    return ContentEstimate(lower, upper, scale_grid)
+    spot_check = [((cx, cy), r) for r in mass]
+
+    def estimate(s: float) -> Tuple[float, float]:
+        candidates = [count * (2.0 ** -k) ** s for count, k in plain]
+        candidates.append(_merged_dyadic_cover(c0, r0, occ, k_merge, s))
+        candidates.extend(count * delta ** s for count, delta in meshes)
+        candidates.append(_remainder_tiling(w, h, s))
+        upper = min(candidates)
+
+        phi = singular_value_function(bbox_rect, s)
+        c_mdp = 4.0 / (c_ratio * phi)  # mu(B) <= 2^d r^s / (c phi^s)
+        lower = mdp_lower_bound(lambda center, r: mass[r], 1.0, c_mdp, s,
+                                spot_check=spot_check)
+        return lower, upper
+
+    return estimate
+
+
+def content_estimates_2d(shape, exponents: Iterable[float],
+                         depths: Optional[Sequence[int]] = None
+                         ) -> List[ContentEstimate]:
+    """Certified two-sided content estimates of a convex polygon in the
+    unit square, one per exponent s, in the given order.
+
+    upper is the value of the cheapest genuine square cover found
+    (merged mixed-scale dyadic up to the merge depth, plain dyadic
+    occupancy per deeper depth, anchored uniform meshes, remainder
+    tiling of the bounding box); lower is the mass distribution bound
+    with the normalized area measure, which by the sandwich equals
+    area-ratio * 2^-d * phi^s of the bounding box.  Vertices up to
+    1e-9 outside the unit square are clamped onto it; farther ones are
+    refused.
+
+    The covers are built once for the shape and then priced at each s
+    with the float operations, in the same order, of an estimate at that
+    s alone, so no estimate depends on the other exponents of the list.
+    Errors come in the order separate estimates would raise them: the
+    depths, the first s, the shape, then each later s just before its
+    own estimate (so after any ConsistencyError of an earlier one).
+    """
+    if depths is None:
+        depths = DEFAULT_DEPTHS
+    depths = tuple(int(k) for k in depths)
+    if not depths or any(k < 1 or k > 24 for k in depths):
+        raise DomainError("grid depths must be integers in [1, 24]",
+                          module=_MODULE)
+    scale_grid = tuple(2.0 ** -k for k in depths)
+    exponents = list(exponents)
+    if not exponents:
+        return []
+    # as an estimate at s[0] alone would, check s[0] before the shape
+    _check_exponent(exponents[0])
+    estimate = _shape_covers(shape, depths)
+    return [ContentEstimate(*estimate(_check_exponent(s)), scale_grid)
+            for s in exponents]
+
+
+def brute_force_content_2d(shape, s: float,
+                           depths: Optional[Sequence[int]] = None
+                           ) -> ContentEstimate:
+    """content_estimates_2d at the single exponent s."""
+    return content_estimates_2d(shape, [s], depths)[0]

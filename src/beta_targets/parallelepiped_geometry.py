@@ -58,8 +58,8 @@ _TRIG_SNAP = 1e-15
 # absorbs rounding fuzz so exact ties break to the smaller index
 _PIVOT_TIE_TOL = 1e-12
 
-# log2 scale magnitude beyond which float64 work is refused
-_MAX_LOG2_SCALE = 900.0
+# -log2 of the smallest normal float
+_MIN_LOG2_NORMAL = 1022.0
 
 # relative tolerance 1e-9 of the volume identities, in log2
 _LOG2_RTOL = math.log2(1.0 + 1e-9)
@@ -566,19 +566,28 @@ def volume(p: Parallelepiped) -> float:
 
 def scale_by_f(p: Parallelepiped, system: BetaSystem, n: int) -> Parallelepiped:
     """Image of the parallelepiped under n applications of
-    x |-> (beta_1^-1 x_1, ..., beta_d^-1 x_d)."""
+    x |-> (beta_1^-1 x_1, ..., beta_d^-1 x_d).
+
+    A nonzero entry of the origin or the columns whose image falls below
+    the smallest normal float (2^-1022) raises ScaleRangeError.
+    """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n!r}",
                           module=_MODULE)
     if system.dimension != p.dimension:
         raise DomainError("system dimension does not match parallelepiped",
                           module=_MODULE)
-    lg = np.array(system.log2_betas)
-    if float(np.max(n * lg)) > _MAX_LOG2_SCALE:
-        raise ScaleRangeError(
-            f"contraction by 2^{float(np.max(n * lg)):.1f} leaves float64 "
-            "range; use the scaled orthogonalization route instead",
-            module=_MODULE)
-    scales = np.exp2(-float(n) * lg)
-    return Parallelepiped(scales * p.origin, scales[:, None] * p.columns)
-
+    t = float(n) * np.array(system.log2_betas)
+    # 2^-t as 2^-(t - q) * 2^-q with an integer q, so that a scale below
+    # the normal range loses no bits; q = 0 while the scale is normal, and
+    # q stops at 4096, past which every finite entry's image is 0
+    q = np.where(t > _MIN_LOG2_NORMAL, np.minimum(np.floor(t), 4096.0), 0.0)
+    scales, shift = np.exp2(-(t - q)), -q.astype(np.int64)
+    origin = np.ldexp(scales * p.origin, shift)
+    columns = np.ldexp(scales[:, None] * p.columns, shift[:, None])
+    for old, new in ((p.origin, origin), (p.columns, columns)):
+        if np.any((old != 0.0) & ~(np.abs(new) >= 2.0 ** -_MIN_LOG2_NORMAL)):
+            raise ScaleRangeError(
+                f"contraction by 2^{float(np.max(t)):.1f} takes a nonzero "
+                "entry below the smallest normal float", module=_MODULE)
+    return Parallelepiped(origin, columns)

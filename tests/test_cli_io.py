@@ -425,6 +425,84 @@ class TestContent:
         # s = d recovers area for the unit square
         assert float(rows[2][2]) == pytest.approx(1.0, rel=1e-9)
 
+    # sha256 of content.csv below its config-hash line, pinned from the
+    # oracle's one-pass-per-exponent form: perfbench-style thin shapes
+    # (an axis rectangle, a sheared and a tilted one) and a thin triangle
+    SHAPES = {
+        "rectangle": [[0.87658, 0.881136], [0.97658, 0.881136],
+                      [0.97658, 0.884145], [0.87658, 0.884145]],
+        "sheared": [[0.640909, 0.402045], [0.767224, 0.402045],
+                    [0.758001, 0.410648], [0.631685, 0.410648]],
+        "tilted": [[0.754511, 0.422221], [0.986086, 0.423416],
+                   [0.986046, 0.431266], [0.75447, 0.430071]],
+        "triangle": [[0.12, 0.31], [0.83, 0.36], [0.47, 0.395]],
+    }
+    RUNS = {
+        "five": {"s": [0.5, 1, 1.3, 1.7, 2]},
+        "repeat": {"s": [2, 1, 1]},
+        "depths": {"s": [0.5, 1, 1.3, 1.7, 2], "depths": [3, 5, 10, 11]},
+    }
+
+    @pytest.mark.parametrize("shape, run, digest", [
+        ("rectangle", "five",
+         "5b20df5135142d58f808560a886e2665604c48e1a5cd174478769ca5a929dc3b"),
+        ("rectangle", "repeat",
+         "5ba42e24de5c4304b97f859d6fa9c4f6e0ec7cf5c38b21304530be06e31d3ca6"),
+        ("rectangle", "depths",
+         "5b20df5135142d58f808560a886e2665604c48e1a5cd174478769ca5a929dc3b"),
+        ("sheared", "five",
+         "8523f8181154591a796bb186d71b91972ac7b2d793ad8e6bd591cea8264541f7"),
+        ("sheared", "repeat",
+         "f82774904706a47606fba954bba9e3c18e4dfa3e01ee434da1da81bfb6ed3395"),
+        ("sheared", "depths",
+         "33ca088a663c64462a988141e8927898506c0f215ceac1260d4ce7803b3ef49c"),
+        ("tilted", "five",
+         "72f6c707fe26b9d6ae233a275c447570533053e5104a8c35a0be073969694e39"),
+        ("tilted", "repeat",
+         "60088af9600a4de006ec9aa356e9cfbe7ef1b96510d12ab5531fc541ca248246"),
+        ("tilted", "depths",
+         "b53fd51db553e339de460217046856b4e6ab6792955f13a9190545d0ee53cecd"),
+        ("triangle", "five",
+         "30c4eb6a7f978b07396e880dd6c737a8a38fed740567ba0a92f7b413c6fa78b6"),
+        ("triangle", "repeat",
+         "9f45cf73bf1470e1aaacffddf6167c968c3a548334efacda3e6193232b4afa63"),
+        ("triangle", "depths",
+         "f7879e78b62d2905520e169ba0708b0d21f5255d778566e4990c79cdf2f2826d"),
+    ])
+    def test_csv_bytes_pinned(self, tmp_path, capsys, shape, run, digest):
+        path = write_config(tmp_path, {"shape": self.SHAPES[shape],
+                                       **self.RUNS[run]})
+        assert main(["content", "--config", path,
+                     "--out", str(tmp_path)]) == 0
+        body = (tmp_path / "content.csv").read_text().split("\n", 1)[1]
+        assert body.count("\n") == 1 + len(self.RUNS[run]["s"])
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+    # the first failing exponent's error, as one call per exponent gave it
+    @pytest.mark.parametrize("shape, s, depths, message", [
+        ("outside", [1.0, 3.0], None, "shape must lie inside the unit square"),
+        ("outside", [3.0, 1.0], None, "s must lie in (0, 2], got 3.0"),
+        ("inside", [1.0, 3.0], None, "s must lie in (0, 2], got 3.0"),
+        ("segment", [1.0, 3.0], None, "s must lie in (0, 2], got 3.0"),
+        ("inside", [1.0], [3, 30], "grid depths must be integers in [1, 24]"),
+    ])
+    def test_refusal_order(self, tmp_path, capsys, shape, s, depths,
+                           message):
+        shape = {"outside": [[0.8, 0.8], [1.3, 0.8], [1.3, 0.9], [0.8, 0.9]],
+                 "inside": self.SHAPES["triangle"],
+                 "segment": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]}[shape]
+        config = {"shape": shape, "s": s}
+        if depths is not None:
+            config["depths"] = depths
+        path = write_config(tmp_path, config)
+        assert main(["content", "--config", path,
+                     "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {
+            "code": "hausdorff_content.domain", "message": message}}
+        assert not (tmp_path / "content.csv").exists()
+
 
 class TestDimension:
     def config(self, tmp_path, **extra):

@@ -11,6 +11,7 @@ from beta_targets.hausdorff_content import (
     SortedRectangle,
     _column_intervals,
     brute_force_content_2d,
+    content_estimates_2d,
     content_sandwich,
     mdp_lower_bound,
     singular_value_function,
@@ -447,6 +448,89 @@ class TestColumnCells:
                 if not clip_to_box(poly, a - d, lo - d, b + d,
                                    hi + d).shape[0]:
                     assert (c, r) not in got
+
+
+def convex_hull(points):
+    """Counter-clockwise hull of the points (Andrew's monotone chain)."""
+    pts = sorted(map(tuple, points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                    (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                    - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return np.array(chain(pts) + chain(pts[::-1]))
+
+
+@st.composite
+def convex_shapes(draw):
+    """Triangles, parallelograms and hulls of up to 8 points in the unit
+    square."""
+    if draw(st.booleans()):
+        return draw(unit_square_shapes())
+    coord = st.floats(0.0, 1.0)
+    pts = [(draw(coord), draw(coord)) for _ in range(draw(st.integers(3, 8)))]
+    poly = convex_hull(pts)
+    assume(len(poly) >= 3 and polygon_area(poly) > 1e-4)
+    return poly
+
+
+@st.composite
+def exponent_lists(draw):
+    """Unsorted exponents in (0, 2], each list with a repeat."""
+    s = st.one_of(st.sampled_from(CONTENT_S), st.floats(0.01, 2.0))
+    exponents = draw(st.lists(s, min_size=1, max_size=5))
+    exponents.append(draw(st.sampled_from(exponents)))
+    return draw(st.permutations(exponents))
+
+
+# a non-convex star: outside the oracle's domain, it breaks the mass
+# distribution promise from s = 1.9 on, and the spot check says so
+STAR = [[0.277, 0.389], [0.333, 0.143], [0.417, 0.261], [0.9, 0.255],
+        [0.791, 0.6], [0.429, 0.621], [0.447, 0.466], [0.212, 0.486]]
+
+
+class TestContentBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(convex_shapes(), exponent_lists(),
+           st.one_of(st.none(), st.lists(st.integers(1, 13), min_size=1,
+                                         max_size=5)))
+    def test_equals_per_exponent_calls(self, poly, exponents, depths):
+        def bits(est):
+            return est.lower.hex(), est.upper.hex(), est.scale_grid
+
+        got = content_estimates_2d(poly, exponents, depths)
+        assert [bits(est) for est in got] == [
+            bits(brute_force_content_2d(poly, s, depths)) for s in exponents]
+
+    def test_frozen_values_in_one_batch(self):
+        for name, want in CONTENT_HEX.items():
+            got = content_estimates_2d(CONTENT_SHAPES[name],
+                                       CONTENT_S[::-1] + CONTENT_S)
+            assert [(e.lower.hex(), e.upper.hex()) for e in got] == \
+                want[::-1] + want
+
+    # each later s is checked just before its own estimate, so after the
+    # spot check of an earlier one (the CLI tests pin the other orders)
+    @pytest.mark.parametrize("exponents, kind, message", [
+        ([1.0, 2.0, 3.0], ConsistencyError,
+         "ball measure 0.10840549902576312 at r=0.05975 exceeds the "
+         "promised bound 0.07729080969906907"),
+        ([1.0, 3.0, 2.0], DomainError, "s must lie in (0, 2], got 3.0"),
+    ], ids=["consistency-first", "domain-first"])
+    def test_errors_in_per_exponent_order(self, exponents, kind, message):
+        with pytest.raises(kind) as info:
+            content_estimates_2d(STAR, exponents)
+        assert str(info.value) == message
+
+    def test_no_exponents(self):
+        # no estimate, so no check of the shape either
+        assert content_estimates_2d([[2.0, 2.0]] * 3, []) == []
 
 
 class TestContentEstimateInvariant:

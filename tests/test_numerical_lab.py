@@ -148,6 +148,17 @@ class TestBuildEn:
             build_E_n(spec, n, mode="full_in_D", D=D, eps=eps)
         assert info.value.code == "numerical_lab.scale_range"
 
+    @pytest.mark.parametrize("n", [895, 950])
+    def test_normal_level_past_2_900_builds(self, n):
+        # f^n P_n has entries near 2^-(1.05 n), normal floats, although
+        # the contraction 2^-n passes 2^-900
+        spec = TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05)))
+        E = build_E_n(spec, n, mode="full_in_D",
+                      D=((0.0, 2.0 ** (5 - n)), (0.0, 2.0 ** (5 - n))),
+                      eps=0.01)
+        assert len(E.lefts[0]) * len(E.lefts[1]) == 1024
+        assert np.all(np.abs(E.polygon[E.polygon != 0.0]) >= 2.0 ** -1022)
+
     @pytest.mark.parametrize("betas, n, mode, copies", [
         ((2.0, 4.0), 2, "full_in_D", 64),
         # past its Renyi floor 1.8**6 = 34, short of its 7 * 7 words

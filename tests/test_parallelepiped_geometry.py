@@ -339,9 +339,21 @@ class TestScaling:
         assert np.array_equal(q.origin, p.origin)
 
     def test_scale_out_of_range(self):
+        # 2^-1100 times the entries 1 and 3 is subnormal
         p = Parallelepiped((0.0, 0.0), WORKED_COLS)
-        with pytest.raises(ScaleRangeError):
-            scale_by_f(p, BetaSystem((2.0, 2.0)), 1000)
+        with pytest.raises(ScaleRangeError, match="smallest normal float"):
+            scale_by_f(p, BetaSystem((2.0, 2.0)), 1100)
+
+    # the images are normal floats, although at n = 1050 the scale
+    # 2^-1050 itself is subnormal
+    @pytest.mark.parametrize("n, factor", [(1000, 1.0), (1050, 2.0 ** 40)])
+    def test_scale_keeps_normal_images(self, n, factor):
+        p = Parallelepiped((0.5 * factor, 0.25 * factor),
+                           factor * WORKED_COLS)
+        q = scale_by_f(p, BetaSystem((2.0, 2.0)), n)
+        assert q.origin.tolist() == [math.ldexp(x, -n) for x in p.origin]
+        assert q.columns.tolist() == [[math.ldexp(x, -n) for x in row]
+                                      for row in p.columns]
 
     def test_scale_validates_n(self):
         p = Parallelepiped((0.0, 0.0), WORKED_COLS)
