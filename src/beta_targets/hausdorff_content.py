@@ -262,6 +262,30 @@ def _check_exponent(s) -> float:
     return s
 
 
+def _check_convex(poly: np.ndarray) -> None:
+    """Refuses a counterclockwise vertex list that is not convex: one
+    with a clockwise turn beyond |cross| <= 1e-12 |e1| |e2|, the slack
+    that lets nearly collinear vertices pass, or whose turns add up to
+    more than one revolution, as a pentagram's do."""
+    pts = [tuple(p) for p in poly.tolist()]
+    pts = [p for p, q in zip(pts, pts[-1:] + pts[:-1]) if p != q]
+    # each edge over its largest component: scale-free, and no product of
+    # tiny edges underflows
+    edges = []
+    for (x0, y0), (x1, y1) in zip(pts[-1:] + pts[:-1], pts):
+        m = max(abs(x1 - x0), abs(y1 - y0))
+        edges.append(((x1 - x0) / m, (y1 - y0) / m))
+    turns = 0.0
+    for (ax, ay), (bx, by) in zip(edges, edges[1:] + edges[:1]):
+        cross = ax * by - ay * bx
+        if cross < -1e-12 * math.hypot(ax, ay) * math.hypot(bx, by):
+            turns = math.inf  # a clockwise turn
+            break
+        turns += abs(math.atan2(cross, ax * bx + ay * by))
+    if turns > 3.0 * math.pi:
+        raise DomainError("shape must be convex", module=_MODULE)
+
+
 def _shape_covers(shape, depths: Tuple[int, ...]
                   ) -> Callable[[float], Tuple[float, float]]:
     """Checks the shape and builds everything of its covers that does not
@@ -278,6 +302,7 @@ def _shape_covers(shape, depths: Tuple[int, ...]
         raise DomainError("shape must lie inside the unit square",
                           module=_MODULE)
     poly = ensure_ccw(np.clip(poly, 0.0, 1.0))
+    _check_convex(poly)
     # relative to its first vertex, a polygon of zero width or height has
     # shoelace area exactly 0.0, so w and h below are positive
     area = polygon_area(poly)

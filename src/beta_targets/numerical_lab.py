@@ -460,6 +460,9 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
             module=_MODULE)
     en = build_E_n(spec, n, mode="full_in_D", D=D, eps=eps,
                    copy_cap=copy_cap)
+    if not en.copy_area > 0.0:  # the mass per unit area has no value
+        raise ScaleRangeError(f"the copies' area underflows to 0 at level {n}",
+                              module=_MODULE)
     return MuMeasure(en=en, t=t, eps=eps, level=level)
 
 
@@ -549,30 +552,104 @@ def mu_ball_mass(M: MuMeasure, center, r: float) -> float:
 
 
 def _radius_samplers(M: MuMeasure):
-    """The four radius regimes of the ball-mass argument."""
+    """The four radius regimes of the ball-mass argument, as (name,
+    bounds): the k-th ball of a regime draws its radius log-uniformly
+    between the (lo, hi) of bounds[k % len(bounds)]."""
     side = M.box_side
     gamma_small = 2.0 ** M.level.gamma_log2[-1]
     beta_coarse = max(b ** float(-M.en.n) for b in M.en.spec.system.betas)
     taus = sorted((2.0 ** c for c in M.level.candidates_log2_tau),
                   reverse=True)
-
-    def log_uniform(rng, lo, hi):
-        return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
-
-    def spectrum(rng, k):
-        if len(taus) < 2:
-            return log_uniform(rng, gamma_small, side)
-        j = k % (len(taus) - 1)
-        return log_uniform(rng, taus[j + 1], taus[j])
-
+    # between adjacent candidate scales, each pair in turn
+    spectrum = list(zip(taus[1:], taus[:-1])) or [(gamma_small, side)]
     return [
-        ("beyond_box", lambda rng, k: log_uniform(rng, side, 2.0 * side)),
-        ("below_frame", lambda rng, k: log_uniform(
-            rng, gamma_small * 1e-2, gamma_small)),
-        ("cylinder_to_box", lambda rng, k: log_uniform(
-            rng, beta_coarse, side)),
+        ("beyond_box", [(side, 2.0 * side)]),
+        ("below_frame", [(gamma_small * 1e-2, gamma_small)]),
+        ("cylinder_to_box", [(beta_coarse, side)]),
         ("between_scales", spectrum),
     ]
+
+
+# balls of the array pass after a rejected 32-bit draw, doubled after
+# each pass without one: a rejection re-pulls a bounded share of words
+_RESYNC_BALLS = 64
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles in [0, 1) that Generator.random makes of PCG64 words."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def _draw_balls(rng: np.random.Generator, copies: int,
+                count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """count balls' rng.integers(copies), rng.random(2) and rng.random(),
+    in that order per ball, as (indices, (count, 3) unit doubles).
+
+    Bit for bit those calls on a PCG64 generator, from one random_raw
+    pull per pass: each double takes a whole word; a copy count of one
+    takes no bits; one in [2, 2^32] takes a 32-bit draw by Lemire's
+    method, the low half of a fresh word or the high half the generator
+    kept from the draw before.  At the first rejected 32-bit draw the
+    generator is rewound to that ball, which the scalar calls draw, and
+    the array pass resumes after it.  The generator is left where the
+    scalar calls leave it.
+    """
+    bg = rng.bit_generator
+    idx = np.empty(count, dtype=np.int64)
+    units = np.empty((count, 3))
+
+    def scalar(j):
+        idx[j] = rng.integers(copies)
+        units[j, :2] = rng.random(2)
+        units[j, 2] = rng.random()
+
+    if copies > 2 ** 32:  # 64-bit draws: more copies than memory holds
+        for j in range(count):
+            scalar(j)
+        return idx, units
+    if copies == 1:
+        idx[:] = 0
+        units[:] = _unit_doubles(bg.random_raw(3 * count)).reshape(-1, 3)
+        return idx, units
+    threshold = (2 ** 32 - copies) % copies
+    j, block = 0, count
+    while j < count:
+        m = min(block, count - j)
+        saved = bg.state
+        h = saved["has_uint32"]
+        # ball i takes a fresh word when i + h is even, else the high half
+        # of ball i - 1's; its words start at 3i + (fresh balls before i)
+        i = np.arange(m)
+        fresh = (i + h) % 2 == 0
+        off = 3 * i + (i + 1 - h) // 2
+        words = bg.random_raw(3 * m + (m + 1 - h) // 2)
+        held = words[np.where(fresh, off, np.maximum(off - 4, 0))]
+        u32 = np.where(fresh, held & _LOW32, held >> np.uint64(32))
+        if h:
+            u32[0] = saved["uinteger"]
+        scaled = u32 * np.uint64(copies)
+        rejected = np.flatnonzero((scaled & _LOW32) < threshold)
+        a = int(rejected[0]) if len(rejected) else m
+        idx[j:j + a] = scaled[:a] >> np.uint64(32)
+        at = (off[:a] + fresh[:a])[:, None] + np.arange(3)
+        units[j:j + a] = _unit_doubles(words[at])
+        # the 32-bit buffer after ball a - 1, as the scalar calls leave it
+        last = a - 1 if (a - 1 + h) % 2 == 0 else a - 2
+        buffer = {"has_uint32": (a + h) % 2,
+                  "uinteger": (int(words[off[last]] >> np.uint64(32))
+                               if last >= 0 else saved["uinteger"])}
+        j += a
+        if a < m:
+            bg.state = {**saved, **buffer}
+            bg.random_raw(3 * a + (a + 1 - h) // 2)
+            scalar(j)
+            j += 1
+            block = _RESYNC_BALLS
+        else:
+            bg.state = {**bg.state, **buffer}
+            block *= 2
+    return idx, units
 
 
 def verify_measure_bound(M: MuMeasure, samples: int = 2000,
@@ -581,11 +658,17 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
 
     Centers are uniform over random copies (hence inside E_n and D);
     radii are stratified across four regimes so each branch of the
-    ball-mass case analysis is exercised.  All balls are drawn first and
-    their masses computed in one batch, the same values mu_ball_mass
-    gives one at a time.  Returns the maximum of mu(B) |D|^d / r^t with
-    its witness, the first ball to reach it; deterministic for a fixed
-    seed.
+    ball-mass case analysis is exercised.  Ball by ball, the seed's
+    stream is that of rng.integers(copies), rng.random(2) for the point
+    in the copy, and rng.uniform(log lo, log hi) for the log radius.
+    All balls come from one raw pull of the generator's words that
+    reproduces those calls, with a rejected integer draw resynced
+    through the calls themselves (see _draw_balls); uniform's
+    lo + (hi - lo) * u is taken with a separate multiply and add, as in
+    numpy's x86-64 builds.  The masses come in one batch, the values
+    mu_ball_mass gives one at a time, while exp and r^t stay Python
+    float calls.  Returns the maximum of mu(B) |D|^d / r^t with its
+    witness, the first ball to reach it; deterministic for a fixed seed.
     """
     t = M.t
     if t < 0.0 or t >= M.level.s_n - M.eps + 1e-12:
@@ -594,46 +677,36 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
             module=_MODULE)
     if samples < 4:
         raise DomainError("need at least 4 samples", module=_MODULE)
-    rng = np.random.default_rng(rng_seed)
     en = M.en
-    origin = en.base.origin
     cols = en.base.columns
-    side = M.box_side
     regimes = _radius_samplers(M)
     per = samples // len(regimes)
-    extra = samples - per * len(regimes)
-
-    # draw every ball first, with the RNG calls of a per-ball loop
     sizes = [per] * len(regimes)
-    sizes[0] += extra
-    idx = np.empty(samples, dtype=np.int64)
-    uv = np.empty((samples, 2))
-    radii = np.empty(samples)
-    j = 0
-    for (_, draw), size in zip(regimes, sizes):
-        for k in range(size):
-            idx[j] = rng.integers(en.copy_count)
-            uv[j] = rng.random(2)
-            radii[j] = draw(rng, k)
-            j += 1
-    centers = (en.z_star[idx] + origin + uv[:, :1] * cols[:, 0]
-               + uv[:, 1:] * cols[:, 1])
-    masses = _ball_masses(M, centers, radii)
+    sizes[0] += samples - per * len(regimes)
+
+    idx, units = _draw_balls(np.random.default_rng(rng_seed),
+                             en.copy_count, samples)
+    centers = (en.z_star[idx] + en.base.origin + units[:, :1] * cols[:, 0]
+               + units[:, 1:2] * cols[:, 1])
+    # the k-th ball of a regime between the logs of bounds[k % len(bounds)]
+    lo, hi = np.concatenate([
+        np.array([(math.log(a), math.log(b)) for a, b in bounds])[
+            np.arange(size) % len(bounds)]
+        for (_, bounds), size in zip(regimes, sizes)]).T
+    radii = list(map(math.exp, (lo + (hi - lo) * units[:, 2]).tolist()))
+    power = np.array([r ** t for r in radii])
+    masses = _ball_masses(M, centers, np.array(radii))
+    ratios = masses * M.box_side ** 2 / power
 
     regime_max: Dict[str, float] = {}
     regime_witness: Dict[str, Tuple[Tuple[float, float], float, float]] = {}
     start = 0
     for (name, _), size in zip(regimes, sizes):
-        peak = -math.inf
-        # element by element: lists of all balls would leave the
-        # interpreter's heap fragmented, raising later peak memory
-        for j in range(start, start + size):
-            c, r, mass = centers[j], float(radii[j]), float(masses[j])
-            ratio = mass * side ** 2 / r ** t
-            if ratio > peak:
-                peak = ratio
-                regime_witness[name] = ((float(c[0]), float(c[1])), r, mass)
-        regime_max[name] = peak
+        j = start + int(np.argmax(ratios[start:start + size]))
+        regime_max[name] = float(ratios[j])
+        regime_witness[name] = ((float(centers[j, 0]),
+                                 float(centers[j, 1])),
+                                radii[j], float(masses[j]))
         start += size
     # the first ball to reach the maximum is the witness of the first
     # regime, in draw order, whose peak is the maximum

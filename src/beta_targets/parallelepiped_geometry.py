@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import sys
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -568,8 +569,9 @@ def scale_by_f(p: Parallelepiped, system: BetaSystem, n: int) -> Parallelepiped:
     """Image of the parallelepiped under n applications of
     x |-> (beta_1^-1 x_1, ..., beta_d^-1 x_d).
 
-    A nonzero entry of the origin or the columns whose image falls below
-    the smallest normal float (2^-1022) raises ScaleRangeError.
+    A level past float range, or a nonzero entry of the origin or the
+    columns whose image falls below the smallest normal float (2^-1022),
+    raises ScaleRangeError.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n!r}",
@@ -577,7 +579,11 @@ def scale_by_f(p: Parallelepiped, system: BetaSystem, n: int) -> Parallelepiped:
     if system.dimension != p.dimension:
         raise DomainError("system dimension does not match parallelepiped",
                           module=_MODULE)
-    t = float(n) * np.array(system.log2_betas)
+    if n > sys.float_info.max:  # as dimension_engine._check_float_level
+        raise ScaleRangeError("levels above 1.8e308 are past float range",
+                              module=_MODULE)
+    with np.errstate(over="ignore"):  # an infinite t scales entries to 0
+        t = float(n) * np.array(system.log2_betas)
     # 2^-t as 2^-(t - q) * 2^-q with an integer q, so that a scale below
     # the normal range loses no bits; q = 0 while the scale is normal, and
     # q stops at 4096, past which every finite entry's image is 0

@@ -177,13 +177,19 @@ def box_areas(edges, a, b, lo, hi) -> np.ndarray:
     a, b, lo, hi = (v[:, None] for v in (a, b, lo, hi))
     p = np.clip(a, x0, x1)
     q = np.clip(b, x0, x1)
-    dxdy = np.divide(x1 - x0, y1 - y0, out=np.zeros_like(x0),
-                     where=y1 != y0)
+    # an edge too flat for dx/dy, or too steep for dy/dx, to be a finite
+    # float is less than 2^-1022 high or wide: take it as flat, which
+    # moves its area by less than that
+    with np.errstate(over="ignore"):
+        dxdy = np.divide(x1 - x0, y1 - y0, out=np.zeros_like(x0),
+                         where=y1 != y0)
+        slope = (y1 - y0) / (x1 - x0)
+    dxdy[np.isinf(dxdy)] = 0.0
+    slope[np.isinf(slope)] = 0.0
     t_lo = x0 + (lo - y0) * dxdy
     t_hi = x0 + (hi - y0) * dxdy
     c1 = np.clip(np.minimum(t_lo, t_hi), p, q)
     c2 = np.clip(np.maximum(t_lo, t_hi), p, q)
-    slope = (y1 - y0) / (x1 - x0)
     vp, v1, v2, vq = (np.clip(y0 + (x - x0) * slope, lo, hi)
                       for x in (p, c1, c2, q))
     per_edge = 0.5 * ((c1 - p) * (vp + v1) + (c2 - c1) * (v1 + v2)

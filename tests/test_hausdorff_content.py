@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from beta_targets import hausdorff_content
 from beta_targets.errors import ConsistencyError, DomainError
 from beta_targets.hausdorff_content import (
     ContentEstimate,
@@ -24,6 +25,11 @@ from beta_targets.polygons import (
     polygon_bbox,
 )
 from clipping import clip_to_box
+
+# a non-convex star: outside the oracle's domain, where it would break the
+# mass distribution promise from s = 1.9 on
+STAR = [[0.277, 0.389], [0.333, 0.143], [0.417, 0.261], [0.9, 0.255],
+        [0.791, 0.6], [0.429, 0.621], [0.447, 0.466], [0.212, 0.486]]
 
 # frozen independent-oracle values
 PHI_HALF_TENTH_15 = 0.15811388300841897  # 0.5 * sqrt(0.1)
@@ -335,6 +341,46 @@ class TestBruteForce:
         est = brute_force_content_2d(line, 1.5)
         assert est.upper == 0.0
 
+    @pytest.mark.parametrize("shape", [
+        STAR,
+        STAR[::-1],
+        # a pentagram: every turn counterclockwise, but twice around
+        [[0.5 + 0.4 * math.sin(k * 4 * math.pi / 5),
+          0.5 + 0.4 * math.cos(k * 4 * math.pi / 5)] for k in range(5)],
+        # a bowtie, whose signed area is zero
+        [[0.1, 0.1], [0.9, 0.9], [0.9, 0.1], [0.1, 0.9]],
+        # a square with one vertex pushed in, and a thin rectangle with a
+        # long edge bent in by 1e-9
+        [[0.1, 0.1], [0.9, 0.1], [0.5, 0.5], [0.9, 0.9], [0.1, 0.9]],
+        [[0.1, 0.3], [0.5, 0.3 + 1e-9], [0.9, 0.3], [0.9, 0.301],
+         [0.1, 0.301]],
+    ], ids=["star", "star-clockwise", "pentagram", "bowtie", "dent",
+            "thin-dent"])
+    def test_rejects_non_convex(self, shape):
+        with pytest.raises(DomainError, match="shape must be convex"):
+            brute_force_content_2d(shape, 1.0)
+
+    @pytest.mark.parametrize("shape", [
+        # the thin rectangle bent in by rounding only
+        [[0.1, 0.3], [0.5, 0.3 + 1e-16], [0.9, 0.3], [0.9, 0.301],
+         [0.1, 0.301]],
+        # a thin sheared parallelogram with a vertex inside each long edge
+        [[0.2, 0.4], [0.45, 0.4025], [0.7, 0.405], [0.705, 0.407],
+         [0.455, 0.4045], [0.205, 0.402]],
+        # collinear and repeated vertices on a convex outline, both ways
+        [[0.1, 0.1], [0.3, 0.1], [0.3, 0.1], [0.6, 0.1], [0.6, 0.4],
+         [0.1, 0.4]],
+        [[0.1, 0.4], [0.6, 0.4], [0.6, 0.1], [0.3, 0.1], [0.1, 0.1]],
+        # edges less than 2^-1022 high or wide
+        [[0.0, 0.0], [1.0, 5e-324], [1.0, 1e-323], [0.0, 1.0]],
+        [[0.0, 0.0], [1.0, 2.2250738585072014e-309], [0.0, 1.0]],
+        [[0.0, 0.0], [1.0, 0.0], [5e-324, 1.0]],
+    ], ids=["thin-rounding", "sheared", "collinear", "clockwise",
+            "subnormal", "flat-edge", "steep-edge"])
+    def test_accepts_nearly_degenerate_convex(self, shape):
+        got = content_estimates_2d(shape, [1.0, 2.0])
+        assert all(0.0 < est.lower <= est.upper for est in got)
+
     def test_rejects_out_of_square(self):
         with pytest.raises(DomainError):
             brute_force_content_2d(rect_poly(0.8, 0.8, 0.5, 0.1), 1.5)
@@ -489,12 +535,6 @@ def exponent_lists(draw):
     return draw(st.permutations(exponents))
 
 
-# a non-convex star: outside the oracle's domain, it breaks the mass
-# distribution promise from s = 1.9 on, and the spot check says so
-STAR = [[0.277, 0.389], [0.333, 0.143], [0.417, 0.261], [0.9, 0.255],
-        [0.791, 0.6], [0.429, 0.621], [0.447, 0.466], [0.212, 0.486]]
-
-
 class TestContentBatch:
     @settings(max_examples=60, deadline=None)
     @given(convex_shapes(), exponent_lists(),
@@ -516,16 +556,24 @@ class TestContentBatch:
                 want[::-1] + want
 
     # each later s is checked just before its own estimate, so after the
-    # spot check of an earlier one (the CLI tests pin the other orders)
+    # spot check of an earlier one (the CLI tests pin the other orders);
+    # a convex shape passes its spot checks, so the one at s = 2.0 is made
+    # to fail
     @pytest.mark.parametrize("exponents, kind, message", [
-        ([1.0, 2.0, 3.0], ConsistencyError,
-         "ball measure 0.10840549902576312 at r=0.05975 exceeds the "
-         "promised bound 0.07729080969906907"),
+        ([1.0, 2.0, 3.0], ConsistencyError, "spot check failed at s=2.0"),
         ([1.0, 3.0, 2.0], DomainError, "s must lie in (0, 2], got 3.0"),
     ], ids=["consistency-first", "domain-first"])
-    def test_errors_in_per_exponent_order(self, exponents, kind, message):
+    def test_errors_in_per_exponent_order(self, monkeypatch, exponents, kind,
+                                          message):
+        def failing_at_two(query, mass, c, s, **kwargs):
+            if s == 2.0:
+                raise ConsistencyError("spot check failed at s=2.0")
+            return mdp_lower_bound(query, mass, c, s, **kwargs)
+
+        monkeypatch.setattr(hausdorff_content, "mdp_lower_bound",
+                            failing_at_two)
         with pytest.raises(kind) as info:
-            content_estimates_2d(STAR, exponents)
+            content_estimates_2d(CONTENT_SHAPES["triangle"], exponents)
         assert str(info.value) == message
 
     def test_no_exponents(self):

@@ -29,6 +29,7 @@ from beta_targets.errors import (
 from beta_targets import numerical_lab
 from beta_targets.numerical_lab import (
     _ball_masses,
+    _draw_balls,
     _radius_samplers,
     build_E_n,
     build_measure,
@@ -418,14 +419,15 @@ def reference_measure_bound(M, samples, rng_seed):
     per = samples // len(regimes)
     extra = samples - per * len(regimes)
     out = {}
-    for ridx, (name, draw) in enumerate(regimes):
+    for ridx, (name, bounds) in enumerate(regimes):
         peak = (-math.inf, None, None, None)
         for k in range(per + (extra if ridx == 0 else 0)):
             i = int(rng.integers(en.copy_count))
             u, v = rng.random(2)
             c = en.z_star[i] + en.base.origin + u * cols[:, 0] + \
                 v * cols[:, 1]
-            r = draw(rng, k)
+            lo, hi = bounds[k % len(bounds)]
+            r = float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
             mass = clip_ball_mass(M, c, r)
             ratio = mass * M.box_side ** 2 / r ** M.t
             if ratio > peak[0]:
@@ -560,6 +562,15 @@ class TestBuildMeasure:
         with pytest.raises(DomainError):
             build_measure(spec, 2, UNIT_D, t=1.0, eps=0.0)
 
+    def test_area_underflow_refused(self):
+        # at n = 600 a copy's area, near 2^-1260, is 0.0 as a float: the
+        # mass per unit area has no value, and the ball ratios divided by
+        # zero in verify_measure_bound
+        spec = TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05)))
+        D = ((0.0, 2.0 ** -595), (0.0, 2.0 ** -595))
+        with pytest.raises(ScaleRangeError, match="area underflows"):
+            build_measure(spec, 600, D, t=1.8, eps=0.01)
+
 
 class TestMeasureBound:
     def test_zero_exponent_ratio_is_mass(self):
@@ -586,16 +597,30 @@ class TestMeasureBound:
         b = verify_measure_bound(M, samples=60, rng_seed=2)
         assert a.worst_radius != b.worst_radius
 
-    @pytest.mark.parametrize("betas,theta,n,seed", [
-        ((2.0, 4.0), math.pi / 4, 2, 0),
-        ((2.0, 4.0), math.pi / 4, 3, 5),
-        ((2.0, 4.0), 0.0, 3, 1),
-        ((2.5, PHI), 2.2, 3, 9),
-    ])
-    def test_witnesses_match_per_ball_loop(self, betas, theta, n, seed):
-        M = rotated_measure(betas, theta, n)
-        rep = verify_measure_bound(M, samples=402, rng_seed=seed)
-        ref = reference_measure_bound(M, 402, seed)
+    @pytest.mark.parametrize("betas,theta,n,seed,samples", [
+        ((2.0, 4.0), math.pi / 4, 2, 0, 402),
+        ((2.0, 4.0), math.pi / 4, 3, 5, 402),
+        ((2.0, 4.0), 0.0, 3, 1, 402),
+        ((2.5, PHI), 2.2, 3, 9, 402),
+        ((2.0, 4.0), 0.0, 3, 1, 401),
+        ((2.5, PHI), 2.2, 3, 9, 403),
+        # a single copy, whose integer draws take no bits
+        (None, None, 1, 4, 401),
+        (None, None, 1, 4000000000, 402),
+    ], ids=["betas0-0.7853981633974483-2-0", "betas1-0.7853981633974483-3-5",
+            "betas2-0.0-3-1", "betas3-2.2-3-9", "odd-401", "odd-403",
+            "single-401", "single-402"])
+    def test_witnesses_match_per_ball_loop(self, betas, theta, n, seed,
+                                           samples):
+        if betas is None:
+            M = build_measure(
+                TargetSpec(BetaSystem((3.0, 3.0)), axis_family((1.0, 1.0))),
+                n, ((0.0, 0.5), (0.0, 0.5)), t=0.5)
+            assert M.en.copy_count == 1
+        else:
+            M = rotated_measure(betas, theta, n)
+        rep = verify_measure_bound(M, samples=samples, rng_seed=seed)
+        ref = reference_measure_bound(M, samples, seed)
         assert list(rep.regime_max) == list(ref)
         for name, (ratio, center, radius, mass) in ref.items():
             got_center, got_radius, got_mass = rep.regime_witness[name]
@@ -605,6 +630,24 @@ class TestMeasureBound:
         peak = max(ref, key=lambda k: ref[k][0])
         assert rep.worst_regime == peak
         assert (rep.worst_center, rep.worst_radius) == ref[peak][1:3]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 36, 2 ** 31 + 1, 3 * 2 ** 30,
+                            2 ** 32 - 1, 2 ** 32]),
+           st.integers(1, 500), st.integers(0, 2 ** 64 - 1),
+           st.integers(0, 3))
+    def test_draws_match_scalar_calls(self, copies, count, seed, before):
+        # before: scalar integer draws first, so the 32-bit buffer may
+        # start full; 3 * 2^30 rejects a quarter of its 32-bit draws
+        fast, slow = (np.random.default_rng(seed) for _ in range(2))
+        for rng in (fast, slow):
+            for _ in range(before):
+                rng.integers(5)
+        idx, units = _draw_balls(fast, copies, count)
+        for j in range(count):
+            assert idx[j] == slow.integers(copies)
+            assert units[j].tolist() == [*slow.random(2), slow.random()]
+        assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_validation(self):
         M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -354,6 +355,18 @@ class TestScaling:
         assert q.origin.tolist() == [math.ldexp(x, -n) for x in p.origin]
         assert q.columns.tolist() == [[math.ldexp(x, -n) for x in row]
                                       for row in p.columns]
+
+    # levels with no float value, and one whose n log2 beta overflows:
+    # typed refusals, not an OverflowError from float(n) or a warning
+    @pytest.mark.parametrize("n, betas, message", [
+        (10 ** 309, (2.0, 2.0), "past float range"),
+        (int(sys.float_info.max) + 1, (2.0, 2.0), "past float range"),
+        (10 ** 308, (4.0, 4.0), "smallest normal float"),
+    ], ids=["1e309", "float-max-plus-1", "log2-overflow"])
+    def test_scale_level_past_float_range(self, n, betas, message):
+        p = Parallelepiped((0.0, 0.0), WORKED_COLS)
+        with pytest.raises(ScaleRangeError, match=message):
+            scale_by_f(p, BetaSystem(betas), n)
 
     def test_scale_validates_n(self):
         p = Parallelepiped((0.0, 0.0), WORKED_COLS)
