@@ -237,7 +237,8 @@ def _mesh_counts(w: float, h: float) -> List[Tuple[int, float]]:
 
 def _remainder_tiling(w: float, h: float, s: float) -> float:
     """Tile the box greedily by largest-fitting squares, cover the last
-    sliver with one square of the current short side."""
+    sliver with one square of the current short side; inf, no cover, for
+    a box that is all sliver."""
     if h > w:
         w, h = h, w
     total = 0.0
@@ -252,7 +253,7 @@ def _remainder_tiling(w: float, h: float, s: float) -> float:
             w, h = h, w
     if h > tol:
         total += math.ceil(w / h - 1e-12) * h ** s
-    return total
+    return total or math.inf
 
 
 def _check_exponent(s) -> float:

@@ -44,7 +44,8 @@ from .errors import (
     ResourceLimitError,
     ScaleRangeError,
 )
-from .parallelepiped_geometry import Parallelepiped, scale_by_f
+from .parallelepiped_geometry import (_LOG2_RTOL, _MIN_LOG2_NORMAL,
+                                      Parallelepiped, scale_by_f)
 from .polygons import (
     box_areas,
     cell_range,
@@ -194,7 +195,18 @@ def _validate_box(D) -> Tuple[Interval, Interval]:
     if abs(sides[0] - sides[1]) > 1e-12 * max(sides):
         raise DomainError("D must be a hypercube (equal side lengths)",
                           module=_MODULE)
+    _require_normal([("D's side", math.log2(sides[0]))])
     return box
+
+
+def _require_normal(quantities) -> None:
+    """The lab's one float-range rule, decided in log2 before any float
+    is built: refuses the first (name, log2 value) below 2^-1022, or
+    within the relative 1e-9 that the floats built from it may round."""
+    for name, log2 in quantities:
+        if not log2 >= _LOG2_RTOL - _MIN_LOG2_NORMAL:
+            raise ScaleRangeError(f"{name} is 2^{log2:.6g}, below the "
+                                  "smallest normal float", module=_MODULE)
 
 
 def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
@@ -207,7 +219,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
     sits inside the matching factor of D, and requires n large enough
     that such cylinders exist at all (the side condition
     n >= -(1 + eps/d) log_beta |D|) and each copy inside its cylinder
-    product.  Then one flow: a level where a nonzero entry of f^n P_n is
+    product.  Then one flow: D's side or a nonzero entry of f^n P_n
     below the smallest normal float is refused (ScaleRangeError), a walk
     over all of [0, 1) must match count_words, and the copies are held
     to copy_cap once their count is known, before walking when it can.
@@ -239,12 +251,9 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
                           module=_MODULE)
 
     signs, logs = spec.family.log_columns(spec.system.log2_betas, n)
-    # -1022: log2 of the smallest normal float
-    if any(s and not x >= -1022.0 for srow, lrow in zip(signs, logs)
-           for s, x in zip(srow, lrow)):
-        raise ScaleRangeError(
-            f"f^n P_n has entries below the smallest normal float at "
-            f"level {n}", module=_MODULE)
+    _require_normal([("the least nonzero entry of f^n P_n", min(
+        (x for srow, lrow in zip(signs, logs) for s, x in zip(srow, lrow)
+         if s), default=0.0))])
     target = spec.family.target(betas, n)
     full, v = box is not None, target.vertices()
     if full and (np.any(v < 0.0) or np.any(v >= 1.0)):
@@ -443,7 +452,8 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
 
     eps defaults to half the gap below the level value, mirroring how
     the proof splits s* - t; the side condition on n is checked with
-    this eps.
+    this eps.  Before any walk, a copy area, |D|^2, ball radius or r^t
+    below the smallest normal float is refused (ScaleRangeError).
     """
     level = s_n(spec, n)
     t = float(t)
@@ -458,11 +468,17 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
         raise DomainError(
             f"need 0 < eps < s_n - t = {level.s_n - t:.6g}, got {eps}",
             module=_MODULE)
+    box = _validate_box(D)
+    side = math.log2(box[0].right - box[0].left)
+    # the least of the lower radii of _radius_samplers' regimes
+    least = min(side, level.gamma_log2[-1] + math.log2(1e-2),
+                -n * min(spec.system.log2_betas), level.candidates_log2_tau[0])
+    _require_normal([
+        ("the copy area", spec.family.log2_volume(spec.system.log2_betas, n)),
+        ("|D|^2", 2.0 * side), ("the least ball radius", least),
+        ("r^t at the least radius", t * least)])
     en = build_E_n(spec, n, mode="full_in_D", D=D, eps=eps,
                    copy_cap=copy_cap)
-    if not en.copy_area > 0.0:  # the mass per unit area has no value
-        raise ScaleRangeError(f"the copies' area underflows to 0 at level {n}",
-                              module=_MODULE)
     return MuMeasure(en=en, t=t, eps=eps, level=level)
 
 
@@ -669,6 +685,7 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
     mu_ball_mass gives one at a time, while exp and r^t stay Python
     float calls.  Returns the maximum of mu(B) |D|^d / r^t with its
     witness, the first ball to reach it; deterministic for a fixed seed.
+    Every |D|^d, radius and r^t is normal for a measure of build_measure.
     """
     t = M.t
     if t < 0.0 or t >= M.level.s_n - M.eps + 1e-12:

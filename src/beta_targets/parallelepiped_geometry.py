@@ -560,7 +560,7 @@ def volume(p: Parallelepiped) -> float:
     with np.errstate(over="ignore", under="ignore"):
         v = float(np.exp2(log2_v))
     if not 0.0 < v < math.inf:
-        raise ScaleRangeError(f"volume 2^{log2_v:.1f} leaves float64 range",
+        raise ScaleRangeError(f"volume 2^{log2_v:.6g} leaves float64 range",
                               module=_MODULE)
     return v
 
@@ -594,6 +594,6 @@ def scale_by_f(p: Parallelepiped, system: BetaSystem, n: int) -> Parallelepiped:
     for old, new in ((p.origin, origin), (p.columns, columns)):
         if np.any((old != 0.0) & ~(np.abs(new) >= 2.0 ** -_MIN_LOG2_NORMAL)):
             raise ScaleRangeError(
-                f"contraction by 2^{float(np.max(t)):.1f} takes a nonzero "
+                f"contraction by 2^{float(np.max(t)):.6g} takes a nonzero "
                 "entry below the smallest normal float", module=_MODULE)
     return Parallelepiped(origin, columns)

@@ -787,7 +787,28 @@ class TestVerifyMeasure:
                      "--out", str(tmp_path)]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["code"] == "numerical_lab.scale_range"
-        assert "area underflows" in err["message"]
+        assert err["message"] == ("the copy area is 2^-1260, below the "
+                                  "smallest normal float")
+
+    @pytest.mark.parametrize("n, log2", [(500, -1050), (510, -1071)])
+    def test_subnormal_copy_area_refused(self, tmp_path, capsys, n, log2):
+        # copy areas of 8.3e-317 and 4e-323 (3 significant bits)
+        path = write_config(tmp_path, {
+            "betas": [2, 2],
+            "target": {"kind": "axis", "exponents": [0.05, 0.05]},
+            "n_min": n, "n_max": n,
+            "D": [[0, 2.0 ** (5 - n)], [0, 2.0 ** (5 - n)]],
+            "eps": 0.01, "samples": 8,
+        })
+        assert main(["verify-measure", "--config", path,
+                     "--out", str(tmp_path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {
+            "code": "numerical_lab.scale_range",
+            "message": f"the copy area is 2^{log2}, below the smallest "
+                       "normal float"}
+        assert not (tmp_path / "verify_measure.csv").exists()
 
     # sha256 of verify_measure.csv below its config-hash line, pinned from
     # the per-ball Generator calls: 64 and 512 copies, 36 copies (whose

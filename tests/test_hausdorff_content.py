@@ -334,6 +334,22 @@ class TestBruteForce:
         est = brute_force_content_2d(poly, 2.0)
         assert est.lower <= est.upper
 
+    @pytest.mark.parametrize("poly", [
+        *([[0.1, 0.3], [0.9, 0.3], [0.9, 0.3 + h], [0.1, 0.3 + h]]
+          for h in (1e-10, 1e-12, 1e-14)),
+        [[0.1, 0.1], [0.9, 0.1 + 1e-14], [0.9, 0.1 + 2e-14],
+         [0.1, 0.1 + 1e-14]],
+    ], ids=["rect-1e-10", "rect-1e-12", "rect-1e-14", "parallelogram-1e-14"])
+    def test_sliver_is_estimated_below_s2(self, poly):
+        # a box whose short side is at most 1e-9 of its long one has no
+        # remainder tiling: 0.0 would be no cover, and out of order
+        x0, y0, x1, y1 = polygon_bbox(np.array(poly))
+        r = SortedRectangle.from_lengths((x1 - x0, y1 - y0))
+        for s, est in zip((0.5, 1.0, 1.5),
+                          content_estimates_2d(poly, [0.5, 1.0, 1.5])):
+            assert 0.0 < est.lower <= est.upper
+            assert est.upper <= singular_value_function(r, s) * 1.1
+
     def test_empty_and_degenerate(self):
         est = brute_force_content_2d(np.zeros((2, 2)), 1.5)
         assert est.lower == 0.0 and est.upper == 0.0

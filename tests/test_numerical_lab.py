@@ -8,6 +8,8 @@ ball masses are also checked against per-ball polygon clipping.
 
 import dataclasses
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -39,7 +41,12 @@ from beta_targets.numerical_lab import (
     predicted_cover_count,
     verify_measure_bound,
 )
-from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
+from beta_targets.parallelepiped_geometry import (
+    BetaSystem,
+    Parallelepiped,
+    scale_by_f,
+    volume,
+)
 from beta_targets.polygons import (
     envelope_chains,
     polygon_area,
@@ -568,8 +575,139 @@ class TestBuildMeasure:
         # zero in verify_measure_bound
         spec = TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05)))
         D = ((0.0, 2.0 ** -595), (0.0, 2.0 ** -595))
-        with pytest.raises(ScaleRangeError, match="area underflows"):
+        with pytest.raises(ScaleRangeError, match=re.escape(
+                "the copy area is 2^-1260, below the smallest normal float")):
             build_measure(spec, 600, D, t=1.8, eps=0.01)
+
+
+# the smallest normal float
+NORMAL = 2.0 ** -1022
+# a refusal of the lab's float rule: (quantity, log2 of its value)
+REFUSAL = re.compile(r"(.+) is 2\^(\S+), below the smallest normal float")
+QUANTITIES = {"D's side", "the least nonzero entry of f^n P_n",
+              "the copy area", "|D|^2", "the least ball radius",
+              "r^t at the least radius"}
+
+
+def tiny_copies_spec(exponents=(0.05, 0.05)):
+    """Axis boxes on (2, 2): f^n P_n is the box 2^(-n(1 + t_1)) by
+    2^(-n(1 + t_2)), so its area passes 2^-1022 at n(2 + t_1 + t_2)."""
+    return TargetSpec(BetaSystem((2.0, 2.0)), axis_family(exponents))
+
+
+def corner_box(log2_side):
+    side = 2.0 ** log2_side
+    return ((0.0, side), (0.0, side))
+
+
+class TestFloatRule:
+    """One rule, decided in log2 before any float is built: the lab
+    refuses a level whose copy area, |D|^2, ball radii or r^t would be
+    below the smallest normal float."""
+
+    @pytest.mark.parametrize("n, log2", [(500, -1050), (510, -1071)])
+    def test_subnormal_copy_area_refused(self, n, log2):
+        # copy areas of 8.3e-317 and 4e-323 (3 significant bits): every
+        # straddler's mass would be divided by them
+        with pytest.raises(ScaleRangeError) as info:
+            build_measure(tiny_copies_spec(), n, corner_box(5 - n), t=1.8,
+                          eps=0.01)
+        assert info.value.code == "numerical_lab.scale_range"
+        assert str(info.value) == (f"the copy area is 2^{log2}, below the "
+                                   "smallest normal float")
+
+    def test_cover_path_ignores_copy_area(self):
+        # the same copies, past 2^-1022 in area, still build for covers
+        E = build_E_n(tiny_copies_spec(), 500, mode="full_in_D",
+                      D=corner_box(-495), eps=0.01)
+        assert E.copy_count == 1024 and E.copy_area < NORMAL
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.sampled_from([2.0, 4.0]),
+           theta=st.sampled_from([0.0, 0.3, 0.7]),
+           exponents=st.tuples(st.floats(0.01, 1.5), st.floats(0.01, 1.5)),
+           shift=st.integers(-8, 4), k=st.integers(1, 4),
+           frac=st.floats(0.0, 0.99))
+    def test_measure_on_normal_floats_or_refused(self, base, theta,
+                                                exponents, shift, k, frac):
+        # levels within a few of the one where the copy area passes
+        # 2^-1022, D a corner box of 2^k cylinders a side
+        family = (const_rotation(theta, exponents) if theta
+                  else axis_family(exponents))
+        spec = TargetSpec(BetaSystem((base, base)), family)
+        l = spec.system.log2_betas[0]
+        n = round(-1022.0 / family.log2_volume(spec.system.log2_betas, 1)) \
+            + shift
+        level = s_n(spec, n)
+        t = frac * (level.s_n - 1e-3)
+        try:
+            M = build_measure(spec, n, corner_box(k - n * l), t, eps=1e-3)
+            rep = verify_measure_bound(M, samples=16, rng_seed=n)
+        except ScaleRangeError as exc:
+            assert exc.code == "numerical_lab.scale_range"
+            name, log2 = REFUSAL.fullmatch(str(exc)).groups()
+            assert name in QUANTITIES and float(log2) < -1021.999999
+            return
+        assert M.en.copy_area >= NORMAL
+        assert M.box_side ** 2 >= NORMAL
+        for _, bounds in _radius_samplers(M):
+            for lo, _ in bounds:
+                assert lo >= NORMAL and lo ** t >= NORMAL
+        for _, r, _ in rep.regime_witness.values():
+            assert r >= NORMAL and r ** t >= NORMAL
+        assert math.isfinite(rep.max_ratio)
+
+    @pytest.mark.parametrize("spec, n, D, t", [
+        (pi4_spec(), 3, ((0.0, 0.5), (0.0, 0.5)), 1.2),
+        (tiny_copies_spec(), 1, UNIT_D, 1.0),
+        (tiny_copies_spec(), 10, corner_box(-5), 1.85),
+        (tiny_copies_spec((0.4, 1.2)), 40, corner_box(-36), 1.2),
+    ], ids=["side-area", "radius", "r^t", "thin"])
+    def test_log2_rule_matches_the_floats(self, monkeypatch, spec, n, D, t):
+        # with the floor moved to just above each quantity in turn, the
+        # rule must name the first quantity, in its order, whose float is
+        # below that floor: each log2 agrees with the float it stands for.
+        # The ids name the quantities that come first at some floor; |D|^2
+        # never does, as a copy inside D has no more area than D.
+        M = build_measure(spec, n, D, t, eps=1e-3)
+        least = min(lo for _, bounds in _radius_samplers(M)
+                    for lo, _ in bounds)
+        floats = {"D's side": M.box_side, "the copy area": M.en.copy_area,
+                  "|D|^2": M.box_side ** 2,
+                  "the least ball radius": least,
+                  "r^t at the least radius": least ** t}
+        logs = {name: math.log2(v) for name, v in floats.items()}
+        for floor in sorted(logs.values()):
+            monkeypatch.setattr(numerical_lab, "_MIN_LOG2_NORMAL",
+                                -floor - 0.5)
+            first = next(name for name, x in logs.items() if x < floor + 0.5)
+            with pytest.raises(ScaleRangeError) as info:
+                build_measure(spec, n, D, t, eps=1e-3)
+            name, log2 = REFUSAL.fullmatch(str(info.value)).groups()
+            assert name == first
+            assert float(log2) == pytest.approx(logs[first], rel=1e-5)
+        monkeypatch.setattr(numerical_lab, "_MIN_LOG2_NORMAL",
+                            -min(logs.values()) + 0.5)
+        assert build_measure(spec, n, D, t, eps=1e-3).en.copy_count
+
+    @pytest.mark.parametrize("call", [
+        lambda: scale_by_f(Parallelepiped(np.full(2, 0.5), np.eye(2)),
+                           BetaSystem((2.0, 2.0)), int(sys.float_info.max)),
+        lambda: volume(Parallelepiped(np.zeros(2), np.eye(2) * 1e-200)),
+        lambda: build_E_n(TargetSpec(SYS24, const_rotation(0.7)), 2 ** 64,
+                          mode="full_in_D", D=UNIT_D, eps=0.1),
+        lambda: build_measure(tiny_copies_spec(), 510, corner_box(-505),
+                              t=1.8, eps=0.01),
+        lambda: build_measure(tiny_copies_spec(), 10 ** 300, UNIT_D, t=1.8),
+        lambda: build_E_n(pi4_spec(), 10 ** 309),
+    ], ids=["scale_by_f-float-max", "volume-subnormal", "entries-2**64",
+            "copy-area-510", "copy-area-10**300", "level-10**309"])
+    def test_messages_print_short_numbers(self, call):
+        # a level near the float maximum has 309 digits
+        with pytest.raises(ScaleRangeError) as info:
+            call()
+        numbers = re.findall(r"\d[\d.e+-]*", str(info.value))
+        assert numbers and max(map(len, numbers)) <= 40, str(info.value)
 
 
 class TestMeasureBound:
