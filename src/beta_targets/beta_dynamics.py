@@ -90,6 +90,10 @@ DEFAULT_NODE_CAP = 10**8
 # the walk expands its nodes in sub-blocks of at most this many children
 # (more only when one node has more digits)
 BLOCK = 1 << 12
+# a count's cap on the word operations of its recurrence, n x live states
+# x the 64-bit words of a count near beta**n, unless node_cap is larger:
+# phi does 2.2e8 at n = 10**5 and 2.2e12 at n = 10**7
+_COUNT_WORK_CAP = 10**11
 
 Word = tuple  # digit tuples; level == len(word)
 
@@ -564,6 +568,8 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
     followed by j top digits, so the admissible count is the sum of
     c(n - j) over the live states j.  The work, n times the live states,
     is checked against node_cap as the orbit grows, before the recurrence.
+    So are its word operations, that work times the 64-bit words of a
+    count near beta**n, against the larger of _COUNT_WORK_CAP and node_cap.
     """
     _check_indexable(n)
     gains = []
@@ -576,6 +582,13 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
                 f"count at n={n} over at least {live} orbit states: "
                 f"n x states exceeds cap {node_cap:.3g}",
                 module="beta_dynamics")
+    work = n * live * (int(n * math.log2(float(param.beta)) // 64) + 1)
+    if work > max(_COUNT_WORK_CAP, node_cap):
+        raise ResourceLimitError(
+            f"count at n={n} over {live} orbit states takes about "
+            f"{work:.3g} big-integer word operations, past "
+            f"{max(_COUNT_WORK_CAP, node_cap):.3g}; raise node_cap past it "
+            "to count", module="beta_dynamics")
     # c[-1 - j] == c(m - 1 - j); the zeros stand for c at negative lengths.
     # States are grouped by gain, so each gain above 1 costs one product.
     ones = [-1 - j for j, g in enumerate(gains) if g == 1]
@@ -607,7 +620,9 @@ def count_admissible(beta: BetaLike, n: int,
     """Exact number of admissible words of length n.
 
     Counted on the orbit of 1 (see the module docstring); refuses when n
-    times the number of orbit states it needs exceeds node_cap.  The
+    times the number of orbit states it needs exceeds node_cap, or when
+    that times the 64-bit words of beta**n exceeds both node_cap and
+    10**11.  The
     result is asserted against Renyi's sandwich
     beta**n <= count <= beta**(n+1)/(beta-1) before being returned.
     """

@@ -52,7 +52,6 @@ from .polygons import (
     envelope_chains,
     envelope_edges,
     parallelogram_polygon,
-    polygon_area,
     polygon_bbox,
     slab_ranges,
 )
@@ -286,13 +285,13 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
     poly = parallelogram_polygon(base.origin, base.columns[:, 0],
                                  base.columns[:, 1])
     if full:
-        # the base must keep all its area inside [0, beta^-n)^2
-        corner = poly.min(axis=0)
-        top = np.array([b ** float(-n) for b in betas]) - corner
-        a0 = polygon_area(poly)
-        a1 = box_areas(envelope_edges(poly), -corner[:1], top[:1],
-                       -corner[1:], top[1:])[0]
-        if abs(a0 - a1) > 1e-9 * a0:
+        # the base must lie in [0, beta^-n]^2; it is convex, so its vertices
+        # decide, to 2^-40 of the cylinder's side: the float rule keeps
+        # n log2 beta <= 1022, so scale_by_f's 2^-(n log2 beta) and
+        # beta ** -n round apart by under 2^-42 of it
+        top = np.array([b ** float(-n) for b in betas])
+        tol = 2.0 ** -40 * top
+        if np.any(poly < -tol) or np.any(poly > top + tol):
             raise ConsistencyError(
                 "contracted target leaks out of its cylinder product",
                 module=_MODULE)
@@ -404,7 +403,7 @@ def predicted_cover_count(spec: TargetSpec, n: int, tau: float,
         if g >= lt:
             out += g - lt
     if not out < 1024.0:
-        raise DomainError(
+        raise ScaleRangeError(
             f"predicted count 2^{out:.6g} at mesh {tau!r} exceeds the float "
             "range", module=_MODULE)
     return float(2.0 ** out)
@@ -452,8 +451,8 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
 
     eps defaults to half the gap below the level value, mirroring how
     the proof splits s* - t; the side condition on n is checked with
-    this eps.  Before any walk, a copy area, |D|^2, ball radius or r^t
-    below the smallest normal float is refused (ScaleRangeError).
+    this eps.  Before any walk, a copy area, ball radius or r^t below
+    the smallest normal float is refused (ScaleRangeError).
     """
     level = s_n(spec, n)
     t = float(t)
@@ -475,7 +474,7 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
                 -n * min(spec.system.log2_betas), level.candidates_log2_tau[0])
     _require_normal([
         ("the copy area", spec.family.log2_volume(spec.system.log2_betas, n)),
-        ("|D|^2", 2.0 * side), ("the least ball radius", least),
+        ("the least ball radius", least),
         ("r^t at the least radius", t * least)])
     en = build_E_n(spec, n, mode="full_in_D", D=D, eps=eps,
                    copy_cap=copy_cap)

@@ -70,8 +70,17 @@ _MODULE = "parallelepiped_geometry"
 _NEG_INF = -math.inf
 
 
+def _floats(x, what: str) -> np.ndarray:
+    """x as a float array; a ragged or non-numeric x raises DomainError."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a regular array of numbers",
+                          module=_MODULE) from None
+
+
 def _as_matrix(columns) -> np.ndarray:
-    m = np.asarray(columns, dtype=float)
+    m = _floats(columns, "the matrix")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square column matrix, got shape {m.shape}",
                           module=_MODULE)
@@ -152,7 +161,7 @@ class Parallelepiped:
     def __init__(self, origin, columns):
         cols = _as_matrix(columns)
         d = cols.shape[0]
-        org = np.asarray(origin, dtype=float)
+        org = _floats(origin, "origin")
         if org.shape != (d,):
             raise DomainError(
                 f"origin shape {org.shape} does not match dimension {d}",
@@ -271,8 +280,8 @@ class Hyperrectangle:
     def __init__(self, center, axes, half_extents):
         ax = _as_matrix(axes)
         d = ax.shape[0]
-        ctr = np.asarray(center, dtype=float)
-        he = np.asarray(half_extents, dtype=float)
+        ctr = _floats(center, "center")
+        he = _floats(half_extents, "half_extents")
         if ctr.shape != (d,) or he.shape != (d,):
             raise DomainError("center/half_extents shape mismatch",
                               module=_MODULE)
@@ -431,19 +440,7 @@ def _pivot_scan(signs, log2_magnitudes, columns=None) -> OrthoFrame:
             cs, cl = col_signs[l], col_logs[l]
             ext = exts[l] = []
             doubled = []  # 2 log2|minor| of the nonzero minors
-            if k == 1:
-                # the one-row minors are the entries: each is _log2_sum
-                # of its one term (1.0 * entry * 1.0, 0.0 + log), inlined
-                for s, v in zip(cs, cl):
-                    if s and v != _NEG_INF:
-                        x = s * 2.0 ** (v - v)
-                        v = math.log2(abs(x)) + v
-                        ext.append((math.copysign(1.0, x), v))
-                        doubled.append(2.0 * v)
-                    else:
-                        s * 0.0  # TypeError for a sign that is no number
-                        ext.append((0.0, _NEG_INF))
-            for terms in sets if k > 1 else ():
+            for terms in sets:
                 signs, logs = [], []
                 for r, p, parity in terms:
                     s_sub, l_sub = minors[p]
@@ -492,7 +489,7 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
     one (zero or nearly dependent columns raise DegenerateInputError)."""
     if not isinstance(columns, Parallelepiped):
         # a copy, so the caller's array is not made read-only
-        cols = np.array(columns, dtype=float)
+        cols = _as_matrix(columns).copy()
         columns = Parallelepiped(np.zeros(cols.shape[:1]), cols)
     cols = columns.columns
     with np.errstate(divide="ignore"):

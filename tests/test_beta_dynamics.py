@@ -14,6 +14,7 @@ from beta_targets import (
     DomainError,
     ResourceLimitError,
 )
+from beta_targets import beta_dynamics
 from beta_targets.beta_dynamics import (
     BetaParam,
     FullSearchParams,
@@ -553,6 +554,23 @@ class TestCounts:
         assert count_admissible(PHI, 1000, node_cap=2000) == fibonacci(1002)
         with pytest.raises(ResourceLimitError):
             count_full(1.3, 1000, node_cap=10**5)
+
+    def test_big_integer_work_refused_at_the_call(self):
+        # phi at n = 10**7 passes node_cap (two states), but its counts
+        # have 108,468 words each: 2.2e12 word operations, refused before
+        # a recurrence whose time grows like n^2
+        with pytest.raises(ResourceLimitError,
+                           match=r"2\.17e\+12 big-integer"):
+            count_words(PHI, 10**7)
+
+    def test_big_integer_work_cap_lifted_by_node_cap(self, monkeypatch):
+        # phi at n = 1000 does 1000 x 2 x 11 = 22,000 word operations: past
+        # a word cap of 10**4 unless node_cap is larger still
+        monkeypatch.setattr(beta_dynamics, "_COUNT_WORK_CAP", 10**4)
+        with pytest.raises(ResourceLimitError, match="past 1e\\+04"):
+            count_words(PHI, 1000, node_cap=5000)
+        assert count_words(PHI, 1000, node_cap=10**5) == \
+            count_words(PHI, 1000)
 
     def test_extended_precision_matches_walk(self):
         beta = BetaParam(1.1, dps=30)

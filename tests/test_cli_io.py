@@ -1099,7 +1099,7 @@ class TestErrorReporting:
         ("ortho-subnormal-columns",
          "parallelepiped_geometry.degenerate_input"),
         ("ortho-near-float-max", "cli_io.scale_range"),
-        ("verify-cover-tiny-tau", "numerical_lab.domain"),
+        ("verify-cover-tiny-tau", "numerical_lab.scale_range"),
         ("cylinders-digits-past-int64", "beta_dynamics.resource_limit"),
         ("dimension-level-past-float", "dimension_engine.scale_range"),
         ("verify-cover-level-past-float", "dimension_engine.scale_range"),

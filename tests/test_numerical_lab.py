@@ -167,6 +167,50 @@ class TestBuildEn:
         assert len(E.lefts[0]) * len(E.lefts[1]) == 1024
         assert np.all(np.abs(E.polygon[E.polygon != 0.0]) >= 2.0 ** -1022)
 
+    def test_leak_seen_past_area_underflow(self, monkeypatch):
+        # at n = 600 the copy's area, 2^-1260, is 0.0 as a float, so an
+        # area comparison cannot see a copy moved to straddle its
+        # cylinder's right edge; its vertices can
+        def straddling(p, system, n):
+            base = scale_by_f(p, system, n)
+            shift = 2.0 ** -n - base.columns[0, 0] / 2.0
+            return Parallelepiped(base.origin + shift, base.columns)
+
+        monkeypatch.setattr(numerical_lab, "scale_by_f", straddling)
+        spec = TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05)))
+        with pytest.raises(ConsistencyError, match="contracted target "
+                           "leaks out of its cylinder"):
+            build_E_n(spec, 600, mode="full_in_D",
+                      D=((0.0, 2.0 ** -595), (0.0, 2.0 ** -595)), eps=0.01)
+
+    def test_thin_copy_leak_seen(self, monkeypatch):
+        # a copy whose area is about 2^-98 of its bounding box's, moved to
+        # pass its cylinder's right edge by a tenth of the cylinder: any
+        # area comparison rounding to the box's area misses it
+        def straddling(p, system, n):
+            base = scale_by_f(p, system, n)
+            shift = 1.1 * 2.0 ** -n - base.vertices()[:, 0].max()
+            return Parallelepiped(base.origin + [shift, 0.0], base.columns)
+
+        spec = TargetSpec(BetaSystem((2.0, 2.0)),
+                          const_rotation(0.7, (1.0, 0.01)))
+        assert build_E_n(spec, 100, mode="full_in_D", D=corner_box(-99),
+                         eps=1e-3).copy_count == 4
+        monkeypatch.setattr(numerical_lab, "scale_by_f", straddling)
+        with pytest.raises(ConsistencyError, match="contracted target "
+                           "leaks out of its cylinder"):
+            build_E_n(spec, 100, mode="full_in_D", D=corner_box(-99),
+                      eps=1e-3)
+
+    def test_thin_copy_is_no_leak(self):
+        # a copy 2^-25 of its bounding box in area fits its cylinder, though
+        # its area and its area inside the cylinder round apart by 5e-9
+        spec = TargetSpec(BetaSystem((2.0, 2.0)),
+                          const_rotation(0.7, (0.0625, 0.01)))
+        E = build_E_n(spec, 493, mode="full_in_D", D=corner_box(-492),
+                      eps=1e-3)
+        assert E.copy_count == 4
+
     @pytest.mark.parametrize("betas, n, mode, copies", [
         ((2.0, 4.0), 2, "full_in_D", 64),
         # past its Renyi floor 1.8**6 = 34, short of its 7 * 7 words
@@ -350,10 +394,12 @@ class TestPredicted:
 
     def test_count_beyond_float_range(self):
         spec = TargetSpec(SYS24, const_rotation(0.3))
-        with pytest.raises(DomainError):
-            predicted_cover_count(spec, 2, 1e-300)
-        with pytest.raises(DomainError):
-            cover_exponent_scan(spec, 2, taus=[1e-300])
+        for call in (lambda: predicted_cover_count(spec, 2, 1e-300),
+                     lambda: cover_exponent_scan(spec, 2, taus=[1e-300])):
+            with pytest.raises(ScaleRangeError) as info:
+                call()
+            assert info.value.code == "numerical_lab.scale_range"
+            assert "exceeds the float range" in str(info.value)
 
 
 class TestCoverScan:
@@ -579,13 +625,28 @@ class TestBuildMeasure:
                 "the copy area is 2^-1260, below the smallest normal float")):
             build_measure(spec, 600, D, t=1.8, eps=0.01)
 
+    @pytest.mark.parametrize("t, error, message", [
+        (1.0, DomainError, "level 10 too small for |D|=2.41e-181 under base "
+         "2: need n >= 603.000"),
+        (1.8, ScaleRangeError, "r^t at the least radius is 2^-1080, below "
+         "the smallest normal float"),
+    ])
+    def test_copies_that_cannot_fit_D(self, t, error, message):
+        # |D|^2 = 2^-1200 is no quantity of the float rule: copies that
+        # fit D have no more area than D, so the copy area speaks first
+        spec = TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05)))
+        D = ((0.0, 2.0 ** -600), (0.0, 2.0 ** -600))
+        with pytest.raises(error) as info:
+            build_measure(spec, 10, D, t=t, eps=0.01)
+        assert str(info.value) == message
+
 
 # the smallest normal float
 NORMAL = 2.0 ** -1022
 # a refusal of the lab's float rule: (quantity, log2 of its value)
 REFUSAL = re.compile(r"(.+) is 2\^(\S+), below the smallest normal float")
 QUANTITIES = {"D's side", "the least nonzero entry of f^n P_n",
-              "the copy area", "|D|^2", "the least ball radius",
+              "the copy area", "the least ball radius",
               "r^t at the least radius"}
 
 
@@ -602,8 +663,8 @@ def corner_box(log2_side):
 
 class TestFloatRule:
     """One rule, decided in log2 before any float is built: the lab
-    refuses a level whose copy area, |D|^2, ball radii or r^t would be
-    below the smallest normal float."""
+    refuses a level whose copy area, ball radii or r^t would be below
+    the smallest normal float."""
 
     @pytest.mark.parametrize("n, log2", [(500, -1050), (510, -1071)])
     def test_subnormal_copy_area_refused(self, n, log2):

@@ -194,6 +194,24 @@ class TestSimpleCases:
         with pytest.raises(DomainError):
             pivoted_orthogonalize(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("call, what", [
+        (lambda: Parallelepiped([0, 0], [[1, 0], [0]]), "the matrix"),
+        (lambda: pivoted_orthogonalize([[1, 0], [0]]), "the matrix"),
+        (lambda: Parallelepiped([0, 0], [[{}, 0], [0, 1]]), "the matrix"),
+        (lambda: Parallelepiped(["x", 0], np.eye(2)), "origin"),
+        (lambda: Parallelepiped([0, [0]], np.eye(2)), "origin"),
+        (lambda: Hyperrectangle(["x", 0], np.eye(2), [1, 1]), "center"),
+        (lambda: Hyperrectangle([0, 0], np.eye(2), [1, "y"]),
+         "half_extents"),
+    ], ids=["ragged-columns", "ragged-orthogonalize", "dict-entry",
+            "str-origin", "ragged-origin", "str-center", "str-half-extent"])
+    def test_ragged_or_non_numeric_input(self, call, what):
+        # a bare ValueError or TypeError from numpy escaped before
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "parallelepiped_geometry.domain"
+        assert str(info.value) == f"{what} must be a regular array of numbers"
+
 
 class TestScaledRoute:
     def test_matches_plain_on_moderate_matrix(self):
