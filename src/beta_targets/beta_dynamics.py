@@ -58,7 +58,8 @@ from typing import Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import (ConsistencyError, DomainError, ResourceLimitError,
+                     _as_float)
 
 __all__ = [
     "FULLNESS_TOL",
@@ -116,7 +117,7 @@ class BetaParam:
     dps: Optional[int] = None
 
     def __post_init__(self):
-        b = float(self.beta)
+        b = _as_float(self.beta, "beta", "beta_dynamics")
         if not (b > 1 and math.isfinite(b)):
             raise DomainError(
                 f"beta must be finite and exceed 1, got {self.beta!r}",

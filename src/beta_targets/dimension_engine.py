@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 import operator
 import sys
@@ -49,16 +48,11 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .beta_dynamics import _check_level
-from .errors import (
-    ConsistencyError,
-    DegenerateInputError,
-    DomainError,
-    ScaleRangeError,
-)
+from .errors import ConsistencyError, DomainError, ScaleRangeError, _as_float
 from .parallelepiped_geometry import (
-    DEGENERACY_RTOL,
     BetaSystem,
     Parallelepiped,
+    _floats,
     pivoted_orthogonalize_scaled,
 )
 
@@ -120,7 +114,7 @@ def _log2_parts(v: float):
 
 
 def _exponents(exponents, d: int) -> Tuple[float, ...]:
-    ex = tuple(map(float, exponents))
+    ex = tuple(_as_float(t, "every exponent", _MODULE) for t in exponents)
     if len(ex) != d or not all(0.0 < t < math.inf for t in ex):
         raise DomainError(f"need {d} positive finite exponents, got "
                           f"{exponents!r}", module=_MODULE)
@@ -168,21 +162,18 @@ def _planar_rates(entry_rates, exponents, log2_betas):
     return g1, _volume_rate(exponents, log2_betas) - g1
 
 
+def _frozen(x):
+    """ndarray.tolist's floats and nested lists as a cache key."""
+    return tuple(map(_frozen, x)) if isinstance(x, list) else x
+
+
 @functools.lru_cache(maxsize=256)
-def _matrix_parts(rows):
-    """(signs, log2 magnitudes, log2|det|) of a matrix, refused by the
-    Parallelepiped rule with |det| from the log-domain frame; cached, as a
-    run builds the same few matrices once per job."""
+def _matrix_parts(rows, origin):
+    """(signs, log2 magnitudes, log2|det|) of a matrix R, which
+    Parallelepiped(origin, R) checks and measures; cached, as a run builds
+    the same few matrices once per job."""
+    log2_det = Parallelepiped(origin, rows).log2_volume
     signs, logs = zip(*(zip(*map(_log2_parts, row)) for row in rows))
-    log2_det = math.fsum(pivoted_orthogonalize_scaled(signs,
-                                                      logs).log2_norms)
-    # column norms from the logs, so that no square over- or underflows
-    ratio = log2_det - sum(max(c) + 0.5 * math.log2(sum(
-        4.0 ** (l - max(c)) for l in c)) for c in zip(*logs))
-    if ratio < math.log2(DEGENERACY_RTOL):
-        raise DegenerateInputError(
-            f"matrix columns nearly dependent: |det| is 2^{ratio:.1f} times "
-            "the product of the column norms", module=_MODULE)
     return signs, logs, log2_det
 
 
@@ -195,8 +186,8 @@ def _target(rot, betas, exponents, n: int, origin) -> Parallelepiped:
 class LinearFamily:
     """P_n = origin + R diag(beta_j^(-n t_j)) [0, 1]^d for a fixed R, kept
     as a tuple of rows: R = I is the axis box, R a rotation the constantly
-    rotated one.  A nearly singular R (|det R| below DEGENERACY_RTOL times
-    the product of its column norms) raises DegenerateInputError."""
+    rotated one.  R and the origin (0 by default) are refused as
+    Parallelepiped(origin, R) refuses them."""
 
     matrix: Tuple[Tuple[float, ...], ...]
     exponents: Tuple[float, ...]
@@ -204,17 +195,15 @@ class LinearFamily:
 
     def __init__(self, matrix, exponents: Sequence[float],
                  origin: Optional[Sequence[float]] = None):
-        rows = tuple(tuple(map(float, row)) for row in matrix)
-        d = len(rows)
-        org = (0.0,) * d if origin is None else tuple(map(float, origin))
-        if not d or any(len(v) != d for v in (org, *rows)) or \
-                not all(map(math.isfinite, itertools.chain(org, *rows))):
-            raise DomainError("need a finite square matrix and an origin "
-                              "of its size", module=_MODULE)
+        m = _floats(matrix, "the matrix")
+        org = np.zeros(m.shape[:1]) if origin is None else \
+            _floats(origin, "origin")
+        rows, org = _frozen(m.tolist()), _frozen(org.tolist())
         for name, value in zip(
-                ("matrix", "exponents", "origin", "_signs", "_logs",
-                 "_log2_det"),
-                (rows, _exponents(exponents, d), org, *_matrix_parts(rows))):
+                ("_signs", "_logs", "_log2_det", "matrix", "exponents",
+                 "origin"),
+                (*_matrix_parts(rows, org), rows,
+                 _exponents(exponents, len(rows)), org)):
             object.__setattr__(self, name, value)
 
     @property
@@ -255,10 +244,11 @@ class Rotated2DFamily:
     exponents: Tuple[float, float] = (1.0, 1.0)
 
     def __init__(self, a: float, exponents: Sequence[float] = (1.0, 1.0)):
+        a = _as_float(a, "the decay parameter", _MODULE)
         if not 0.0 <= a < math.inf:
             raise DomainError(f"decay parameter must be >= 0, got {a}",
                               module=_MODULE)
-        object.__setattr__(self, "a", float(a))
+        object.__setattr__(self, "a", a)
         object.__setattr__(self, "exponents", _exponents(exponents, 2))
 
     dimension = 2

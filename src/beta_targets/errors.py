@@ -2,6 +2,8 @@
 
 Each error carries a module-qualified code such as ``beta_dynamics.domain``
 so the command line layer can emit machine readable failures.
+``_as_float`` is the library's one scalar conversion: what float()
+refuses becomes the calling module's DomainError.
 """
 from __future__ import annotations
 
@@ -69,3 +71,13 @@ class ConfigError(BetaTargetsError):
     """A run configuration failed schema or domain validation."""
 
     kind = "config"
+
+
+def _as_float(x, what: str, module: str) -> float:
+    """float(x); a value float() refuses (a string, None, an int past
+    float range) raises the module's DomainError."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a number in float range",
+                          module=module) from None

@@ -241,7 +241,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
         side = box[0].right - box[0].left
         for b in betas:
             need = -(1.0 + eps / 2.0) * math.log(side) / math.log(b)
-            if n < need - 1e-12:
+            if not n >= need - 1e-12:
                 raise DomainError(
                     f"level {n} too small for |D|={side:.3g} under "
                     f"base {b:.6g}: need n >= {need:.3f}", module=_MODULE)
@@ -463,7 +463,7 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
     if eps is None:
         eps = (level.s_n - t) / 2.0
     eps = float(eps)
-    if eps <= 0.0 or t >= level.s_n - eps + 1e-12:
+    if not (eps > 0.0 and t < level.s_n - eps + 1e-12):
         raise DomainError(
             f"need 0 < eps < s_n - t = {level.s_n - t:.6g}, got {eps}",
             module=_MODULE)
@@ -559,10 +559,10 @@ def mu_ball_mass(M: MuMeasure, center, r: float) -> float:
     the kernel of verify_measure_bound.
     """
     r = float(r)
-    if r <= 0.0:
-        raise DomainError(f"radius must be positive, got {r}",
-                          module=_MODULE)
     c = np.array([[float(center[0]), float(center[1])]])
+    if not (r > 0.0 and np.all(np.isfinite(c))):
+        raise DomainError(f"need a finite center and a positive radius, "
+                          f"got {c[0].tolist()} and {r}", module=_MODULE)
     return float(_ball_masses(M, c, np.array([r]))[0])
 
 
@@ -687,12 +687,19 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
     Every |D|^d, radius and r^t is normal for a measure of build_measure.
     """
     t = M.t
-    if t < 0.0 or t >= M.level.s_n - M.eps + 1e-12:
+    if not 0.0 <= t < M.level.s_n - M.eps + 1e-12:
         raise DomainError(
             f"need 0 <= t < s_n - eps = {M.level.s_n - M.eps:.6g}, got {t}",
             module=_MODULE)
-    if samples < 4:
-        raise DomainError("need at least 4 samples", module=_MODULE)
+    if isinstance(samples, bool) or \
+            not isinstance(samples, (int, np.integer)) or samples < 4:
+        raise DomainError(f"need an integer of at least 4 samples, got "
+                          f"{samples!r}", module=_MODULE)
+    try:
+        rng = np.random.default_rng(rng_seed)
+    except (TypeError, ValueError):
+        raise DomainError(f"rng_seed must be a non-negative integer, got "
+                          f"{rng_seed!r}", module=_MODULE) from None
     en = M.en
     cols = en.base.columns
     regimes = _radius_samplers(M)
@@ -700,8 +707,7 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
     sizes = [per] * len(regimes)
     sizes[0] += samples - per * len(regimes)
 
-    idx, units = _draw_balls(np.random.default_rng(rng_seed),
-                             en.copy_count, samples)
+    idx, units = _draw_balls(rng, en.copy_count, samples)
     centers = (en.z_star[idx] + en.base.origin + units[:, :1] * cols[:, 0]
                + units[:, 1:2] * cols[:, 1])
     # the k-th ball of a regime between the logs of bounds[k % len(bounds)]

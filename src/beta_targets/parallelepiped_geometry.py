@@ -33,6 +33,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     ScaleRangeError,
+    _as_float,
 )
 
 __all__ = [
@@ -71,10 +72,11 @@ _NEG_INF = -math.inf
 
 
 def _floats(x, what: str) -> np.ndarray:
-    """x as a float array; a ragged or non-numeric x raises DomainError."""
+    """x copied to a float array; a ragged or non-numeric x, or an int
+    past float range, raises DomainError."""
     try:
-        return np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be a regular array of numbers",
                           module=_MODULE) from None
 
@@ -131,7 +133,7 @@ class BetaSystem:
     betas: Tuple[float, ...]
 
     def __init__(self, betas: Sequence[float]):
-        bs = tuple(float(b) for b in betas)
+        bs = tuple(_as_float(b, "every base", _MODULE) for b in betas)
         if len(bs) < 1:
             raise DomainError("need at least one base", module=_MODULE)
         for b in bs:
@@ -311,7 +313,12 @@ class Hyperrectangle:
 
 
 def rotation_matrix(theta: float) -> np.ndarray:
-    """2-D rotation by theta, with near-zero trig snapped exactly to 0."""
+    """2-D rotation by theta, with near-zero trig snapped exactly to 0; a
+    theta that is not a finite number raises DomainError."""
+    theta = _as_float(theta, "theta", _MODULE)
+    if not math.isfinite(theta):
+        raise DomainError(f"theta must be finite, got {theta}",
+                          module=_MODULE)
     c, s = math.cos(theta), math.sin(theta)
     if abs(c) < _TRIG_SNAP:
         c = 0.0
@@ -390,12 +397,12 @@ def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> OrthoFrame:
     of a step are lists indexed by row-set position; every candidate's
     list is kept for U.  The matrices may be arrays or sequences of rows
     of numbers; every sum and product is taken in one fixed order.  An
-    entry that is not a number (None, a string, even a numeric one)
-    raises DomainError.
+    entry that is not a number (None, a string, even a numeric one) or
+    an int past float range raises DomainError.
     """
     try:
         return _pivot_scan(signs, log2_magnitudes)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise DomainError(f"signs and log2 magnitudes must be numbers: {exc}",
                           module=_MODULE) from None
 
@@ -488,8 +495,7 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
     Parallelepiped's columns, or of a square matrix validated by building
     one (zero or nearly dependent columns raise DegenerateInputError)."""
     if not isinstance(columns, Parallelepiped):
-        # a copy, so the caller's array is not made read-only
-        cols = _as_matrix(columns).copy()
+        cols = _as_matrix(columns)
         columns = Parallelepiped(np.zeros(cols.shape[:1]), cols)
     cols = columns.columns
     with np.errstate(divide="ignore"):

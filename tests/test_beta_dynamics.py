@@ -117,6 +117,18 @@ class TestTransform:
         with pytest.raises(DomainError):
             BetaParam(1.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: BetaParam("x"),
+        lambda: BetaParam(None),
+        lambda: count_words("x", 3),
+        lambda: digits(10 ** 400, 0.5, 3),
+    ], ids=["str", "none", "str-count", "huge-int-digits"])
+    def test_beta_must_be_a_number(self, call):
+        # a bare ValueError, TypeError or OverflowError escaped before
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "beta_dynamics.domain"
+
 
 class TestDigits:
     def test_binary(self):

@@ -1060,6 +1060,14 @@ class TestErrorReporting:
         assert "Traceback" not in err
         assert json.loads(err)["error"]["code"] == "cli_io.resource_limit"
 
+    def test_axis_origin_of_the_wrong_length(self, tmp_path, capsys):
+        # a linear family's origin is refused by the Parallelepiped rule
+        argv = _with_config("dimension", _axis(origin=[0.5]))(tmp_path)
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "code": "parallelepiped_geometry.domain",
+            "message": "origin shape (1,) does not match dimension 2"}
+
     @pytest.mark.parametrize("argv", INPUT_HOLES.values(),
                              ids=INPUT_HOLES.keys())
     def test_input_hole_exits_two(self, tmp_path, capsys, argv):

@@ -5,6 +5,7 @@ implementation of the candidate minimization (direct mpmath evaluation
 of the defining objective, no shared code) and frozen here.
 """
 
+import itertools
 import math
 import sys
 
@@ -30,7 +31,12 @@ from beta_targets.errors import (
     DomainError,
     ScaleRangeError,
 )
-from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
+from beta_targets.parallelepiped_geometry import (
+    BetaSystem,
+    Parallelepiped,
+    pivoted_orthogonalize_scaled,
+    rotation_matrix,
+)
 from closed_forms import closed_form_example
 from family_reference import axis_family, const_rotation
 
@@ -482,6 +488,58 @@ class TestClosedForms:
             closed_form_example(3, 0.0)
 
 
+@st.composite
+def nonsingular_matrices(draw):
+    """P Q diag(2^k): a permutation, Givens rotations in every coordinate
+    plane (angle 0 leaves the permutation alone) and column scales
+    2^k, |k| <= 500; d <= 4."""
+    d = draw(st.integers(1, 4))
+    r = np.eye(d)[draw(st.permutations(range(d)))]
+    for i, j in itertools.combinations(range(d), 2):
+        g = np.eye(d)
+        g[np.ix_([i, j], [i, j])] = rotation_matrix(draw(st.one_of(
+            st.just(0.0), st.floats(-math.pi, math.pi))))
+        r = r @ g
+    return r * np.exp2(draw(st.lists(st.integers(-500, 500), min_size=d,
+                                     max_size=d)))
+
+
+class TestMatrixRule:
+    """LinearFamily's R is checked and measured by Parallelepiped."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonsingular_matrices())
+    def test_log2_det_matches_the_frame(self, r):
+        # the log-domain frame's norm product, the determinant that
+        # LinearFamily once took, is the reference
+        d = len(r)
+        family = LinearFamily(r, (1.0,) * d)
+        with np.errstate(divide="ignore"):
+            frame = pivoted_orthogonalize_scaled(np.sign(r),
+                                                 np.log2(np.abs(r)))
+        log2_det = family.log2_volume((1.0,) * d, 0)
+        assert abs(log2_det - math.fsum(frame.log2_norms)) <= 1e-12
+        assert log2_det == Parallelepiped(np.zeros(d), r).log2_volume
+
+    @pytest.mark.parametrize("scales", [(1.0, 1.0), (2.0 ** 500, 2.0 ** -500),
+                                        (2.0 ** -500, 2.0 ** 500)])
+    @pytest.mark.parametrize("turn", [0.0, 0.3])
+    def test_degeneracy_threshold(self, turn, scales):
+        # |det R| = ratio times the product of the column norms, to a
+        # relative 1e-10; the rule's threshold is 1e-12
+        for ratio, builds in ((1e-11, True), (1e-13, False)):
+            r = rotation_matrix(turn) @ np.array(
+                [[1.0, 1.0], [0.0, ratio]]) / np.array([1.0, math.hypot(
+                    1.0, ratio)]) * np.array(scales)
+            if builds:
+                LinearFamily(r, (1.0, 1.0))
+                continue
+            with pytest.raises(DegenerateInputError) as info:
+                LinearFamily(r, (1.0, 1.0))
+            assert info.value.code == \
+                "parallelepiped_geometry.degenerate_input"
+
+
 class TestFamilyValidation:
     def test_axis(self):
         with pytest.raises(DomainError):
@@ -529,6 +587,20 @@ class TestFamilyValidation:
     def test_linear_domain(self, args):
         with pytest.raises(DomainError):
             LinearFamily(*args)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LinearFamily(np.eye(2), ("x", 1.0)),
+        lambda: LinearFamily(np.eye(2), (10 ** 400, 1.0)),
+        lambda: Rotated2DFamily("x"),
+        lambda: Rotated2DFamily(10 ** 400),
+        lambda: Rotated2DFamily(0.5, (None, 1.0)),
+    ], ids=["str-exponent", "huge-int-exponent", "str-decay",
+            "huge-int-decay", "none-exponent"])
+    def test_scalars_must_be_numbers(self, make):
+        # a bare ValueError, OverflowError or TypeError escaped before
+        with pytest.raises(DomainError) as info:
+            make()
+        assert info.value.code == "dimension_engine.domain"
 
     def test_linear_limit_needs_one_entry_per_column_in_3d(self):
         dense = [[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0]]

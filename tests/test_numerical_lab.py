@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from beta_targets.beta_dynamics import count_admissible, count_full
 from beta_targets.dimension_engine import (
     ExplicitTargets,
+    LinearFamily,
     TargetSpec,
     s_n,
 )
@@ -44,6 +45,7 @@ from beta_targets.numerical_lab import (
 from beta_targets.parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
+    rotation_matrix,
     scale_by_f,
     volume,
 )
@@ -543,6 +545,16 @@ class TestBallMass:
         with pytest.raises(DomainError):
             mu_ball_mass(M, (0.5, 0.5), 0.0)
 
+    @pytest.mark.parametrize("center, r", [
+        ((0.5, 0.5), math.nan), ((math.nan, 0.5), 0.1),
+        ((0.5, math.inf), 0.1)], ids=["nan-radius", "nan-center",
+                                      "inf-center"])
+    def test_nan_ball_refused(self, center, r):
+        # each gave a mass of 0.0
+        M = build_measure(square_spec(), 1, UNIT_D, t=0.4)
+        with pytest.raises(DomainError):
+            mu_ball_mass(M, center, r)
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(MEASURE_BETAS),
            st.floats(0.0, math.pi, exclude_max=True),
@@ -598,6 +610,19 @@ class TestBallMass:
 
 
 class TestBuildMeasure:
+    def test_nan_eps_keeps_the_side_condition(self):
+        # eps = nan skipped both the eps test and the side condition
+        # n >= -(1 + eps/2) log_beta |D|, and 64 copies were built
+        spec = TargetSpec(SYS24, LinearFamily(
+            rotation_matrix(0.7).tolist(), (1, 1), (0.5, 0.5)))
+        D = [(0.0, 2.0 ** -6)] * 2
+        with pytest.raises(DomainError, match="level 6 too small"):
+            build_measure(spec, 6, D, 0.5, eps=0.5)
+        with pytest.raises(DomainError, match="need 0 < eps"):
+            build_measure(spec, 6, D, 0.5, eps=math.nan)
+        with pytest.raises(DomainError, match="level 6 too small"):
+            build_E_n(spec, 6, "full_in_D", D=D, eps=math.nan)
+
     def test_defaults(self):
         M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)
         s = M.level.s_n
@@ -855,3 +880,19 @@ class TestMeasureBound:
                                  samples=100)
         with pytest.raises(DomainError):
             verify_measure_bound(M, samples=3)
+
+    @pytest.mark.parametrize("change, kwargs", [
+        ({"eps": math.nan}, {}),
+        ({"t": math.nan}, {}),
+        ({}, {"samples": 10.5}),
+        ({}, {"samples": True}),
+        ({}, {"rng_seed": -1}),
+        ({}, {"rng_seed": 1.5}),
+    ], ids=["nan-eps", "nan-t", "float-samples", "bool-samples",
+            "negative-seed", "float-seed"])
+    def test_refusals_are_typed(self, change, kwargs):
+        # NaN passed the t / eps test; the rest escaped as TypeError or
+        # ValueError
+        M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)
+        with pytest.raises(DomainError):
+            verify_measure_bound(dataclasses.replace(M, **change), **kwargs)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from beta_targets.dimension_engine import LinearFamily
 from beta_targets.errors import (
     ConsistencyError,
     DegenerateInputError,
@@ -203,10 +204,20 @@ class TestSimpleCases:
         (lambda: Hyperrectangle(["x", 0], np.eye(2), [1, 1]), "center"),
         (lambda: Hyperrectangle([0, 0], np.eye(2), [1, "y"]),
          "half_extents"),
+        (lambda: Parallelepiped([0, 0], [[10 ** 400, 0], [0, 1]]),
+         "the matrix"),
+        (lambda: Parallelepiped([10 ** 400, 0], np.eye(2)), "origin"),
+        (lambda: LinearFamily([[1, 0], [0]], (1, 1)), "the matrix"),
+        (lambda: LinearFamily([["x", 0], [0, 1]], (1, 1)), "the matrix"),
+        (lambda: LinearFamily([[10 ** 400, 0], [0, 1]], (1, 1)),
+         "the matrix"),
+        (lambda: LinearFamily(np.eye(2), (1, 1), ["x", 0]), "origin"),
     ], ids=["ragged-columns", "ragged-orthogonalize", "dict-entry",
-            "str-origin", "ragged-origin", "str-center", "str-half-extent"])
+            "str-origin", "ragged-origin", "str-center", "str-half-extent",
+            "huge-int-columns", "huge-int-origin", "ragged-linear-rows",
+            "str-linear-row", "huge-int-linear-rows", "str-linear-origin"])
     def test_ragged_or_non_numeric_input(self, call, what):
-        # a bare ValueError or TypeError from numpy escaped before
+        # a bare ValueError, TypeError or OverflowError escaped before
         with pytest.raises(DomainError) as info:
             call()
         assert info.value.code == "parallelepiped_geometry.domain"
@@ -266,9 +277,11 @@ class TestScaledRoute:
         ([[1.0, "x"], [0.0, 1.0]], [[0.0, -np.inf], [0.0, 0.0]]),
         (np.array([["1.5"]]), [[0.0]]),
         (np.array([[None]]), [[0.0]]),
+        ([[1.0]], [[10 ** 400]]),
+        ([[10 ** 400]], [[0.0]]),
     ], ids=["str", "none", "numeric-str", "empty-str", "none-log",
             "numeric-str-log", "none-in-2x2", "str-over-zero", "str-array",
-            "object-array"])
+            "object-array", "huge-int-log", "huge-int-sign"])
     def test_non_numbers_raise_domain_error(self, signs, lm):
         # a bare TypeError escaped before; None read as a zero sign
         with pytest.raises(DomainError, match="must be numbers"):
@@ -341,6 +354,29 @@ class TestHyperrectangle:
     def test_rejects_bad_extents(self):
         with pytest.raises(DomainError):
             Hyperrectangle((0.0, 0.0), np.eye(2), (1.0, 0.0))
+
+
+def test_caller_arrays_stay_writable():
+    # each shape holds read-only copies; the caller's arrays were frozen
+    origin, columns = np.zeros(2), np.eye(2)
+    center, half = np.zeros(2), np.ones(2)
+    p = Parallelepiped(origin, columns)
+    box = Hyperrectangle(center, columns, half)
+    for a in (origin, columns, center, half):
+        assert a.flags.writeable
+        a += 1.0
+    assert np.array_equal(p.columns, np.eye(2))
+    assert np.array_equal(box.half_extents, np.ones(2))
+    assert not p.columns.flags.writeable and not box.center.flags.writeable
+
+
+@pytest.mark.parametrize("betas", [["x"], [10 ** 400], [2.0, None]],
+                         ids=["str", "huge-int", "none"])
+def test_beta_system_needs_numbers(betas):
+    # a bare ValueError, OverflowError or TypeError escaped before
+    with pytest.raises(DomainError) as info:
+        BetaSystem(betas)
+    assert info.value.code == "parallelepiped_geometry.domain"
 
 
 class TestScaling:
@@ -425,6 +461,15 @@ class TestRotation:
 
     def test_rotation_matrix_identity(self):
         assert np.array_equal(rotation_matrix(0.0), np.eye(2))
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, "x",
+                                       10 ** 400],
+                             ids=["inf", "-inf", "nan", "str", "huge-int"])
+    def test_rotation_matrix_needs_a_finite_angle(self, theta):
+        # inf escaped as a bare "math domain error", nan gave NaN entries
+        with pytest.raises(DomainError) as info:
+            rotation_matrix(theta)
+        assert info.value.code == "parallelepiped_geometry.domain"
 
     def test_rotation_preserves_volume_and_norms(self):
         q = Parallelepiped((0.25, 0.5), rotation_matrix(0.3) @ WORKED_COLS)
