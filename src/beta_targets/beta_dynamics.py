@@ -390,13 +390,15 @@ def cylinder_blocks(
     """The cylinders of enumerate_cylinders, in blocks of arrays.
 
     Same order, filters and caps as enumerate_cylinders; the checks that
-    need no walk, the node floor among them, raise at the call.
+    need no walk, the node floor among them, raise at the call.  A
+    window of all of [0, 1) is none: every cylinder lies in it.
     """
     param = as_beta_param(beta)
     _check_level(n)
     _check_indexable(n)
     if within is not None:
         _check_unit_interval(within)
+        within = None if within == Interval(0.0, 1.0) else within
     ctx = _Ctx(param)
     floor = _node_floor(ctx, n, within)
     if floor > node_cap:

@@ -48,7 +48,8 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from .beta_dynamics import _check_level
-from .errors import ConsistencyError, DomainError, ScaleRangeError, _as_float
+from .errors import (ConsistencyError, DomainError, ScaleRangeError,
+                     _as_float, _as_floats)
 from .parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
@@ -114,7 +115,7 @@ def _log2_parts(v: float):
 
 
 def _exponents(exponents, d: int) -> Tuple[float, ...]:
-    ex = tuple(_as_float(t, "every exponent", _MODULE) for t in exponents)
+    ex = _as_floats(exponents, "every exponent", _MODULE)
     if len(ex) != d or not all(0.0 < t < math.inf for t in ex):
         raise DomainError(f"need {d} positive finite exponents, got "
                           f"{exponents!r}", module=_MODULE)
@@ -552,6 +553,7 @@ def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
             not 1 <= window <= count:
         raise DomainError(f"window must be an integer in [1, {count}], "
                           f"got {window!r}", module=_MODULE)
+    tolerance = _as_float(tolerance, "tolerance", _MODULE)
     if not tolerance > 0.0:
         raise DomainError("tolerance must be positive", module=_MODULE)
     levels = tuple(s_n(spec, n, mode=mode) for n in range(n_min, n_max + 1))

@@ -81,3 +81,12 @@ def _as_float(x, what: str, module: str) -> float:
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{what} must be a number in float range",
                           module=module) from None
+
+
+def _as_floats(xs, what: str, module: str) -> tuple:
+    """_as_float of each x in xs; an xs that is no sequence is refused."""
+    try:
+        return tuple(_as_float(x, what, module) for x in xs)
+    except TypeError:  # iter(xs): _as_float itself raises none
+        raise DomainError(f"{what} must be a number in a sequence",
+                          module=module) from None

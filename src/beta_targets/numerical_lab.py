@@ -43,6 +43,8 @@ from .errors import (
     DomainError,
     ResourceLimitError,
     ScaleRangeError,
+    _as_float,
+    _as_floats,
 )
 from .parallelepiped_geometry import (_LOG2_RTOL, _MIN_LOG2_NORMAL,
                                       Parallelepiped, scale_by_f)
@@ -91,12 +93,12 @@ class EnSet:
 
     The copies share one base shape; lefts are the ascending cylinder
     left ends of each axis, and copy i * len(lefts[1]) + j sits at
-    (lefts[0][i], lefts[1][j]).
+    (lefts[0][i], lefts[1][j]).  D is None when every admissible word
+    has its copy, else the box whose full words do.
     """
 
     spec: TargetSpec
     n: int
-    mode: str
     base: Parallelepiped
     polygon: np.ndarray
     lefts: Tuple[np.ndarray, np.ndarray]
@@ -133,7 +135,7 @@ class MuMeasure:
 
     @property
     def box_side(self) -> float:
-        return self.en.D[0].right - self.en.D[0].left
+        return self.en.D[0].length
 
 
 @dataclasses.dataclass(frozen=True)
@@ -168,26 +170,18 @@ class MeasureBoundReport:
     t: float
 
 
-def _as_interval(x) -> Interval:
-    if isinstance(x, Interval):
-        return x
-    return Interval(float(x[0]), float(x[1]))
-
-
 def _validate_box(D) -> Tuple[Interval, Interval]:
-    if D is None:
-        raise DomainError("full-word mode needs a hypercube D",
-                          module=_MODULE)
     try:
-        box = tuple(_as_interval(I) for I in D)
-    except (TypeError, IndexError):
+        box = tuple(I if isinstance(I, Interval) else Interval(
+            *_as_floats(I, "every end of D", _MODULE)) for I in D)
+    except TypeError:
         raise DomainError(f"cannot read {D!r} as a product of intervals",
                           module=_MODULE)
     if len(box) != 2:
         raise DomainError("the lab is 2-D; D needs two intervals",
                           module=_MODULE)
-    sides = [I.right - I.left for I in box]
-    for I, s in zip(box, sides):
+    sides = [I.length for I in box]
+    for I in box:
         if not (0.0 <= I.left < I.right <= 1.0):
             raise DomainError(f"D factor {I} not inside [0, 1]",
                               module=_MODULE)
@@ -208,53 +202,39 @@ def _require_normal(quantities) -> None:
                                   "smallest normal float", module=_MODULE)
 
 
-def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
-              D=None, eps: float = 0.0,
+def build_E_n(spec: TargetSpec, n: int, D=None,
               copy_cap: int = DEFAULT_COPY_CAP) -> EnSet:
     """Materialize the level-n copy set.
 
-    Each axis is walked within a window: mode "all" takes every
-    admissible word; mode "full_in_D" keeps full words whose cylinder
-    sits inside the matching factor of D, and requires n large enough
-    that such cylinders exist at all (the side condition
-    n >= -(1 + eps/d) log_beta |D|) and each copy inside its cylinder
-    product.  Then one flow: D's side or a nonzero entry of f^n P_n
-    below the smallest normal float is refused (ScaleRangeError), a walk
-    over all of [0, 1) must match count_words, and the copies are held
-    to copy_cap once their count is known, before walking when it can.
+    Each axis is walked within a window: without D every admissible
+    word is taken; with D, the full words whose cylinder sits inside the
+    matching factor of D, each copy inside its cylinder product.  Then
+    one flow: D's side or a nonzero entry of f^n P_n below the smallest
+    normal float is refused (ScaleRangeError), a walk over all of [0, 1)
+    must match count_words, and the copies are held to copy_cap once
+    their count is known, before walking when it can.
     """
     if spec.dimension != 2:
         raise DomainError("the lab is 2-D only", module=_MODULE)
     _check_float_level(n, _MODULE)
     betas = spec.system.betas
-    if mode == "all":
-        # Renyi: each axis has at least beta**n words
-        if n * math.log(betas[0] * betas[1]) > \
-                math.log(max(copy_cap, 1)) + 1e-6:
-            raise ResourceLimitError(
-                f"at least {betas[0]}**{n} * {betas[1]}**{n} copies exceed "
-                f"cap {copy_cap}", module=_MODULE)
-        box, windows, walk = None, (None, None), {}
-    elif mode == "full_in_D":
-        box = windows = _validate_box(D)
-        walk = dict(only_full=True, node_cap=10 * copy_cap)
-        side = box[0].right - box[0].left
-        for b in betas:
-            need = -(1.0 + eps / 2.0) * math.log(side) / math.log(b)
-            if not n >= need - 1e-12:
-                raise DomainError(
-                    f"level {n} too small for |D|={side:.3g} under "
-                    f"base {b:.6g}: need n >= {need:.3f}", module=_MODULE)
-    else:
-        raise DomainError(f"mode must be 'all' or 'full_in_D', got {mode!r}",
-                          module=_MODULE)
+    full = D is not None
+    box = _validate_box(D) if full else None
+    # Renyi: each axis has at least beta**n words
+    if not full and n * math.log(betas[0] * betas[1]) > \
+            math.log(max(copy_cap, 1)) + 1e-6:
+        raise ResourceLimitError(
+            f"at least {betas[0]}**{n} * {betas[1]}**{n} copies exceed "
+            f"cap {copy_cap}", module=_MODULE)
+    windows = box or (None, None)
+    walk = dict(only_full=True, node_cap=10 * copy_cap) if full else {}
 
     signs, logs = spec.family.log_columns(spec.system.log2_betas, n)
     _require_normal([("the least nonzero entry of f^n P_n", min(
         (x for srow, lrow in zip(signs, logs) for s, x in zip(srow, lrow)
          if s), default=0.0))])
     target = spec.family.target(betas, n)
-    full, v = box is not None, target.vertices()
+    v = target.vertices()
     if full and (np.any(v < 0.0) or np.any(v >= 1.0)):
         raise DomainError(
             "full-word mode needs the target inside the unit cube",
@@ -300,8 +280,7 @@ def build_E_n(spec: TargetSpec, n: int, mode: str = "all",
     if any(np.any(np.diff(l) < 0.0) for l in lefts):
         raise ConsistencyError("cylinder left ends are not ascending",
                                module=_MODULE)
-    return EnSet(spec=spec, n=n, mode=mode, base=base, polygon=poly,
-                 lefts=lefts, D=box)
+    return EnSet(spec=spec, n=n, base=base, polygon=poly, lefts=lefts, D=box)
 
 
 def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
@@ -326,7 +305,7 @@ def empirical_cover_count(E: EnSet, tau: float,
     memory grows with the (copy, grid column) pairs, not with the cells;
     cell_cap bounds the number of such pairs.
     """
-    tau = float(tau)
+    tau = _as_float(tau, "the mesh", _MODULE)
     if not (0.0 < tau < 1.0):
         raise DomainError(f"mesh must lie in (0, 1), got {tau}",
                           module=_MODULE)
@@ -387,6 +366,7 @@ def predicted_cover_count(spec: TargetSpec, n: int, tau: float,
     cylinder; within a copy every frame direction still longer than tau
     contributes its length in tau units.
     """
+    tau = _as_float(tau, "the mesh", _MODULE)
     if not (0.0 < tau < 1.0):
         raise DomainError(f"mesh must lie in (0, 1), got {tau}",
                           module=_MODULE)
@@ -421,17 +401,16 @@ def cover_exponent_scan(spec: TargetSpec, n: int,
     across n while any s above s_n sends them to zero.
     """
     level = s_n(spec, n)
-    if s is None:
-        s = level.s_n
+    s = level.s_n if s is None else _as_float(s, "the exponent", _MODULE)
     if not (0.0 < s <= 2.0):
         raise DomainError(f"exponent must lie in (0, 2], got {s}",
                           module=_MODULE)
     if taus is None:
         taus = level.candidates
-    E = build_E_n(spec, n, mode="all", copy_cap=copy_cap)
+    E = build_E_n(spec, n, copy_cap=copy_cap)
     rows = []
     for tau in taus:
-        tau = float(tau)
+        tau = _as_float(tau, "every mesh", _MODULE)
         pred = predicted_cover_count(spec, n, tau, level=level)
         count = empirical_cover_count(E, tau, cell_cap=cell_cap)
         rows.append(CoverRow(
@@ -450,34 +429,41 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
     """Uniform measure on the full-word copies inside D.
 
     eps defaults to half the gap below the level value, mirroring how
-    the proof splits s* - t; the side condition on n is checked with
-    this eps.  Before any walk, a copy area, ball radius or r^t below
-    the smallest normal float is refused (ScaleRangeError).
+    the proof splits s* - t.  Before any walk, a level short of the side
+    condition n >= -(1 + eps/d) log_beta |D| is refused (DomainError), as
+    is a copy area, ball radius or r^t below 2^-1022 (ScaleRangeError).
     """
     level = s_n(spec, n)
-    t = float(t)
+    t = _as_float(t, "the exponent t", _MODULE)
     if not (0.0 <= t < level.s_n):
         raise DomainError(
             f"exponent t must lie in [0, s_n) = [0, {level.s_n:.6g})",
             module=_MODULE)
     if eps is None:
         eps = (level.s_n - t) / 2.0
-    eps = float(eps)
+    eps = _as_float(eps, "eps", _MODULE)
     if not (eps > 0.0 and t < level.s_n - eps + 1e-12):
         raise DomainError(
             f"need 0 < eps < s_n - t = {level.s_n - t:.6g}, got {eps}",
             module=_MODULE)
     box = _validate_box(D)
-    side = math.log2(box[0].right - box[0].left)
+    length = box[0].length
     # the least of the lower radii of _radius_samplers' regimes
-    least = min(side, level.gamma_log2[-1] + math.log2(1e-2),
+    least = min(math.log2(length), level.gamma_log2[-1] + math.log2(1e-2),
                 -n * min(spec.system.log2_betas), level.candidates_log2_tau[0])
     _require_normal([
         ("the copy area", spec.family.log2_volume(spec.system.log2_betas, n)),
         ("the least ball radius", least),
         ("r^t at the least radius", t * least)])
-    en = build_E_n(spec, n, mode="full_in_D", D=D, eps=eps,
-                   copy_cap=copy_cap)
+    if spec.dimension != 2:  # before the side condition, as build_E_n
+        raise DomainError("the lab is 2-D only", module=_MODULE)
+    for b in spec.system.betas:
+        need = -(1.0 + eps / 2.0) * math.log(length) / math.log(b)
+        if not n >= need - 1e-12:
+            raise DomainError(
+                f"level {n} too small for |D|={length:.3g} under "
+                f"base {b:.6g}: need n >= {need:.3f}", module=_MODULE)
+    en = build_E_n(spec, n, D=box, copy_cap=copy_cap)
     return MuMeasure(en=en, t=t, eps=eps, level=level)
 
 
@@ -558,9 +544,9 @@ def mu_ball_mass(M: MuMeasure, center, r: float) -> float:
     inside the square, integrated in closed form.  A batch of one through
     the kernel of verify_measure_bound.
     """
-    r = float(r)
-    c = np.array([[float(center[0]), float(center[1])]])
-    if not (r > 0.0 and np.all(np.isfinite(c))):
+    r = _as_float(r, "the radius", _MODULE)
+    c = np.array([_as_floats(center, "every centre coordinate", _MODULE)])
+    if not (r > 0.0 and c.shape == (1, 2) and np.all(np.isfinite(c))):
         raise DomainError(f"need a finite center and a positive radius, "
                           f"got {c[0].tolist()} and {r}", module=_MODULE)
     return float(_ball_masses(M, c, np.array([r]))[0])

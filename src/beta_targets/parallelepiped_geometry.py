@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     ScaleRangeError,
     _as_float,
+    _as_floats,
 )
 
 __all__ = [
@@ -133,7 +134,7 @@ class BetaSystem:
     betas: Tuple[float, ...]
 
     def __init__(self, betas: Sequence[float]):
-        bs = tuple(_as_float(b, "every base", _MODULE) for b in betas)
+        bs = _as_floats(betas, "every base", _MODULE)
         if len(bs) < 1:
             raise DomainError("need at least one base", module=_MODULE)
         for b in bs:

@@ -83,8 +83,10 @@ def orbit_walk(beta: float, n: int, only_full: bool = False, within=None):
     """(word, left, image_length, length) of every level-n node, in
     lexicographic order, one node at a time over orbit_table.  ``within``
     is a (lo, hi) pair: subtrees whose cylinder misses [lo, hi) are
-    pruned, and leaves must lie inside it."""
+    pruned, and leaves must lie inside it; (0, 1) is no window."""
     tops, nexts, ts = orbit_table(beta, n)
+    if within is not None and tuple(within) == (0.0, 1.0):
+        within = None  # every cylinder lies in [0, 1), as in the library
     out = []
     stack = [((), 0.0, 0, 1.0)]
     while stack:

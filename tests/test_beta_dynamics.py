@@ -281,6 +281,13 @@ class TestArrayWalk:
                                        within=Interval(0, 1)))
         assert [x.word for x in got] == [(0,)]
 
+    @pytest.mark.parametrize("beta, n", [(2.5, 12), (3.7, 7)])
+    def test_whole_window_keeps_the_last_cylinder(self, beta, n):
+        # the last cylinder's right end rounds past 1 (1.0000000000000002
+        # for (2.5, 12)), and the window's containment test dropped it
+        blocks = cylinder_blocks(beta, n, within=Interval(0, 1))
+        assert sum(len(b.lefts) for b in blocks) == count_admissible(beta, n)
+
     def test_digits_past_int64_are_refused(self):
         # the cap admits the 10**19 children of the root, but the walk
         # holds digits as 64-bit integers

@@ -433,7 +433,8 @@ class TestSStar:
         for args, kwargs in [
                 ((1.0, 5), {"window": 5}), ((1, 5.0), {}), ((True, 5), {}),
                 ((1, 5), {"window": 2.5}), ((1, 5), {"window": True}),
-                ((1, 5), {"tolerance": math.nan})]:
+                ((1, 5), {"window": 5, "tolerance": math.nan}),
+                ((1, 5), {"window": 5, "tolerance": "x"})]:
             with pytest.raises(DomainError):
                 s_star(spec, *args, **kwargs)
 
@@ -594,8 +595,11 @@ class TestFamilyValidation:
         lambda: Rotated2DFamily("x"),
         lambda: Rotated2DFamily(10 ** 400),
         lambda: Rotated2DFamily(0.5, (None, 1.0)),
+        lambda: LinearFamily(np.eye(1), 5),
+        lambda: Rotated2DFamily(0.5, 5),
     ], ids=["str-exponent", "huge-int-exponent", "str-decay",
-            "huge-int-decay", "none-exponent"])
+            "huge-int-decay", "none-exponent", "scalar-linear-exponents",
+            "scalar-rotated-exponents"])
     def test_scalars_must_be_numbers(self, make):
         # a bare ValueError, OverflowError or TypeError escaped before
         with pytest.raises(DomainError) as info:

@@ -77,33 +77,33 @@ MASS_CUTTING = 0.002338483047033657  # center (0.3675, 0.0525), r 0.0175
 
 class TestBuildEn:
     def test_all_mode_copy_count(self):
-        E = build_E_n(pi4_spec(), 2, mode="all")
+        E = build_E_n(pi4_spec(), 2)
         assert E.copy_count == 64  # 2^2 * 4^2, integer bases are full
         assert E.z_star.shape == (64, 2)
 
     def test_dyadic_left_endpoints(self):
-        E = build_E_n(square_spec(), 1, mode="all")
+        E = build_E_n(square_spec(), 1)
         assert E.copy_count == 4
         got = sorted(map(tuple, E.z_star))
         assert got == [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
 
     def test_full_mode_equals_all_for_integer_bases(self):
-        Ea = build_E_n(pi4_spec(), 2, mode="all")
-        Ef = build_E_n(pi4_spec(), 2, mode="full_in_D", D=UNIT_D)
+        Ea = build_E_n(pi4_spec(), 2)
+        Ef = build_E_n(pi4_spec(), 2, D=UNIT_D)
         assert Ea.copy_count == Ef.copy_count
         assert np.array_equal(np.sort(Ea.z_star, axis=0),
                               np.sort(Ef.z_star, axis=0))
 
     def test_counts_match_recursion(self):
         spec = TargetSpec(BetaSystem((2.5, 1.9)), axis_family((1.0, 1.0)))
-        E = build_E_n(spec, 3, mode="all")
+        E = build_E_n(spec, 3)
         assert E.copy_count == \
             count_admissible(2.5, 3) * count_admissible(1.9, 3)
 
     def test_full_mode_non_integer(self):
         spec = TargetSpec(BetaSystem((1.8, 1.8)),
                           axis_family((1.0, 1.0), origin=(0.2, 0.2)))
-        E = build_E_n(spec, 3, mode="full_in_D", D=UNIT_D)
+        E = build_E_n(spec, 3, D=UNIT_D)
         assert E.copy_count == count_full(1.8, 3) ** 2
 
     def test_only_two_dimensional(self):
@@ -114,48 +114,43 @@ class TestBuildEn:
     def test_mode_and_box_validation(self):
         spec = pi4_spec()
         with pytest.raises(DomainError):
-            build_E_n(spec, 2, mode="some")
+            build_E_n(spec, 2, D=((0.0, 0.5), (0.0, 1.0)))  # not a hypercube
         with pytest.raises(DomainError):
-            build_E_n(spec, 2, mode="full_in_D")  # no D
-        with pytest.raises(DomainError):
-            build_E_n(spec, 2, mode="full_in_D",
-                      D=((0.0, 0.5), (0.0, 1.0)))  # not a hypercube
-        with pytest.raises(DomainError):
-            build_E_n(spec, 2, mode="full_in_D",
-                      D=((0.0, 1.5), (0.0, 1.5)))  # outside [0,1]
+            build_E_n(spec, 2, D=((0.0, 1.5), (0.0, 1.5)))  # outside [0,1]
 
     def test_level_too_small_for_box(self):
-        with pytest.raises(DomainError):
-            build_E_n(pi4_spec(), 1, mode="full_in_D",
-                      D=((0.2, 0.5), (0.1, 0.4)))
+        # the side condition n >= -(1 + eps/d) log_beta |D| is the
+        # measure's hypothesis, checked before any walk
+        with pytest.raises(DomainError, match="level 1 too small"):
+            build_measure(pi4_spec(), 1, ((0.2, 0.5), (0.1, 0.4)), t=0.5)
 
     def test_full_mode_needs_contained_target(self):
         spec = TargetSpec(SYS24, axis_family((1.0, 1.0), origin=(0.9, 0.9)))
         with pytest.raises(DomainError):
-            build_E_n(spec, 1, mode="full_in_D", D=UNIT_D)
+            build_E_n(spec, 1, D=UNIT_D)
 
     def test_copy_cap(self):
         with pytest.raises(ResourceLimitError):
-            build_E_n(pi4_spec(), 6, mode="all")
+            build_E_n(pi4_spec(), 6)
 
     def test_copy_cap_refused_before_counting(self):
         # 4**3000 words per axis: the refusal must neither count them nor
         # print a product past the 4300-digit int-to-str limit
         with pytest.raises(ResourceLimitError, match=r"4\.0\*\*3000"):
-            build_E_n(pi4_spec(), 3000, mode="all")
+            build_E_n(pi4_spec(), 3000)
 
-    @pytest.mark.parametrize("spec, n, D, eps", [
-        (TargetSpec(SYS24, const_rotation(0.7)), 2000, UNIT_D, 0.1),
-        (TargetSpec(SYS24, const_rotation(0.7)), 2 ** 64, UNIT_D, 0.1),
+    @pytest.mark.parametrize("spec, n, D", [
+        (TargetSpec(SYS24, const_rotation(0.7)), 2000, UNIT_D),
+        (TargetSpec(SYS24, const_rotation(0.7)), 2 ** 64, UNIT_D),
         # P_n is normal, only f^n P_n's 2^-1200 underflows
         (TargetSpec(BetaSystem((2.0, 2.0)),
                     axis_family((1.0, 2.0), origin=(0.2, 0.2))),
-         400, ((0.0, 1e-118), (0.0, 1e-118)), 0.01),
+         400, ((0.0, 1e-118), (0.0, 1e-118))),
     ], ids=["rot24-2000", "rot24-2**64", "axis-f^n-only"])
-    def test_underflowing_level_refused(self, spec, n, D, eps):
+    def test_underflowing_level_refused(self, spec, n, D):
         # read as a degenerate "zero column" before
         with pytest.raises(ScaleRangeError) as info:
-            build_E_n(spec, n, mode="full_in_D", D=D, eps=eps)
+            build_E_n(spec, n, D=D)
         assert info.value.code == "numerical_lab.scale_range"
 
     @pytest.mark.parametrize("n", [895, 950])
@@ -163,9 +158,8 @@ class TestBuildEn:
         # f^n P_n has entries near 2^-(1.05 n), normal floats, although
         # the contraction 2^-n passes 2^-900
         spec = TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05)))
-        E = build_E_n(spec, n, mode="full_in_D",
-                      D=((0.0, 2.0 ** (5 - n)), (0.0, 2.0 ** (5 - n))),
-                      eps=0.01)
+        E = build_E_n(spec, n,
+                      D=((0.0, 2.0 ** (5 - n)), (0.0, 2.0 ** (5 - n))))
         assert len(E.lefts[0]) * len(E.lefts[1]) == 1024
         assert np.all(np.abs(E.polygon[E.polygon != 0.0]) >= 2.0 ** -1022)
 
@@ -182,8 +176,7 @@ class TestBuildEn:
         spec = TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05)))
         with pytest.raises(ConsistencyError, match="contracted target "
                            "leaks out of its cylinder"):
-            build_E_n(spec, 600, mode="full_in_D",
-                      D=((0.0, 2.0 ** -595), (0.0, 2.0 ** -595)), eps=0.01)
+            build_E_n(spec, 600, D=((0.0, 2.0 ** -595), (0.0, 2.0 ** -595)))
 
     def test_thin_copy_leak_seen(self, monkeypatch):
         # a copy whose area is about 2^-98 of its bounding box's, moved to
@@ -196,30 +189,27 @@ class TestBuildEn:
 
         spec = TargetSpec(BetaSystem((2.0, 2.0)),
                           const_rotation(0.7, (1.0, 0.01)))
-        assert build_E_n(spec, 100, mode="full_in_D", D=corner_box(-99),
-                         eps=1e-3).copy_count == 4
+        assert build_E_n(spec, 100, D=corner_box(-99)).copy_count == 4
         monkeypatch.setattr(numerical_lab, "scale_by_f", straddling)
         with pytest.raises(ConsistencyError, match="contracted target "
                            "leaks out of its cylinder"):
-            build_E_n(spec, 100, mode="full_in_D", D=corner_box(-99),
-                      eps=1e-3)
+            build_E_n(spec, 100, D=corner_box(-99))
 
     def test_thin_copy_is_no_leak(self):
         # a copy 2^-25 of its bounding box in area fits its cylinder, though
         # its area and its area inside the cylinder round apart by 5e-9
         spec = TargetSpec(BetaSystem((2.0, 2.0)),
                           const_rotation(0.7, (0.0625, 0.01)))
-        E = build_E_n(spec, 493, mode="full_in_D", D=corner_box(-492),
-                      eps=1e-3)
+        E = build_E_n(spec, 493, D=corner_box(-492))
         assert E.copy_count == 4
 
-    @pytest.mark.parametrize("betas, n, mode, copies", [
-        ((2.0, 4.0), 2, "full_in_D", 64),
+    @pytest.mark.parametrize("betas, n, D, copies", [
+        ((2.0, 4.0), 2, UNIT_D, 64),
         # past its Renyi floor 1.8**6 = 34, short of its 7 * 7 words
-        ((1.8, 1.8), 3, "all", 49),
-    ])
+        ((1.8, 1.8), 3, None, 49),
+    ], ids=["betas0-2-full_in_D-64", "betas1-3-all-49"])
     def test_whole_windows_capped_before_walking(self, monkeypatch, betas,
-                                                 n, mode, copies):
+                                                 n, D, copies):
         def refuse(*args, **kwargs):
             raise AssertionError("walked")
 
@@ -227,16 +217,16 @@ class TestBuildEn:
         spec = TargetSpec(BetaSystem(betas), const_rotation(math.pi / 4))
         with pytest.raises(ResourceLimitError,
                            match=f"^{copies} copies exceed cap 40$"):
-            build_E_n(spec, n, mode=mode, D=UNIT_D, copy_cap=40)
+            build_E_n(spec, n, D=D, copy_cap=40)
 
     @pytest.mark.parametrize("call", [
-        lambda spec, n: build_E_n(spec, n, mode="all"),
-        lambda spec, n: build_E_n(spec, n, mode="full_in_D"),
+        lambda spec, n: build_E_n(spec, n),
+        lambda spec, n: build_E_n(spec, n, D=UNIT_D),
         cover_exponent_scan,
     ], ids=["all", "full_in_D", "cover_exponent_scan"])
     def test_level_past_float_range(self, call):
-        # n = 10**309 has no float value: a typed refusal, where mode "all"
-        # raised a bare OverflowError from n * log(beta_1 beta_2)
+        # n = 10**309 has no float value: a typed refusal, where the build
+        # of every word raised a bare OverflowError from n * log(beta_1 beta_2)
         with pytest.raises(ScaleRangeError, match="past float range"):
             call(pi4_spec(), 10 ** 309)
 
@@ -293,7 +283,7 @@ def key_expansion_cover_count(E, tau):
 
 class TestCoverCount:
     def test_frozen_rotated_counts(self):
-        E = build_E_n(pi4_spec(), 2, mode="all")
+        E = build_E_n(pi4_spec(), 2)
         for tau, want in COVER_PI4_N2.items():
             assert empirical_cover_count(E, tau) == want
 
@@ -301,11 +291,11 @@ class TestCoverCount:
         # copies tile [0,1]^2 exactly; mesh 1/8 gives the full 64 cells
         shape = Parallelepiped((0.0, 0.0), np.eye(2))
         spec = TargetSpec(BetaSystem((2.0, 2.0)), ExplicitTargets((shape,)))
-        E = build_E_n(spec, 1, mode="all")
+        E = build_E_n(spec, 1)
         assert empirical_cover_count(E, 1.0 / 8.0) == 64
 
     def test_quarter_squares(self):
-        E = build_E_n(square_spec(), 1, mode="all")
+        E = build_E_n(square_spec(), 1)
         # four side-1/4 squares, each 2x2 cells at mesh 1/8
         assert empirical_cover_count(E, 1.0 / 8.0) == 16
         # aligned mesh 1/2: one cell per copy
@@ -315,7 +305,7 @@ class TestCoverCount:
 
     def test_matches_brute_force_clipping(self):
         spec = TargetSpec(SYS24, const_rotation(0.7))
-        E = build_E_n(spec, 2, mode="all")
+        E = build_E_n(spec, 2)
         tau = 1.0 / 40.0
         cells = set()
         for i in range(E.copy_count):
@@ -337,7 +327,7 @@ class TestCoverCount:
     def test_matches_key_expansion(self, betas, theta, n, data):
         spec = TargetSpec(BetaSystem(betas),
                           const_rotation(theta))
-        E = build_E_n(spec, n, mode="all")
+        E = build_E_n(spec, n)
         tau = data.draw(st.one_of(
             st.sampled_from(s_n(spec, n).candidates),
             st.floats(0.002, 0.3, exclude_min=True, exclude_max=True)))
@@ -348,13 +338,13 @@ class TestCoverCount:
         # about 38k (copy, column) pairs but 2.28M candidate cells
         spec = TargetSpec(BetaSystem((2.5, PHI)),
                           const_rotation(0.3))
-        E = build_E_n(spec, 6, mode="all")
+        E = build_E_n(spec, 6)
         tau = min(s_n(spec, 6).candidates)
         want = empirical_cover_count(E, tau)
         assert empirical_cover_count(E, tau, cell_cap=100_000) == want
 
     def test_validation_and_cap(self):
-        E = build_E_n(square_spec(), 1, mode="all")
+        E = build_E_n(square_spec(), 1)
         with pytest.raises(DomainError):
             empirical_cover_count(E, 0.0)
         with pytest.raises(DomainError):
@@ -365,7 +355,7 @@ class TestCoverCount:
     def test_mesh_past_key_range(self):
         # grid indices past 2^31 would wrap the packed cell keys; at
         # 1e-300 they overflowed the int64 cast and the count read 0
-        E = build_E_n(pi4_spec(), 2, mode="all")
+        E = build_E_n(pi4_spec(), 2)
         with pytest.raises(ResourceLimitError):
             empirical_cover_count(E, 1e-300)
 
@@ -375,7 +365,7 @@ class TestPredicted:
         # theta=0, n=2, tau=2^-8: copies tile rows exactly, so the
         # measured count equals the prediction on the nose
         spec = TargetSpec(SYS24, const_rotation(0.0))
-        E = build_E_n(spec, 2, mode="all")
+        E = build_E_n(spec, 2)
         tau = 2.0 ** -8
         assert predicted_cover_count(spec, 2, tau) == pytest.approx(1024.0)
         assert empirical_cover_count(E, tau) == 1024
@@ -383,7 +373,7 @@ class TestPredicted:
     def test_all_candidate_scales_within_factor(self):
         # grid occupancy vs prediction within 2^(2d+2) at every scale
         spec = pi4_spec()
-        E = build_E_n(spec, 2, mode="all")
+        E = build_E_n(spec, 2)
         level = s_n(spec, 2)
         for tau in level.candidates:
             got = empirical_cover_count(E, tau)
@@ -609,6 +599,34 @@ class TestBallMass:
             assert np.array_equal(_ball_masses(M, centers, radii), whole)
 
 
+class TestScalarRefusals:
+    @pytest.mark.parametrize("call", [
+        lambda M, E: mu_ball_mass(M, ("x", 0.5), 0.1),
+        lambda M, E: mu_ball_mass(M, (0.5,), 0.1),
+        lambda M, E: mu_ball_mass(M, 0.5, 0.1),
+        lambda M, E: mu_ball_mass(M, (0.5, 0.5), "x"),
+        lambda M, E: empirical_cover_count(E, "x"),
+        lambda M, E: predicted_cover_count(pi4_spec(), 2, "x"),
+        lambda M, E: build_measure(pi4_spec(), 2, UNIT_D, t="x"),
+        lambda M, E: build_measure(pi4_spec(), 2, UNIT_D, t=1.0, eps="x"),
+        lambda M, E: build_measure(pi4_spec(), 2, (("x", 1.0), (0.0, 1.0)),
+                                   t=1.0),
+        # a third end was dropped without a word
+        lambda M, E: build_measure(pi4_spec(), 2,
+                                   ((0.0, 1.0, 7.0), (0.0, 1.0)), t=1.0),
+        lambda M, E: cover_exponent_scan(pi4_spec(), 2, s="x"),
+        lambda M, E: cover_exponent_scan(pi4_spec(), 2, taus=["x"]),
+    ], ids=["str-center", "short-center", "scalar-center", "str-radius",
+            "str-mesh", "str-predicted-mesh", "str-t", "str-eps", "str-D",
+            "long-D", "str-s", "str-taus"])
+    def test_non_numbers_are_the_labs_domain_errors(self, call):
+        # each escaped as a bare ValueError, TypeError or IndexError
+        M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)
+        with pytest.raises(DomainError) as info:
+            call(M, M.en)
+        assert info.value.code == "numerical_lab.domain"
+
+
 class TestBuildMeasure:
     def test_nan_eps_keeps_the_side_condition(self):
         # eps = nan skipped both the eps test and the side condition
@@ -620,8 +638,6 @@ class TestBuildMeasure:
             build_measure(spec, 6, D, 0.5, eps=0.5)
         with pytest.raises(DomainError, match="need 0 < eps"):
             build_measure(spec, 6, D, 0.5, eps=math.nan)
-        with pytest.raises(DomainError, match="level 6 too small"):
-            build_E_n(spec, 6, "full_in_D", D=D, eps=math.nan)
 
     def test_defaults(self):
         M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)
@@ -704,8 +720,7 @@ class TestFloatRule:
 
     def test_cover_path_ignores_copy_area(self):
         # the same copies, past 2^-1022 in area, still build for covers
-        E = build_E_n(tiny_copies_spec(), 500, mode="full_in_D",
-                      D=corner_box(-495), eps=0.01)
+        E = build_E_n(tiny_copies_spec(), 500, D=corner_box(-495))
         assert E.copy_count == 1024 and E.copy_area < NORMAL
 
     @settings(max_examples=40, deadline=None)
@@ -781,7 +796,7 @@ class TestFloatRule:
                            BetaSystem((2.0, 2.0)), int(sys.float_info.max)),
         lambda: volume(Parallelepiped(np.zeros(2), np.eye(2) * 1e-200)),
         lambda: build_E_n(TargetSpec(SYS24, const_rotation(0.7)), 2 ** 64,
-                          mode="full_in_D", D=UNIT_D, eps=0.1),
+                          D=UNIT_D),
         lambda: build_measure(tiny_copies_spec(), 510, corner_box(-505),
                               t=1.8, eps=0.01),
         lambda: build_measure(tiny_copies_spec(), 10 ** 300, UNIT_D, t=1.8),

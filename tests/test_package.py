@@ -23,6 +23,7 @@ REMOVED = [
     ("dimension_engine", "LevelData.argmin_tau"),
     ("dimension_engine", "DimensionReport.large_intersection_class"),
     ("numerical_lab", "EnSet.copy_polygon"),
+    ("numerical_lab", "EnSet.mode"),
     ("numerical_lab", "_quiet_target"),
     ("parallelepiped_geometry", "rotate2d"),
     ("parallelepiped_geometry", "Parallelepiped.column_norms"),
@@ -63,6 +64,8 @@ def test_removed_names_are_gone(module, path):
     else:
         assert not hasattr(beta_targets, attr)
     assert not hasattr(owner, attr)
+    # a dataclass field without a default is no class attribute
+    assert attr not in getattr(owner, "__dataclass_fields__", {})
 
 
 @pytest.mark.parametrize("function,keyword", [
@@ -70,6 +73,8 @@ def test_removed_names_are_gone(module, path):
     (beta_targets.verify_measure_bound, "t"),
     (beta_targets.Rotated2DFamily, "theta"),
     (beta_targets.Rotated2DFamily, "theta_value"),
+    (beta_targets.build_E_n, "mode"),
+    (beta_targets.build_E_n, "eps"),
 ])
 def test_removed_keywords_are_gone(function, keyword):
     assert keyword not in inspect.signature(function).parameters

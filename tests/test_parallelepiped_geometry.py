@@ -370,8 +370,8 @@ def test_caller_arrays_stay_writable():
     assert not p.columns.flags.writeable and not box.center.flags.writeable
 
 
-@pytest.mark.parametrize("betas", [["x"], [10 ** 400], [2.0, None]],
-                         ids=["str", "huge-int", "none"])
+@pytest.mark.parametrize("betas", [["x"], [10 ** 400], [2.0, None], 2.0],
+                         ids=["str", "huge-int", "none", "scalar"])
 def test_beta_system_needs_numbers(betas):
     # a bare ValueError, OverflowError or TypeError escaped before
     with pytest.raises(DomainError) as info:
