@@ -52,7 +52,6 @@ import itertools
 import logging
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -69,7 +68,6 @@ __all__ = [
     "Interval",
     "CylinderNode",
     "CylinderBlock",
-    "FullSearchParams",
     "transform",
     "digits",
     "cylinder_blocks",
@@ -140,12 +138,15 @@ def as_beta_param(beta: BetaLike) -> BetaParam:
 
 @dataclass(frozen=True)
 class Interval:
-    """Half-open interval [left, right); membership ties resolve right-open."""
+    """Half-open interval [left, right) of floats; ties resolve right-open."""
 
     left: float
     right: float
 
     def __post_init__(self):
+        for end in ("left", "right"):
+            object.__setattr__(self, end, _as_float(
+                getattr(self, end), f"the {end} end", "beta_dynamics"))
         if not self.left < self.right:
             raise DomainError(f"empty interval [{self.left}, {self.right})",
                               module="beta_dynamics")
@@ -532,7 +533,9 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
         lengths = (t * child_scale)[states]
         keep = full if only_full else None
         if within is not None:
-            inside = (lefts >= within.left) & (lefts + lengths <= within.right)
+            # every cylinder ends at or before 1, however its end rounds
+            inside = (lefts >= within.left) & (
+                (lefts + lengths <= within.right) | (within.right >= 1))
             keep = inside if keep is None else keep & inside
         if keep is not None:
             words, lefts, states, lengths, full = (
@@ -704,28 +707,31 @@ def _check_full(param: BetaParam, n: int, count: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class FullSearchParams:
-    """Window parameters (delta, n0) for locating a full cylinder inside an
-    interval.  The existence guarantee needs (beta*n0)**(1+delta) <
-    beta**(n0*delta) and |I| < n0 * beta**-n0; both are checked per call and
-    warned about, not raised, since the literal scan window is still well
-    defined."""
+def _check_delta(delta) -> float:
+    delta = _as_float(delta, "delta", "beta_dynamics")
+    if not 0 < delta < math.inf:
+        raise DomainError(f"delta must be positive and finite, got {delta}",
+                          module="beta_dynamics")
+    return delta
 
-    delta: float
-    n0: int
 
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise DomainError(f"delta must be positive, got {self.delta}",
-                              module="beta_dynamics")
-        if not (isinstance(self.n0, int) and self.n0 >= 3):
-            raise DomainError(f"n0 must be an integer >= 3, got {self.n0!r}",
-                              module="beta_dynamics")
+def _level_bound(b: float, length: float, delta: float) -> float:
+    """-(1+delta) * log_beta(length): from this level on, beta**-n is at
+    most length**(1+delta)."""
+    return -(1 + delta) * math.log(length) / math.log(b)
 
-    def window_hypothesis_holds(self, beta: float) -> bool:
-        lhs = (1 + self.delta) * (math.log(beta) + math.log(self.n0))
-        return lhs < self.n0 * self.delta * math.log(beta)
+
+def _lemma_n0(b: float, length: float, delta: float) -> Optional[int]:
+    """The least n0 in 3..400 with (beta*n0)**(1+delta) < beta**(n0*delta)
+    and length < n0 * beta**-n0, or None: the full-cylinder lemma's
+    hypotheses, under which an interval of that length holds a full
+    cylinder longer than length**(1+delta) (Bugeaud & Wang 2014)."""
+    logb = math.log(b)
+    for n0 in range(3, 401):
+        if ((1 + delta) * (logb + math.log(n0)) < n0 * delta * logb
+                and length < n0 * b ** (-n0)):
+            return n0
+    return None
 
 
 def _full_search_levels(b: float, length: float, delta: float):
@@ -736,84 +742,61 @@ def _full_search_levels(b: float, length: float, delta: float):
     boundaries are decided by the same arithmetic the walk uses.
     """
     if (1 + delta) * math.log10(length) < -290:
-        raise DomainError(
-            "interval too short for double-precision level search; "
-            "use extended precision", module="beta_dynamics")
-    logb = math.log(b)
-    m_lo = max(1, math.floor(-math.log(length) / logb))
+        raise DomainError("interval too short for the double-precision "
+                          "level search", module="beta_dynamics")
+    m_lo = max(1, math.floor(_level_bound(b, length, 0)))
     while b ** (-m_lo) > length * (1 + 1e-12):
         m_lo += 1
-    m_hi = math.ceil(-(1 + delta) * math.log(length) / logb)
+    m_hi = math.ceil(_level_bound(b, length, delta))
     floor_len = length ** (1 + delta)
     while m_hi >= m_lo and b ** (-m_hi) <= floor_len:
         m_hi -= 1
     return m_lo, m_hi
 
 
-def find_full_in_interval(beta: BetaLike, I: Interval,
-                          params: FullSearchParams,
+def find_full_in_interval(beta: BetaLike, I: Interval, delta: float,
                           node_cap: float = DEFAULT_NODE_CAP) -> CylinderNode:
     """First full cylinder contained in I with length in the search window
-    (length**(1+delta), |I|], scanning levels in increasing order.
+    (|I|**(1+delta), |I|], scanning levels in increasing order.
 
-    Exhausting the window contradicts the existence guarantee whenever the
-    params preconditions hold, so that outcome raises a consistency error.
+    An exhausted window contradicts the full-cylinder lemma when its
+    hypotheses hold for some n0 in 3..400, and raises ConsistencyError;
+    otherwise no cylinder was promised, and it raises DomainError.
     """
     param = as_beta_param(beta)
     _check_unit_interval(I)
+    delta = _check_delta(delta)
     b = float(param.beta)
-    preconds = True
-    if not params.window_hypothesis_holds(b):
-        preconds = False
-        warnings.warn(
-            f"(beta*n0)**(1+delta) < beta**(n0*delta) fails for beta={b}, "
-            f"n0={params.n0}, delta={params.delta}; the existence guarantee "
-            "is void but the scan window is still searched", RuntimeWarning)
-    if not I.length < params.n0 * b ** (-params.n0):
-        preconds = False
-        warnings.warn(
-            f"|I|={I.length:.6g} is not below n0*beta**-n0="
-            f"{params.n0 * b ** (-params.n0):.6g}; the existence guarantee "
-            "is void but the scan window is still searched", RuntimeWarning)
-    m_lo, m_hi = _full_search_levels(b, I.length, params.delta)
+    m_lo, m_hi = _full_search_levels(b, I.length, delta)
     for m in range(m_lo, m_hi + 1):
         for node in enumerate_cylinders(param, m, only_full=True, within=I,
                                         node_cap=node_cap):
             return node
-    raise ConsistencyError(
+    held = _lemma_n0(b, I.length, delta) is not None
+    raise (ConsistencyError if held else DomainError)(
         f"no full cylinder of level {m_lo}..{m_hi} fits inside "
-        f"[{I.left}, {I.right}) for beta={b} "
-        f"(preconditions held: {preconds})", module="beta_dynamics")
+        f"[{I.left}, {I.right}) for beta={b} (lemma hypotheses held: "
+        f"{held})", module="beta_dynamics")
 
 
 def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
                            node_cap: float = DEFAULT_NODE_CAP) -> int:
-    """Exact number of full level-n cylinders contained in I.
+    """Exact number of full level-n cylinders contained in I, by enumeration.
 
-    When the (delta, n0) preconditions can be verified (some n0 in 3..400
-    makes the window hypothesis and the length bound hold, and n is at
-    least -(1+delta)*log_beta |I|), the result is asserted to be at least
-    c_beta * |I|**(1+delta) * beta**n; otherwise that assertion is
-    skipped.  The exact count itself is always computed by enumeration.
+    When the full-cylinder lemma's hypotheses hold for some n0 in 3..400
+    and n is at least -(1+delta)*log_beta |I|, the count is asserted to be
+    at least c_beta * |I|**(1+delta) * beta**n; otherwise that assertion
+    is skipped.
     """
     param = as_beta_param(beta)
     _check_unit_interval(I)
     _check_level(n)
-    if not delta > 0:
-        raise DomainError(f"delta must be positive, got {delta}",
-                          module="beta_dynamics")
+    delta = _check_delta(delta)
     b = float(param.beta)
-    n0_found = None
-    for n0 in range(3, 401):
-        cand = FullSearchParams(delta, n0)
-        if cand.window_hypothesis_holds(b) and I.length < n0 * b ** (-n0):
-            n0_found = n0
-            break
-    preconds = n0_found is not None and \
-        n >= -(1 + delta) * math.log(I.length) / math.log(b)
+    n0 = _lemma_n0(b, I.length, delta)
     count = sum(len(b.full) for b in cylinder_blocks(
         param, n, only_full=True, within=I, node_cap=node_cap))
-    if preconds:
+    if n0 is not None and n >= _level_bound(b, I.length, delta):
         lower_log = _log_full_count_constant(b) \
             + (1 + delta) * math.log(I.length) \
             + n * math.log(b)
@@ -823,5 +806,5 @@ def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
                 f"c*|I|**(1+delta)*beta**n = exp({lower_log:.6g})",
                 module="beta_dynamics")
         log.debug("count_full_in_interval: count=%d >= exp(%.6g) (n0=%s)",
-                  count, lower_log, n0_found)
+                  count, lower_log, n0)
     return count

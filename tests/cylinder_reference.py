@@ -95,8 +95,10 @@ def orbit_walk(beta: float, n: int, only_full: bool = False, within=None):
             length = ts[j] * scale
             if only_full and j:
                 continue
-            if within is not None and not (
-                    left >= within[0] and left + length <= within[1]):
+            # every cylinder ends at or before 1, so a window ending at 1
+            # tests the left end only
+            if within is not None and not (left >= within[0] and (
+                    left + length <= within[1] or within[1] >= 1)):
                 continue
             out.append((word, left, ts[j], length))
             continue

@@ -17,7 +17,6 @@ from beta_targets import (
 from beta_targets import beta_dynamics
 from beta_targets.beta_dynamics import (
     BetaParam,
-    FullSearchParams,
     Interval,
     count_admissible,
     count_full,
@@ -243,8 +242,11 @@ def walk_cases(draw):
                           exclude_min=True))
     within = None
     if draw(st.booleans()):
-        a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
-                                    max_size=2, unique=True)))
+        # the ends 0 and 1 are drawn often: a window ending at 1 keeps
+        # every cylinder that starts in it
+        end = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+        a, b = sorted(draw(st.lists(end, min_size=2, max_size=2,
+                                    unique=True)))
         within = (a, b)
     return beta, n, draw(st.booleans()), within
 
@@ -287,6 +289,15 @@ class TestArrayWalk:
         # for (2.5, 12)), and the window's containment test dropped it
         blocks = cylinder_blocks(beta, n, within=Interval(0, 1))
         assert sum(len(b.lefts) for b in blocks) == count_admissible(beta, n)
+
+    @pytest.mark.parametrize("beta, n", [(3.7, 7), (2.5, 12)])
+    def test_window_ending_at_one_keeps_the_last_cylinder(self, beta, n):
+        # the last cylinder's float right end passes 1, and the right-end
+        # test dropped it from a window [0.5, 1) (5242 of 5243 at (3.7, 7))
+        want = sum(int((b.lefts >= 0.5).sum())
+                   for b in cylinder_blocks(beta, n))
+        blocks = cylinder_blocks(beta, n, within=Interval(0.5, 1.0))
+        assert sum(len(b.lefts) for b in blocks) == want
 
     def test_digits_past_int64_are_refused(self):
         # the cap admits the 10**19 children of the root, but the walk
@@ -435,6 +446,20 @@ REFUSALS = {
                              DomainError),
     "in-interval-level-float": (lambda: count_full_in_interval(
         2, Interval(0, 1), 2.5, 0.5), DomainError),
+    "in-interval-delta-str": (lambda: count_full_in_interval(
+        2, Interval(0, 1), 3, "x"), DomainError),
+    # an infinite delta skipped the lower-bound assertion in silence
+    "in-interval-delta-inf": (lambda: count_full_in_interval(
+        2, Interval(0.3, 0.4), 3, math.inf), DomainError),
+    "find-full-delta-str": (lambda: find_full_in_interval(
+        2, Interval(0.3, 0.4), "x"), DomainError),
+    "find-full-delta-inf": (lambda: find_full_in_interval(
+        2, Interval(0.3, 0.4), math.inf), DomainError),
+    "find-full-delta-nan": (lambda: find_full_in_interval(
+        2, Interval(0.3, 0.4), math.nan), DomainError),
+    # the walk died on such ends with a TypeError
+    "interval-str-ends": (lambda: Interval("a", "b"), DomainError),
+    "interval-none-end": (lambda: Interval(None, 0.5), DomainError),
     "word-bool-digit": (lambda: cylinder_of_word(2, (True,)), DomainError),
     "beta-infinite": (lambda: count_admissible(math.inf, 2), DomainError),
     "beta-param-infinite": (lambda: BetaParam(math.inf, dps=20), DomainError),
@@ -461,8 +486,9 @@ REFUSALS = {
 @pytest.mark.parametrize("call, error", REFUSALS.values(),
                          ids=REFUSALS.keys())
 def test_typed_refusal_at_the_call(call, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as info:
         call()
+    assert info.value.module == "beta_dynamics"
 
 
 class TestCylinderOfWord:
@@ -626,27 +652,21 @@ class TestCounts:
 
 class TestFindFull:
     def test_dyadic_window(self):
-        # the guarantee hypotheses fail for these params; the scan still
+        # the lemma's hypotheses fail for this interval; the scan still
         # succeeds and the outcome is pinned by the independent oracle
-        with pytest.warns(RuntimeWarning):
-            node = find_full_in_interval(
-                2, Interval(0.3, 0.45), FullSearchParams(delta=0.5, n0=8))
+        node = find_full_in_interval(2, Interval(0.3, 0.45), 0.5)
         assert node.word == (0, 1, 0, 1)
         assert node.left == 0.3125
         assert node.full
 
     def test_exact_fit(self):
-        # length 2**-3 sits outside every valid (delta, n0) regime, but the
-        # scan admits the exact fit at its own level
-        with pytest.warns(RuntimeWarning):
-            node = find_full_in_interval(
-                2, Interval(0.0, 0.125), FullSearchParams(delta=0.5, n0=15))
+        # length 2**-3 meets no n0 of the lemma, but the scan admits the
+        # exact fit at its own level
+        node = find_full_in_interval(2, Interval(0.0, 0.125), 0.5)
         assert node.word == (0, 0, 0)
 
     def test_golden_interval(self):
-        with pytest.warns(RuntimeWarning):
-            node = find_full_in_interval(
-                PHI, Interval(0.2, 0.35), FullSearchParams(delta=1, n0=12))
+        node = find_full_in_interval(PHI, Interval(0.2, 0.35), 1)
         assert node.word == (0, 0, 1, 0, 0)
         assert node.full
         length = 0.15
@@ -657,16 +677,58 @@ class TestFindFull:
 
         with w.catch_warnings():
             w.simplefilter("error")
-            node = find_full_in_interval(
-                2, Interval(0.300001, 0.3003), FullSearchParams(delta=0.5, n0=15))
+            node = find_full_in_interval(2, Interval(0.300001, 0.3003), 0.5)
         assert node.full
         assert 0.300001 <= node.left and node.right <= 0.3003
 
     def test_param_validation(self):
-        with pytest.raises(DomainError):
-            FullSearchParams(delta=0, n0=8)
-        with pytest.raises(DomainError):
-            FullSearchParams(delta=0.5, n0=2)
+        for delta in (0, -0.5):
+            with pytest.raises(DomainError):
+                find_full_in_interval(2, Interval(0.3, 0.45), delta)
+            with pytest.raises(DomainError):
+                count_full_in_interval(2, Interval(0.3, 0.45), 4, delta)
+
+    def test_exhausted_window_without_the_lemma_is_a_domain_error(self):
+        # the window 24..23 is empty and no n0 meets the hypotheses at
+        # delta = 0.001: no cylinder was promised, so no theorem failed
+        with pytest.raises(DomainError, match="level 24..23"):
+            find_full_in_interval(2, Interval(0.3, 0.3000001), 0.001)
+
+    def test_exhausted_window_under_the_lemma_is_inconsistent(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(beta_dynamics, "_full_search_levels",
+                            lambda b, length, delta: (3, 2))
+        with pytest.raises(ConsistencyError, match="held: True"):
+            find_full_in_interval(2, Interval(0.3, 0.3003), 0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_a_scan_of_unwindowed_walks(self, data):
+        # the first full cylinder inside I over the same level window, in
+        # level then lexicographic order, from the per-node reference walk
+        beta = data.draw(st.floats(1.3, 4.0))
+        delta = data.draw(st.floats(0.05, 2.0))
+        # |I|**(1+delta) >= 1/4000 keeps every scanned level small, and
+        # below 4000**-0.3 most windows hold a level
+        length = 4000.0 ** (-data.draw(st.floats(0.3, 1.0)) / (1 + delta))
+        left = data.draw(st.one_of(
+            st.just(0.0), st.just(1.0 - length),
+            st.floats(0.0, 1.0 - length)))
+        I = Interval(left, min(1.0, left + length))
+        m_lo, m_hi = beta_dynamics._full_search_levels(beta, I.length, delta)
+        want = [x for m in range(m_lo, m_hi + 1)
+                for x in cylinder_reference.orbit_walk(beta, m, only_full=True)
+                if x[1] >= I.left and (x[1] + x[3] <= I.right or I.right >= 1)]
+        if want:
+            assert node_tuples(
+                [find_full_in_interval(beta, I, delta)]) == want[:1]
+            return
+        # exhausted: inconsistent only when some n0 meets the lemma
+        logb = math.log(beta)
+        held = any((1 + delta) * (logb + math.log(n0)) < n0 * delta * logb
+                   and I.length < n0 * beta ** -n0 for n0 in range(3, 401))
+        with pytest.raises(ConsistencyError if held else DomainError):
+            find_full_in_interval(beta, I, delta)
 
 
 class TestCountFullInInterval:

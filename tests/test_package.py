@@ -17,6 +17,7 @@ REMOVED = [
     ("beta_dynamics", "Interval.contains_point"),
     ("beta_dynamics", "Interval.contains_interval"),
     ("beta_dynamics", "CylinderNode.interval"),
+    ("beta_dynamics", "FullSearchParams"),
     ("dimension_engine", "closed_form_example"),
     ("dimension_engine", "AxisFamily"),
     ("dimension_engine", "LevelData.gamma_norms"),
@@ -70,6 +71,7 @@ def test_removed_names_are_gone(module, path):
 
 @pytest.mark.parametrize("function,keyword", [
     (beta_targets.count_full_in_interval, "strict"),
+    (beta_targets.find_full_in_interval, "params"),
     (beta_targets.verify_measure_bound, "t"),
     (beta_targets.Rotated2DFamily, "theta"),
     (beta_targets.Rotated2DFamily, "theta_value"),
