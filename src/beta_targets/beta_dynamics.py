@@ -14,9 +14,8 @@ ones lead back to state 0 and the top one to state j + 1.  The orbit runs
 once per call in exact dyadic integers on the binary value of beta, so
 each digit and each snap below is decided exactly, and t_j is rounded
 once to the working precision.  The counts are an integer recurrence over
-the states; the walk and cylinder_of_word read each node's digit range
-from the same table, which stores per state only top_j, the top child's
-state and t_j.
+the states; the walk reads each node's digit range from the same table,
+which stores per state only top_j, the top child's state and t_j.
 
 The walk is one array walk for both precisions: a block of nodes of one
 level is held as arrays of lefts, orbit states and digit words, and its
@@ -72,13 +71,9 @@ __all__ = [
     "digits",
     "cylinder_blocks",
     "enumerate_cylinders",
-    "cylinder_of_word",
     "count_words",
     "count_admissible",
     "count_full",
-    "full_count_constant",
-    "find_full_in_interval",
-    "count_full_in_interval",
 ]
 
 log = logging.getLogger(__name__)
@@ -544,26 +539,6 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
             yield CylinderBlock(words, lefts, t[states], lengths, full)
 
 
-def cylinder_of_word(beta: BetaLike, word: Word) -> Optional[CylinderNode]:
-    """The cylinder of a digit word, or None if the word is inadmissible."""
-    param = as_beta_param(beta)
-    if len(word) == 0:
-        raise DomainError("empty word has no cylinder", module="beta_dynamics")
-    for k in word:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-            raise DomainError(f"bad digit {k!r}", module="beta_dynamics")
-    ctx = _Ctx(param)
-    tops, nexts, ts = _state_table(ctx, len(word))
-    left, j, scale = ctx.zero, 0, ctx.one
-    for k in word:
-        if k > tops[j]:
-            return None
-        scale = scale / ctx.beta
-        left = left + k * scale
-        j = nexts[j] if k == tops[j] else 0
-    return CylinderNode(tuple(word), left, ts[j], ts[j] * scale)
-
-
 def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
     """(admissible, full): the numbers of words of length n and of the full
     ones among them, from the orbit of 1.
@@ -654,19 +629,11 @@ def _check_admissible(param: BetaParam, n: int, count: int) -> int:
     return count
 
 
-def full_count_constant(beta: BetaLike) -> float:
-    """The constant c with #(full words of length n) >= c * beta**n.
-
-    Integer beta gives equality with c = 1; beta > 2 gives
-    (beta-2)/(beta-1); for 1 < beta < 2 the constant is the infinite
-    product prod_i (1 - beta**-i).  It underflows to 0.0 for beta below
-    about 1.0022; the count checks use its log, which does not.
-    """
-    return math.exp(_log_full_count_constant(float(as_beta_param(beta).beta)))
-
-
 def _log_full_count_constant(b: float) -> float:
-    """log c of full_count_constant, with no loop over the product.
+    """log c, c the constant with #(full words of length n) >= c * beta**n:
+    0 for integer beta, log((beta-2)/(beta-1)) for beta > 2, and for
+    1 < beta < 2 the log of the infinite product prod_i (1 - beta**-i),
+    with no loop over the product.
 
     With t = log beta the product is the Dedekind eta factor
     prod_i (1 - e**(-i t)), whose modular transform gives
@@ -704,107 +671,4 @@ def _check_full(param: BetaParam, n: int, count: int) -> int:
         raise ConsistencyError(
             f"full count {count} below c*beta**n = exp({lower_log:.6g}) for "
             f"beta={b}, n={n}", module="beta_dynamics")
-    return count
-
-
-def _check_delta(delta) -> float:
-    delta = _as_float(delta, "delta", "beta_dynamics")
-    if not 0 < delta < math.inf:
-        raise DomainError(f"delta must be positive and finite, got {delta}",
-                          module="beta_dynamics")
-    return delta
-
-
-def _level_bound(b: float, length: float, delta: float) -> float:
-    """-(1+delta) * log_beta(length): from this level on, beta**-n is at
-    most length**(1+delta)."""
-    return -(1 + delta) * math.log(length) / math.log(b)
-
-
-def _lemma_n0(b: float, length: float, delta: float) -> Optional[int]:
-    """The least n0 in 3..400 with (beta*n0)**(1+delta) < beta**(n0*delta)
-    and length < n0 * beta**-n0, or None: the full-cylinder lemma's
-    hypotheses, under which an interval of that length holds a full
-    cylinder longer than length**(1+delta) (Bugeaud & Wang 2014)."""
-    logb = math.log(b)
-    for n0 in range(3, 401):
-        if ((1 + delta) * (logb + math.log(n0)) < n0 * delta * logb
-                and length < n0 * b ** (-n0)):
-            return n0
-    return None
-
-
-def _full_search_levels(b: float, length: float, delta: float):
-    """Levels m with length**(1+delta) < beta**-m <= length.
-
-    The upper side admits equality so an exact dyadic fit is found at its
-    own level.  Computed with direct powers plus while-loop nudges, so the
-    boundaries are decided by the same arithmetic the walk uses.
-    """
-    if (1 + delta) * math.log10(length) < -290:
-        raise DomainError("interval too short for the double-precision "
-                          "level search", module="beta_dynamics")
-    m_lo = max(1, math.floor(_level_bound(b, length, 0)))
-    while b ** (-m_lo) > length * (1 + 1e-12):
-        m_lo += 1
-    m_hi = math.ceil(_level_bound(b, length, delta))
-    floor_len = length ** (1 + delta)
-    while m_hi >= m_lo and b ** (-m_hi) <= floor_len:
-        m_hi -= 1
-    return m_lo, m_hi
-
-
-def find_full_in_interval(beta: BetaLike, I: Interval, delta: float,
-                          node_cap: float = DEFAULT_NODE_CAP) -> CylinderNode:
-    """First full cylinder contained in I with length in the search window
-    (|I|**(1+delta), |I|], scanning levels in increasing order.
-
-    An exhausted window contradicts the full-cylinder lemma when its
-    hypotheses hold for some n0 in 3..400, and raises ConsistencyError;
-    otherwise no cylinder was promised, and it raises DomainError.
-    """
-    param = as_beta_param(beta)
-    _check_unit_interval(I)
-    delta = _check_delta(delta)
-    b = float(param.beta)
-    m_lo, m_hi = _full_search_levels(b, I.length, delta)
-    for m in range(m_lo, m_hi + 1):
-        for node in enumerate_cylinders(param, m, only_full=True, within=I,
-                                        node_cap=node_cap):
-            return node
-    held = _lemma_n0(b, I.length, delta) is not None
-    raise (ConsistencyError if held else DomainError)(
-        f"no full cylinder of level {m_lo}..{m_hi} fits inside "
-        f"[{I.left}, {I.right}) for beta={b} (lemma hypotheses held: "
-        f"{held})", module="beta_dynamics")
-
-
-def count_full_in_interval(beta: BetaLike, I: Interval, n: int, delta: float,
-                           node_cap: float = DEFAULT_NODE_CAP) -> int:
-    """Exact number of full level-n cylinders contained in I, by enumeration.
-
-    When the full-cylinder lemma's hypotheses hold for some n0 in 3..400
-    and n is at least -(1+delta)*log_beta |I|, the count is asserted to be
-    at least c_beta * |I|**(1+delta) * beta**n; otherwise that assertion
-    is skipped.
-    """
-    param = as_beta_param(beta)
-    _check_unit_interval(I)
-    _check_level(n)
-    delta = _check_delta(delta)
-    b = float(param.beta)
-    n0 = _lemma_n0(b, I.length, delta)
-    count = sum(len(b.full) for b in cylinder_blocks(
-        param, n, only_full=True, within=I, node_cap=node_cap))
-    if n0 is not None and n >= _level_bound(b, I.length, delta):
-        lower_log = _log_full_count_constant(b) \
-            + (1 + delta) * math.log(I.length) \
-            + n * math.log(b)
-        if count <= 0 or math.log(count) < lower_log - 1e-9:
-            raise ConsistencyError(
-                f"full-in-interval count {count} below the guaranteed "
-                f"c*|I|**(1+delta)*beta**n = exp({lower_log:.6g})",
-                module="beta_dynamics")
-        log.debug("count_full_in_interval: count=%d >= exp(%.6g) (n0=%s)",
-                  count, lower_log, n0)
     return count

@@ -64,6 +64,7 @@ from .parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
     _parallelepipeds,
+    bounding_hyperrectangle,
     pivoted_orthogonalize,
     rotation_matrix,
 )
@@ -478,6 +479,8 @@ def _cmd_ortho(cfg: RunConfig, sha: str) -> str:
         raise ScaleRangeError(
             f"ortho.json would hold a non-finite value ({exc}): the float "
             "values overflow on this input", module=_MODULE)
+    # after the encoding, so that its refusals keep their codes
+    bounding_hyperrectangle(frame)
     return text + "\n"
 
 

@@ -42,7 +42,6 @@ import functools
 import math
 import operator
 import sys
-import warnings
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +52,7 @@ from .errors import (ConsistencyError, DomainError, ScaleRangeError,
 from .parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
+    _beats,
     _floats,
     pivoted_orthogonalize_scaled,
 )
@@ -65,7 +65,6 @@ __all__ = [
     "TargetSpec",
     "LevelData",
     "DimensionReport",
-    "generate_target",
     "log_columns",
     "gamma_magnitudes",
     "s_n",
@@ -371,8 +370,9 @@ class TargetSpec:
 class LevelData:
     """One level of the dimension computation, all magnitudes as log2.
 
-    gamma_log2 is sorted non-increasing; candidates_log2_tau is the
-    deduplicated A_n, ascending; argmin_tau_log2 is the minimizer.
+    gamma_log2 is sorted non-increasing up to the pivot scan's tie band;
+    candidates_log2_tau is the deduplicated A_n, ascending;
+    argmin_tau_log2 is the minimizer.
     Positivity and ordering of the gamma norms are enforced on the log
     values, which stay finite long after the raw magnitudes underflow.
     """
@@ -389,7 +389,9 @@ class LevelData:
         if not all(map(math.isfinite, g)):
             raise ConsistencyError("gamma norms must be positive and finite",
                                    module=_MODULE)
-        if any(map(operator.lt, g, g[1:])):
+        # a later norm may pass an earlier one only within the pivot
+        # scan's tie band, where the scan keeps the earlier column
+        if any(map(operator.lt, g, g[1:])) and any(map(_beats, g[1:], g)):
             raise ConsistencyError("gamma norms must be sorted",
                                    module=_MODULE)
         if not (0.0 < self.s_n <= len(g) + 1e-12):
@@ -424,21 +426,6 @@ def log_columns(spec: TargetSpec, n: int):
     ever materializing the underflowing values."""
     _check_float_level(n)
     return spec.family.log_columns(spec.system.log2_betas, n)
-
-
-def generate_target(spec: TargetSpec, n: int) -> Parallelepiped:
-    """Materialize P_n itself (not its contraction) in plain floats.
-
-    Warns when the target pokes outside [0,1)^d; degenerate targets fail
-    in the Parallelepiped constructor.
-    """
-    _check_float_level(n)
-    p = spec.family.target(spec.system.betas, n)
-    v = p.vertices()
-    if np.any(v < 0.0) or np.any(v >= 1.0):
-        warnings.warn(f"target P_{n} is not contained in [0,1)^d",
-                      RuntimeWarning, stacklevel=2)
-    return p
 
 
 def _minimize_objective(w: Sequence[float], g: Sequence[float]):

@@ -1,4 +1,4 @@
-"""Singular value function, content sandwich, and a 2-D content oracle.
+"""Singular value function and a 2-D content oracle.
 
 All geometry is in the maximal norm, so a ball of radius r is an
 axis-aligned square of side 2r and a cover may use squares of any size
@@ -51,7 +51,6 @@ __all__ = [
     "SortedRectangle",
     "ContentEstimate",
     "singular_value_function",
-    "content_sandwich",
     "mdp_lower_bound",
     "brute_force_content_2d",
     "content_estimates_2d",
@@ -95,10 +94,6 @@ class SortedRectangle:
     def dimension(self) -> int:
         return len(self.side_lengths)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.side_lengths))
-
 
 @dataclasses.dataclass(frozen=True)
 class ContentEstimate:
@@ -125,21 +120,6 @@ def singular_value_function(rect: SortedRectangle, s: float) -> float:
     if m >= d:
         return head  # s == d, full product
     return head * a[m] ** (s - m)
-
-
-def content_sandwich(rect: SortedRectangle, c: float,
-                     s: float) -> Tuple[float, float]:
-    """(c * 2^-d * phi^s, phi^s) for a set filling a c fraction of rect.
-
-    The caller promises E is inside the rectangle with vol(E) >= c vol(R);
-    the pair then brackets the s-dimensional Hausdorff content of E.
-    """
-    c = float(c)
-    if not (0.0 < c <= 1.0):
-        raise DomainError(f"volume fraction must be in (0, 1], got {c}",
-                          module=_MODULE)
-    phi = singular_value_function(rect, s)
-    return (c * 2.0 ** (-rect.dimension) * phi, phi)
 
 
 def mdp_lower_bound(measure_query: Callable[[Sequence[float], float], float],

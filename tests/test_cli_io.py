@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from beta_targets import cli_io
 from beta_targets.cli_io import (
     _PARSERS,
     _SHAPE_KEYS,
@@ -406,6 +408,34 @@ class TestOrtho:
         assert payload["volume"] == 0.0
         assert payload["checks"]["reconstruction_max_abs_err"] == 0.0
 
+    def test_box_past_float_range(self, tmp_path, capsys):
+        # 2^2 |gamma_1| = 4e308 has no float value; the box check runs
+        # in log2 and refuses nothing the encoding accepts
+        path = write_config(tmp_path, {"columns": [[1e308, 0], [0, 1e-10]]})
+        rc = main(["ortho", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "ortho.json").read_text())
+        assert payload["gamma_log2"] == [1023.1538532253076,
+                                         -33.219280948873575]
+        assert payload["gammas"] == [[1e308, 0.0], [0.0, 1e-10]]
+
+    def test_box_check_is_live(self, tmp_path, capsys, monkeypatch):
+        # norms 8 times too small: the columns reach past 2^d |gamma_i|
+        real = cli_io.pivoted_orthogonalize
+
+        def shrunk(matrix):
+            frame = real(matrix)
+            return dataclasses.replace(frame, log2_norms=tuple(
+                x - 3.0 for x in frame.log2_norms))
+
+        monkeypatch.setattr(cli_io, "pivoted_orthogonalize", shrunk)
+        path = write_config(tmp_path, {"columns": [[1, 2], [3, 4]]})
+        rc = main(["ortho", "--config", path, "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "parallelepiped_geometry.consistency"
+        assert not (tmp_path / "ortho.json").exists()
+
 
 class TestContent:
     def test_rows_per_exponent(self, tmp_path, capsys):
@@ -531,6 +561,19 @@ class TestDimension:
         assert [r[0] for r in rows] == [str(n) for n in range(1, 11)]
         assert all(r[3] == "1.25" for r in rows)
         assert trailing == ["# s_star=1.25,converged=true"]
+
+    def test_tied_sides_in_three_dimensions(self, tmp_path, capsys):
+        # the two sides of exponent 0.5 tie; their log2 norms come out a
+        # few ulps apart and out of order, within the pivot scan's tie band
+        path = write_config(tmp_path, {
+            "betas": [2, 2, 2],
+            "target": {"kind": "axis", "exponents": [0.5, 0.5, 0.2]},
+            "n_min": 1, "n_max": 3})
+        rc = main(["dimension", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        _, rows, trailing, _ = read_csv(tmp_path / "dimension.csv")
+        assert rows[0][1:4] == ["-1.2", "-1.5000000000000002", "-1.5"]
+        assert trailing == ["# s_star=2.2,converged=true"]
 
     def test_unknown_theta_rule(self, tmp_path, capsys):
         # read by the config parser, no longer by the library

@@ -17,16 +17,17 @@ from hypothesis import strategies as st
 
 from beta_targets.dimension_engine import (
     ExplicitTargets,
+    LevelData,
     LinearFamily,
     Rotated2DFamily,
     TargetSpec,
     gamma_magnitudes,
-    generate_target,
     log_columns,
     s_n,
     s_star,
 )
 from beta_targets.errors import (
+    ConsistencyError,
     DegenerateInputError,
     DomainError,
     ScaleRangeError,
@@ -359,7 +360,7 @@ class TestObjectiveProperties:
         sys2 = BetaSystem((2.0, 3.0))
         fam = axis_family((1.0, 0.5), origin=(0.1, 0.2))
         spec = TargetSpec(sys2, fam)
-        shapes = tuple(generate_target(spec, n) for n in (1, 2, 3))
+        shapes = tuple(spec.family.target(sys2.betas, n) for n in (1, 2, 3))
         espec = TargetSpec(sys2, ExplicitTargets(shapes))
         for n in (1, 2, 3):
             assert s_n(espec, n).s_n == pytest.approx(
@@ -401,6 +402,32 @@ class TestLevelData:
         c = np.asarray(lv.candidates_log2_tau)
         assert np.all(np.diff(c) > 1e-9)
 
+    def test_tied_norms_in_four_dimensions(self):
+        # the sides of exponents 0.5 and 0.5 tie; the scan returns their
+        # log2 norms a few ulps apart and out of order, within its tie band
+        spec = TargetSpec(BetaSystem((2.0, 2.0, 2.0, 4.0)),
+                          axis_family((0.5, 0.5, 0.2, 0.2)))
+        lv = s_n(spec, 1)
+        assert lv.gamma_log2[1] < lv.gamma_log2[2]
+        assert lv.s_n == pytest.approx(s_n(spec, 1, mode="limit").s_n,
+                                       abs=1e-12)
+
+    @pytest.mark.parametrize("gamma_log2, ok", [
+        ((-1.2, -1.5000000000000002, -1.5), True),
+        ((-1.5, -1.5 + 2e-12), False),
+        ((-2.0, -1.0), False),
+    ], ids=["within-tie-band", "past-tie-band", "inverted"])
+    def test_norm_order_is_the_scans_tie_rule(self, gamma_log2, ok):
+        def level():
+            return LevelData(n=1, gamma_log2=gamma_log2,
+                             candidates_log2_tau=(-1.0,), s_n=1.0,
+                             argmin_tau_log2=-1.0, mode="exact")
+        if ok:
+            assert level().gamma_log2 == gamma_log2
+        else:
+            with pytest.raises(ConsistencyError, match="must be sorted"):
+                level()
+
 
 class TestSStar:
     def test_windowed_report_converges_in_limit_mode(self):
@@ -440,31 +467,31 @@ class TestSStar:
 
 
 class TestGenerateTarget:
+    """P_n itself, as each family's target method builds it."""
+
+    @staticmethod
+    def target(spec, n):
+        return spec.family.target(spec.system.betas, n)
+
     def test_axis_box(self):
         spec = TargetSpec(BetaSystem((2.0, 3.0)),
                           axis_family((1.0, 1.0), origin=(0.25, 0.25)))
-        p = generate_target(spec, 2)
+        p = self.target(spec, 2)
         assert np.allclose(p.origin, [0.25, 0.25])
         assert np.allclose(p.columns, np.diag([2.0 ** -2, 3.0 ** -2]))
 
     def test_rotated_box_inside_unit_square(self):
-        p = generate_target(rotated_spec(math.pi / 4), 3)
+        p = self.target(rotated_spec(math.pi / 4), 3)
         v = p.vertices()
         assert np.all(v >= 0.0) and np.all(v < 1.0)
         assert np.allclose(p.origin, [0.5, 0.5])
 
-    def test_escaping_target_warns(self):
-        spec = TargetSpec(BetaSystem((2.0, 4.0)),
-                          axis_family((1.0, 1.0), origin=(0.9, 0.9)))
-        with pytest.warns(RuntimeWarning):
-            generate_target(spec, 1)
-
     def test_explicit_level_bounds(self):
         shape = Parallelepiped((0.2, 0.2), np.diag([0.1, 0.1]))
         spec = TargetSpec(SYS24, ExplicitTargets((shape,)))
-        assert generate_target(spec, 1) is shape
+        assert self.target(spec, 1) is shape
         with pytest.raises(DomainError):
-            generate_target(spec, 2)
+            self.target(spec, 2)
 
 
 class TestClosedForms:

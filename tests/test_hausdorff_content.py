@@ -13,7 +13,6 @@ from beta_targets.hausdorff_content import (
     _column_intervals,
     brute_force_content_2d,
     content_estimates_2d,
-    content_sandwich,
     mdp_lower_bound,
     singular_value_function,
 )
@@ -171,7 +170,6 @@ class TestSortedRectangle:
     def test_valid(self):
         r = SortedRectangle((0.5, 0.1))
         assert r.dimension == 2
-        assert r.volume == pytest.approx(0.05)
 
     def test_rejects_unsorted(self):
         with pytest.raises(DomainError):
@@ -244,35 +242,6 @@ class TestSingularValueFunction:
             [lam * a for a in r.side_lengths])
         assert singular_value_function(scaled, s) == pytest.approx(
             lam ** s * singular_value_function(r, s), rel=1e-9)
-
-
-class TestContentSandwich:
-    def test_plug_constants(self):
-        r = SortedRectangle((0.5, 0.1))
-        lo, up = content_sandwich(r, 1.0, 1.5)
-        assert up == pytest.approx(PHI_HALF_TENTH_15)
-        assert lo == pytest.approx(PHI_HALF_TENTH_15 / 4.0)
-
-    def test_box_fraction_constant(self):
-        # a parallelepiped fills 2^(-d(d+1)) of its bounding box, so the
-        # content lower bound becomes 2^(-d(d+2)) phi^s
-        d = 2
-        r = SortedRectangle((0.5, 0.1))
-        lo, up = content_sandwich(r, 2.0 ** (-d * (d + 1)), 1.5)
-        assert lo == pytest.approx(2.0 ** (-d * (d + 2)) * up)
-
-    def test_s_equals_d(self):
-        r = SortedRectangle((0.5, 0.1))
-        lo, up = content_sandwich(r, 0.5, 2.0)
-        assert up == pytest.approx(r.volume)
-        assert lo == pytest.approx(0.5 * 0.25 * r.volume)
-
-    def test_validates_fraction(self):
-        r = SortedRectangle((0.5, 0.1))
-        with pytest.raises(DomainError):
-            content_sandwich(r, 0.0, 1.5)
-        with pytest.raises(DomainError):
-            content_sandwich(r, 1.5, 1.5)
 
 
 class TestMassDistribution:

@@ -47,7 +47,6 @@ from beta_targets.parallelepiped_geometry import (
     Parallelepiped,
     rotation_matrix,
     scale_by_f,
-    volume,
 )
 from beta_targets.polygons import (
     envelope_chains,
@@ -794,14 +793,13 @@ class TestFloatRule:
     @pytest.mark.parametrize("call", [
         lambda: scale_by_f(Parallelepiped(np.full(2, 0.5), np.eye(2)),
                            BetaSystem((2.0, 2.0)), int(sys.float_info.max)),
-        lambda: volume(Parallelepiped(np.zeros(2), np.eye(2) * 1e-200)),
         lambda: build_E_n(TargetSpec(SYS24, const_rotation(0.7)), 2 ** 64,
                           D=UNIT_D),
         lambda: build_measure(tiny_copies_spec(), 510, corner_box(-505),
                               t=1.8, eps=0.01),
         lambda: build_measure(tiny_copies_spec(), 10 ** 300, UNIT_D, t=1.8),
         lambda: build_E_n(pi4_spec(), 10 ** 309),
-    ], ids=["scale_by_f-float-max", "volume-subnormal", "entries-2**64",
+    ], ids=["scale_by_f-float-max", "entries-2**64",
             "copy-area-510", "copy-area-10**300", "level-10**309"])
     def test_messages_print_short_numbers(self, call):
         # a level near the float maximum has 309 digits

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -15,14 +16,12 @@ from beta_targets.errors import (
 )
 from beta_targets.parallelepiped_geometry import (
     BetaSystem,
-    Hyperrectangle,
     Parallelepiped,
     bounding_hyperrectangle,
     pivoted_orthogonalize,
     pivoted_orthogonalize_scaled,
     rotation_matrix,
     scale_by_f,
-    volume,
 )
 
 # Frozen oracle values (exact Fraction arithmetic, independent script).
@@ -75,10 +74,15 @@ def qr_reference(cols, permutation):
     return np.abs(np.diag(r)), r / np.diag(r)[:, None], reach
 
 
-def box_contains(box, point, rtol=1e-9) -> bool:
-    """Whether point lies in the box, its half extents widened by rtol."""
-    coords = box.axes.T @ (np.asarray(point, dtype=float) - box.center)
-    return bool(np.all(np.abs(coords) <= box.half_extents * (1.0 + rtol)))
+def box_contains(p, point, rtol=1e-9) -> bool:
+    """Whether point lies in the bounding box of the parallelepiped p,
+    centred at its origin along its frame axes, with the half extents of
+    bounding_hyperrectangle widened by rtol."""
+    frame = pivoted_orthogonalize(p)
+    half = np.exp2(bounding_hyperrectangle(frame))
+    axes = frame.gammas / frame.norms
+    coords = axes.T @ (np.asarray(point, dtype=float) - p.origin)
+    return bool(np.all(np.abs(coords) <= half * (1.0 + rtol)))
 
 
 class TestWorkedExample:
@@ -102,18 +106,17 @@ class TestWorkedExample:
 
     def test_volume_and_box(self):
         p = Parallelepiped((0.0, 0.0), WORKED_COLS)
-        assert volume(p) == pytest.approx(WORKED_VOLUME)
-        box = bounding_hyperrectangle(p)
-        assert tuple(box.half_extents) == pytest.approx(WORKED_HALF_EXTENTS)
-        assert box.center == pytest.approx((0.0, 0.0))
-        # box volume relation: vol(P) = 2^(-d(d+1)) vol(R)
-        assert box.volume * 2.0 ** (-6) == pytest.approx(WORKED_VOLUME)
+        assert 2.0 ** p.log2_volume == pytest.approx(WORKED_VOLUME)
+        box = bounding_hyperrectangle(pivoted_orthogonalize(p))
+        assert tuple(np.exp2(box)) == pytest.approx(WORKED_HALF_EXTENTS)
+        # box volume relation: vol(P) = 2^(-d(d+1)) vol(R), the sides of
+        # R twice the half extents
+        assert 2.0 ** (sum(box) + 2 - 6) == pytest.approx(WORKED_VOLUME)
 
     def test_box_contains_all_vertices(self):
         p = Parallelepiped((0.0, 0.0), WORKED_COLS)
-        box = bounding_hyperrectangle(p)
         for v in p.vertices():
-            assert box_contains(box, v)
+            assert box_contains(p, v)
 
 
 class TestInteger4x4:
@@ -135,7 +138,7 @@ class TestInteger4x4:
 
     def test_volume(self):
         p = Parallelepiped(np.zeros(4), INT4_COLS)
-        assert volume(p) == pytest.approx(10.0)
+        assert 2.0 ** p.log2_volume == pytest.approx(10.0)
 
 
 class TestSimpleCases:
@@ -144,8 +147,7 @@ class TestSimpleCases:
         assert frame.permutation == (1, 2, 3)  # ties go to smaller index
         assert np.allclose(frame.gammas, np.eye(3))
         assert np.allclose(frame.U, np.eye(3))
-        box = bounding_hyperrectangle(Parallelepiped(np.zeros(3), np.eye(3)))
-        assert box.half_extents == pytest.approx((8.0, 8.0, 8.0))
+        assert bounding_hyperrectangle(frame) == (3.0, 3.0, 3.0)
 
     def test_axis_rectangle_pivots_long_side(self):
         cols = np.array([[1.0, 0.0], [0.0, 5.0]])
@@ -201,9 +203,6 @@ class TestSimpleCases:
         (lambda: Parallelepiped([0, 0], [[{}, 0], [0, 1]]), "the matrix"),
         (lambda: Parallelepiped(["x", 0], np.eye(2)), "origin"),
         (lambda: Parallelepiped([0, [0]], np.eye(2)), "origin"),
-        (lambda: Hyperrectangle(["x", 0], np.eye(2), [1, 1]), "center"),
-        (lambda: Hyperrectangle([0, 0], np.eye(2), [1, "y"]),
-         "half_extents"),
         (lambda: Parallelepiped([0, 0], [[10 ** 400, 0], [0, 1]]),
          "the matrix"),
         (lambda: Parallelepiped([10 ** 400, 0], np.eye(2)), "origin"),
@@ -213,8 +212,7 @@ class TestSimpleCases:
          "the matrix"),
         (lambda: LinearFamily(np.eye(2), (1, 1), ["x", 0]), "origin"),
     ], ids=["ragged-columns", "ragged-orthogonalize", "dict-entry",
-            "str-origin", "ragged-origin", "str-center", "str-half-extent",
-            "huge-int-columns", "huge-int-origin", "ragged-linear-rows",
+            "str-origin", "ragged-origin", "huge-int-columns", "huge-int-origin", "ragged-linear-rows",
             "str-linear-row", "huge-int-linear-rows", "str-linear-origin"])
     def test_ragged_or_non_numeric_input(self, call, what):
         # a bare ValueError, TypeError or OverflowError escaped before
@@ -327,9 +325,9 @@ class TestScaledRoute:
                     not isinstance(getattr(np.linalg, name), type):
                 monkeypatch.setattr(np.linalg, name, refuse)
         frame = pivoted_orthogonalize(p)
-        box = bounding_hyperrectangle(p, frame)
+        box = bounding_hyperrectangle(frame)
         assert frame.permutation == INT4_PERM
-        assert tuple(box.half_extents) == pytest.approx(
+        assert tuple(np.exp2(box)) == pytest.approx(
             tuple(16.0 * x for x in INT4_NORMS))
 
     def test_exact_zero_entries(self):
@@ -339,35 +337,15 @@ class TestScaledRoute:
         assert np.exp2(sframe.log2_norms) == pytest.approx((5.0, 1.0))
 
 
-class TestHyperrectangle:
-    def test_contains_point(self):
-        box = Hyperrectangle((0.0, 0.0), np.eye(2), (1.0, 2.0))
-        assert box_contains(box, (0.5, -1.5))
-        assert not box_contains(box, (1.5, 0.0))
-        assert box.volume == pytest.approx(8.0)
-
-    def test_rejects_non_orthonormal_axes(self):
-        with pytest.raises(DomainError):
-            Hyperrectangle((0.0, 0.0), np.array([[1.0, 1.0], [0.0, 1.0]]),
-                           (1.0, 1.0))
-
-    def test_rejects_bad_extents(self):
-        with pytest.raises(DomainError):
-            Hyperrectangle((0.0, 0.0), np.eye(2), (1.0, 0.0))
-
-
 def test_caller_arrays_stay_writable():
     # each shape holds read-only copies; the caller's arrays were frozen
     origin, columns = np.zeros(2), np.eye(2)
-    center, half = np.zeros(2), np.ones(2)
     p = Parallelepiped(origin, columns)
-    box = Hyperrectangle(center, columns, half)
-    for a in (origin, columns, center, half):
+    for a in (origin, columns):
         assert a.flags.writeable
         a += 1.0
     assert np.array_equal(p.columns, np.eye(2))
-    assert np.array_equal(box.half_extents, np.ones(2))
-    assert not p.columns.flags.writeable and not box.center.flags.writeable
+    assert not p.columns.flags.writeable and not p.origin.flags.writeable
 
 
 @pytest.mark.parametrize("betas", [["x"], [10 ** 400], [2.0, None], 2.0],
@@ -430,27 +408,39 @@ class TestScaling:
     def test_volume_scales_by_det(self):
         p = Parallelepiped((0.0, 0.0), WORKED_COLS)
         q = scale_by_f(p, BetaSystem((2.0, 4.0)), 2)
-        assert volume(q) == pytest.approx(WORKED_VOLUME / (4.0 * 16.0))
+        assert 2.0 ** q.log2_volume == pytest.approx(
+            WORKED_VOLUME / (4.0 * 16.0))
 
-    # under the suite's error::RuntimeWarning filter a numpy warning on
-    # the way to the typed error fails these as well
-    @pytest.mark.parametrize("cols", [
-        [[1e308, 1e308], [1e308, -1e308]],
-        [[1e-170, 0.0], [0.0, 1e-170]],
+    # volumes past float range keep their log2, with no numpy warning
+    # (the suite turns RuntimeWarning into an error)
+    @pytest.mark.parametrize("cols, log2_volume", [
+        ([[1e308, 1e308], [1e308, -1e308]], 1.0 + 2.0 * math.log2(1e308)),
+        ([[1e-170, 0.0], [0.0, 1e-170]], 2.0 * math.log2(1e-170)),
     ], ids=["near-1e308", "1e-170"])
-    def test_volume_out_of_float_range(self, cols):
-        with pytest.raises(ScaleRangeError):
-            volume(Parallelepiped((0.0, 0.0), cols))
+    def test_volume_out_of_float_range(self, cols, log2_volume):
+        p = Parallelepiped((0.0, 0.0), cols)
+        assert p.log2_volume == pytest.approx(log2_volume, rel=1e-15)
 
     def test_box_out_of_float_range(self):
-        p = Parallelepiped((0.0, 0.0), [[1e308, 1e308], [1e308, -1e308]])
-        with pytest.raises(ScaleRangeError):
-            bounding_hyperrectangle(p)
+        # 2^d |gamma_i| = 2^2.5 * 1e308 overflows; its log2 does not
+        frame = pivoted_orthogonalize([[1e308, 1e308], [1e308, -1e308]])
+        assert bounding_hyperrectangle(frame) == pytest.approx(
+            (2.5 + math.log2(1e308),) * 2, rel=1e-15)
         # 2^d |gamma_i| = 4e-170 is still a float
-        tiny = Parallelepiped((0.0, 0.0), [[1e-170, 0.0], [0.0, 1e-170]])
-        box = bounding_hyperrectangle(tiny)
-        assert tuple(box.half_extents) == pytest.approx((4e-170, 4e-170),
-                                                        rel=1e-12)
+        tiny = pivoted_orthogonalize([[1e-170, 0.0], [0.0, 1e-170]])
+        assert tuple(np.exp2(bounding_hyperrectangle(tiny))) == \
+            pytest.approx((4e-170, 4e-170), rel=1e-12)
+
+    @pytest.mark.parametrize("cols", [
+        WORKED_COLS, [[1e308, 1e308], [1e308, -1e308]],
+        [[1e-300, 0.0], [0.0, 1e300]]], ids=["worked", "near-1e308", "wide"])
+    def test_box_refuses_norms_too_small(self, cols):
+        # norms 8 times too small: every column reaches past 2^d |gamma_i|
+        frame = pivoted_orthogonalize(cols)
+        small = dataclasses.replace(frame, log2_norms=tuple(
+            x - 3.0 for x in frame.log2_norms))
+        with pytest.raises(ConsistencyError, match="escapes its bounding"):
+            bounding_hyperrectangle(small)
 
 
 class TestRotation:
@@ -473,7 +463,7 @@ class TestRotation:
 
     def test_rotation_preserves_volume_and_norms(self):
         q = Parallelepiped((0.25, 0.5), rotation_matrix(0.3) @ WORKED_COLS)
-        assert volume(q) == pytest.approx(WORKED_VOLUME)
+        assert 2.0 ** q.log2_volume == pytest.approx(WORKED_VOLUME)
         assert np.linalg.norm(q.columns, axis=0) == pytest.approx(
             np.linalg.norm(WORKED_COLS, axis=0))
 
@@ -519,9 +509,8 @@ class TestProperties:
     @given(st.integers(2, 4).flatmap(well_conditioned_matrices))
     def test_box_contains_parallelepiped(self, cols):
         p = Parallelepiped(np.zeros(cols.shape[0]), cols)
-        box = bounding_hyperrectangle(p)
         for v in p.vertices():
-            assert box_contains(box, v, rtol=1e-6)
+            assert box_contains(p, v, rtol=1e-6)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4).flatmap(well_conditioned_matrices))
@@ -544,4 +533,5 @@ class TestProperties:
             take = list(range(d))
         p = Parallelepiped(np.zeros(d), cols)
         q = Parallelepiped(np.zeros(d), cols[:, take])
-        assert volume(q) == pytest.approx(volume(p), rel=1e-9)
+        assert 2.0 ** q.log2_volume == pytest.approx(2.0 ** p.log2_volume,
+                                                     rel=1e-9)
