@@ -463,34 +463,20 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
 def bounding_hyperrectangle(frame: OrthoFrame) -> Tuple[float, ...]:
     """log2 half extents, log2_norms[i] + d, of the box centered at the
     origin vertex with half extents 2^d * |gamma_i| along the frame axes,
-    which the pivot order guarantees to hold the parallelepiped of the
-    frame's float columns.
+    which the pivot order guarantees to hold the frame's parallelepiped.
 
-    Containment is verified directly: along each frame axis the reach of
-    the columns (the larger of the summed positive and the summed
-    negative projections) must stay within the half extent, up to
-    relative 1e-9; violation raises ConsistencyError.  The axes and the
-    columns are scaled by exact powers of two and each reach is measured
-    in units of 2**log2_norms[i], so no half extent is formed as a float
-    and every frame with finite gammas is checked.  The frame must come
-    from pivoted_orthogonalize, which keeps the float columns.
+    Containment is verified directly.  Column permutation[m] is
+    sum_j U[j, m] gamma_j with orthogonal gammas, so its projection on
+    axis j is U[j, m] |gamma_j|, and the reach along axis j (the larger
+    of the summed positive and the summed negative projections) is read
+    off row j of U in units of |gamma_j|.  A reach past 2^d, up to
+    relative 1e-9, raises ConsistencyError.  No half extent or gamma is
+    formed as a float, so every frame is checked, scaled ones too.
     """
     d = frame.dimension
-    log2_norms = np.array(frame.log2_norms)
-    c = np.ceil(log2_norms).astype(int)
-    g = np.ldexp(frame.gammas, -c)
-    axes = g / np.sqrt(np.sum(g * g, axis=0))
-    # column i divided by 2**a_i, a_i the binary exponent of its largest
-    # |entry|, as in _stack_log2_volumes
-    a = np.frexp(np.abs(frame._columns).max(axis=0))[1]
-    proj = axes.T @ np.ldexp(frame._columns, -a)
-    # proj[j, i] * 2**(a_i - log2_norms[j]): column i along axis j in
-    # units of |gamma_j|; a term past float range is inf and fails below
-    with np.errstate(over="ignore"):
-        terms = np.ldexp(proj * np.exp2(c - log2_norms)[:, None],
-                         a[None, :] - c[:, None])
-    reach = np.maximum(np.sum(np.clip(terms, 0.0, None), axis=1),
-                       np.sum(np.clip(-terms, 0.0, None), axis=1))
+    u = frame.U
+    reach = np.maximum(np.clip(u, 0.0, None).sum(axis=1),
+                       np.clip(-u, 0.0, None).sum(axis=1))
     bad = ~(reach <= 2.0 ** d * (1.0 + 1e-9))
     if bad.any():
         j = int(np.argmax(bad))

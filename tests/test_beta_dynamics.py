@@ -535,7 +535,7 @@ class TestCounts:
     @pytest.mark.parametrize("beta, counts", [(1.0001, (6, 1)),
                                               (1 + 2**-52, (1, 1))])
     def test_counts_near_one(self, beta, counts):
-        # c underflows to 0.0 below beta ~ 1.0022; the checks take its log
+        # c_beta underflows below beta ~ 1.0022; _check_full takes its log
         assert count_words(beta, 5) == counts
         assert (count_admissible(beta, 5), count_full(beta, 5)) == counts
 

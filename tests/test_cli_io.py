@@ -2,7 +2,6 @@
 
 import contextlib
 import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -419,16 +418,69 @@ class TestOrtho:
                                          -33.219280948873575]
         assert payload["gammas"] == [[1e308, 0.0], [0.0, 1e-10]]
 
+    # ortho.json of the parent revision, config_sha256 aside: the float
+    # gammas of nearly dependent columns tilt off orthogonal, and the box
+    # check, which reads the reach off U, must not refuse them
+    @pytest.mark.parametrize("columns, expected", [
+        ([[1, 1], [1, 1.0000000001]], {
+            "U": [[1.0, 0.99999999995], [0.0, 1.0]],
+            "checks": {"max_abs_U": 1.0, "norms_sorted": True,
+                       "reconstruction_max_abs_err": 0.0},
+            "gamma_log2": [0.5000000000721347, -33.71928082943237],
+            "gamma_norms": [1.4142135624438057, 7.0710683972818e-11],
+            "gammas": [[1.0, 1.0000000001],
+                       [5.000000413701855e-11, -5.000000413701855e-11]],
+            "permutation": [2, 1],
+            "volume": 1.0000000828403707e-10}),
+        ([[1, 3], [2, 6.000000001]], {
+            "U": [[1.0, 0.4999999999249999], [0.0, 1.0]],
+            "checks": {"max_abs_U": 1.0, "norms_sorted": True,
+                       "reconstruction_max_abs_err": 0.0},
+            "gamma_log2": [2.6609640476600855, -32.55831485998232],
+            "gamma_norms": [6.324555321285443, 1.5811410674346354e-10],
+            "gammas": [[2.0, 6.000000001],
+                       [1.5000023445566057e-10, -4.999911595859885e-11]],
+            "permutation": [2, 1],
+            "volume": 1.0000014151746669e-09}),
+        ([[1, 4, 7], [2, 5, 8], [3, 6, 9.000000001]], {
+            "U": [[1.0, 0.714285714239229, 0.8571428570839],
+                  [0.0, 1.0, 0.49999999983333343],
+                  [0.0, 0.0, 1.0]],
+            "checks": {"max_abs_U": 1.0, "norms_sorted": True,
+                       "reconstruction_max_abs_err": 0.0},
+            "gamma_log2": [3.488639961853008, 0.3888037889882754,
+                           -32.18984359516822],
+            "gamma_norms": [11.224972161123608, 1.3093073411042129,
+                            2.0412280239829394e-10],
+            "gammas": [[3.0, 6.0, 9.000000001],
+                       [-1.1428571427176872, -0.28571428543537447,
+                        0.5714285711326532],
+                       [-8.333245204994455e-11, 1.666675686351482e-10,
+                        -8.333245204994455e-11]],
+            "permutation": [3, 1, 2],
+            "volume": 2.999980263956671e-09}),
+    ], ids=["2d-1e-10", "2d-1e-9", "3d-1e-9"])
+    def test_nearly_dependent_columns(self, tmp_path, capsys, columns,
+                                      expected):
+        path = write_config(tmp_path, {"columns": columns})
+        rc = main(["ortho", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        payload = json.loads((tmp_path / "ortho.json").read_text())
+        payload.pop("config_sha256")
+        assert payload == expected
+
     def test_box_check_is_live(self, tmp_path, capsys, monkeypatch):
-        # norms 8 times too small: the columns reach past 2^d |gamma_i|
+        # U[0, 1] = 2^d: the last pivot reaches past 2^d |gamma_1|
         real = cli_io.pivoted_orthogonalize
 
-        def shrunk(matrix):
+        def stretched(matrix):
             frame = real(matrix)
-            return dataclasses.replace(frame, log2_norms=tuple(
-                x - 3.0 for x in frame.log2_norms))
+            u = frame.U.copy()
+            u[0, -1] = 4.0
+            frame.__dict__["U"] = u  # a cached property of a frozen frame
+            return frame
 
-        monkeypatch.setattr(cli_io, "pivoted_orthogonalize", shrunk)
+        monkeypatch.setattr(cli_io, "pivoted_orthogonalize", stretched)
         path = write_config(tmp_path, {"columns": [[1, 2], [3, 4]]})
         rc = main(["ortho", "--config", path, "--out", str(tmp_path)])
         assert rc == 2

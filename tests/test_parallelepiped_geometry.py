@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -72,6 +71,15 @@ def qr_reference(cols, permutation):
     reach = np.array([max(np.linalg.norm(r[k:m + 1, m]) for m in range(k, d))
                       for k in range(d)])
     return np.abs(np.diag(r)), r / np.diag(r)[:, None], reach
+
+
+def stretched_u(frame):
+    """frame with U[0, d-1] raised to 2^d, past the pivot bound; U is a
+    cached property, so the frozen frame takes it in its __dict__."""
+    u = frame.U.copy()
+    u[0, -1] = 2.0 ** frame.dimension
+    frame.__dict__["U"] = u
+    return frame
 
 
 def box_contains(p, point, rtol=1e-9) -> bool:
@@ -434,13 +442,22 @@ class TestScaling:
     @pytest.mark.parametrize("cols", [
         WORKED_COLS, [[1e308, 1e308], [1e308, -1e308]],
         [[1e-300, 0.0], [0.0, 1e300]]], ids=["worked", "near-1e308", "wide"])
-    def test_box_refuses_norms_too_small(self, cols):
-        # norms 8 times too small: every column reaches past 2^d |gamma_i|
-        frame = pivoted_orthogonalize(cols)
-        small = dataclasses.replace(frame, log2_norms=tuple(
-            x - 3.0 for x in frame.log2_norms))
+    def test_box_refuses_u_past_the_bound(self, cols):
+        # U[0, d-1] = 2^d: the last pivot reaches past 2^d |gamma_1|
+        frame = stretched_u(pivoted_orthogonalize(cols))
         with pytest.raises(ConsistencyError, match="escapes its bounding"):
-            bounding_hyperrectangle(small)
+            bounding_hyperrectangle(frame)
+
+    @pytest.mark.parametrize("cols", [
+        [[1, 1], [1, 1.0000000001]], [[1, 2], [3, 6.000000001]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9.000000001]]],
+        ids=["2d-1e-10", "2d-1e-9", "3d-1e-9"])
+    def test_box_holds_nearly_dependent_columns(self, cols):
+        # the float gammas of such columns tilt off orthogonal; the reach
+        # comes from U, so they do not enter
+        frame = pivoted_orthogonalize(cols)
+        assert bounding_hyperrectangle(frame) == tuple(
+            x + len(cols) for x in frame.log2_norms)
 
 
 class TestRotation:
