@@ -8,7 +8,10 @@ makes (exponents, levels) stay there.  Tabular results go
 to CSV (header row plus a comment line with the config hash),
 structured results to JSON.  Outputs are byte-identical for identical
 config and seed: floats are written with repr and nothing records
-wall-clock state.
+wall-clock state.  A rerun rewrites the artifact in place, in the same
+file, and a write that fails leaves it empty; only the streamed
+cylinders.csv goes through a .part sibling, which keeps the old
+artifact if the walk is refused midway.
 
 Exponentially small quantities appear in output columns as log2 values;
 plain magnitudes would flush to zero long before the interesting range.
@@ -23,6 +26,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Tuple
@@ -353,8 +357,23 @@ def _csv(sha: str, header: Sequence[str], rows=(),
 
 
 def _write(path: Path, text: str) -> None:
+    """Rewrite path in place: open without O_TRUNC, write, then cut the
+    old tail.  A file truncated to zero and rewritten is flushed at close
+    on ext4 (auto_da_alloc); this rewrite is not.  A failed write leaves
+    the file empty, never a new head on an old tail."""
+    data = memoryview(text.encode())
     try:
-        path.write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            written = 0
+            while written < len(data):
+                written += os.write(fd, data[written:])
+            os.ftruncate(fd, written)
+        except OSError:
+            os.ftruncate(fd, 0)
+            raise
+        finally:
+            os.close(fd)
     except OSError as exc:
         _fail(f"cannot write {str(path)!r}: {exc}")
 

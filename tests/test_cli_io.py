@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import errno
 import hashlib
 import json
 import math
@@ -258,6 +259,40 @@ class TestCount:
         assert rc == 0
         assert capsys.readouterr().out.strip() == count
 
+    def test_shorter_rerun_leaves_no_old_tail(self, tmp_path, capsys):
+        # the config hash covers --out, so the fresh run uses the same one
+        out = tmp_path / "out"
+        for n in ("40", "3"):
+            assert main(["count", "--beta", "2", "--n", n,
+                         "--out", str(out)]) == 0
+        rerun = (out / "count.csv").read_bytes()
+        (out / "count.csv").unlink()
+        assert main(["count", "--beta", "2", "--n", "3",
+                     "--out", str(out)]) == 0
+        assert (out / "count.csv").read_bytes() == rerun
+
+    def test_failed_write_leaves_no_old_tail(self, tmp_path, capsys,
+                                             monkeypatch):
+        assert main(["count", "--beta", "2", "--n", "40",
+                     "--out", str(tmp_path)]) == 0
+        write, calls = os.write, []
+
+        def disk_full_after_8_bytes(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(fd, data[:8])
+
+        with monkeypatch.context() as m:
+            m.setattr(cli_io.os, "write", disk_full_after_8_bytes)
+            assert main(["count", "--beta", "2", "--n", "3",
+                         "--out", str(tmp_path)]) == 2
+        assert len(calls) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "cli_io.config"
+        assert "cannot write" in err["message"]
+        assert (tmp_path / "count.csv").read_bytes() == b""
+
 
 class TestExpand:
     def test_orbit_rows(self, tmp_path, capsys):
@@ -350,15 +385,23 @@ class TestCylinders:
         assert len(rows) == 88_123
 
     def test_write_error_is_config_error(self, tmp_path, capsys):
-        (tmp_path / "cylinders.csv").mkdir()
-        path = write_config(tmp_path, {"betas": [2], "n": 3})
-        assert main(["cylinders", "--config", path,
-                     "--out", str(tmp_path)]) == 2
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["code"] == "cli_io.config"
-        assert "cannot write" in err["message"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["config.json", "cylinders.csv"]
+        # a streamed artifact and one written whole
+        for subcommand, config in [
+                ("cylinders", {"betas": [2], "n": 3}),
+                ("dimension", {"betas": [2], "target": {
+                    "kind": "axis", "exponents": [1]},
+                    "n_min": 1, "n_max": 3})]:
+            out = tmp_path / subcommand
+            name = _SUBCOMMANDS[subcommand][1]
+            (out / name).mkdir(parents=True)
+            path = write_config(out, config)
+            assert main([subcommand, "--config", path,
+                         "--out", str(out)]) == 2
+            err = json.loads(capsys.readouterr().err)["error"]
+            assert err["code"] == "cli_io.config"
+            assert "cannot write" in err["message"]
+            assert sorted(p.name for p in out.iterdir()) == \
+                ["config.json", name]
 
     def test_mid_walk_refusal_leaves_old_artifact(self, tmp_path, capsys,
                                                   monkeypatch):
@@ -675,9 +718,12 @@ class TestDimension:
         assert main(["dimension", "--config", path,
                      "--out", str(out)]) == 0
         first = (out / "dimension.csv").read_bytes()
+        inode = (out / "dimension.csv").stat().st_ino
         assert main(["dimension", "--config", path,
                      "--out", str(out)]) == 0
+        # rewritten in place: the same file, with the same bytes
         assert (out / "dimension.csv").read_bytes() == first
+        assert (out / "dimension.csv").stat().st_ino == inode
 
     def test_table_target_from_csv(self, tmp_path, capsys):
         table = tmp_path / "targets.csv"

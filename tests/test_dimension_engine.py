@@ -412,6 +412,20 @@ class TestLevelData:
         assert lv.s_n == pytest.approx(s_n(spec, 1, mode="limit").s_n,
                                        abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 4]), st.integers(1, 5), st.data())
+    def test_repeated_axis_sides_match_limit(self, d, n, data):
+        # three values for d >= 3 sides repeat bases and exponents, so
+        # norms tie; exact s_n must accept every such box, and on axis
+        # boxes it equals the limit value
+        betas = data.draw(st.lists(st.sampled_from([2.0, 4.0, 8.0]),
+                                   min_size=d, max_size=d))
+        exponents = data.draw(st.lists(st.sampled_from([0.2, 0.5, 1.0]),
+                                       min_size=d, max_size=d))
+        spec = TargetSpec(BetaSystem(betas), axis_family(exponents))
+        assert s_n(spec, n).s_n == pytest.approx(
+            s_n(spec, n, mode="limit").s_n, rel=0, abs=1e-12)
+
     @pytest.mark.parametrize("gamma_log2, ok", [
         ((-1.2, -1.5000000000000002, -1.5), True),
         ((-1.5, -1.5 + 2e-12), False),
