@@ -73,7 +73,6 @@ __all__ = [
     "enumerate_cylinders",
     "count_words",
     "count_admissible",
-    "count_full",
 ]
 
 log = logging.getLogger(__name__)
@@ -587,8 +586,10 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
 
 def count_words(beta: BetaLike, n: int,
                 node_cap: float = DEFAULT_NODE_CAP) -> tuple:
-    """(admissible, full): count_admissible and count_full from one count,
-    each asserted as those two functions assert it."""
+    """(admissible, full) word counts of length n from one count: the
+    first asserted as count_admissible asserts it, the second against
+    the applicable lower bound (exact equality beta**n for integer
+    beta)."""
     param = as_beta_param(beta)
     _check_level(n)
     admissible, full = _counts(param, n, node_cap)
@@ -646,16 +647,6 @@ def _log_full_count_constant(b: float) -> float:
         return math.log((b - 2) / (b - 1))
     t = math.log(b)
     return 0.5 * math.log(2 * math.pi / t) - math.pi ** 2 / (6 * t) + t / 24
-
-
-def count_full(beta: BetaLike, n: int,
-               node_cap: float = DEFAULT_NODE_CAP) -> int:
-    """Exact number of full words of length n, asserted against the
-    applicable lower bound (exact equality beta**n for integer beta).
-    Counted and capped like count_admissible."""
-    param = as_beta_param(beta)
-    _check_level(n)
-    return _check_full(param, n, _counts(param, n, node_cap)[1])
 
 
 def _check_full(param: BetaParam, n: int, count: int) -> int:

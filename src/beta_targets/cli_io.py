@@ -73,7 +73,7 @@ from .parallelepiped_geometry import (
     rotation_matrix,
 )
 
-__all__ = ["RunConfig", "parse_config", "run", "main"]
+__all__ = ["RunConfig", "run", "main"]
 
 _MODULE = "cli_io"
 
@@ -229,11 +229,6 @@ def _load(text: str) -> dict:
         # limit, and nesting past the recursion limit
         _fail(f"config is not valid JSON: {exc}")
     return _object(data, "config")
-
-
-def parse_config(text: str) -> RunConfig:
-    """Validated RunConfig from a JSON document; unknown keys rejected."""
-    return validate_config(_load(text))
 
 
 def validate_config(data: dict) -> RunConfig:
@@ -531,15 +526,12 @@ def _cmd_dimension(cfg: RunConfig, sha: str) -> str:
 
 
 def _cmd_verify_cover(cfg: RunConfig, sha: str) -> str:
-    if cfg.s is not None and len(cfg.s) > 1:
-        _fail(f"verify-cover takes a single exponent 's', got {list(cfg.s)}")
     spec = make_target_spec(cfg)
     n_min = _need(cfg.n_min, "n_min")
     n_max = _need(cfg.n_max, "n_max")
-    s = cfg.s[0] if cfg.s is not None else None
     rows = []
     for n in range(n_min, n_max + 1):
-        scan = cover_exponent_scan(spec, n, taus=cfg.taus, s=s,
+        scan = cover_exponent_scan(spec, n, taus=cfg.taus,
                                    copy_cap=cfg.copy_cap,
                                    cell_cap=cfg.cell_cap)
         for row in scan.rows:
@@ -566,7 +558,7 @@ def _cmd_verify_measure(cfg: RunConfig, sha: str) -> str:
     return _csv(sha, ("n", "regime", "measured", "formula", "ratio"), rows)
 
 
-_COMMON_FLAGS = (("--out", str, "out"), ("--seed", int, "seed"))
+_COMMON_FLAGS = (("--out", str, "out"),)
 
 _SUBCOMMANDS = {
     # name: (handler(cfg, sha), artifact file name, (flag, type, config
@@ -583,7 +575,8 @@ _SUBCOMMANDS = {
                   (("--nmin", int, "n_min"), ("--nmax", int, "n_max"),
                    ("--window", int, "window"))),
     "verify-cover": (_cmd_verify_cover, "verify_cover.csv", ()),
-    "verify-measure": (_cmd_verify_measure, "verify_measure.csv", ()),
+    "verify-measure": (_cmd_verify_measure, "verify_measure.csv",
+                       (("--seed", int, "seed"),)),
 }
 
 

@@ -408,10 +408,6 @@ class DimensionReport:
     levels: Tuple[LevelData, ...]
     s_star: float
     converged: bool
-    window: int
-    tail_min: float
-    tail_max: float
-    tolerance: float
 
 
 def _check_float_level(n, module: str = _MODULE) -> None:
@@ -544,16 +540,7 @@ def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
     if not tolerance > 0.0:
         raise DomainError("tolerance must be positive", module=_MODULE)
     levels = tuple(s_n(spec, n, mode=mode) for n in range(n_min, n_max + 1))
-    tail = levels[-window:]
-    tail_vals = [lv.s_n for lv in tail]
-    tail_min, tail_max = min(tail_vals), max(tail_vals)
-    return DimensionReport(
-        levels=levels,
-        s_star=tail_max,
-        converged=bool(tail_max - tail_min < tolerance),
-        window=window,
-        tail_min=tail_min,
-        tail_max=tail_max,
-        tolerance=tolerance,
-    )
+    tail = [lv.s_n for lv in levels[-window:]]
+    return DimensionReport(levels=levels, s_star=max(tail),
+                           converged=bool(max(tail) - min(tail) < tolerance))
 

@@ -12,7 +12,7 @@ carrying at least a c fraction of its volume satisfies
 
     c * 2^-d * phi^s  <=  H^s_inf(E)  <=  (covers built from the sides).
 
-The brute-force oracle certifies both ends for convex polygons in the
+The content oracle certifies both ends for convex polygons in the
 unit square.  Its upper bound is a minimum over genuine covers: occupied
 dyadic grid cells at several depths, a greedy bottom-up merge of those
 cells into larger squares, uniform meshes anchored at the bounding box
@@ -23,7 +23,7 @@ measure on the polygon.
 Only the prices of those covers depend on s: the cell counts, the merge
 depth's occupancy mask, the mesh counts and the spot-check ball masses
 do not.  content_estimates_2d builds them once per shape and prices them
-at each exponent of a list; brute_force_content_2d is its batch of one.
+at each exponent of a list.
 """
 
 from __future__ import annotations
@@ -48,11 +48,9 @@ from .polygons import (
 
 __all__ = [
     "DEFAULT_DEPTHS",
-    "SortedRectangle",
     "ContentEstimate",
     "singular_value_function",
     "mdp_lower_bound",
-    "brute_force_content_2d",
     "content_estimates_2d",
 ]
 
@@ -68,38 +66,9 @@ _MESH_STEPS = 64
 
 
 @dataclasses.dataclass(frozen=True)
-class SortedRectangle:
-    """Hyperrectangle remembered only through its sorted side lengths."""
-
-    side_lengths: Tuple[float, ...]
-
-    def __init__(self, side_lengths: Sequence[float]):
-        sides = tuple(float(a) for a in side_lengths)
-        if len(sides) < 1:
-            raise DomainError("need at least one side", module=_MODULE)
-        for a in sides:
-            if not (a > 0.0) or not math.isfinite(a):
-                raise DomainError(f"sides must be positive, got {a}",
-                                  module=_MODULE)
-        if any(sides[i] < sides[i + 1] for i in range(len(sides) - 1)):
-            raise DomainError(f"sides must be non-increasing, got {sides}",
-                              module=_MODULE)
-        object.__setattr__(self, "side_lengths", sides)
-
-    @classmethod
-    def from_lengths(cls, lengths: Sequence[float]) -> "SortedRectangle":
-        return cls(tuple(sorted((float(a) for a in lengths), reverse=True)))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.side_lengths)
-
-
-@dataclasses.dataclass(frozen=True)
 class ContentEstimate:
     lower: float
     upper: float
-    scale_grid: Tuple[float, ...]
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper * (1.0 + 1e-12)):
@@ -108,13 +77,21 @@ class ContentEstimate:
                 f"upper={self.upper!r}", module=_MODULE)
 
 
-def singular_value_function(rect: SortedRectangle, s: float) -> float:
-    """a_1...a_m * a_{m+1}^(s-m) with m = floor(s), for 0 < s <= d."""
-    d = rect.dimension
+def singular_value_function(sides: Sequence[float], s: float) -> float:
+    """a_1...a_m * a_{m+1}^(s-m) with m = floor(s), for 0 < s <= d, of
+    the positive side lengths sorted as a_1 >= ... >= a_d."""
+    a = tuple(float(x) for x in sides)
+    if not a:
+        raise DomainError("need at least one side", module=_MODULE)
+    for x in a:
+        if not (x > 0.0) or not math.isfinite(x):
+            raise DomainError(f"sides must be positive, got {x}",
+                              module=_MODULE)
+    a = tuple(sorted(a, reverse=True))
+    d = len(a)
     s = float(s)
     if not (0.0 < s <= d):
         raise DomainError(f"s must lie in (0, {d}], got {s}", module=_MODULE)
-    a = rect.side_lengths
     m = int(math.floor(s))
     head = float(np.prod(a[:m])) if m > 0 else 1.0
     if m >= d:
@@ -275,13 +252,13 @@ def _shape_covers(shape, depths: Tuple[int, ...]
     if poly.ndim != 2 or poly.shape[1] != 2:
         raise DomainError("shape must be an (m, 2) vertex array",
                           module=_MODULE)
-    if poly.shape[0] < 3:
-        return lambda s: (0.0, 0.0)
     if not np.all(np.isfinite(poly)):
         raise DomainError("vertices must be finite", module=_MODULE)
-    if (poly.min() < -1e-9) or (poly.max() > 1.0 + 1e-9):
+    if poly.size and ((poly.min() < -1e-9) or (poly.max() > 1.0 + 1e-9)):
         raise DomainError("shape must lie inside the unit square",
                           module=_MODULE)
+    if poly.shape[0] < 3:
+        return lambda s: (0.0, 0.0)
     poly = ensure_ccw(np.clip(poly, 0.0, 1.0))
     _check_convex(poly)
     # relative to its first vertex, a polygon of zero width or height has
@@ -307,7 +284,6 @@ def _shape_covers(shape, depths: Tuple[int, ...]
     occ = (rows[None, :] >= lo[:, None]) & (rows[None, :] <= hi[:, None])
     meshes = _mesh_counts(w, h)
 
-    bbox_rect = SortedRectangle.from_lengths((w, h))
     c_ratio = min(1.0, area / (w * h))
 
     # the four spot-check balls about the vertex centroid, in one batch
@@ -327,7 +303,7 @@ def _shape_covers(shape, depths: Tuple[int, ...]
         candidates.append(_remainder_tiling(w, h, s))
         upper = min(candidates)
 
-        phi = singular_value_function(bbox_rect, s)
+        phi = singular_value_function((w, h), s)
         c_mdp = 4.0 / (c_ratio * phi)  # mu(B) <= 2^d r^s / (c phi^s)
         lower = mdp_lower_bound(lambda center, r: mass[r], 1.0, c_mdp, s,
                                 spot_check=spot_check)
@@ -348,8 +324,10 @@ def content_estimates_2d(shape, exponents: Iterable[float],
     tiling of the bounding box); lower is the mass distribution bound
     with the normalized area measure, which by the sandwich equals
     area-ratio * 2^-d * phi^s of the bounding box.  Vertices up to
-    1e-9 outside the unit square are clamped onto it; farther ones are
-    refused.
+    1e-9 outside the unit square are clamped onto it; farther ones, and
+    non-finite ones, are refused, whatever their number.  A shape of no
+    area, fewer than three vertices included, gets (0, 0).  The depths
+    are integers (bools excluded) in [1, 24].
 
     The covers are built once for the shape and then priced at each s
     with the float operations, in the same order, of an estimate at that
@@ -358,25 +336,17 @@ def content_estimates_2d(shape, exponents: Iterable[float],
     depths, the first s, the shape, then each later s just before its
     own estimate (so after any ConsistencyError of an earlier one).
     """
-    if depths is None:
-        depths = DEFAULT_DEPTHS
-    depths = tuple(int(k) for k in depths)
-    if not depths or any(k < 1 or k > 24 for k in depths):
+    depths = DEFAULT_DEPTHS if depths is None else tuple(depths)
+    if not depths or any(isinstance(k, bool) or not isinstance(
+            k, (int, np.integer)) or not 1 <= k <= 24 for k in depths):
         raise DomainError("grid depths must be integers in [1, 24]",
                           module=_MODULE)
-    scale_grid = tuple(2.0 ** -k for k in depths)
+    depths = tuple(map(int, depths))
     exponents = list(exponents)
     if not exponents:
         return []
     # as an estimate at s[0] alone would, check s[0] before the shape
     _check_exponent(exponents[0])
     estimate = _shape_covers(shape, depths)
-    return [ContentEstimate(*estimate(_check_exponent(s)), scale_grid)
+    return [ContentEstimate(*estimate(_check_exponent(s)))
             for s in exponents]
-
-
-def brute_force_content_2d(shape, s: float,
-                           depths: Optional[Sequence[int]] = None
-                           ) -> ContentEstimate:
-    """content_estimates_2d at the single exponent s."""
-    return content_estimates_2d(shape, [s], depths)[0]

@@ -6,7 +6,7 @@ endpoint of the word's cylinder product), then checks the two proof
 engines numerically:
 
   * covering: occupied-cell counts on a mesh-tau grid against the
-    predicted ball count, and the decay of count * tau^s;
+    predicted ball count;
   * measure: the uniform per-copy area measure and the ball-mass bound
     mu(B(x, r)) <= C r^t / |D|^d over stratified radius regimes.
 
@@ -144,29 +144,20 @@ class CoverRow:
     count: int
     predicted: float
     ratio: float
-    s_product: float
 
 
 @dataclasses.dataclass(frozen=True)
 class CoverScan:
     n: int
-    s: float
     level: LevelData
     rows: Tuple[CoverRow, ...]
 
 
 @dataclasses.dataclass(frozen=True)
 class MeasureBoundReport:
-    max_ratio: float
-    worst_center: Tuple[float, float]
-    worst_radius: float
-    worst_regime: str
-    worst_mass: float
     regime_max: Dict[str, float]
     # per-regime witness of the max: (center, radius, mass)
     regime_witness: Dict[str, Tuple[Tuple[float, float], float, float]]
-    samples: int
-    seed: int
     t: float
 
 
@@ -391,20 +382,15 @@ def predicted_cover_count(spec: TargetSpec, n: int, tau: float,
 
 def cover_exponent_scan(spec: TargetSpec, n: int,
                         taus: Optional[Sequence[float]] = None,
-                        s: Optional[float] = None,
                         copy_cap: int = DEFAULT_COPY_CAP,
                         cell_cap: int = DEFAULT_CELL_CAP) -> CoverScan:
     """Occupancy counts across the candidate scales of level n.
 
-    Each row reports the measured count, the predicted count, their
-    ratio, and count * tau^s; with s = s_n the products stay bounded
-    across n while any s above s_n sends them to zero.
+    Each row reports the measured count, the predicted count and their
+    ratio; with s = s_n the products count * tau^s stay bounded across n
+    while any s above s_n sends them to zero.
     """
     level = s_n(spec, n)
-    s = level.s_n if s is None else _as_float(s, "the exponent", _MODULE)
-    if not (0.0 < s <= 2.0):
-        raise DomainError(f"exponent must lie in (0, 2], got {s}",
-                          module=_MODULE)
     if taus is None:
         taus = level.candidates
     E = build_E_n(spec, n, copy_cap=copy_cap)
@@ -413,14 +399,9 @@ def cover_exponent_scan(spec: TargetSpec, n: int,
         tau = _as_float(tau, "every mesh", _MODULE)
         pred = predicted_cover_count(spec, n, tau, level=level)
         count = empirical_cover_count(E, tau, cell_cap=cell_cap)
-        rows.append(CoverRow(
-            tau=tau,
-            count=count,
-            predicted=pred,
-            ratio=count / pred,
-            s_product=count * tau ** s,
-        ))
-    return CoverScan(n=n, s=float(s), level=level, rows=tuple(rows))
+        rows.append(CoverRow(tau=tau, count=count, predicted=pred,
+                             ratio=count / pred))
+    return CoverScan(n=n, level=level, rows=tuple(rows))
 
 
 def build_measure(spec: TargetSpec, n: int, D, t: float,
@@ -669,8 +650,9 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
     lo + (hi - lo) * u is taken with a separate multiply and add, as in
     numpy's x86-64 builds.  The masses come in one batch, the values
     mu_ball_mass gives one at a time, while exp and r^t stay Python
-    float calls.  Returns the maximum of mu(B) |D|^d / r^t with its
-    witness, the first ball to reach it; deterministic for a fixed seed.
+    float calls.  Returns each regime's maximum of mu(B) |D|^d / r^t
+    with its witness, the regime's first ball to reach it; deterministic
+    for a fixed seed.
     Every |D|^d, radius and r^t is normal for a measure of build_measure.
     """
     t = M.t
@@ -717,20 +699,5 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
                                  float(centers[j, 1])),
                                 radii[j], float(masses[j]))
         start += size
-    # the first ball to reach the maximum is the witness of the first
-    # regime, in draw order, whose peak is the maximum
-    best = max(regime_max.values())
-    worst = next(name for name, peak in regime_max.items() if peak == best)
-    center, radius, mass = regime_witness[worst]
-    return MeasureBoundReport(
-        max_ratio=best,
-        worst_center=center,
-        worst_radius=radius,
-        worst_regime=worst,
-        worst_mass=mass,
-        regime_max=regime_max,
-        regime_witness=regime_witness,
-        samples=samples,
-        seed=rng_seed,
-        t=t,
-    )
+    return MeasureBoundReport(regime_max=regime_max,
+                              regime_witness=regime_witness, t=t)

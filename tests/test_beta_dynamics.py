@@ -20,7 +20,6 @@ from beta_targets.beta_dynamics import (
     BetaParam,
     Interval,
     count_admissible,
-    count_full,
     count_words,
     cylinder_blocks,
     digits,
@@ -435,7 +434,7 @@ REFUSALS = {
     "digits-level-bool": (lambda: digits(2, 0.3, True), DomainError),
     "admissible-level-float": (lambda: count_admissible(2, 2.5), DomainError),
     "admissible-level-bool": (lambda: count_admissible(2, True), DomainError),
-    "full-level-zero": (lambda: count_full(2, 0), DomainError),
+    "full-level-zero": (lambda: count_words(2, 0)[1], DomainError),
     "count-words-level-bool": (lambda: count_words(2, True), DomainError),
     "blocks-level-float": (lambda: cylinder_blocks(2, 2.5), DomainError),
     "enumerate-level-bool": (lambda: enumerate_cylinders(2, True),
@@ -501,20 +500,21 @@ class TestCounts:
         assert count_admissible(2.5, 1) == 3
 
     def test_full_integer_beta(self):
-        assert count_full(3, 4) == 81
+        assert count_words(3, 4)[1] == 81
 
     def test_full_golden(self):
-        assert count_full(PHI, 2) == 2
-        assert count_full(PHI, 1) == 1
+        assert count_words(PHI, 2)[1] == 2
+        assert count_words(PHI, 1)[1] == 1
         for n, want in enumerate(PHI_FULL, start=1):
-            assert count_full(PHI, n) == want
+            assert count_words(PHI, n)[1] == want
 
     def test_counts_match_enumeration(self):
         for beta in (PHI, 2.5, math.e, 3.0):
             for n in range(1, 9):
                 nodes = list(enumerate_cylinders(beta, n))
                 assert count_admissible(beta, n) == len(nodes)
-                assert count_full(beta, n) == sum(1 for x in nodes if x.full)
+                assert count_words(beta, n)[1] == \
+                    sum(1 for x in nodes if x.full)
 
     def test_renyi_bounds_helper(self):
         lo, hi = admissible_count_bounds(2.5, 3)
@@ -538,7 +538,7 @@ class TestCounts:
     def test_counts_near_one(self, beta, counts):
         # c_beta underflows below beta ~ 1.0022; _check_full takes its log
         assert count_words(beta, 5) == counts
-        assert (count_admissible(beta, 5), count_full(beta, 5)) == counts
+        assert (count_admissible(beta, 5), count_words(beta, 5)[1]) == counts
 
     def test_renyi_floor_allows_dropped_ghosts(self):
         # 1 + 2**-52 drops digit 1 as a ghost, so its count is 1 at every
@@ -554,7 +554,7 @@ class TestCounts:
     def test_counts_deep_levels_cheap(self):
         # the distribution recursion is polynomial in n
         assert count_admissible(2, 200) == 2**200
-        assert count_full(PHI, 300) > 0
+        assert count_words(PHI, 300)[1] > 0
 
     def test_count_beyond_float_range(self):
         # phi**1500 overflows a float; the count is the Fibonacci F_1502
@@ -571,18 +571,18 @@ class TestCounts:
         # decided in exact arithmetic does not
         dist = fraction_level_distribution(beta, n)
         assert count_admissible(beta, n) == sum(dist.values())
-        assert count_full(beta, n) == dist[1]
+        assert count_words(beta, n)[1] == dist[1]
 
     def test_deep_fibonacci_is_linear_work(self):
         # two orbit states, so the recurrence does O(n) big-integer adds
         assert count_admissible(PHI, 100_000) == fibonacci(100_002)
-        assert count_full(PHI, 100_000) == fibonacci(100_001)
+        assert count_words(PHI, 100_000)[1] == fibonacci(100_001)
 
     def test_work_cap_is_levels_times_orbit_states(self):
         # phi's orbit closes after two states; 1.3's stays open past n
         assert count_admissible(PHI, 1000, node_cap=2000) == fibonacci(1002)
         with pytest.raises(ResourceLimitError):
-            count_full(1.3, 1000, node_cap=10**5)
+            count_words(1.3, 1000, node_cap=10**5)
 
     def test_big_integer_work_refused_at_the_call(self):
         # phi at n = 10**7 passes node_cap (two states), but its counts
@@ -605,13 +605,13 @@ class TestCounts:
         beta = BetaParam(1.1, dps=30)
         nodes = list(enumerate_cylinders(beta, 40))
         assert count_admissible(beta, 40) == len(nodes)
-        assert count_full(beta, 40) == sum(1 for x in nodes if x.full)
+        assert count_words(beta, 40)[1] == sum(1 for x in nodes if x.full)
 
     @pytest.mark.parametrize("beta, n", [(PHI, 30), (2.5, 40), (1.3, 200),
                                          (3.0, 12)])
     def test_count_words_is_both_counts(self, beta, n):
         assert count_words(beta, n) == (count_admissible(beta, n),
-                                        count_full(beta, n))
+                                        count_words(beta, n)[1])
 
     def test_count_words_keeps_both_checks(self, monkeypatch):
         from beta_targets import beta_dynamics
@@ -628,10 +628,11 @@ class TestCounts:
         # beta**2000 overflows a float; the failed bound must still be
         # reported as a ConsistencyError, not an OverflowError
         from beta_targets import beta_dynamics
+        # an admissible count of floor(2.5**n) passes its own check
         monkeypatch.setattr(beta_dynamics, "_counts",
-                            lambda param, n, node_cap: (1, 1))
+                            lambda param, n, node_cap: (5 ** n // 2 ** n, 1))
         with pytest.raises(ConsistencyError, match="full count 1 below"):
-            count_full(2.5, 2000)
+            count_words(2.5, 2000)
 
 
 class TestFindFull:

@@ -23,9 +23,9 @@ from beta_targets.cli_io import (
     _SHAPE_KEYS,
     _SUBCOMMANDS,
     _TARGETS,
+    _load,
     main,
     make_target_spec,
-    parse_config,
     run,
     validate_config,
 )
@@ -53,31 +53,31 @@ def read_csv(path):
 class TestParseConfig:
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="betaz"):
-            parse_config('{"betaz": [2]}')
+            validate_config(_load('{"betaz": [2]}'))
 
     def test_not_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
-            parse_config("nope{")
+            validate_config(_load("nope{"))
 
     def test_not_an_object(self):
         with pytest.raises(ConfigError, match="object"):
-            parse_config("[1, 2]")
+            validate_config(_load("[1, 2]"))
 
     def test_base_at_most_one_rejected(self):
         with pytest.raises(DomainError, match="exceed 1"):
-            parse_config('{"betas": [2.0, 0.5]}')
+            validate_config(_load('{"betas": [2.0, 0.5]}'))
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError, match="mode"):
-            parse_config('{"mode": "fast"}')
+            validate_config(_load('{"mode": "fast"}'))
 
     def test_level_range_order(self):
         with pytest.raises(ConfigError, match="n_min"):
-            parse_config('{"n_min": 5, "n_max": 2}')
+            validate_config(_load('{"n_min": 5, "n_max": 2}'))
 
     def test_threads_is_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key 'threads'"):
-            parse_config('{"threads": 1}')
+            validate_config(_load('{"threads": 1}'))
 
     def test_schema_keys_match_run_config(self):
         schema = Path(__file__).resolve().parents[1] / "schema" / \
@@ -98,7 +98,7 @@ class TestParseConfig:
 
     def test_only_full_must_be_boolean(self):
         with pytest.raises(ConfigError, match="only_full"):
-            parse_config('{"only_full": 1}')
+            validate_config(_load('{"only_full": 1}'))
 
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError, match="betas"):
@@ -117,10 +117,10 @@ class TestParseConfig:
             validate_config({"shape": [[0, 0], [1, 0]]})
 
     def test_round_trip_fields(self):
-        cfg = parse_config(json.dumps({
+        cfg = validate_config(_load(json.dumps({
             "betas": [2, 4], "n": 3, "mode": "limit", "seed": 7,
             "taus": [0.25, 0.125], "s": 1.5, "only_full": True,
-        }))
+        })))
         assert cfg.betas == (2.0, 4.0)
         assert cfg.n == 3
         assert cfg.mode == "limit"
@@ -231,7 +231,7 @@ class TestCount:
         assert len(calls) == 1
         _, rows, _, _ = read_csv(tmp_path / "count.csv")
         assert rows == [["2.5", "40", str(beta_dynamics.count_admissible(
-            2.5, 40)), str(beta_dynamics.count_full(2.5, 40))]]
+            2.5, 40)), str(beta_dynamics.count_words(2.5, 40)[1])]]
 
     def test_node_cap_from_config(self, tmp_path, capsys):
         # n x orbit states is at least 1500, past the cap of 10
@@ -319,13 +319,13 @@ class TestCylinders:
                    for r in rows)
 
     def test_only_full_matches_counter(self, tmp_path, capsys):
-        from beta_targets.beta_dynamics import count_full
+        from beta_targets.beta_dynamics import count_words
         path = write_config(tmp_path,
                             {"betas": [1.8], "n": 3, "only_full": True})
         rc = main(["cylinders", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
         _, rows, _, _ = read_csv(tmp_path / "cylinders.csv")
-        assert len(rows) == count_full(1.8, 3)
+        assert len(rows) == count_words(1.8, 3)[1]
         assert all(r[4] == "1" for r in rows)
 
 
@@ -860,21 +860,22 @@ class TestVerifyCover:
         _, rows, _, _ = read_csv(tmp_path / "verify_cover.csv")
         assert [r[:3] for r in rows] == [["2", "0.015625", "256"]]
 
-    def test_two_exponents_refused(self, tmp_path, capsys, monkeypatch):
-        # the second exponent used to be dropped without a word
-        from beta_targets import cli_io
-        scans = []
-        monkeypatch.setattr(cli_io, "cover_exponent_scan",
-                            lambda *args, **kwargs: scans.append(args))
-        out = tmp_path / "out"
-        rc = main(["verify-cover", "--config",
-                   self.config(tmp_path, [1.2, 1.9]), "--out", str(out)])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["code"] == "cli_io.config"
-        assert "single exponent" in err["message"]
-        assert scans == []
-        assert list(out.iterdir()) == []
+    @pytest.mark.parametrize("s", [[0.3], [1.2, 1.9], [3.0]],
+                             ids=["small", "two", "past-d"])
+    def test_exponent_changes_no_row(self, tmp_path, capsys, s):
+        # verify-cover reads no exponent: its rows are those of the same
+        # config without "s"
+        def rows(name, config):
+            out = tmp_path / name
+            assert main(["verify-cover", "--config", config,
+                         "--out", str(out)]) == 0
+            return read_csv(out / "verify_cover.csv")[1]
+
+        with_s = self.config(tmp_path, s)
+        plain = json.loads(Path(with_s).read_text())
+        del plain["s"]
+        assert rows("with", with_s) == rows(
+            "without", write_config(tmp_path, plain, "plain.json"))
 
 
 class TestVerifyMeasure:
@@ -1099,6 +1100,19 @@ class TestSubcommandTable:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["code"] == "cli_io.config"
+
+    @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+    def test_seed_flag_on_verify_measure_only(self, tmp_path, capsys, name):
+        # only verify-measure draws
+        path = write_config(tmp_path, MINIMAL[name])
+        rc = main([name, "--config", path, "--out", str(tmp_path / "out"),
+                   "--seed", "1"])
+        err = capsys.readouterr().err
+        if name == "verify-measure":
+            assert rc == 0
+        else:
+            assert rc == 2
+            assert json.loads(err)["error"]["code"] == "cli_io.config"
 
 
 def _with_config(subcommand, config):
@@ -1389,7 +1403,8 @@ class TestParserReuse:
         config_only = ["count", "--config", path]
         plain = ["count", "--beta", "2", "--n", "5",
                  "--out", str(tmp_path / "flags")]
-        seeded = plain + ["--seed", "3"]
+        seeded = plain + ["--config", write_config(tmp_path, {"seed": 3},
+                                                   "seed.json")]
 
         def call(argv):
             rc = main(argv)

@@ -449,7 +449,9 @@ class TestSStar:
         assert rep.s_star == pytest.approx(1.25, abs=1e-12)
         assert rep.converged
         assert len(rep.levels) == 30
-        assert rep.tail_max - rep.tail_min < rep.tolerance
+        tail = [lv.s_n for lv in rep.levels[-10:]]
+        # s_star's default tolerance
+        assert max(tail) - min(tail) < 1e-3
 
     def test_exact_mode_flags_slow_drift(self):
         # at window 5 and tol 1e-9 the pi/6 drift is still visible

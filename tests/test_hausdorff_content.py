@@ -9,9 +9,7 @@ from beta_targets import hausdorff_content
 from beta_targets.errors import ConsistencyError, DomainError
 from beta_targets.hausdorff_content import (
     ContentEstimate,
-    SortedRectangle,
     _column_intervals,
-    brute_force_content_2d,
     content_estimates_2d,
     mdp_lower_bound,
     singular_value_function,
@@ -49,7 +47,7 @@ CONTENT_SHAPES = {
     "far-sliver": [[0.8, 0.6], [0.9, 0.6], [0.9, 0.602], [0.8, 0.602]],
     "steep": [[0.4, 0.05], [0.43, 0.05], [0.53, 0.95], [0.5, 0.95]],
 }
-# brute_force_content_2d (lower, upper) as float.hex for each s in
+# content_estimates_2d (lower, upper) as float.hex for each s in
 # CONTENT_S: any change to the oracle's arithmetic shows here
 CONTENT_HEX = {
     "triangle": [
@@ -167,42 +165,42 @@ def thin_shapes(rng, count):
 
 
 class TestSortedRectangle:
-    def test_valid(self):
-        r = SortedRectangle((0.5, 0.1))
-        assert r.dimension == 2
+    """The side lengths singular_value_function takes: positive, and in
+    any order, which it sorts."""
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(DomainError):
-            SortedRectangle((0.1, 0.5))
+    def test_valid(self):
+        # two sides make a 2-D rectangle, whose exponents reach s = 2
+        assert singular_value_function((0.5, 0.1), 2.0) == 0.5 * 0.1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            SortedRectangle((0.5, 0.0))
+            singular_value_function((0.5, 0.0), 1.0)
 
     def test_from_lengths_sorts(self):
-        r = SortedRectangle.from_lengths((0.1, 0.5, 0.3))
-        assert r.side_lengths == (0.5, 0.3, 0.1)
+        for s in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+            assert singular_value_function((0.1, 0.5, 0.3), s) == \
+                singular_value_function((0.5, 0.3, 0.1), s)
 
 
 class TestSingularValueFunction:
     def test_frozen_values(self):
-        r = SortedRectangle((0.5, 0.1))
+        r = (0.5, 0.1)
         assert singular_value_function(r, 1.5) == pytest.approx(
             PHI_HALF_TENTH_15, rel=1e-15)
         assert singular_value_function(r, 2.0) == pytest.approx(
             PHI_HALF_TENTH_2, rel=1e-15)
 
     def test_cube_case(self):
-        r = SortedRectangle((0.3, 0.3, 0.3))
+        r = (0.3, 0.3, 0.3)
         for s in (0.5, 1.0, 1.7, 2.4, 3.0):
             assert singular_value_function(r, s) == pytest.approx(0.3 ** s)
 
     def test_integer_s_truncates(self):
-        r = SortedRectangle((0.5, 0.1))
+        r = (0.5, 0.1)
         assert singular_value_function(r, 1.0) == 0.5
 
     def test_domain(self):
-        r = SortedRectangle((0.5, 0.1))
+        r = (0.5, 0.1)
         with pytest.raises(DomainError):
             singular_value_function(r, 0.0)
         with pytest.raises(DomainError):
@@ -212,8 +210,8 @@ class TestSingularValueFunction:
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5),
            st.floats(0.01, 1.0), st.floats(0.01, 1.0))
     def test_monotone_in_s(self, sides, f1, f2):
-        r = SortedRectangle.from_lengths(sides)
-        d = r.dimension
+        r = sides
+        d = len(r)
         s1, s2 = sorted((f1 * d, f2 * d))
         if s1 <= 0.0:
             s1 = 1e-6
@@ -223,12 +221,12 @@ class TestSingularValueFunction:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4))
     def test_continuous_at_integer_s(self, sides):
-        r = SortedRectangle.from_lengths(sides)
-        for m in range(1, r.dimension + 1):
+        r = sides
+        for m in range(1, len(r) + 1):
             at = singular_value_function(r, float(m))
             below = singular_value_function(r, m - 1e-9)
             assert at == pytest.approx(below, rel=1e-6)
-            if m < r.dimension:
+            if m < len(r):
                 above = singular_value_function(r, m + 1e-9)
                 assert at == pytest.approx(above, rel=1e-6)
 
@@ -236,10 +234,9 @@ class TestSingularValueFunction:
     @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=4),
            st.floats(0.1, 1.0), st.floats(0.1, 0.99))
     def test_scaling_law(self, sides, sfrac, lam):
-        r = SortedRectangle.from_lengths(sides)
-        s = max(1e-6, sfrac * r.dimension)
-        scaled = SortedRectangle.from_lengths(
-            [lam * a for a in r.side_lengths])
+        r = sides
+        s = max(1e-6, sfrac * len(r))
+        scaled = [lam * a for a in r]
         assert singular_value_function(scaled, s) == pytest.approx(
             lam ** s * singular_value_function(r, s), rel=1e-9)
 
@@ -275,16 +272,16 @@ class TestMassDistribution:
 
 class TestBruteForce:
     def test_unit_square(self):
-        est = brute_force_content_2d(rect_poly(0.0, 0.0, 1.0, 1.0), 2.0)
+        est = content_estimates_2d(rect_poly(0.0, 0.0, 1.0, 1.0), [2.0])[0]
         assert 1.0 - 1e-9 <= est.upper <= 1.05
         assert est.lower >= 0.25 * (1.0 - 1e-9)
         assert est.lower <= est.upper
 
     def test_rectangle_hits_sandwich(self):
         poly = rect_poly(0.037, 0.213, 0.5, 0.1)
-        r = SortedRectangle((0.5, 0.1))
+        r = (0.5, 0.1)
         for s in (0.5, 1.0, 1.3, 1.5, 1.7, 2.0):
-            est = brute_force_content_2d(poly, s)
+            est = content_estimates_2d(poly, [s])[0]
             phi = singular_value_function(r, s)
             # exact-fit anchored mesh exists for this aspect ratio
             assert est.upper <= phi * (1.0 + 1e-9)
@@ -293,14 +290,14 @@ class TestBruteForce:
     def test_segment_like_thin_shape(self):
         poly = rect_poly(0.25, 0.5, 0.5, 0.002)
         for s in (0.5, 0.8, 1.0):
-            est = brute_force_content_2d(poly, s)
+            est = content_estimates_2d(poly, [s])[0]
             assert 0.5 ** s * (1.0 - 1e-9) <= est.upper <= 0.5 ** s * 1.02
 
     def test_thin_rectangle_far_from_origin(self):
         # at s = 2 the MDP spot check at r = h/8 holds with equality, so
         # the clipped areas must keep the precision of the shape itself
         poly = [[0.8, 0.6], [0.9, 0.6], [0.9, 0.602], [0.8, 0.602]]
-        est = brute_force_content_2d(poly, 2.0)
+        est = content_estimates_2d(poly, [2.0])[0]
         assert est.lower <= est.upper
 
     @pytest.mark.parametrize("poly", [
@@ -313,18 +310,41 @@ class TestBruteForce:
         # a box whose short side is at most 1e-9 of its long one has no
         # remainder tiling: 0.0 would be no cover, and out of order
         x0, y0, x1, y1 = polygon_bbox(np.array(poly))
-        r = SortedRectangle.from_lengths((x1 - x0, y1 - y0))
+        r = (x1 - x0, y1 - y0)
         for s, est in zip((0.5, 1.0, 1.5),
                           content_estimates_2d(poly, [0.5, 1.0, 1.5])):
             assert 0.0 < est.lower <= est.upper
             assert est.upper <= singular_value_function(r, s) * 1.1
 
     def test_empty_and_degenerate(self):
-        est = brute_force_content_2d(np.zeros((2, 2)), 1.5)
+        est = content_estimates_2d(np.zeros((2, 2)), [1.5])[0]
         assert est.lower == 0.0 and est.upper == 0.0
         line = np.array([[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]])
-        est = brute_force_content_2d(line, 1.5)
+        est = content_estimates_2d(line, [1.5])[0]
         assert est.upper == 0.0
+
+    @pytest.mark.parametrize("shape", [
+        [[math.nan, 0.0], [0.5, 0.5]],
+        [[5.0, 5.0], [6.0, 6.0]],
+    ], ids=["nan", "outside"])
+    def test_two_vertices_checked(self, shape):
+        # a shape of fewer than three vertices has no area, but its
+        # vertices are held to the same domain
+        with pytest.raises(DomainError) as info:
+            content_estimates_2d(shape, [1.0])
+        assert info.value.code == "hausdorff_content.domain"
+
+    @pytest.mark.parametrize("depth", [4.5, "7", True],
+                             ids=["float", "string", "bool"])
+    def test_depths_must_be_integers(self, depth):
+        with pytest.raises(DomainError, match=r"integers in \[1, 24\]"):
+            content_estimates_2d(CONTENT_SHAPES["triangle"], [1.0],
+                                 depths=(depth,))
+
+    def test_numpy_integer_depths(self):
+        shape = CONTENT_SHAPES["triangle"]
+        assert content_estimates_2d(shape, [1.0], np.arange(4, 7)) == \
+            content_estimates_2d(shape, [1.0], (4, 5, 6))
 
     @pytest.mark.parametrize("shape", [
         STAR,
@@ -343,7 +363,7 @@ class TestBruteForce:
             "thin-dent"])
     def test_rejects_non_convex(self, shape):
         with pytest.raises(DomainError, match="shape must be convex"):
-            brute_force_content_2d(shape, 1.0)
+            content_estimates_2d(shape, [1.0])
 
     @pytest.mark.parametrize("shape", [
         # the thin rectangle bent in by rounding only
@@ -368,33 +388,28 @@ class TestBruteForce:
 
     def test_rejects_out_of_square(self):
         with pytest.raises(DomainError):
-            brute_force_content_2d(rect_poly(0.8, 0.8, 0.5, 0.1), 1.5)
+            content_estimates_2d(rect_poly(0.8, 0.8, 0.5, 0.1), [1.5])
 
     def test_rejects_bad_s(self):
         with pytest.raises(DomainError):
-            brute_force_content_2d(rect_poly(0.1, 0.1, 0.5, 0.1), 0.0)
+            content_estimates_2d(rect_poly(0.1, 0.1, 0.5, 0.1), [0.0])
 
     def test_scaling_law(self):
         big = rect_poly(0.1, 0.1, 0.64, 0.04)
         small = rect_poly(0.1, 0.1, 0.32, 0.02)
         for s in (0.7, 1.4, 2.0):
-            up_big = brute_force_content_2d(big, s).upper
-            up_small = brute_force_content_2d(small, s).upper
+            up_big = content_estimates_2d(big, [s])[0].upper
+            up_small = content_estimates_2d(small, [s])[0].upper
             assert up_small == pytest.approx(0.5 ** s * up_big, rel=0.05)
-
-    def test_scale_grid_reported(self):
-        est = brute_force_content_2d(rect_poly(0.1, 0.1, 0.5, 0.1), 1.5,
-                                     depths=(4, 6))
-        assert est.scale_grid == (2.0 ** -4, 2.0 ** -6)
 
     def test_thin_random_shapes_within_sandwich(self):
         rng = np.random.default_rng(0)
         shapes = thin_shapes(rng, 20)
         for poly in shapes:
             x0, y0, x1, y1 = polygon_bbox(poly)
-            r = SortedRectangle.from_lengths((x1 - x0, y1 - y0))
+            r = (x1 - x0, y1 - y0)
             for s in (0.5, 1.0, 1.3, 1.7, 2.0):
-                est = brute_force_content_2d(poly, s)
+                est = content_estimates_2d(poly, [s])[0]
                 phi = singular_value_function(r, s)
                 assert est.upper <= phi * 1.1
                 c = polygon_area(poly) / ((x1 - x0) * (y1 - y0))
@@ -407,7 +422,7 @@ class TestFrozenContent:
     def test_bit_identical(self, name):
         got = []
         for s in CONTENT_S:
-            est = brute_force_content_2d(CONTENT_SHAPES[name], s)
+            est = content_estimates_2d(CONTENT_SHAPES[name], [s])[0]
             got.append((est.lower.hex(), est.upper.hex()))
         assert got == CONTENT_HEX[name]
 
@@ -416,10 +431,10 @@ class TestFrozenContent:
         inside = np.array([[0.0, 0.5], [0.6, 0.2], [0.7, 0.9]])
         nudged = inside + np.array([[-1e-10, 0.0], [0.0, 0.0], [0.0, 0.0]])
         for s in CONTENT_S:
-            assert brute_force_content_2d(nudged, s) == \
-                brute_force_content_2d(inside, s)
+            assert content_estimates_2d(nudged, [s])[0] == \
+                content_estimates_2d(inside, [s])[0]
         with pytest.raises(DomainError):
-            brute_force_content_2d(inside - np.array([2e-9, 0.0]), 1.0)
+            content_estimates_2d(inside - np.array([2e-9, 0.0]), [1.0])
 
 
 @st.composite
@@ -527,11 +542,12 @@ class TestContentBatch:
                                          max_size=5)))
     def test_equals_per_exponent_calls(self, poly, exponents, depths):
         def bits(est):
-            return est.lower.hex(), est.upper.hex(), est.scale_grid
+            return est.lower.hex(), est.upper.hex()
 
         got = content_estimates_2d(poly, exponents, depths)
         assert [bits(est) for est in got] == [
-            bits(brute_force_content_2d(poly, s, depths)) for s in exponents]
+            bits(content_estimates_2d(poly, [s], depths)[0])
+            for s in exponents]
 
     def test_frozen_values_in_one_batch(self):
         for name, want in CONTENT_HEX.items():
@@ -569,4 +585,4 @@ class TestContentBatch:
 class TestContentEstimateInvariant:
     def test_rejects_inverted(self):
         with pytest.raises(ConsistencyError):
-            ContentEstimate(1.0, 0.5, (0.25,))
+            ContentEstimate(1.0, 0.5)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beta_targets.beta_dynamics import count_admissible, count_full
+from beta_targets.beta_dynamics import count_admissible, count_words
 from beta_targets.dimension_engine import (
     ExplicitTargets,
     LinearFamily,
@@ -103,7 +103,7 @@ class TestBuildEn:
         spec = TargetSpec(BetaSystem((1.8, 1.8)),
                           axis_family((1.0, 1.0), origin=(0.2, 0.2)))
         E = build_E_n(spec, 3, D=UNIT_D)
-        assert E.copy_count == count_full(1.8, 3) ** 2
+        assert E.copy_count == count_words(1.8, 3)[1] ** 2
 
     def test_only_two_dimensional(self):
         spec = TargetSpec(BetaSystem((2.0,)), axis_family((1.0,)))
@@ -397,33 +397,28 @@ class TestCoverScan:
     def test_default_scan_rows(self):
         scan = cover_exponent_scan(pi4_spec(), 2)
         level = s_n(pi4_spec(), 2)
-        assert scan.s == pytest.approx(level.s_n)
+        assert scan.level.s_n == pytest.approx(level.s_n)
         assert len(scan.rows) == len(level.candidates)
         for row, tau in zip(scan.rows, level.candidates):
             assert row.tau == pytest.approx(tau)
             assert row.count >= 1
             assert row.ratio == pytest.approx(row.count / row.predicted)
-            assert row.s_product == pytest.approx(
-                row.count * row.tau ** scan.s)
 
     def test_supercritical_products_decay(self):
         spec = pi4_spec()
         mins = []
         for n in (2, 3):
             s = s_n(spec, n).s_n + 0.2
-            scan = cover_exponent_scan(spec, n, s=s)
-            mins.append(min(r.s_product for r in scan.rows))
+            scan = cover_exponent_scan(spec, n)
+            mins.append(min(r.count * r.tau ** s for r in scan.rows))
         assert mins[1] < mins[0]
 
     def test_area_exponent_bounded_by_one(self):
-        scan = cover_exponent_scan(pi4_spec(), 2, s=2.0)
+        scan = cover_exponent_scan(pi4_spec(), 2)
         E_area = 64 * (2.0 ** -12)
         smallest = min(scan.rows, key=lambda r: r.tau)
-        assert E_area * (1 - 1e-9) <= smallest.s_product <= 1.0
-
-    def test_bad_exponent(self):
-        with pytest.raises(DomainError):
-            cover_exponent_scan(pi4_spec(), 2, s=2.5)
+        assert E_area * (1 - 1e-9) <= smallest.count * smallest.tau ** 2.0 \
+            <= 1.0
 
 
 def clip_ball_mass(M, center, r):
@@ -613,11 +608,10 @@ class TestScalarRefusals:
         # a third end was dropped without a word
         lambda M, E: build_measure(pi4_spec(), 2,
                                    ((0.0, 1.0, 7.0), (0.0, 1.0)), t=1.0),
-        lambda M, E: cover_exponent_scan(pi4_spec(), 2, s="x"),
         lambda M, E: cover_exponent_scan(pi4_spec(), 2, taus=["x"]),
     ], ids=["str-center", "short-center", "scalar-center", "str-radius",
             "str-mesh", "str-predicted-mesh", "str-t", "str-eps", "str-D",
-            "long-D", "str-s", "str-taus"])
+            "long-D", "str-taus"])
     def test_non_numbers_are_the_labs_domain_errors(self, call):
         # each escaped as a bare ValueError, TypeError or IndexError
         M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)
@@ -755,7 +749,7 @@ class TestFloatRule:
                 assert lo >= NORMAL and lo ** t >= NORMAL
         for _, r, _ in rep.regime_witness.values():
             assert r >= NORMAL and r ** t >= NORMAL
-        assert math.isfinite(rep.max_ratio)
+        assert all(map(math.isfinite, rep.regime_max.values()))
 
     @pytest.mark.parametrize("spec, n, D, t", [
         (pi4_spec(), 3, ((0.0, 0.5), (0.0, 0.5)), 1.2),
@@ -813,7 +807,7 @@ class TestMeasureBound:
     def test_zero_exponent_ratio_is_mass(self):
         M = build_measure(square_spec(), 1, UNIT_D, t=0.0)
         rep = verify_measure_bound(M, samples=200, rng_seed=3)
-        assert 0.0 < rep.max_ratio <= 1.0 + 1e-12
+        assert 0.0 < max(rep.regime_max.values()) <= 1.0 + 1e-12
 
     def test_deterministic_and_structured(self):
         M = build_measure(pi4_spec(), 2, UNIT_D, t=1.0)
@@ -823,16 +817,17 @@ class TestMeasureBound:
         assert a.t == M.t
         assert set(a.regime_max) == {"beyond_box", "below_frame",
                                      "cylinder_to_box", "between_scales"}
-        assert a.max_ratio == pytest.approx(max(a.regime_max.values()))
-        assert a.worst_regime in a.regime_max
-        assert math.isfinite(a.max_ratio) and a.max_ratio > 0.0
-        assert a.worst_mass <= 1.0 + 1e-12
+        peak = max(a.regime_max.values())
+        assert math.isfinite(peak) and peak > 0.0
+        assert all(mass <= 1.0 + 1e-12
+                   for _, _, mass in a.regime_witness.values())
 
     def test_seed_changes_draws(self):
         M = build_measure(square_spec(), 1, UNIT_D, t=0.4)
         a = verify_measure_bound(M, samples=60, rng_seed=1)
         b = verify_measure_bound(M, samples=60, rng_seed=2)
-        assert a.worst_radius != b.worst_radius
+        assert [r for _, r, _ in a.regime_witness.values()] != \
+            [r for _, r, _ in b.regime_witness.values()]
 
     @pytest.mark.parametrize("betas,theta,n,seed,samples", [
         ((2.0, 4.0), math.pi / 4, 2, 0, 402),
@@ -864,9 +859,6 @@ class TestMeasureBound:
             assert (got_center, got_radius) == (center, radius)
             assert got_mass == pytest.approx(mass, rel=0.0, abs=1e-12)
             assert rep.regime_max[name] == pytest.approx(ratio, rel=1e-12)
-        peak = max(ref, key=lambda k: ref[k][0])
-        assert rep.worst_regime == peak
-        assert (rep.worst_center, rep.worst_radius) == ref[peak][1:3]
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 2, 36, 2 ** 31 + 1, 3 * 2 ** 30,

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,23 +24,42 @@ REMOVED = [
     ("beta_dynamics", "full_count_constant"),
     ("beta_dynamics", "find_full_in_interval"),
     ("beta_dynamics", "count_full_in_interval"),
+    ("beta_dynamics", "count_full"),
     ("dimension_engine", "closed_form_example"),
     ("dimension_engine", "generate_target"),
     ("dimension_engine", "AxisFamily"),
     ("dimension_engine", "LevelData.gamma_norms"),
     ("dimension_engine", "LevelData.argmin_tau"),
     ("dimension_engine", "DimensionReport.large_intersection_class"),
+    ("dimension_engine", "DimensionReport.window"),
+    ("dimension_engine", "DimensionReport.tail_min"),
+    ("dimension_engine", "DimensionReport.tail_max"),
+    ("dimension_engine", "DimensionReport.tolerance"),
     ("hausdorff_content", "content_sandwich"),
     ("hausdorff_content", "SortedRectangle.volume"),
+    ("hausdorff_content", "SortedRectangle.from_lengths"),
+    ("hausdorff_content", "SortedRectangle"),
+    ("hausdorff_content", "brute_force_content_2d"),
+    ("hausdorff_content", "ContentEstimate.scale_grid"),
     ("numerical_lab", "EnSet.copy_polygon"),
     ("numerical_lab", "EnSet.mode"),
     ("numerical_lab", "_quiet_target"),
+    ("numerical_lab", "CoverRow.s_product"),
+    ("numerical_lab", "CoverScan.s"),
+    ("numerical_lab", "MeasureBoundReport.max_ratio"),
+    ("numerical_lab", "MeasureBoundReport.worst_center"),
+    ("numerical_lab", "MeasureBoundReport.worst_radius"),
+    ("numerical_lab", "MeasureBoundReport.worst_regime"),
+    ("numerical_lab", "MeasureBoundReport.worst_mass"),
+    ("numerical_lab", "MeasureBoundReport.samples"),
+    ("numerical_lab", "MeasureBoundReport.seed"),
     ("parallelepiped_geometry", "rotate2d"),
     ("parallelepiped_geometry", "Parallelepiped.column_norms"),
     ("parallelepiped_geometry", "Hyperrectangle.contains_point"),
     ("parallelepiped_geometry", "Hyperrectangle"),
     ("parallelepiped_geometry", "volume"),
     ("cli_io", "SUBCOMMANDS"),
+    ("cli_io", "parse_config"),
 ]
 
 
@@ -56,6 +77,16 @@ def test_names_resolve_to_module_objects():
     for m in MODULES:
         for name in _module(m).__all__:
             assert getattr(beta_targets, name) is getattr(_module(m), name)
+
+
+def test_readme_public_api_is_all():
+    # the README's table of public names: one row per module, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Public API\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M)
+    assert [m for m, _ in rows] == list(MODULES)
+    for m, names in rows:
+        assert re.findall(r"`(\w+)`", names) == _module(m).__all__
 
 
 def test_beta_param_importable():
@@ -85,6 +116,7 @@ def test_removed_names_are_gone(module, path):
     (beta_targets.Rotated2DFamily, "theta_value"),
     (beta_targets.build_E_n, "mode"),
     (beta_targets.build_E_n, "eps"),
+    (beta_targets.cover_exponent_scan, "s"),
 ])
 def test_removed_keywords_are_gone(function, keyword):
     assert keyword not in inspect.signature(function).parameters
