@@ -2,12 +2,15 @@
 
 ``closed_form_example`` gives the known dimensions of the two worked 2-D
 families (bases 2 and 4, unit exponents); ``admissible_count_bounds`` is
-Renyi's sandwich for the number of admissible words, and
-``full_count_constant`` the constant of the full words' lower bound.
+Renyi's sandwich for the number of admissible words,
+``full_count_constant`` the constant of the full words' lower bound, and
+``monomial_dimension`` the exact dimension of the linear family of a
+monomial matrix on bases that are powers of 2.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def closed_form_example(which: int, param: float) -> float:
@@ -53,3 +56,21 @@ def full_count_constant(beta: float) -> float:
         c *= 1.0 - b ** -i
         i += 1
     return c
+
+
+def monomial_dimension(k, t, sigma) -> Fraction:
+    """s* of P_n = o + R diag(beta_j^(-n t_j)) [0,1]^d with beta_i = 2^k_i,
+    rational t_j and R a signed, scaled permutation: column j of R is
+    nonzero in row sigma[j] only, and its scale drops out of the limit.
+
+    Column j of f^n P_n then has log2 length -n g_j + const with
+    g_j = t_j k_j + k_sigma(j), and a cylinder side is 2^(-n w_i), w_i = k_i.
+    At the scale tau = 2^(-n lam) the objective is
+    sum_i min(1, w_i/lam) + sum_j max(0, 1 - g_j/lam); s* is its minimum
+    over lam in {w} u {g}, all in exact rationals, repeats kept.
+    """
+    w = [Fraction(ki) for ki in k]
+    g = [Fraction(tj) * k[j] + k[sigma[j]] for j, tj in enumerate(t)]
+    return min(sum(min(Fraction(1), wi / lam) for wi in w)
+               + sum(max(Fraction(0), 1 - gj / lam) for gj in g)
+               for lam in w + g)

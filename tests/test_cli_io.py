@@ -1100,13 +1100,8 @@ class TestSubcommandTable:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["code"] == "cli_io.config"
-
-    @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
-    def test_seed_flag_on_verify_measure_only(self, tmp_path, capsys, name):
-        # only verify-measure draws
-        path = write_config(tmp_path, MINIMAL[name])
-        rc = main([name, "--config", path, "--out", str(tmp_path / "out"),
-                   "--seed", "1"])
+        # only verify-measure draws, so only it takes --seed
+        rc = main([name, "--config", path, "--out", str(out), "--seed", "1"])
         err = capsys.readouterr().err
         if name == "verify-measure":
             assert rc == 0

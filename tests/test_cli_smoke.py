@@ -99,19 +99,6 @@ def test_readme_dimension_example(tmp_path):
     assert not list(out.rglob("*.part"))
 
 
-def test_verify_cover_reads_no_exponent(tmp_path):
-    # the same body with and without "s", even one past the dimension
-    cover = {"betas": [2, 4], "n_min": 1, "n_max": 1,
-             "target": {"kind": "rotated2d", "theta": "const"}}
-    bodies = []
-    for name, extra in (("plain", {}), ("two", {"s": [1.2, 1.9]}),
-                        ("past-d", {"s": [3.0]})):
-        path = config(tmp_path, name, dict(cover, **extra))
-        runs("verify-cover", "--config", path, "--out", tmp_path / name)
-        bodies.append(data_rows(tmp_path / name / "verify_cover.csv"))
-    assert bodies[0] == bodies[1] == bodies[2]
-
-
 def test_rotated2d_rule_takes_its_own_key(tmp_path):
     path = config(tmp_path, "const-a", {
         "betas": [2, 4], "target": {"kind": "rotated2d", "theta": "const",

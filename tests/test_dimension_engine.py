@@ -8,6 +8,7 @@ of the defining objective, no shared code) and frozen here.
 import itertools
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -38,7 +39,7 @@ from beta_targets.parallelepiped_geometry import (
     pivoted_orthogonalize_scaled,
     rotation_matrix,
 )
-from closed_forms import closed_form_example
+from closed_forms import closed_form_example, monomial_dimension
 from family_reference import axis_family, const_rotation
 
 SYS24 = BetaSystem((2.0, 4.0))
@@ -425,6 +426,36 @@ class TestLevelData:
         spec = TargetSpec(BetaSystem(betas), axis_family(exponents))
         assert s_n(spec, n).s_n == pytest.approx(
             s_n(spec, n, mode="limit").s_n, rel=0, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4),
+           st.sampled_from([1, 7, 50, 1000]) | st.integers(1, 1000),
+           st.data())
+    def test_monomial_matches_closed_form(self, d, n, data):
+        # bases 2^k, rational exponents and a signed, scaled permutation R
+        k = data.draw(st.lists(st.integers(1, 4), min_size=d, max_size=d))
+        t = data.draw(st.lists(st.builds(Fraction, st.integers(1, 12),
+                                         st.integers(1, 6)),
+                               min_size=d, max_size=d))
+        sigma = data.draw(st.permutations(range(d)))
+        scale = data.draw(st.lists(st.sampled_from(
+            [1.0, -1.0, 0.5, -0.5, 0.25, -0.25]), min_size=d, max_size=d))
+        rows = [[scale[j] if sigma[j] == i else 0.0 for j in range(d)]
+                for i in range(d)]
+        spec = TargetSpec(BetaSystem([2.0 ** ki for ki in k]),
+                          LinearFamily(rows, [float(tj) for tj in t]))
+        oracle = monomial_dimension(k, t, sigma)
+        assert s_n(spec, n, mode="limit").s_n == pytest.approx(
+            float(oracle), rel=0, abs=1e-12)
+        # Exact mode sees column j at log2 length -n g_j + log2|r_j|: the
+        # oracle's objective with g_j - log2|r_j| / n for g_j.  Each
+        # objective is monotone between its candidates and no lower past
+        # them, so both values are minima over all lam > 0, reached at
+        # lam >= min(k) >= 1, where the objective moves by at most
+        # |dg_j| / lam per g_j.  So n |exact - oracle| <= K, the sum of
+        # |log2|r_j||, at most 2d = 8; 1e-9 covers float rounding.
+        K = sum(abs(math.log2(abs(r))) for r in scale)
+        assert n * abs(s_n(spec, n).s_n - oracle) <= K + 1e-9
 
     @pytest.mark.parametrize("gamma_log2, ok", [
         ((-1.2, -1.5000000000000002, -1.5), True),
