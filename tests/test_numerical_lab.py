@@ -417,8 +417,8 @@ class TestCoverScan:
         scan = cover_exponent_scan(pi4_spec(), 2)
         E_area = 64 * (2.0 ** -12)
         smallest = min(scan.rows, key=lambda r: r.tau)
-        assert E_area * (1 - 1e-9) <= smallest.count * smallest.tau ** 2.0 \
-            <= 1.0
+        product = smallest.count * smallest.tau ** 2.0
+        assert E_area * (1 - 1e-9) <= product <= 1.0
 
 
 def clip_ball_mass(M, center, r):
