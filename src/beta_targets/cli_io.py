@@ -251,11 +251,21 @@ def _shape(v, what: str) -> Parallelepiped:
 
 def _load_table(d: int, path: str) -> ExplicitTargets:
     """Per-level targets from CSV rows: n, origin (d), columns
-    column-major (d*d), validated as one stack."""
+    column-major (d*d), validated as one stack.  The file is read on
+    every call, so an edited table is always seen; its parse is reused
+    while the content stays the same."""
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:
         _fail(f"cannot read target table {path!r}: {exc}")
+    return _parse_table(d, path, text)
+
+
+@functools.lru_cache(maxsize=1)
+def _parse_table(d: int, path: str, text: str) -> ExplicitTargets:
+    """The table of _load_table from its text; cached, as a run of
+    blocks reads the same table once per job.  The path is in the key
+    because refusals name it; a refusal raises and is never cached."""
     width = 1 + d + d * d
     rows = {}
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -163,7 +163,8 @@ def _planar_rates(entry_rates, exponents, log2_betas):
 
 
 def _frozen(x):
-    """ndarray.tolist's floats and nested lists as a cache key."""
+    """ndarray.tolist's floats and nested lists as nested tuples: a cache
+    key, or rows shared between callers."""
     return tuple(map(_frozen, x)) if isinstance(x, list) else x
 
 
@@ -319,11 +320,12 @@ class ExplicitTargets:
 
     @functools.cached_property
     def _log_parts(self):
-        """Signs and log2 magnitudes of every level's columns, as lists,
-        taken once for the whole stack."""
+        """Signs and log2 magnitudes of every level's columns, taken once
+        for the whole stack; the signs as tuples, since log_columns hands
+        the same rows to every caller."""
         with np.errstate(divide="ignore"):
             logs = np.log2(np.abs(self.columns))
-        return np.sign(self.columns).tolist(), logs.tolist()
+        return _frozen(np.sign(self.columns).tolist()), logs.tolist()
 
     def target(self, betas, n: int) -> Parallelepiped:
         return self.shapes[self._level(n)]

@@ -11,7 +11,9 @@ absolute path.
 The table loader validates the whole table as one stack: a bad row
 outside the requested levels is refused with the code and message the
 per-shape loader gave, the first bad row deciding, and a table gives
-the same levels as an explicit list of the same shapes.
+the same levels as an explicit list of the same shapes.  A process
+reuses the last table content it parsed, and reads the file on every
+run: an edited table is seen, and a refused one is refused again.
 """
 
 import hashlib
@@ -22,8 +24,9 @@ import struct
 import numpy as np
 import pytest
 
-from beta_targets.cli_io import _load_table, main
-from beta_targets.parallelepiped_geometry import Parallelepiped
+from beta_targets.cli_io import _load_table, _parse_table, main
+from beta_targets.dimension_engine import TargetSpec, log_columns
+from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 TABLE_BETAS = [2.0, 2.5, 3.0]
@@ -99,8 +102,8 @@ README_DIGEST = \
     "8c0b5873dfaef117dc6d487075d3f02fb941a84d12a64caf75153ebd61ef38ae"
 
 
-def _dimension_csv(workdir, config, *flags) -> bytes:
-    (workdir / "table.csv").write_text(_table_rows())
+def _dimension_csv(workdir, config, *flags, table=None) -> bytes:
+    (workdir / "table.csv").write_text(table or _table_rows())
     (workdir / "run.json").write_text(json.dumps(config))
     assert main(["dimension", "--config", "run.json", *flags]) == 0
     return (workdir / "dimension.csv").read_bytes()
@@ -216,3 +219,64 @@ def test_table_shapes_match_single_shapes(tmp_path):
         assert targets.log2_volumes[n - 1] == p.log2_volume
         assert not p.columns.flags.writeable
         assert not p.origin.flags.writeable
+
+
+_TABLE_EXACT = dict(FAMILIES["table3d"], mode="exact")
+# level 12's matrix doubled: a valid table whose block 11..30 differs
+_EDITED = {12: (_ORIGIN, [repr(2 * _table_matrix(12)[i][j])
+                          for j in range(3) for i in range(3)])}
+
+
+def test_repeated_blocks_parse_once(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _parse_table.cache_clear()
+    blocks = [_dimension_csv(tmp_path, _TABLE_EXACT, "--nmin", str(start),
+                             "--nmax", str(start + 4))
+              for start in (1, 11, 21)]
+    info = _parse_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert len(set(blocks)) == 3
+
+
+def test_table_edited_in_place_is_reread(tmp_path, monkeypatch, capsys):
+    # the same path rewritten between two runs of one process gives the
+    # new table's artifact, as a process that never saw the old one does
+    monkeypatch.chdir(tmp_path)
+    flags = ("--nmin", "11", "--nmax", "30")
+    old = _dimension_csv(tmp_path, _TABLE_EXACT, *flags)
+    new = _dimension_csv(tmp_path, _TABLE_EXACT, *flags,
+                         table=_table_rows(_EDITED))
+    _parse_table.cache_clear()
+    fresh = _dimension_csv(tmp_path, _TABLE_EXACT, *flags,
+                           table=_table_rows(_EDITED))
+    assert new == fresh
+    assert new != old
+    assert hashlib.sha256(old).hexdigest() == \
+        BLOCKS[("table3d", "exact", 11)]
+
+
+def test_table_refused_again(tmp_path, monkeypatch, capsys):
+    # a refusal is never cached: the second run reads and refuses the
+    # table again, with the same code and message
+    monkeypatch.chdir(tmp_path)
+    bad, code, message = TABLE_REFUSALS["singular-then-nan"]
+    for _ in range(2):
+        assert _table_refusal(tmp_path, bad, capsys) == (code, message)
+
+
+def test_shared_sign_rows_are_immutable(tmp_path):
+    # every spec built from one table content shares its sign rows, so
+    # none may be edited in place
+    (tmp_path / "table.csv").write_text(_table_rows())
+
+    def signs():
+        spec = TargetSpec(BetaSystem(TABLE_BETAS),
+                          _load_table(3, str(tmp_path / "table.csv")))
+        return log_columns(spec, 5)[0]
+
+    rows = signs()
+    with pytest.raises(TypeError):
+        rows[0][0] = -rows[0][0]
+    with pytest.raises(TypeError):
+        rows[0] = (1.0, 0.0, 0.0)
+    assert signs() is rows
