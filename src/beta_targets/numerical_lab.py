@@ -281,6 +281,69 @@ def _grouped_arange(lengths: np.ndarray) -> np.ndarray:
         np.repeat(starts, lengths)
 
 
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """Bounds of the runs of equal key tuples: run i is [at[i], at[i+1])."""
+    new = np.zeros(len(keys[0]) + 1, dtype=bool)
+    new[0] = new[-1] = True
+    for k in keys:
+        new[1:-1] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
+def _sorted_union(col: np.ndarray, ylo: np.ndarray, yhi: np.ndarray,
+                  ys: np.ndarray, tau: float) -> int:
+    """Cells covered by the row intervals of slabs (col, ylo, yhi) over
+    all y-lefts, by one stable sort of packed keys."""
+    # the column in the high bits keeps every row interval in its column
+    col = col * _KEY_SHIFT
+    start = np.empty((len(col), len(ys)), dtype=np.int64)
+    end = np.empty_like(start)
+    step = max(1, _PAIR_CHUNK // len(ys))
+    for r in range(0, len(col), step):
+        rs = slice(r, r + step)
+        l_low, l_high = cell_range(ylo[rs, None] + ys, yhi[rs, None] + ys,
+                                   tau, open=True)
+        start[rs] = col[rs, None] + l_low
+        end[rs] = col[rs, None] + l_high
+    # cell x is covered when more intervals start at or before x than end
+    # before it.  An empty interval has end = start - 1 (cell_range is
+    # monotone and ylo <= yhi), which moves neither count.  With starts
+    # and ends sorted apart, the i-th term counts the cells of
+    # (end[i-1], end[i]] from start[i] on: each covered cell once.  The
+    # stable sort merges the ascending runs, one per slab.
+    start, end = start.ravel(), end.ravel()
+    start.sort(kind="stable")
+    end.sort(kind="stable")
+    start -= 1
+    np.maximum(start[1:], end[:-1], out=start[1:])
+    end -= start
+    return int(np.maximum(end, 0, out=end).sum())
+
+
+def _row_unions(ylo: np.ndarray, yhi: np.ndarray, repeats: np.ndarray,
+                ys: np.ndarray, tau: float) -> int:
+    """The cells that slab i's row intervals over all y-lefts cover,
+    repeats[i] times, summed over the slabs: _sorted_union's sum, run
+    along each slab's row with no sort."""
+    total = 0
+    step = max(1, _PAIR_CHUNK // len(ys))
+    for r in range(0, len(ylo), step):
+        rs = slice(r, r + step)
+        start, end = cell_range(ylo[rs, None] + ys, yhi[rs, None] + ys,
+                                tau, open=True)
+        # flat, so that each step is one contiguous pass; a row's first
+        # interval takes no end from the row before
+        start, end = start.ravel(), end.ravel()
+        first = start[::len(ys)] - 1
+        start -= 1
+        np.maximum(start[1:], end[:-1], out=start[1:])
+        start[::len(ys)] = first
+        end -= start
+        np.maximum(end, 0, out=end)
+        total += int(end.reshape(-1, len(ys)).sum(axis=1) @ repeats[rs])
+    return total
+
+
 def empirical_cover_count(E: EnSet, tau: float,
                           cell_cap: int = DEFAULT_CELL_CAP) -> int:
     """Occupied cells of the mesh-tau grid, exactly.
@@ -292,9 +355,22 @@ def empirical_cover_count(E: EnSet, tau: float,
     its shift to them before they become rows.  Open-cell semantics at
     both steps (strict inequalities at slab and row boundaries), so
     abutting copies never double-book a boundary cell.  The count is the
-    size of the union of those row intervals within each column, so
-    memory grows with the (copy, grid column) pairs, not with the cells;
-    cell_cap bounds the number of such pairs.
+    size of the union of those row intervals within each column.
+    cell_cap bounds the (copy, grid column) pairs, checked before any
+    row is computed.
+
+    A column that one x-left books alone needs no sort: along the
+    ascending y-lefts its row intervals have ascending starts and
+    ascending ends, since float addition, floor, ceil and cell_range's
+    open-cell nudges are all monotone, so the union runs along the row.
+    Slabs with equal (ylo, yhi) book equal rows, so each distinct y-range
+    is unioned once, in chunks, and counted once per column it books
+    alone.  A column that several x-lefts book, where copies' x-extents
+    meet, keeps one slab per distinct y-range; when more than one
+    remains, their row intervals are sorted as packed int64 keys.  Time
+    grows with the slabs, the distinct y-ranges times the y-lefts, and
+    the pairs of the sorted columns; memory with the slabs and those
+    sorted pairs, since the rest runs in chunks.
     """
     tau = _as_float(tau, "the mesh", _MODULE)
     if not (0.0 < tau < 1.0):
@@ -318,34 +394,38 @@ def empirical_cover_count(E: EnSet, tau: float,
             f"{pairs} grid columns exceed cap {cell_cap}; "
             "raise cell_cap or coarsen the mesh", module=_MODULE)
     ylo, yhi = slab_ranges(lower, upper, xs, k_low, cols, tau)
-    # the column in the high bits keeps every row interval in its column
-    col = (np.repeat(k_low, cols) + _grouped_arange(cols)) * _KEY_SHIFT
-
-    # row intervals [start, end] per (x-left column, y-left), in chunks
-    # that bound the float temporaries
-    start = np.empty((len(col), len(ys)), dtype=np.int64)
-    end = np.empty_like(start)
-    step = max(1, _PAIR_CHUNK // len(ys))
-    for r in range(0, len(col), step):
-        rs = slice(r, r + step)
-        l_low, l_high = cell_range(ylo[rs, None] + ys, yhi[rs, None] + ys,
-                                   tau, open=True)
-        start[rs] = col[rs, None] + l_low
-        end[rs] = col[rs, None] + l_high
-    # cell x is covered when more intervals start at or before x than end
-    # before it.  An empty interval has end = start - 1 (cell_range is
-    # monotone and ylo <= yhi), which moves neither count.  With starts
-    # and ends sorted apart, the i-th term counts the cells of
-    # (end[i-1], end[i]] from start[i] on: each covered cell once.  The
-    # stable sort merges the ascending runs, one per x-left; the rest runs
-    # in place, so the two key arrays set the memory peak.
-    start, end = start.ravel(), end.ravel()
-    start.sort(kind="stable")
-    end.sort(kind="stable")
-    start -= 1
-    np.maximum(start[1:], end[:-1], out=start[1:])
-    end -= start
-    return int(np.maximum(end, 0, out=end).sum())
+    count = 0
+    # k_low and k_high ascend with the x-lefts, so a column that several
+    # x-lefts book is booked by neighbours: the last meet[i] columns of
+    # x-left i are the first of x-left i + 1
+    if np.any(k_high[:-1] >= k_low[1:]):
+        meet = np.maximum(k_high[:-1] - k_low[1:] + 1, 0)
+        j = _grouped_arange(cols)
+        shared = (j < np.repeat(np.concatenate([[0], meet]), cols)) | \
+            (j >= np.repeat(cols - np.concatenate([meet, [0]]), cols))
+        col = (np.repeat(k_low, cols) + j)[shared]
+        y0, y1 = ylo[shared], yhi[shared]
+        ylo, yhi = ylo[~shared], yhi[~shared]
+        # equal slabs in one column book equal rows: keep one of each.  A
+        # column left with one slab joins the columns booked alone
+        order = np.lexsort((y1, y0, col))
+        col, y0, y1 = col[order], y0[order], y1[order]
+        at = _runs(col, y0, y1)[:-1]
+        col, y0, y1 = col[at], y0[at], y1[at]
+        alone = np.ones(len(col), dtype=bool)
+        alone[1:] = col[1:] != col[:-1]
+        alone[:-1] &= alone[1:]
+        count = _sorted_union(col[~alone], y0[~alone], y1[~alone], ys, tau)
+        ylo = np.concatenate([ylo, y0[alone]])
+        yhi = np.concatenate([yhi, y1[alone]])
+    # slabs with equal y-ranges book equal rows, so each run of them is
+    # unioned once; sorted by ylo, they run together unless a slab of the
+    # same ylo and another yhi falls between them
+    order = np.argsort(ylo)
+    ylo, yhi = ylo[order], yhi[order]
+    at = _runs(ylo, yhi)
+    return count + _row_unions(ylo[at[:-1]], yhi[at[:-1]], at[1:] - at[:-1],
+                               ys, tau)
 
 
 def predicted_cover_count(spec: TargetSpec, n: int, tau: float,

@@ -842,6 +842,25 @@ class TestVerifyCover:
         assert float(ratio) == pytest.approx(
             256.0 / float(formula), rel=1e-12)
 
+    def test_axis_level_5_refused_by_cell_cap(self, tmp_path, capsys):
+        # at the finest mesh 32 x-lefts book 1024 columns each, times
+        # 1024 y-lefts
+        path = write_config(tmp_path, {
+            "betas": [2, 4],
+            "target": {"kind": "rotated2d", "theta": "const",
+                       "theta_value": 0.0},
+            "n_min": 5, "n_max": 5,
+        })
+        rc = main(["verify-cover", "--config", path,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {
+            "code": "numerical_lab.resource_limit",
+            "message": "33554432 grid columns exceed cap 30000000; "
+                       "raise cell_cap or coarsen the mesh"}
+        assert not (tmp_path / "verify_cover.csv").exists()
+
     def config(self, tmp_path, s):
         return write_config(tmp_path, {
             "betas": [2, 4],

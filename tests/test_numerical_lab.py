@@ -292,6 +292,9 @@ class TestCoverCount:
         spec = TargetSpec(BetaSystem((2.0, 2.0)), ExplicitTargets((shape,)))
         E = build_E_n(spec, 1)
         assert empirical_cover_count(E, 1.0 / 8.0) == 64
+        # at mesh 0.37 both copies of a row book the middle column
+        assert empirical_cover_count(E, 0.37) == \
+            key_expansion_cover_count(E, 0.37) == 9
 
     def test_quarter_squares(self):
         E = build_E_n(square_spec(), 1)
@@ -321,17 +324,68 @@ class TestCoverCount:
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([(2.0, 4.0), (2.5, PHI), (3.0, 2.0), (PHI, 3.7)]),
-           st.floats(0.0, math.pi, exclude_max=True),
+           st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]),
+                     st.floats(0.0, math.pi, exclude_max=True)),
            st.integers(1, 3), st.data())
     def test_matches_key_expansion(self, betas, theta, n, data):
+        # the exact angles and dyadic meshes repeat y-ranges across slabs
         spec = TargetSpec(BetaSystem(betas),
                           const_rotation(theta))
         E = build_E_n(spec, n)
         tau = data.draw(st.one_of(
             st.sampled_from(s_n(spec, n).candidates),
+            st.sampled_from([2.0 ** -k for k in range(3, 13)]),
             st.floats(0.002, 0.3, exclude_min=True, exclude_max=True)))
         assert empirical_cover_count(E, tau) == \
             key_expansion_cover_count(E, tau)
+
+    @pytest.mark.parametrize("tau", [0.37, 0.1, 0.03])
+    @pytest.mark.parametrize("side", [1.0, 0.75, 0.5])
+    @pytest.mark.parametrize("betas", [(2.0, 2.0), (2.5, PHI), (3.0, 2.0)],
+                             ids=["2-2", "2.5-phi", "3-2"])
+    def test_abutting_squares_match_key_expansion(self, betas, side, tau):
+        # copies of the side-1 square abut and the smaller ones leave
+        # gaps; either way a column can hold the edges of two copies
+        shape = Parallelepiped((0.0, 0.0), side * np.eye(2))
+        spec = TargetSpec(BetaSystem(betas), ExplicitTargets((shape,)))
+        E = build_E_n(spec, 1)
+        assert empirical_cover_count(E, tau) == \
+            key_expansion_cover_count(E, tau)
+
+    @pytest.mark.parametrize("theta, n, tau", [
+        (0.3, 6, None), (math.pi / 4, 2, 0.1)],
+        ids=["0.3-6-coarsest", "pi4-2-0.1"])
+    def test_columns_of_several_y_ranges_sort(self, monkeypatch, theta, n,
+                                              tau):
+        # on (2.5, phi), columns that several x-lefts book hold slabs of
+        # different y-ranges, some with equal ylo: at n = 6 and the
+        # coarsest candidate, about 17 x-lefts book each column
+        spec = TargetSpec(BetaSystem((2.5, PHI)), const_rotation(theta))
+        E = build_E_n(spec, n)
+        tau = tau or max(s_n(spec, n).candidates)
+        sorted_slabs = []
+        union = numerical_lab._sorted_union
+
+        def spy(col, *args):
+            sorted_slabs.append(len(col))
+            return union(col, *args)
+
+        monkeypatch.setattr(numerical_lab, "_sorted_union", spy)
+        assert empirical_cover_count(E, tau) == \
+            key_expansion_cover_count(E, tau)
+        assert sorted_slabs[0] > 0
+
+    def test_cap_parity_on_one_y_range(self):
+        # theta = 0 at n = 4: 4096 columns times 256 y-lefts, every slab
+        # with one y-range; the cap still counts (copy, column) pairs
+        E = build_E_n(TargetSpec(SYS24, const_rotation(0.0)), 4)
+        tau = 2.0 ** -16
+        with pytest.raises(ResourceLimitError, match=(
+                "^1048576 grid columns exceed cap 1048575; raise cell_cap "
+                "or coarsen the mesh$")) as info:
+            empirical_cover_count(E, tau, cell_cap=1_048_575)
+        assert info.value.code == "numerical_lab.resource_limit"
+        assert empirical_cover_count(E, tau, cell_cap=1_048_576) == 1_048_576
 
     def test_cap_bounds_pairs_not_cells(self):
         # about 38k (copy, column) pairs but 2.28M candidate cells
