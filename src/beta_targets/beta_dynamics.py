@@ -11,11 +11,15 @@ Every image length the recursion produces is 1 or t_j = T^j(1), reached by
 a run of j top digits after a full prefix (Parry 1960).  So the recursion
 is an automaton on the orbit of 1: state j has digits 0..top_j, the lower
 ones lead back to state 0 and the top one to state j + 1.  The orbit runs
-once per call in exact dyadic integers on the binary value of beta, so
-each digit and each snap below is decided exactly, and t_j is rounded
-once to the working precision.  The counts are an integer recurrence over
-the states; the walk reads each node's digit range from the same table,
-which stores per state only top_j, the top child's state and t_j.
+once per call on the exact binary value of beta.  It holds each t_j as an
+interval at a working precision of about n * log2(beta) bits, takes a
+digit or a snap below only when the whole interval agrees on it, and
+restarts at twice the precision, up to the exact one, when it does not; so
+each is decided as exact arithmetic decides it, and t_j, taken the same
+way, is rounded once to the working precision.  The counts are an integer
+recurrence over the states; the walk reads each node's digit range from
+the same table, which stores per state only top_j, the top child's state
+and t_j.
 
 The walk is one array walk for both precisions: a block of nodes of one
 level is held as arrays of lefts, orbit states and digit words, and its
@@ -33,23 +37,25 @@ runs as its output is consumed.
 Tolerances: a top child whose length lands within FULLNESS_TOL of 1 is
 snapped to 1, and a digit k with beta*t - k at most SPURIOUS_CHILD_TOL is
 a rounding ghost and dropped.  Non-top children are full without help, so
-both rules can fire only on the orbit of 1, where a snap closes the
-orbit.  They keep the float golden mean counting Fibonacci, although its
-exact binary value has beta*T(1) = 1 + 1e-16.  For beta near 1 or deep
-levels, construct BetaParam with dps set; the orbit then uses beta rounded
-to that many digits, tolerance 10**(5 - dps), and t_j and the walk run
-under mpmath.  That precision lives in a private mpmath context, one per
-dps, never in the global mpmath.mp: every mpf the module returns belongs
-to it, so it prints and computes at its own dps wherever it goes next,
-and the caller's mpmath settings neither affect the walk nor are touched
-by it.
+both rules can fire only on the orbit of 1, where a snap closes the orbit.
+They keep the float golden mean counting Fibonacci, although its exact
+binary value has beta*T(1) = 1 + 1e-16.  Both rules are applied to the
+exact binary values of beta and the tolerances; the orbit's working
+precision changes only the cost of deciding them, never the outcome.  For
+beta near 1 or deep levels, construct BetaParam with dps set; the orbit
+then uses beta rounded to that many digits, tolerance 10**(5 - dps), and
+t_j and the walk run under mpmath.  That precision lives in a private
+mpmath context, one per dps, never in the global mpmath.mp: every mpf the
+module returns belongs to it, so it prints and computes at its own dps
+wherever it goes next, and the caller's mpmath settings neither affect the
+walk nor are touched by it.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Union
@@ -87,6 +93,8 @@ BLOCK = 1 << 12
 # x the 64-bit words of a count near beta**n, unless node_cap is larger:
 # phi does 2.2e8 at n = 10**5 and 2.2e12 at n = 10**7
 _COUNT_WORK_CAP = 10**11
+# the orbit of 1 starts at this many bits past those its digits need
+_GUARD_BITS = 64
 
 Word = tuple  # digit tuples; level == len(word)
 
@@ -200,6 +208,7 @@ class _Ctx:
             self.dtype = np.float64
             self.beta = float(param.beta)
             self.one, self.zero = 1.0, 0.0
+            self.prec = sys.float_info.mant_dig
             self.full_tol, self.spur_tol = FULLNESS_TOL, SPURIOUS_CHILD_TOL
             self.floor = math.floor
         else:
@@ -207,6 +216,7 @@ class _Ctx:
             self.dtype = object
             self.beta = mp.mpf(param.beta)
             self.one, self.zero = mp.one, mp.zero
+            self.prec = mp.prec
             self.full_tol = self.spur_tol = mp.mpf(10) ** (5 - param.dps)
             self.floor = lambda x: int(mp.floor(x))
 
@@ -247,36 +257,102 @@ def _dyadic(x) -> tuple:
     return (man << exp, 0) if exp >= 0 else (man, -exp)
 
 
-def _orbit(ctx: _Ctx) -> Iterator[tuple]:
-    """The orbit of 1 as automaton states, decided in exact arithmetic.
+def _orbit(ctx: _Ctx, n: int, length=None) -> Iterator[tuple]:
+    """The orbit of 1 as automaton states, each decision taken at a working
+    precision that widens until it is exact.
 
     State j stands for the image length t_j = T^j(1), with t_0 = 1; a node
     is in state j when its word ends in a run of j top digits after a full
-    prefix.  Yields, for j = 0, 1, ..., the top digit of state j and the
-    exact length (num, shift), t_{j+1} = num / 2**shift, of its top child,
-    or None when that child snaps to 1; the snap closes the orbit.  The
-    digits and snaps follow the tolerance rule of the module docstring,
-    applied to the exact binary values of beta and the tolerances.
+    prefix.  Yields at most n pairs, for j = 0, 1, ...: the top digit of
+    state j and the length t_{j+1} of its top child, or None when that
+    child snaps to 1; the snap closes the orbit.  t_{j+1} comes as
+    length(num, shift) of its exact value num / 2**shift (ctx.length
+    rounds it once to the working precision), or as True when length is
+    None.  The digits and snaps follow the tolerance rule of the module
+    docstring, applied to the exact binary values of beta = p / 2**e and
+    the tolerances.
+
+    A pass holds t_j as an interval [num, num + err] / 2**shift around it:
+    exact (err = 0) while shift, which grows by e a step, is at most bits,
+    and rounded outward to that many bits after that.  A digit, a snap or
+    a length is taken only when both ends of the interval agree on it, so
+    it is the one exact arithmetic gives.  When they disagree, the pass
+    stops and the next one starts over at twice the bits, yielding only
+    past the decisions already taken.  The first pass takes the
+    n * log2(beta) bits the digits need, plus the bits the error can grow
+    by in n steps and _GUARD_BITS (and, for lengths, the bits that round
+    the smallest t_j).  A pass that would take a quarter of e * n bits or
+    more takes e * n instead: the orbit is then exact and takes every
+    decision, in about e * n**2 / 2 bit operations.  The passes before it
+    cost less than that together, so a restarted orbit costs at most
+    about twice the exact one, and an orbit decided in its first pass
+    about n**2 * log2(beta).
     """
     p, e = _dyadic(ctx.beta)
     s, es = _dyadic(ctx.spur_tol)
     f, ef = _dyadic(ctx.full_tol)
-    num, shift = 1, 0
+    # a step takes err below beta * err + 2, so err_j < 2 * j * beta**j,
+    # and these bits keep err_j / 2**bits below 2**-_GUARD_BITS for j <= n;
+    # a length needs ctx.prec bits of t_j, which exceeds the ghost
+    # tolerance s / 2**es >= 2**-(es - s.bit_length() + 1)
+    bits = (math.ceil(n * math.log2(float(ctx.beta))) + n.bit_length() + 1
+            + _GUARD_BITS)
+    if length is not None:
+        bits += ctx.prec + es - s.bit_length() + 1
+    done = 0  # the decisions yielded so far
     while True:
-        shift += e
-        bt = p * num  # beta * t_j == bt / 2**shift
-        k = bt >> shift
-        frac = bt - (k << shift)
-        if frac << es <= s << shift:
-            # beta*t_j is within spur_tol above the integer k: digit k
-            # would be a ghost, and the top child k - 1 has length >= 1
-            yield k - 1, None
+        if 4 * bits >= e * n:
+            bits = e * n
+        num, err, shift = 1, 0, 0
+        at = -1  # the scale of the thresholds below
+        for j in range(n):
+            shift += e
+            if shift != at:
+                at = shift
+                # frac <= ghost: a ghost; frac >= full: snapped to 1
+                ghost = (s << shift) >> es
+                full = -(((f - (1 << ef)) << shift) >> ef)
+            lo = p * num  # beta * t_j in [lo, hi] / 2**shift
+            k = lo >> shift
+            lo -= k << shift
+            hi = lo + p * err if err else lo
+            if hi >> shift:
+                break
+            if hi <= ghost:
+                # beta*t_j is within spur_tol above the integer k: digit k
+                # would be a ghost, and the top child k - 1 has length >= 1
+                top, t = k - 1, None
+            elif lo <= ghost:
+                break
+            elif lo >= full:
+                top, t = k, None
+            elif hi >= full:
+                break
+            else:
+                top = k
+                if shift > bits:
+                    cut = shift - bits
+                    num = lo >> cut
+                    err = -(-hi >> cut) - num
+                    shift = bits
+                else:
+                    num, err = lo, hi - lo
+                if length is None:
+                    t = True
+                else:
+                    t = length(num, shift)
+                    if err and length(num + err, shift) != t:
+                        break
+            if j == done:
+                done += 1
+                yield top, t
+            if t is None:
+                return
+        else:
             return
-        if frac << ef >= ((1 << ef) - f) << shift:
-            yield k, None
-            return
-        num = frac
-        yield k, (num, shift)
+        log.debug("orbit of 1 for beta=%s undecided at state %d with %d "
+                  "bits; restarting with twice the bits", ctx.beta, j, bits)
+        bits *= 2
 
 
 def _state_table(ctx: _Ctx, n: int):
@@ -286,11 +362,11 @@ def _state_table(ctx: _Ctx, n: int):
     rounded once to the working precision."""
     ts = [ctx.one]
     tops, nexts = [], []
-    for top, nxt in itertools.islice(_orbit(ctx), n):
-        if nxt is not None:
-            ts.append(ctx.length(*nxt))
+    for top, t in _orbit(ctx, n, ctx.length):
+        if t is not None:
+            ts.append(t)
         tops.append(top)
-        nexts.append(0 if nxt is None else len(ts) - 1)
+        nexts.append(0 if t is None else len(ts) - 1)
     return tops, nexts, ts
 
 
@@ -538,6 +614,14 @@ def _walk_blocks(ctx, n, only_full, within, node_cap):
             yield CylinderBlock(words, lefts, t[states], lengths, full)
 
 
+def _gather(idx: list):
+    """c -> the tuple of c[i] for the indices idx, in one C call."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda c: (c[i],)
+    return operator.itemgetter(*idx) if idx else lambda c: ()
+
+
 def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
     """(admissible, full): the numbers of words of length n and of the full
     ones among them, from the orbit of 1.
@@ -553,10 +637,10 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
     """
     _check_indexable(n)
     gains = []
-    for top, nxt in itertools.islice(_orbit(_Ctx(param)), n):
-        gains.append(top + (nxt is None))
+    for top, t in _orbit(_Ctx(param), n):
+        gains.append(top + (t is None))
         # the top child's state is live unless it snapped back to state 0
-        live = len(gains) + (nxt is not None)
+        live = len(gains) + (t is not None)
         if n * live > node_cap:
             raise ResourceLimitError(
                 f"count at n={n} over at least {live} orbit states: "
@@ -570,15 +654,14 @@ def _counts(param: BetaParam, n: int, node_cap: float) -> tuple:
             f"{max(_COUNT_WORK_CAP, node_cap):.3g}; raise node_cap past it "
             "to count", module="beta_dynamics")
     # c[-1 - j] == c(m - 1 - j); the zeros stand for c at negative lengths.
-    # States are grouped by gain, so each gain above 1 costs one product.
-    ones = [-1 - j for j, g in enumerate(gains) if g == 1]
-    scaled = [(a, [-1 - j for j, g in enumerate(gains) if g == a])
+    # States are grouped by gain, so each gain above 1 costs one product,
+    # and each group's terms are gathered in one call.
+    ones = _gather([-1 - j for j, g in enumerate(gains) if g == 1])
+    scaled = [(a, _gather([-1 - j for j, g in enumerate(gains) if g == a]))
               for a in set(gains) if a > 1]
     c = [0] * (live - 1) + [1]
-    get = c.__getitem__
     for _ in range(n):
-        c.append(sum([a * sum(map(get, idx)) for a, idx in scaled],
-                     sum(map(get, ones))))
+        c.append(sum([a * sum(get(c)) for a, get in scaled], sum(ones(c))))
         if len(c) > 2 * live:
             del c[:-live]
     return sum(c[-live:]), c[-1]

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cylinder_reference
+import orbit_reference
 from closed_forms import admissible_count_bounds
 from cylinder_reference import cylinder_of_word, first_full_inside
 
@@ -567,8 +569,8 @@ class TestCounts:
     @pytest.mark.parametrize("n", [60, 90])
     @pytest.mark.parametrize("beta", [3.7, math.e, math.pi, 1.628, 2.5])
     def test_exact_oracle(self, beta, n):
-        # float image-length keys drift at these levels; the orbit of 1
-        # decided in exact arithmetic does not
+        # float image-length keys drift at these levels; the orbit of 1,
+        # each decision certified as exact arithmetic takes it, does not
         dist = fraction_level_distribution(beta, n)
         assert count_admissible(beta, n) == sum(dist.values())
         assert count_words(beta, n)[1] == dist[1]
@@ -633,6 +635,97 @@ class TestCounts:
                             lambda param, n, node_cap: (5 ** n // 2 ** n, 1))
         with pytest.raises(ConsistencyError, match="full count 1 below"):
             count_words(2.5, 2000)
+
+
+# sha256 of "admissible,full", pinned from the counts of the exact orbit
+# (tests/orbit_reference.py): open orbits at and past the benchmark's
+# deepest counts, a short mantissa, and an mpmath orbit
+COUNT_PINS = [
+    pytest.param(1.3, 1500, "799d83f7082284b0d34f85947fd841245e7c541d826e"
+                 "8630f04e571bced406bc", id="1.3-1500"),
+    pytest.param(2.5, 700, "c46b71569acb3ef27a532eedb4b7f7d1b6e09044c914"
+                 "2381df35b60316045096", id="2.5-700"),
+    pytest.param(math.pi, 200, "9015e966463127c0342b46c2f295521291f15d442a"
+                 "7cce8ecef8676af9911968", id="pi-200"),
+    pytest.param(1.0001, 5000, "18fdf7965232a251b2db708db1aa20b0eb2a88dd50"
+                 "c376fe763f07dfa75585a0", id="1.0001-5000"),
+    pytest.param(7.9, 800, "f8b10f4e40a5decb692499c727a6afde3687ba009c3d"
+                 "69aec3501bd41e1e0c60", id="7.9-800"),
+    pytest.param(BetaParam(1.1, dps=30), 300, "f3148011c67cbd8ce15169882a"
+                 "0e7fcd6aa8732be550037348fdeced6a958cec", id="1.1-dps30-300"),
+]
+
+
+@pytest.mark.parametrize("beta, n, digest", COUNT_PINS)
+def test_counts_pinned(beta, n, digest):
+    admissible, full = count_words(beta, n)
+    assert hashlib.sha256(f"{admissible},{full}".encode()).hexdigest() == \
+        digest
+
+
+def table_bits(table):
+    """A state table with each t_j as its type (float, or the mpf of one
+    context) and exact binary value, so that == compares bits."""
+    tops, nexts, ts = table
+    return tops, nexts, [(type(t), beta_dynamics._dyadic(t)) for t in ts]
+
+
+def restarts(caplog) -> int:
+    n = sum("restarting" in r.getMessage() for r in caplog.records)
+    caplog.clear()
+    return n
+
+
+class TestOrbit:
+    """The orbit of 1 decided at a working precision equals the orbit on
+    the exact numerator of every t_j, in digits, snaps and the rounded
+    lengths of the state table."""
+
+    def check(self, ctx, n):
+        got = list(beta_dynamics._orbit(ctx, n))
+        want = list(orbit_reference.orbit(ctx, n))
+        assert [(k, t is None) for k, t in got] == \
+            [(k, t is None) for k, t in want]
+        assert table_bits(beta_dynamics._state_table(ctx, n)) == \
+            table_bits(orbit_reference.state_table(ctx, n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+               # orbits that close by a snap, a ghost or an integer
+               st.sampled_from([PHI, 1 + 2**-52, 2.0, 7.0, 8.0, 1.0001]),
+               st.floats(min_value=1.0, max_value=8.0, exclude_min=True)),
+           st.integers(min_value=1, max_value=400),
+           st.sampled_from([None, 20, 30]))
+    def test_matches_exact_orbit(self, beta, n, dps):
+        self.check(beta_dynamics._Ctx(BetaParam(beta, dps=dps)), n)
+
+    def test_restarts_match_exact_orbit(self, monkeypatch, caplog):
+        # no guard bits: the error of t_j grows like j * beta**j (near
+        # beta = 1 like j), and a digit or snap the interval cannot decide
+        # restarts the orbit; with no bits for the working precision
+        # either, so do lengths.  The last four are floats near the Pisot
+        # roots of x**3 - x**2 - 1 and x**2 - x - 1, whose orbits come
+        # within the interval's width of the full threshold (one full, one
+        # not), of an integer, or of the ghost threshold (a ghost 7e-13
+        # above 1, from beta = phi + 7e-13 / sqrt(5)).
+        monkeypatch.setattr(beta_dynamics, "_GUARD_BITS", 0)
+        caplog.set_level(logging.DEBUG, logger=beta_dynamics.__name__)
+        orbits = tables = 0
+        for beta, dps, n in [(1.0001, None, 50), (1.0001, 30, 200),
+                             (1.4655712318767677, 20, 33),
+                             (1.4655712318767657, 20, 31),
+                             (1.6180339887498985, 20, 57),
+                             (1.618033988750208, None, 48)]:
+            ctx = beta_dynamics._Ctx(BetaParam(beta, dps=dps))
+            ctx.prec = 0
+            assert list(beta_dynamics._orbit(ctx, n)) == [
+                (k, None if t is None else True)
+                for k, t in orbit_reference.orbit(ctx, n)]
+            orbits += restarts(caplog)
+            assert table_bits(beta_dynamics._state_table(ctx, n)) == \
+                table_bits(orbit_reference.state_table(ctx, n))
+            tables += restarts(caplog)
+        assert orbits >= 6 and tables >= 3
 
 
 class TestFindFull:

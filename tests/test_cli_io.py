@@ -568,40 +568,44 @@ class TestContent:
         "depths": {"s": [0.5, 1, 1.3, 1.7, 2], "depths": [3, 5, 10, 11]},
     }
 
-    @pytest.mark.parametrize("shape, run, digest", [
-        ("rectangle", "five",
-         "5b20df5135142d58f808560a886e2665604c48e1a5cd174478769ca5a929dc3b"),
-        ("rectangle", "repeat",
-         "5ba42e24de5c4304b97f859d6fa9c4f6e0ec7cf5c38b21304530be06e31d3ca6"),
-        ("rectangle", "depths",
-         "5b20df5135142d58f808560a886e2665604c48e1a5cd174478769ca5a929dc3b"),
-        ("sheared", "five",
-         "8523f8181154591a796bb186d71b91972ac7b2d793ad8e6bd591cea8264541f7"),
-        ("sheared", "repeat",
-         "f82774904706a47606fba954bba9e3c18e4dfa3e01ee434da1da81bfb6ed3395"),
-        ("sheared", "depths",
-         "33ca088a663c64462a988141e8927898506c0f215ceac1260d4ce7803b3ef49c"),
-        ("tilted", "five",
-         "72f6c707fe26b9d6ae233a275c447570533053e5104a8c35a0be073969694e39"),
-        ("tilted", "repeat",
-         "60088af9600a4de006ec9aa356e9cfbe7ef1b96510d12ab5531fc541ca248246"),
-        ("tilted", "depths",
-         "b53fd51db553e339de460217046856b4e6ab6792955f13a9190545d0ee53cecd"),
-        ("triangle", "five",
-         "30c4eb6a7f978b07396e880dd6c737a8a38fed740567ba0a92f7b413c6fa78b6"),
-        ("triangle", "repeat",
-         "9f45cf73bf1470e1aaacffddf6167c968c3a548334efacda3e6193232b4afa63"),
-        ("triangle", "depths",
-         "f7879e78b62d2905520e169ba0708b0d21f5255d778566e4990c79cdf2f2826d"),
-    ])
-    def test_csv_bytes_pinned(self, tmp_path, capsys, shape, run, digest):
+    # the digest of each (shape, run), kept out of the test ids
+    DIGESTS = {
+        ("rectangle", "five"):
+            "5b20df5135142d58f808560a886e2665604c48e1a5cd174478769ca5a929dc3b",
+        ("rectangle", "repeat"):
+            "5ba42e24de5c4304b97f859d6fa9c4f6e0ec7cf5c38b21304530be06e31d3ca6",
+        ("rectangle", "depths"):
+            "5b20df5135142d58f808560a886e2665604c48e1a5cd174478769ca5a929dc3b",
+        ("sheared", "five"):
+            "8523f8181154591a796bb186d71b91972ac7b2d793ad8e6bd591cea8264541f7",
+        ("sheared", "repeat"):
+            "f82774904706a47606fba954bba9e3c18e4dfa3e01ee434da1da81bfb6ed3395",
+        ("sheared", "depths"):
+            "33ca088a663c64462a988141e8927898506c0f215ceac1260d4ce7803b3ef49c",
+        ("tilted", "five"):
+            "72f6c707fe26b9d6ae233a275c447570533053e5104a8c35a0be073969694e39",
+        ("tilted", "repeat"):
+            "60088af9600a4de006ec9aa356e9cfbe7ef1b96510d12ab5531fc541ca248246",
+        ("tilted", "depths"):
+            "b53fd51db553e339de460217046856b4e6ab6792955f13a9190545d0ee53cecd",
+        ("triangle", "five"):
+            "30c4eb6a7f978b07396e880dd6c737a8a38fed740567ba0a92f7b413c6fa78b6",
+        ("triangle", "repeat"):
+            "9f45cf73bf1470e1aaacffddf6167c968c3a548334efacda3e6193232b4afa63",
+        ("triangle", "depths"):
+            "f7879e78b62d2905520e169ba0708b0d21f5255d778566e4990c79cdf2f2826d",
+    }
+
+    @pytest.mark.parametrize("shape, run", list(DIGESTS))
+    def test_csv_bytes_pinned(self, tmp_path, capsys, shape, run):
         path = write_config(tmp_path, {"shape": self.SHAPES[shape],
                                        **self.RUNS[run]})
         assert main(["content", "--config", path,
                      "--out", str(tmp_path)]) == 0
         body = (tmp_path / "content.csv").read_text().split("\n", 1)[1]
         assert body.count("\n") == 1 + len(self.RUNS[run]["s"])
-        assert hashlib.sha256(body.encode()).hexdigest() == digest
+        assert hashlib.sha256(body.encode()).hexdigest() == \
+            self.DIGESTS[shape, run]
 
     # the first failing exponent's error, as one call per exponent gave it
     @pytest.mark.parametrize("shape, s, depths, message", [
