@@ -8,7 +8,10 @@ engines numerically:
   * covering: occupied-cell counts on a mesh-tau grid against the
     predicted ball count;
   * measure: the uniform per-copy area measure and the ball-mass bound
-    mu(B(x, r)) <= C r^t / |D|^d over stratified radius regimes.
+    mu(B(x, r)) <= C r^t / |D|^d over stratified radius regimes.  Each
+    straddling (ball, copy) pair is one box of polygons.box_areas, which
+    works edge-major (one row of boxes per polygon edge) in a workspace
+    it allocates once per call.
 
 Everything here is 2-D by design: envelope walks and exact integrals
 between the envelope chains make every number independently checkable.
@@ -69,7 +72,6 @@ __all__ = [
     "predicted_cover_count",
     "cover_exponent_scan",
     "build_measure",
-    "mu_ball_mass",
     "verify_measure_bound",
 ]
 
@@ -538,8 +540,10 @@ def _axis_ranges(lo, hi, ends0, ends1):
     """
     o0 = np.searchsorted(ends1, lo, side="right")
     o1 = np.maximum(np.searchsorted(ends0, hi, side="left"), o0)
-    i0 = np.clip(np.searchsorted(ends0, lo, side="left"), o0, o1)
-    i1 = np.clip(np.searchsorted(ends1, hi, side="right"), i0, o1)
+    i0 = np.searchsorted(ends0, lo, side="left")
+    i1 = np.searchsorted(ends1, hi, side="right")
+    i0 = np.minimum(np.maximum(i0, o0), o1)
+    i1 = np.minimum(np.maximum(i1, i0), o1)
     return o0, o1, i0, i1
 
 
@@ -549,7 +553,11 @@ def _ball_masses(M: MuMeasure, centers: np.ndarray,
 
     Copies whose bounding box lies in the ball's square add their whole
     weight; each straddler adds the weight times the fraction of its area
-    inside the square, in ascending copy order per ball.
+    inside the square, in ascending copy order per ball.  The straddlers'
+    areas come from box_areas in chunks of about _PAIR_CHUNK (ball,
+    copy) pairs, each chunk one call and so one edge-major workspace;
+    a ball's pairs are never split, so each ball gets the mass it would
+    get alone.
     """
     en = M.en
     bx0, by0, bx1, by1 = polygon_bbox(en.polygon)
@@ -596,22 +604,6 @@ def _ball_masses(M: MuMeasure, centers: np.ndarray,
             np.add.at(masses, ball, piece / area * w)
         start = stop
     return masses
-
-
-def mu_ball_mass(M: MuMeasure, center, r: float) -> float:
-    """Exact mass of the max-norm ball B(center, r).
-
-    Copies fully inside the ball's square contribute their whole weight;
-    each straddler contributes its weight times the fraction of its area
-    inside the square, integrated in closed form.  A batch of one through
-    the kernel of verify_measure_bound.
-    """
-    r = _as_float(r, "the radius", _MODULE)
-    c = np.array([_as_floats(center, "every centre coordinate", _MODULE)])
-    if not (r > 0.0 and c.shape == (1, 2) and np.all(np.isfinite(c))):
-        raise DomainError(f"need a finite center and a positive radius, "
-                          f"got {c[0].tolist()} and {r}", module=_MODULE)
-    return float(_ball_masses(M, c, np.array([r]))[0])
 
 
 def _radius_samplers(M: MuMeasure):
@@ -728,11 +720,11 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
     reproduces those calls, with a rejected integer draw resynced
     through the calls themselves (see _draw_balls); uniform's
     lo + (hi - lo) * u is taken with a separate multiply and add, as in
-    numpy's x86-64 builds.  The masses come in one batch, the values
-    mu_ball_mass gives one at a time, while exp and r^t stay Python
-    float calls.  Returns each regime's maximum of mu(B) |D|^d / r^t
-    with its witness, the regime's first ball to reach it; deterministic
-    for a fixed seed.
+    numpy's x86-64 builds.  The masses come in one batch through
+    _ball_masses, which gives each ball the mass it would get alone,
+    while exp and r^t stay Python float calls.  Returns each regime's
+    maximum of mu(B) |D|^d / r^t with its witness, the regime's first
+    ball to reach it; deterministic for a fixed seed.
     Every |D|^d, radius and r^t is normal for a measure of build_measure.
     """
     t = M.t

@@ -7,6 +7,15 @@ none of it is meant for general polygon soup.
 Two kernels serve every planar check: slab_ranges gives the polygon's
 y-range over grid columns, with cell_range turning ranges into cell
 indices, and box_areas gives its area inside axis-aligned boxes.
+
+box_areas is edge-major: for E envelope edges and P boxes, each of its
+temporaries is an (E, P) slab, one contiguous row of boxes per edge, of
+a single (8, E, P) workspace that it allocates once per call and writes
+in place.  So each ufunc runs along rows of P boxes rather than along
+the E edges of one box, and a call makes one large allocation, not one
+per temporary.  The per-edge areas are added in the order numpy's sum
+over the edges would take, so the areas are those of the box-major
+formula bit for bit.
 """
 
 from __future__ import annotations
@@ -165,18 +174,44 @@ def envelope_edges(polygon: np.ndarray):
     return e.T
 
 
+def _sum_rows(rows):
+    """Sum the rows of an (E, P) block into rows[0], in place, in the
+    order numpy's pairwise sum adds E values along a contiguous axis:
+    in turn below 8, through 8 running partial sums up to 128, halved
+    (at a multiple of 8) above that.  So rows[0] ends as the sum(axis=1)
+    of the block's C-ordered transpose, bit for bit up to the sign of a
+    zero sum.
+    """
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _sum_rows(rows[half:])
+        _sum_rows(rows[:half])
+        rows[0] += rows[half]
+        return
+    rest = 1
+    if n >= 8:
+        rest = n - n % 8
+        for i in range(8, rest, 8):
+            rows[:8] += rows[i:i + 8]
+        rows[0:8:2] += rows[1:8:2]
+        rows[0:8:4] += rows[2:8:4]
+        rows[0] += rows[4]
+    for i in range(rest, n):
+        rows[0] += rows[i]
+
+
 def box_areas(edges, a, b, lo, hi) -> np.ndarray:
     """Area of the polygon inside each box [a, b] x [lo, hi], the boxes
     given relative to the bounding box corner that envelope_edges uses.
 
     The area is the integral of clamp(upper) - clamp(lower) over x.  On
     each envelope edge, the clamped line is linear between the crossings
-    of y = lo and y = hi, so three trapezoids per edge are exact.
+    of y = lo and y = hi, so three trapezoids per edge are exact.  The
+    work is edge-major, in one workspace per call (see the module
+    docstring).
     """
     x0, y0, x1, y1, sign = edges
-    a, b, lo, hi = (v[:, None] for v in (a, b, lo, hi))
-    p = np.clip(a, x0, x1)
-    q = np.clip(b, x0, x1)
     # an edge too flat for dx/dy, or too steep for dy/dx, to be a finite
     # float is less than 2^-1022 high or wide: take it as flat, which
     # moves its area by less than that
@@ -186,12 +221,41 @@ def box_areas(edges, a, b, lo, hi) -> np.ndarray:
         slope = (y1 - y0) / (x1 - x0)
     dxdy[np.isinf(dxdy)] = 0.0
     slope[np.isinf(slope)] = 0.0
-    t_lo = x0 + (lo - y0) * dxdy
-    t_hi = x0 + (hi - y0) * dxdy
-    c1 = np.clip(np.minimum(t_lo, t_hi), p, q)
-    c2 = np.clip(np.maximum(t_lo, t_hi), p, q)
-    vp, v1, v2, vq = (np.clip(y0 + (x - x0) * slope, lo, hi)
-                      for x in (p, c1, c2, q))
-    per_edge = 0.5 * ((c1 - p) * (vp + v1) + (c2 - c1) * (v1 + v2)
-                      + (q - c2) * (v2 + vq))
-    return np.maximum((per_edge * sign).sum(axis=1), 0.0)
+    x0, y0, x1, dxdy, slope, sign = (
+        v[:, None] for v in (x0, y0, x1, dxdy, slope, sign))
+    ws = np.empty((8, len(x0), len(a)))
+    x, y = ws[:4], ws[4:]
+    # the clamp points p <= c1 <= c2 <= q on x, then their clamped ys
+    p, c1, c2, q = x
+    for end, v in ((a, p), (b, q)):
+        np.maximum(end, x0, out=v)
+        np.minimum(v, x1, out=v)
+    t_lo, t_hi = y[:2]
+    for level, t in ((lo, t_lo), (hi, t_hi)):
+        np.subtract(level, y0, out=t)
+        np.multiply(t, dxdy, out=t)
+        np.add(x0, t, out=t)
+    np.minimum(t_lo, t_hi, out=c1)
+    np.maximum(t_lo, t_hi, out=c2)
+    np.maximum(x[1:3], p, out=x[1:3])
+    np.minimum(x[1:3], q, out=x[1:3])
+    np.subtract(x, x0, out=y)
+    np.multiply(y, slope, out=y)
+    np.add(y0, y, out=y)
+    np.maximum(y, lo, out=y)
+    np.minimum(y, hi, out=y)
+    # the three trapezoids' widths and summed heights, each slab read
+    # before it is overwritten
+    for i in (3, 2, 1):
+        np.subtract(x[i], x[i - 1], out=x[i])
+    for i in (0, 1, 2):
+        np.add(y[i], y[i + 1], out=y[i])
+    np.multiply(x[1:], y[:3], out=x[1:])
+    per_edge = x[1]
+    per_edge += x[2]
+    per_edge += x[3]
+    # 0.5 and then the sign, as one exact multiply by +-0.5
+    per_edge *= 0.5 * sign
+    _sum_rows(per_edge)
+    # which also makes a zero sum +0.0
+    return np.maximum(per_edge[0], 0.0)

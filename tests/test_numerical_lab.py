@@ -28,6 +28,8 @@ from beta_targets.errors import (
     DomainError,
     ResourceLimitError,
     ScaleRangeError,
+    _as_float,
+    _as_floats,
 )
 from beta_targets import numerical_lab
 from beta_targets.numerical_lab import (
@@ -38,7 +40,6 @@ from beta_targets.numerical_lab import (
     build_measure,
     cover_exponent_scan,
     empirical_cover_count,
-    mu_ball_mass,
     predicted_cover_count,
     verify_measure_bound,
 )
@@ -59,6 +60,20 @@ from family_reference import axis_family, const_rotation
 SYS24 = BetaSystem((2.0, 4.0))
 UNIT_D = ((0.0, 1.0), (0.0, 1.0))
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def mu_ball_mass(M, center, r: float) -> float:
+    """Exact mass of the max-norm ball B(center, r), as a batch of one
+    through the kernel of verify_measure_bound, after refusing a radius
+    that is not positive and a centre that is not two finite floats."""
+    r = _as_float(r, "the radius", "numerical_lab")
+    c = np.array([_as_floats(center, "every centre coordinate",
+                             "numerical_lab")])
+    if not (r > 0.0 and c.shape == (1, 2) and np.all(np.isfinite(c))):
+        raise DomainError(f"need a finite center and a positive radius, "
+                          f"got {c[0].tolist()} and {r}",
+                          module="numerical_lab")
+    return float(_ball_masses(M, c, np.array([r]))[0])
 
 
 def pi4_spec():

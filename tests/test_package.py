@@ -53,6 +53,7 @@ REMOVED = [
     ("numerical_lab", "MeasureBoundReport.worst_mass"),
     ("numerical_lab", "MeasureBoundReport.samples"),
     ("numerical_lab", "MeasureBoundReport.seed"),
+    ("numerical_lab", "mu_ball_mass"),
     ("parallelepiped_geometry", "rotate2d"),
     ("parallelepiped_geometry", "Parallelepiped.column_norms"),
     ("parallelepiped_geometry", "Hyperrectangle.contains_point"),
