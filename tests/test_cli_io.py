@@ -993,92 +993,89 @@ class TestVerifyMeasure:
                    "target": {"kind": "axis", "exponents": [1, 1]}},
     }
 
-    # the digest of each (config, seed, samples), kept out of the test ids
-    DIGESTS = {
-        ("pi4-n2", 0, 1999):
-            "9c37ad4551b24e6f87816571fda667fa7ee7a2dcf7744a0185f49c7c9a2c8379",
-        ("pi4-n2", 0, 2000):
-            "9c37ad4551b24e6f87816571fda667fa7ee7a2dcf7744a0185f49c7c9a2c8379",
-        ("pi4-n2", 0, 2001):
-            "713cc1d9c1e877362275cf397150fd59b3bc433d64f7e5251290ba3e7f1ca748",
-        ("pi4-n2", 7, 1999):
-            "3e2b03c8cb0167206be14b8977eb83568157732f4b87770c63e27cf782665f7a",
-        ("pi4-n2", 7, 2000):
-            "3e2b03c8cb0167206be14b8977eb83568157732f4b87770c63e27cf782665f7a",
-        ("pi4-n2", 7, 2001):
-            "8b5ee85255e5c9bc5adaac017b3d98a026afa62f3d820b9085d7aecbd71a63ed",
-        ("pi4-n2", 4000000000, 1999):
-            "a3c11bfa9d8bc3a6fbd4f37001ddd035026b2cfcc057b65764abc06297717a5f",
-        ("pi4-n2", 4000000000, 2000):
-            "a3c11bfa9d8bc3a6fbd4f37001ddd035026b2cfcc057b65764abc06297717a5f",
-        ("pi4-n2", 4000000000, 2001):
-            "2d8edf36fdd518873b22750206296e51fb3ad4a7e8ac970e38163b81a5dd5c5b",
-        ("pi4-n3", 0, 1999):
-            "033c2166f2d7e513d7eb3f222ec17611adafb3c4fb6e0be17c2a9c06d2eb0796",
-        ("pi4-n3", 0, 2000):
-            "033c2166f2d7e513d7eb3f222ec17611adafb3c4fb6e0be17c2a9c06d2eb0796",
-        ("pi4-n3", 0, 2001):
-            "76d8d4c47ec7285ba59bef137672b3c95b0abf2641446001b438506240b2050e",
-        ("pi4-n3", 7, 1999):
-            "b796fee4f8bd06ba74dd400803ab401730105fe24cfc94db04d4f477b761774c",
-        ("pi4-n3", 7, 2000):
-            "b796fee4f8bd06ba74dd400803ab401730105fe24cfc94db04d4f477b761774c",
-        ("pi4-n3", 7, 2001):
-            "6b89259de628fc02af491d44abaae17b9136545210fab43764a22cc82413549a",
-        ("pi4-n3", 4000000000, 1999):
-            "615953167bc6dfc3163a7de2a0c8ccf0766ae486a8c8c4331a1aeb439e72b779",
-        ("pi4-n3", 4000000000, 2000):
-            "615953167bc6dfc3163a7de2a0c8ccf0766ae486a8c8c4331a1aeb439e72b779",
-        ("pi4-n3", 4000000000, 2001):
-            "de6307dac0d7b121ebce709759c0ded383101cd3b204c77c0abdefa13897db98",
-        ("phi-n3", 0, 1999):
-            "235d83333ab53758e63d0c7adccabded051e29cd5ad9465e9d7483953f50a752",
-        ("phi-n3", 0, 2000):
-            "235d83333ab53758e63d0c7adccabded051e29cd5ad9465e9d7483953f50a752",
-        ("phi-n3", 0, 2001):
-            "260cb04965141e9f38385b06a6f79d726148bf3413bc34421c2acd761a6fbae6",
-        ("phi-n3", 7, 1999):
-            "c1a9ecccaf67d5c53d12d837030ec231d8a00a9d13c344cd768cb3888c331fc9",
-        ("phi-n3", 7, 2000):
-            "c1a9ecccaf67d5c53d12d837030ec231d8a00a9d13c344cd768cb3888c331fc9",
-        ("phi-n3", 7, 2001):
-            "2bf7fc43678519cd1dcb2b25d71f5103315ca3ae8fb15164c50e258df7f75f24",
-        ("phi-n3", 4000000000, 1999):
-            "50c220531af4180b1cb17be39cfb4abdda30362427af1c98798fe51e66dad339",
-        ("phi-n3", 4000000000, 2000):
-            "50c220531af4180b1cb17be39cfb4abdda30362427af1c98798fe51e66dad339",
-        ("phi-n3", 4000000000, 2001):
-            "164c7443d04b4e2a054482540bdc76618a6e916076c3effc0b26f3a89f780e0c",
-        ("single", 0, 1999):
-            "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8",
-        ("single", 0, 2000):
-            "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8",
-        ("single", 0, 2001):
-            "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8",
-        ("single", 7, 1999):
-            "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46",
-        ("single", 7, 2000):
-            "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46",
-        ("single", 7, 2001):
-            "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46",
-        ("single", 4000000000, 1999):
-            "0eea8efa63695cb7a166e0dd4997ba2de4a44839612232a89ea11104026dac47",
-        ("single", 4000000000, 2000):
-            "0eea8efa63695cb7a166e0dd4997ba2de4a44839612232a89ea11104026dac47",
-        ("single", 4000000000, 2001):
-            "0eea8efa63695cb7a166e0dd4997ba2de4a44839612232a89ea11104026dac47",
-    }
-
-    @pytest.mark.parametrize("config, seed, samples", list(DIGESTS))
-    def test_csv_bytes_pinned(self, tmp_path, capsys, config, seed, samples):
+    @pytest.mark.parametrize("config, seed, samples, digest", [
+        ("pi4-n2", 0, 1999,
+         "9c37ad4551b24e6f87816571fda667fa7ee7a2dcf7744a0185f49c7c9a2c8379"),
+        ("pi4-n2", 0, 2000,
+         "9c37ad4551b24e6f87816571fda667fa7ee7a2dcf7744a0185f49c7c9a2c8379"),
+        ("pi4-n2", 0, 2001,
+         "713cc1d9c1e877362275cf397150fd59b3bc433d64f7e5251290ba3e7f1ca748"),
+        ("pi4-n2", 7, 1999,
+         "3e2b03c8cb0167206be14b8977eb83568157732f4b87770c63e27cf782665f7a"),
+        ("pi4-n2", 7, 2000,
+         "3e2b03c8cb0167206be14b8977eb83568157732f4b87770c63e27cf782665f7a"),
+        ("pi4-n2", 7, 2001,
+         "8b5ee85255e5c9bc5adaac017b3d98a026afa62f3d820b9085d7aecbd71a63ed"),
+        ("pi4-n2", 4000000000, 1999,
+         "a3c11bfa9d8bc3a6fbd4f37001ddd035026b2cfcc057b65764abc06297717a5f"),
+        ("pi4-n2", 4000000000, 2000,
+         "a3c11bfa9d8bc3a6fbd4f37001ddd035026b2cfcc057b65764abc06297717a5f"),
+        ("pi4-n2", 4000000000, 2001,
+         "2d8edf36fdd518873b22750206296e51fb3ad4a7e8ac970e38163b81a5dd5c5b"),
+        ("pi4-n3", 0, 1999,
+         "033c2166f2d7e513d7eb3f222ec17611adafb3c4fb6e0be17c2a9c06d2eb0796"),
+        ("pi4-n3", 0, 2000,
+         "033c2166f2d7e513d7eb3f222ec17611adafb3c4fb6e0be17c2a9c06d2eb0796"),
+        ("pi4-n3", 0, 2001,
+         "76d8d4c47ec7285ba59bef137672b3c95b0abf2641446001b438506240b2050e"),
+        ("pi4-n3", 7, 1999,
+         "b796fee4f8bd06ba74dd400803ab401730105fe24cfc94db04d4f477b761774c"),
+        ("pi4-n3", 7, 2000,
+         "b796fee4f8bd06ba74dd400803ab401730105fe24cfc94db04d4f477b761774c"),
+        ("pi4-n3", 7, 2001,
+         "6b89259de628fc02af491d44abaae17b9136545210fab43764a22cc82413549a"),
+        ("pi4-n3", 4000000000, 1999,
+         "615953167bc6dfc3163a7de2a0c8ccf0766ae486a8c8c4331a1aeb439e72b779"),
+        ("pi4-n3", 4000000000, 2000,
+         "615953167bc6dfc3163a7de2a0c8ccf0766ae486a8c8c4331a1aeb439e72b779"),
+        ("pi4-n3", 4000000000, 2001,
+         "de6307dac0d7b121ebce709759c0ded383101cd3b204c77c0abdefa13897db98"),
+        ("phi-n3", 0, 1999,
+         "235d83333ab53758e63d0c7adccabded051e29cd5ad9465e9d7483953f50a752"),
+        ("phi-n3", 0, 2000,
+         "235d83333ab53758e63d0c7adccabded051e29cd5ad9465e9d7483953f50a752"),
+        ("phi-n3", 0, 2001,
+         "260cb04965141e9f38385b06a6f79d726148bf3413bc34421c2acd761a6fbae6"),
+        ("phi-n3", 7, 1999,
+         "c1a9ecccaf67d5c53d12d837030ec231d8a00a9d13c344cd768cb3888c331fc9"),
+        ("phi-n3", 7, 2000,
+         "c1a9ecccaf67d5c53d12d837030ec231d8a00a9d13c344cd768cb3888c331fc9"),
+        ("phi-n3", 7, 2001,
+         "2bf7fc43678519cd1dcb2b25d71f5103315ca3ae8fb15164c50e258df7f75f24"),
+        ("phi-n3", 4000000000, 1999,
+         "50c220531af4180b1cb17be39cfb4abdda30362427af1c98798fe51e66dad339"),
+        ("phi-n3", 4000000000, 2000,
+         "50c220531af4180b1cb17be39cfb4abdda30362427af1c98798fe51e66dad339"),
+        ("phi-n3", 4000000000, 2001,
+         "164c7443d04b4e2a054482540bdc76618a6e916076c3effc0b26f3a89f780e0c"),
+        ("single", 0, 1999,
+         "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8"),
+        ("single", 0, 2000,
+         "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8"),
+        ("single", 0, 2001,
+         "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8"),
+        ("single", 7, 1999,
+         "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46"),
+        ("single", 7, 2000,
+         "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46"),
+        ("single", 7, 2001,
+         "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46"),
+        ("single", 4000000000, 1999,
+         "0eea8efa63695cb7a166e0dd4997ba2de4a44839612232a89ea11104026dac47"),
+        ("single", 4000000000, 2000,
+         "0eea8efa63695cb7a166e0dd4997ba2de4a44839612232a89ea11104026dac47"),
+        ("single", 4000000000, 2001,
+         "0eea8efa63695cb7a166e0dd4997ba2de4a44839612232a89ea11104026dac47"),
+    ])
+    def test_csv_bytes_pinned(self, tmp_path, capsys, config, seed, samples,
+                              digest):
         path = write_config(tmp_path, dict(self.CONFIGS[config],
                                            seed=seed, samples=samples))
         assert main(["verify-measure", "--config", path,
                      "--out", str(tmp_path)]) == 0
         body = (tmp_path / "verify_measure.csv").read_text().split("\n", 1)[1]
         assert body.count("\n") == 5
-        assert hashlib.sha256(body.encode()).hexdigest() == \
-            self.DIGESTS[config, seed, samples]
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 # a small config for each subcommand, and the stdout it gives
