@@ -24,13 +24,25 @@ Only the prices of those covers depend on s: the cell counts, the merge
 depth's occupancy mask, the mesh counts and the spot-check ball masses
 do not.  content_estimates_2d builds them once per shape and prices them
 at each exponent of a list.
+
+The merge prices all of the list's exponents in one stacked pass: each
+level of its pyramid is an (S, nx, ny) stack, S the number of exponents,
+and the zero-padded grids of all levels are views of one workspace per
+call, as in polygons.box_areas.  At the merge depth 9 a wide shape's
+stack of five exponents is a few hundred KB, above glibc's initial mmap
+threshold, so one allocation per call, not one per level and exponent,
+lets the heap reuse its pages.  The children are added in the order
+numpy's four-axis sum took for one exponent, and the prices side^s and
+count * delta^s stay Python floats, so every estimate equals a pass at
+its s alone bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -148,48 +160,82 @@ def _column_intervals(lower: np.ndarray, upper: np.ndarray,
 
 
 def _merged_dyadic_cover(c0: int, r0: int, occ: np.ndarray, k_top: int,
-                         s: float) -> float:
-    """Greedy bottom-up merge: cost(cell) = min(side^s, sum of children).
+                         exponents: Sequence[float]) -> List[float]:
+    """Greedy bottom-up merge: cost(cell) = min(side^s, sum of children),
+    at each exponent s of a list.
 
     Works on the occupied-cell mask of depth k_top (cell (c0 + i, r0 + j)
     at occ[i, j]) and its parents down to depth 1; the result is the best
-    mixed-scale dyadic cover within that range.
+    mixed-scale dyadic cover within that range, one per exponent.
+
+    The exponents share one pass (see the module docstring).  A parent
+    adds its children a, b (left column, lower and upper row) and c, d
+    (right column) as (a + b) + (c + d), or ((a + b) + c) + d when the
+    level has one row pair: the order numpy's
+    grid.reshape(gx // 2, 2, gy // 2, 2).sum(axis=(1, 3)) takes for one
+    exponent's grid, so each cost is that of a pass at its s alone, bit
+    for bit.
     """
-    side = 2.0 ** -k_top
-    cost = np.where(occ, side ** s, 0.0)
+    S = len(exponents)
+    # each level's cells sit at even absolute indices of an even-shaped
+    # grid: (offsets, cells, padded shape) per level, down to one cell
+    levels = []
+    nx, ny = occ.shape
     col_off, row_off = c0, r0
     for _ in range(k_top):
-        # place the level at even absolute indices in an even-shaped grid
         pl, pb = col_off % 2, row_off % 2
-        nx, ny = cost.shape
-        grid = np.zeros((nx + pl + (nx + pl) % 2, ny + pb + (ny + pb) % 2))
-        grid[pl:pl + nx, pb:pb + ny] = cost
-        gx, gy = grid.shape
-        sums = grid.reshape(gx // 2, 2, gy // 2, 2).sum(axis=(1, 3))
-        side *= 2.0
-        # a cell is occupied exactly when its children's sum is positive,
-        # and an empty one keeps cost min(side^s, 0) = 0
-        cost = np.minimum(side ** s, sums)
+        gx, gy = nx + pl + (nx + pl) % 2, ny + pb + (ny + pb) % 2
+        levels.append((pl, pb, nx, ny, gx, gy))
+        nx, ny = gx // 2, gy // 2
         col_off = (col_off - pl) // 2
         row_off = (row_off - pb) // 2
-        if cost.size == 1:
+        if nx * ny == 1:
             break
-    return float(cost.sum())
+    # the zero-padded grids, the last level's costs and a scratch slab
+    # for c + d, as large as the first parent level, in one workspace
+    sizes = [gx * gy for *_, gx, gy in levels] + [nx * ny]
+    ws = np.zeros(S * (sum(sizes) + sizes[0] // 4))
+    grids, off = [], 0
+    for (*_, gx, gy), size in zip(levels, sizes):
+        grids.append(ws[off:off + S * size].reshape(S, gx, gy))
+        off += S * size
+    costs = ws[off:off + S * nx * ny].reshape(S, nx, ny)
+    scratch = ws[off + S * nx * ny:]
+    cells = [g[:, pl:pl + nx, pb:pb + ny]
+             for g, (pl, pb, nx, ny, _, _) in zip(grids, levels)]
+    cells.append(costs)
+
+    side = 2.0 ** -k_top
+    caps = np.array([[(side * 2.0 ** i) ** s for s in exponents]
+                     for i in range(len(levels) + 1)])[:, :, None, None]
+    np.copyto(cells[0], caps[0], where=occ)
+    for i, grid in enumerate(grids):
+        out = cells[i + 1]
+        np.add(grid[:, 0::2, 0::2], grid[:, 0::2, 1::2], out=out)
+        if grid.shape[2] == 2:
+            out += grid[:, 1::2, 0::2]
+            out += grid[:, 1::2, 1::2]
+        else:
+            right = scratch[:out.size].reshape(out.shape)
+            np.add(grid[:, 1::2, 0::2], grid[:, 1::2, 1::2], out=right)
+            out += right
+        # a cell is occupied exactly when its children's sum is positive,
+        # and an empty one keeps cost min(side^s, 0) = 0
+        np.minimum(caps[i + 1], out, out=out)
+    return [float(c.sum()) for c in costs]
 
 
 def _mesh_counts(w: float, h: float) -> List[Tuple[int, float]]:
     """(squares, side) of the uniform covers anchored at the bounding box
     corner."""
-    meshes = []
-    for base in (w, h):
-        for j in range(1, _MESH_STEPS + 1):
-            delta = base / j
-            if delta <= 0.0:
-                continue
-            nx = max(1, math.ceil(w / delta - 1e-12))
-            ny = max(1, math.ceil(h / delta - 1e-12))
-            meshes.append((nx * ny, delta))
-    return meshes
+    j = np.arange(1, _MESH_STEPS + 1)
+    delta = np.concatenate([w / j, h / j])
+    # a side too small for w / delta or h / delta to be finite makes an
+    # infinite count, which int() refuses
+    with np.errstate(over="ignore", divide="ignore"):
+        counts = (np.maximum(1.0, np.ceil(w / delta - 1e-12))
+                  * np.maximum(1.0, np.ceil(h / delta - 1e-12)))
+    return list(zip(map(int, counts.tolist()), delta.tolist()))
 
 
 def _remainder_tiling(w: float, h: float, s: float) -> float:
@@ -245,9 +291,10 @@ def _check_convex(poly: np.ndarray) -> None:
 
 
 def _shape_covers(shape, depths: Tuple[int, ...]
-                  ) -> Callable[[float], Tuple[float, float]]:
+                  ) -> Callable[[List[float]], Iterator[Tuple[float, float]]]:
     """Checks the shape and builds everything of its covers that does not
-    depend on s; returns the (lower, upper) estimate as a function of s."""
+    depend on s; returns the (lower, upper) estimates as a function of a
+    list of exponents, yielded in order."""
     poly = np.asarray(shape, dtype=float)
     if poly.ndim != 2 or poly.shape[1] != 2:
         raise DomainError("shape must be an (m, 2) vertex array",
@@ -258,14 +305,14 @@ def _shape_covers(shape, depths: Tuple[int, ...]
         raise DomainError("shape must lie inside the unit square",
                           module=_MODULE)
     if poly.shape[0] < 3:
-        return lambda s: (0.0, 0.0)
+        return lambda exponents: ((0.0, 0.0) for _ in exponents)
     poly = ensure_ccw(np.clip(poly, 0.0, 1.0))
     _check_convex(poly)
     # relative to its first vertex, a polygon of zero width or height has
     # shoelace area exactly 0.0, so w and h below are positive
     area = polygon_area(poly)
     if area <= 0.0:
-        return lambda s: (0.0, 0.0)
+        return lambda exponents: ((0.0, 0.0) for _ in exponents)
 
     x0, y0, x1, y1 = polygon_bbox(poly)
     w, h = x1 - x0, y1 - y0
@@ -296,20 +343,22 @@ def _shape_covers(shape, depths: Tuple[int, ...]
     mass = dict(zip(radii.tolist(), masses.tolist()))
     spot_check = [((cx, cy), r) for r in mass]
 
-    def estimate(s: float) -> Tuple[float, float]:
-        candidates = [count * (2.0 ** -k) ** s for count, k in plain]
-        candidates.append(_merged_dyadic_cover(c0, r0, occ, k_merge, s))
-        candidates.extend(count * delta ** s for count, delta in meshes)
-        candidates.append(_remainder_tiling(w, h, s))
-        upper = min(candidates)
+    def estimates(exponents: List[float]) -> Iterator[Tuple[float, float]]:
+        merged = _merged_dyadic_cover(c0, r0, occ, k_merge, exponents)
+        for s, merged_cost in zip(exponents, merged):
+            candidates = [count * (2.0 ** -k) ** s for count, k in plain]
+            candidates.append(merged_cost)
+            candidates.extend(count * delta ** s for count, delta in meshes)
+            candidates.append(_remainder_tiling(w, h, s))
+            upper = min(candidates)
 
-        phi = singular_value_function((w, h), s)
-        c_mdp = 4.0 / (c_ratio * phi)  # mu(B) <= 2^d r^s / (c phi^s)
-        lower = mdp_lower_bound(lambda center, r: mass[r], 1.0, c_mdp, s,
-                                spot_check=spot_check)
-        return lower, upper
+            phi = singular_value_function((w, h), s)
+            c_mdp = 4.0 / (c_ratio * phi)  # mu(B) <= 2^d r^s / (c phi^s)
+            lower = mdp_lower_bound(lambda center, r: mass[r], 1.0, c_mdp,
+                                    s, spot_check=spot_check)
+            yield lower, upper
 
-    return estimate
+    return estimates
 
 
 def content_estimates_2d(shape, exponents: Iterable[float],
@@ -342,11 +391,20 @@ def content_estimates_2d(shape, exponents: Iterable[float],
         raise DomainError("grid depths must be integers in [1, 24]",
                           module=_MODULE)
     depths = tuple(map(int, depths))
-    exponents = list(exponents)
-    if not exponents:
-        return []
-    # as an estimate at s[0] alone would, check s[0] before the shape
-    _check_exponent(exponents[0])
-    estimate = _shape_covers(shape, depths)
-    return [ContentEstimate(*estimate(_check_exponent(s)))
-            for s in exponents]
+    # the exponents before the first refused one are priced in one pass;
+    # the refusal is raised after their estimates, so a refused s[0]
+    # comes before any error of the shape, as separate estimates raise it
+    checked, refused = [], None
+    for s in exponents:
+        try:
+            checked.append(_check_exponent(s))
+        except (DomainError, TypeError, ValueError, OverflowError) as exc:
+            refused = exc
+            break
+    out = []
+    if checked:
+        out = [ContentEstimate(*e)
+               for e in _shape_covers(shape, depths)(checked)]
+    if refused is not None:
+        raise refused
+    return out
