@@ -354,7 +354,8 @@ def _fmt(v) -> str:
 
 def _csv(sha: str, header: Sequence[str], rows=(),
          trailing: Sequence[str] = ()) -> str:
-    """A CSV artifact: config hash comment, header, rows, trailing lines."""
+    """A CSV artifact: config hash comment, header, rows, then the
+    trailing lines as given."""
     lines = [f"# config_sha256={sha}", ",".join(header)]
     lines.extend(",".join(map(_fmt, row)) for row in rows)
     lines.extend(trailing)
@@ -528,11 +529,13 @@ def _cmd_dimension(cfg: RunConfig, sha: str) -> str:
     d = spec.dimension
     header = ["n"] + [f"gamma_log2_{i + 1}" for i in range(d)] + \
         ["s_n", "argmin_tau_log2"]
-    rows = [(lv.n, *lv.gamma_log2, lv.s_n, lv.argmin_tau_log2)
-            for lv in report.levels]
-    trailing = [f"# s_star={report.s_star!r},"
-                f"converged={'true' if report.converged else 'false'}"]
-    return _csv(sha, header, rows, trailing)
+    # an int n and Python floats: repr is what _fmt writes for each
+    lines = [",".join(map(repr, (lv.n, *lv.gamma_log2, lv.s_n,
+                                 lv.argmin_tau_log2)))
+             for lv in report.levels]
+    lines.append(f"# s_star={report.s_star!r},"
+                 f"converged={'true' if report.converged else 'false'}")
+    return _csv(sha, header, trailing=lines)
 
 
 def _cmd_verify_cover(cfg: RunConfig, sha: str) -> str:
@@ -629,26 +632,41 @@ def _flags(subcommand: str):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one argument parser of the process, built on first use: it
-    holds no state between parse_args calls, and building it costs some
-    twenty times what a parse does."""
+def _build_parser() -> Tuple[argparse.ArgumentParser, dict]:
+    """The argument parsers of the process, built on first use: the
+    top-level one and each subcommand's by name.  They hold no state
+    between parse_args calls, and building them costs some twenty times
+    what a parse does."""
     parser = _QuietParser(prog="beta-targets", description=(
         "shrinking-target toolkit: expansions, covering counts, and the "
         "dimension formula"))
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parsers = {}
     for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
+        p = parsers[name] = sub.add_parser(name)
         p.add_argument("--config")
         for flag, kind, key in _flags(name):
             p.add_argument(flag, type=kind, dest=key,
                            metavar=flag.lstrip("-").upper())
-    return parser
+    return parser, parsers
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """argv parsed by the parser of the subcommand it names, which is what
+    the top-level parser would hand it, at half the cost; the top-level
+    parser reads only an argv that names none (--help, unknown names)."""
+    parser, parsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parsers:
+        args = parsers[argv[0]].parse_args(argv[1:])
+        args.subcommand = argv[0]
+        return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits directly only for --help
         return 0 if exc.code in (0, None) else 2

@@ -54,7 +54,7 @@ from .parallelepiped_geometry import (
     Parallelepiped,
     _beats,
     _floats,
-    pivoted_orthogonalize_scaled,
+    _pivot_scan,
 )
 
 __all__ = [
@@ -77,6 +77,8 @@ _MODULE = "dimension_engine"
 _DEDUP_RTOL = 1e-12
 
 _FLOAT_MAX = sys.float_info.max
+# the last level with a float value
+_LAST_FLOAT_LEVEL = int(_FLOAT_MAX)
 
 _INF = math.inf
 
@@ -474,12 +476,19 @@ def gamma_magnitudes(spec: TargetSpec, n: int,
     values directly (the raw magnitudes flush to zero once they leave
     float range).
     """
-    frame = pivoted_orthogonalize_scaled(*log_columns(spec, n))
-    logs = frame.log2_norms
-    _check_volume_identity(spec, n, logs)
+    _check_float_level(n)
+    logs = _gamma_log2(spec, n)
     if as_log2:
         return logs
     return tuple(float(np.exp2(x)) for x in logs)
+
+
+def _gamma_log2(spec: TargetSpec, n: int) -> Tuple[float, ...]:
+    """gamma_magnitudes(spec, n, as_log2=True) at a checked level."""
+    log2_betas = spec.system.log2_betas
+    _, logs, _ = _pivot_scan(*spec.family.log_columns(log2_betas, n))
+    _check_volume_identity(spec, n, logs)
+    return logs
 
 
 def _check_volume_identity(spec: TargetSpec, n: int,
@@ -494,6 +503,12 @@ def _check_volume_identity(spec: TargetSpec, n: int,
             module=_MODULE)
 
 
+def _check_mode(mode) -> None:
+    if mode not in ("exact", "limit"):
+        raise DomainError(f"mode must be 'exact' or 'limit', got {mode!r}",
+                          module=_MODULE)
+
+
 def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
     """Level-n value of the dimension formula.
 
@@ -501,33 +516,35 @@ def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
     substitutes leading rates (see module docstring), reproducing the
     closed forms of constant-shape families at every n.
     """
-    if mode not in ("exact", "limit"):
-        raise DomainError(f"mode must be 'exact' or 'limit', got {mode!r}",
-                          module=_MODULE)
+    _check_mode(mode)
     _check_float_level(n)
+    return _level(spec, n, mode)
+
+
+def _level(spec: TargetSpec, n: int, mode: str) -> LevelData:
+    """s_n(spec, n, mode) at a checked level and mode."""
     w = [n * l for l in spec.system.log2_betas]
     if mode == "limit":
         g = [r * n for r in spec.rates]
         gamma_log2 = tuple(map(operator.neg, g))
     else:
-        gamma_log2 = gamma_magnitudes(spec, n, as_log2=True)
+        gamma_log2 = _gamma_log2(spec, n)
         g = list(map(operator.neg, gamma_log2))
     value, lam, cands = _minimize_objective(w, g)
-    return LevelData(
-        n=n,
-        gamma_log2=gamma_log2,
-        candidates_log2_tau=tuple(map(operator.neg, reversed(cands))),
-        s_n=float(value),
-        argmin_tau_log2=-lam,
-        mode=mode,
-    )
+    # n, gamma_log2, candidates_log2_tau, s_n, argmin_tau_log2, mode
+    return LevelData(n, gamma_log2, tuple(map(operator.neg, reversed(cands))),
+                     float(value), -lam, mode)
 
 
 def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
            tolerance: float = 1e-3, mode: str = "exact") -> DimensionReport:
     """Windowed limsup estimate: s* = max of s_n over the last `window`
     levels of [n_min, n_max], with converged set when that window's
-    spread is below the tolerance.  No extrapolation is attempted."""
+    spread is below the tolerance.  No extrapolation is attempted.
+
+    The mode and the levels are checked once for the block, and each
+    level is s_n(spec, n, mode); a block whose levels pass float range
+    raises, after the levels below it, what s_n raises there."""
     _check_level(n_min, _MODULE)
     _check_level(n_max, _MODULE)
     if n_min > n_max:
@@ -541,8 +558,11 @@ def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
     tolerance = _as_float(tolerance, "tolerance", _MODULE)
     if not tolerance > 0.0:
         raise DomainError("tolerance must be positive", module=_MODULE)
-    levels = tuple(s_n(spec, n, mode=mode) for n in range(n_min, n_max + 1))
+    _check_mode(mode)
+    top = min(n_max, _LAST_FLOAT_LEVEL)
+    levels = tuple(_level(spec, n, mode) for n in range(n_min, top + 1))
+    if top < n_max:
+        _check_float_level(n_max)
     tail = [lv.s_n for lv in levels[-window:]]
     return DimensionReport(levels=levels, s_star=max(tail),
                            converged=bool(max(tail) - min(tail) < tolerance))
-

@@ -67,6 +67,7 @@ _LOG2_RTOL = math.log2(1.0 + 1e-9)
 
 _MODULE = "parallelepiped_geometry"
 
+_INF = math.inf
 _NEG_INF = -math.inf
 
 
@@ -358,11 +359,7 @@ def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> OrthoFrame:
     entry that is not a number (None, a string, even a numeric one) or
     an int past float range raises DomainError.
     """
-    try:
-        return _pivot_scan(signs, log2_magnitudes)
-    except (TypeError, OverflowError) as exc:
-        raise DomainError(f"signs and log2 magnitudes must be numbers: {exc}",
-                          module=_MODULE) from None
+    return OrthoFrame(*_pivot_scan(signs, log2_magnitudes))
 
 
 def _rows(m):
@@ -375,77 +372,98 @@ def _rows(m):
     return m
 
 
-def _pivot_scan(signs, log2_magnitudes, columns=None) -> OrthoFrame:
-    """pivoted_orthogonalize_scaled, keeping columns for gammas."""
-    sg, lm = _rows(signs), _rows(log2_magnitudes)
+def _pivot_scan(signs, log2_magnitudes) -> tuple:
+    """(permutation, log2 norms, steps) of pivoted_orthogonalize_scaled,
+    which wraps them in an OrthoFrame; steps is what the frame keeps for
+    U.  An entry that is not a number raises DomainError.
+
+    A minor with one nonzero term s 2**v, s = +-1 and v finite, is
+    (s, v): 2**(v - v) is 1 and log2 1 is +0, which adds nothing to v,
+    since no minor's log is -0.0.  So is a Gram sum of one term.  Any
+    other minor, a non-finite one included, goes through _log2_sum."""
     try:
-        d = len(sg)
-        square = len(lm) == d and {*map(len, sg), *map(len, lm)} <= {d}
-    except TypeError:
-        square = False
-    if not square:
-        raise DomainError("signs and log2_magnitudes must be equal square "
-                          "matrices", module=_MODULE)
-    for row in lm:
-        for x in row:
-            if not x < math.inf:
-                raise DomainError("log2 magnitudes must be < inf and not "
-                                  "NaN", module=_MODULE)
-    col_signs, col_logs = list(zip(*sg)), list(zip(*lm))
-    remaining = list(range(d))
-    chosen: list = []
-    norms: list = []
-    steps: list = []
-    minors = [(1.0, 0.0)]  # the empty minor is 1
-    g_prev = 0.0  # log2 Gram of the empty set
-    for k, sets in enumerate(_plan(d), 1):
-        exts: dict = {}
-        best = None
-        for l in remaining:
-            cs, cl = col_signs[l], col_logs[l]
-            ext = exts[l] = []
-            doubled = []  # 2 log2|minor| of the nonzero minors
-            for terms in sets:
-                signs, logs = [], []
-                for r, p, parity in terms:
-                    s_sub, l_sub = minors[p]
-                    s = s_sub * cs[r] * parity
-                    if s and cl[r] != _NEG_INF:
-                        signs.append(s)
-                        logs.append(l_sub + cl[r])
-                if len(logs) == 1:
-                    # _log2_sum of one term, inlined
-                    v = logs[0]
-                    x = signs[0] * 2.0 ** (v - v)
-                    v = math.log2(abs(x)) + v
-                    ext.append((math.copysign(1.0, x), v))
-                    doubled.append(2.0 * v)
-                else:
-                    ext.append(_log2_sum(signs, logs))
-                    if ext[-1][0]:
-                        doubled.append(2.0 * ext[-1][1])
-            # log2 Gram(S_{k-1} + l), the sum of the squared minors
-            g = _NEG_INF
-            if doubled:
-                m = max(doubled)
-                total = 0.0
-                for x in doubled:
-                    total += 2.0 ** (x - m)
-                g = math.log2(total) + m
-            key = 0.5 * (g - g_prev)
-            if best is None or _beats(key, best[0]):
-                best = (key, l, g)
-        key, l, g_prev = best
-        if g_prev == _NEG_INF:
-            raise DegenerateInputError(
-                f"Gram sum vanished at step {k}: column {l + 1} lies in "
-                "the span of the pivots before it", module=_MODULE)
-        minors = exts[l]
-        steps.append((g_prev, exts))
-        remaining.remove(l)
-        chosen.append(l + 1)
-        norms.append(key)
-    return OrthoFrame(tuple(chosen), tuple(norms), tuple(steps), columns)
+        sg, lm = _rows(signs), _rows(log2_magnitudes)
+        try:
+            d = len(sg)
+            square = len(lm) == d and {*map(len, sg), *map(len, lm)} <= {d}
+        except TypeError:
+            square = False
+        if not square:
+            raise DomainError("signs and log2_magnitudes must be equal "
+                              "square matrices", module=_MODULE)
+        for row in lm:
+            for x in row:
+                if not x < _INF:
+                    raise DomainError("log2 magnitudes must be < inf and "
+                                      "not NaN", module=_MODULE)
+        col_signs, col_logs = list(zip(*sg)), list(zip(*lm))
+        remaining = list(range(d))
+        chosen: list = []
+        norms: list = []
+        steps: list = []
+        minors = [(1.0, 0.0)]  # the empty minor is 1
+        g_prev = 0.0  # log2 Gram of the empty set
+        for k, sets in enumerate(_plan(d), 1):
+            exts: dict = {}
+            best = None
+            for l in remaining:
+                cs, cl = col_signs[l], col_logs[l]
+                ext = exts[l] = []
+                doubled = []  # 2 log2|minor| of the nonzero minors
+                for terms in sets:
+                    count = 0
+                    for r, p, parity in terms:
+                        s_sub, l_sub = minors[p]
+                        s = s_sub * cs[r] * parity
+                        if s and cl[r] != _NEG_INF:
+                            if count:
+                                if count == 1:
+                                    signs, logs = [s1], [v1]
+                                signs.append(s)
+                                logs.append(l_sub + cl[r])
+                            else:
+                                s1, v1 = s, l_sub + cl[r]
+                            count += 1
+                    if count == 1 and (s1 == 1.0 or s1 == -1.0) and \
+                            _NEG_INF < v1 < _INF:
+                        ext.append((s1, v1))
+                        doubled.append(2.0 * v1)
+                    else:
+                        if count == 1:
+                            signs, logs = [s1], [v1]
+                        elif not count:
+                            signs = logs = ()
+                        minor = _log2_sum(signs, logs)
+                        ext.append(minor)
+                        if minor[0]:
+                            doubled.append(2.0 * minor[1])
+                # log2 Gram(S_{k-1} + l), the sum of the squared minors
+                g = _NEG_INF
+                if len(doubled) == 1 and _NEG_INF < doubled[0] < _INF:
+                    g = doubled[0]
+                elif doubled:
+                    m = max(doubled)
+                    total = 0.0
+                    for x in doubled:
+                        total += 2.0 ** (x - m)
+                    g = math.log2(total) + m
+                key = 0.5 * (g - g_prev)
+                if best is None or _beats(key, best[0]):
+                    best = (key, l, g)
+            key, l, g_prev = best
+            if g_prev == _NEG_INF:
+                raise DegenerateInputError(
+                    f"Gram sum vanished at step {k}: column {l + 1} lies in "
+                    "the span of the pivots before it", module=_MODULE)
+            minors = exts[l]
+            steps.append((g_prev, exts))
+            remaining.remove(l)
+            chosen.append(l + 1)
+            norms.append(key)
+    except (TypeError, OverflowError) as exc:
+        raise DomainError(f"signs and log2 magnitudes must be numbers: {exc}",
+                          module=_MODULE) from None
+    return tuple(chosen), tuple(norms), tuple(steps)
 
 
 def pivoted_orthogonalize(columns) -> OrthoFrame:
@@ -457,7 +475,8 @@ def pivoted_orthogonalize(columns) -> OrthoFrame:
         columns = Parallelepiped(np.zeros(cols.shape[:1]), cols)
     cols = columns.columns
     with np.errstate(divide="ignore"):
-        return _pivot_scan(np.sign(cols), np.log2(np.abs(cols)), cols)
+        return OrthoFrame(*_pivot_scan(np.sign(cols), np.log2(np.abs(cols))),
+                          cols)
 
 
 def bounding_hyperrectangle(frame: OrthoFrame) -> Tuple[float, ...]:
