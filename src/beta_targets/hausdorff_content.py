@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import (Callable, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
@@ -75,6 +76,10 @@ _MERGE_DEPTH = 9
 
 # uniform anchored meshes try side/j for j up to this
 _MESH_STEPS = 64
+
+# a price side^s below this has underflowed: it lost bits, or all of
+# them, so count * side^s is no upper bound and the cover is left out
+_MIN_POWER = sys.float_info.min
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,21 +232,21 @@ def _merged_dyadic_cover(c0: int, r0: int, occ: np.ndarray, k_top: int,
 
 def _mesh_counts(w: float, h: float) -> List[Tuple[int, float]]:
     """(squares, side) of the uniform covers anchored at the bounding box
-    corner."""
+    corner.  A side too small for w / side or h / side to be finite makes
+    no cover and is left out."""
     j = np.arange(1, _MESH_STEPS + 1)
     delta = np.concatenate([w / j, h / j])
-    # a side too small for w / delta or h / delta to be finite makes an
-    # infinite count, which int() refuses
     with np.errstate(over="ignore", divide="ignore"):
         counts = (np.maximum(1.0, np.ceil(w / delta - 1e-12))
                   * np.maximum(1.0, np.ceil(h / delta - 1e-12)))
-    return list(zip(map(int, counts.tolist()), delta.tolist()))
+    return [(int(count), side) for count, side
+            in zip(counts.tolist(), delta.tolist()) if count < math.inf]
 
 
 def _remainder_tiling(w: float, h: float, s: float) -> float:
     """Tile the box greedily by largest-fitting squares, cover the last
     sliver with one square of the current short side; inf, no cover, for
-    a box that is all sliver."""
+    a box that is all sliver or a square whose price underflowed."""
     if h > w:
         w, h = h, w
     total = 0.0
@@ -250,12 +255,18 @@ def _remainder_tiling(w: float, h: float, s: float) -> float:
         if h <= tol:
             break
         k = int(math.floor(w / h + 1e-12))
-        total += k * h ** s
+        price = h ** s
+        if price < _MIN_POWER:
+            return math.inf
+        total += k * price
         w, h = h, w - k * h
         if h > w:
             w, h = h, w
     if h > tol:
-        total += math.ceil(w / h - 1e-12) * h ** s
+        price = h ** s
+        if price < _MIN_POWER:
+            return math.inf
+        total += math.ceil(w / h - 1e-12) * price
     return total or math.inf
 
 
@@ -348,7 +359,10 @@ def _shape_covers(shape, depths: Tuple[int, ...]
         for s, merged_cost in zip(exponents, merged):
             candidates = [count * (2.0 ** -k) ** s for count, k in plain]
             candidates.append(merged_cost)
-            candidates.extend(count * delta ** s for count, delta in meshes)
+            for count, delta in meshes:
+                price = delta ** s
+                if price >= _MIN_POWER:
+                    candidates.append(count * price)
             candidates.append(_remainder_tiling(w, h, s))
             upper = min(candidates)
 

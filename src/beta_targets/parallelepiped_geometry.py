@@ -446,7 +446,8 @@ def _pivot_scan(signs, log2_magnitudes) -> tuple:
                     total = 0.0
                     for x in doubled:
                         total += 2.0 ** (x - m)
-                    g = math.log2(total) + m
+                    # abs, as in _log2_sum: a NaN total keeps no sign
+                    g = math.log2(abs(total)) + m
                 key = 0.5 * (g - g_prev)
                 if best is None or _beats(key, best[0]):
                     best = (key, l, g)

@@ -262,10 +262,14 @@ class TestArrayWalk:
             beta, n, only_full, within)
 
     @pytest.mark.parametrize("beta, dps, n, digest", [
-        (1.1, 30, 76,
-         "ec30de1a611369c5a5f548e2d1f0742e30b04db2506670c535090155f5ee4c5f"),
-        (1.15, 40, 52,
-         "b79de8908685ea8c652abe6c9147f3195ee957d1a01f5fb6a411272f1b07a48e"),
+        pytest.param(
+            1.1, 30, 76,
+            "ec30de1a611369c5a5f548e2d1f0742e30b04db2506670c535090155f5ee4c5f",
+            id="1.1-30-76"),
+        pytest.param(
+            1.15, 40, 52,
+            "b79de8908685ea8c652abe6c9147f3195ee957d1a01f5fb6a411272f1b07a48e",
+            id="1.15-40-52"),
     ])
     def test_extended_precision_pinned(self, beta, dps, n, digest):
         # sha256 of the exact mantissas and exponents of every node, as the

@@ -993,8 +993,7 @@ class TestVerifyMeasure:
                    "target": {"kind": "axis", "exponents": [1, 1]}},
     }
 
-    # the digest of each (config, seed, samples), kept out of the test
-    # ids; the single-copy cases' ids still carry theirs
+    # the digest of each (config, seed, samples), kept out of the test ids
     DIGESTS = {
         ("pi4-n2", 0, 1999):
             "9c37ad4551b24e6f87816571fda667fa7ee7a2dcf7744a0185f49c7c9a2c8379",
@@ -1071,9 +1070,7 @@ class TestVerifyMeasure:
     }
 
     @pytest.mark.parametrize("config, seed, samples", [
-        pytest.param(*key, id="-".join(map(str, key + (
-            (digest,) if key[0] == "single" else ()))))
-        for key, digest in DIGESTS.items()])
+        pytest.param(*key, id="-".join(map(str, key))) for key in DIGESTS])
     def test_csv_bytes_pinned(self, tmp_path, capsys, config, seed,
                               samples):
         path = write_config(tmp_path, dict(self.CONFIGS[config],

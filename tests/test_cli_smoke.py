@@ -122,6 +122,18 @@ def test_content_bad_later_exponent_refused(tmp_path, shape):
     refuses("content", "--config", path, "--out", tmp_path / "content-s")
 
 
+def test_content_subnormal_width(tmp_path):
+    # h / side overflows for the meshes of side 1e-320 / j: no cover, left
+    # out, and the run writes its row instead of a traceback
+    out = tmp_path / "subnormal"
+    path = config(tmp_path, "subnormal", {
+        "shape": [[0, 0.1], [1e-320, 0.1], [0, 0.9]], "s": [1]})
+    runs("content", "--config", path, "--out", out)
+    (row,) = data_rows(out / "content.csv")[1:]
+    s, lower, upper = map(float, row.split(","))
+    assert s == 1.0 and 0.0 <= lower <= upper
+
+
 def test_content_non_convex_star_refused(tmp_path):
     path = config(tmp_path, "star", {"shape": STAR, "s": [0.5]})
     refuses("content", "--config", path, "--out", tmp_path / "star")

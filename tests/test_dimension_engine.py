@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beta_targets.dimension_engine import (
@@ -511,6 +511,78 @@ class TestSStar:
                 ((1, 5), {"window": 5, "tolerance": "x"})]:
             with pytest.raises(DomainError):
                 s_star(spec, *args, **kwargs)
+
+
+# the last level with a float value
+LAST_FLOAT_LEVEL = int(sys.float_info.max)
+
+
+@st.composite
+def level_blocks(draw):
+    """(spec, mode, n_min, n_max) over every family kind: a linear family
+    (axis boxes and rotations among its matrices), the arccos_pow2
+    rotation, and explicit lists, which a block may run past.  Blocks
+    sit at low levels, about 1e307, where exact mode starts to refuse,
+    and at the last level with a float value, which limit mode reaches
+    and passes."""
+    kind = draw(st.sampled_from(["linear", "arccos", "explicit"]))
+    d = 2 if kind == "arccos" else draw(st.integers(1, 3))
+    betas = draw(st.lists(st.floats(1.01, 16.0), min_size=d, max_size=d))
+    exponents = draw(st.lists(st.floats(0.05, 4.0), min_size=d,
+                              max_size=d))
+    if kind == "linear":
+        rows = np.eye(d)[draw(st.permutations(range(d)))]
+        if d > 1 and draw(st.booleans()):
+            rows[:2, :2] = rotation_matrix(draw(st.floats(-3.2, 3.2)))
+        family = LinearFamily(rows * np.exp2(draw(st.lists(
+            st.integers(-40, 40), min_size=d, max_size=d))), exponents)
+    elif kind == "arccos":
+        family = Rotated2DFamily(draw(st.floats(0.0, 2.0)), exponents)
+    else:
+        # lower triangular columns, as the benchmark's tables have them
+        shapes = []
+        for _ in range(draw(st.integers(1, 8))):
+            below = np.array(draw(st.lists(st.floats(-0.05, 0.05),
+                                           min_size=d * d, max_size=d * d)))
+            shapes.append(Parallelepiped(np.zeros(d), np.tril(
+                below.reshape(d, d), -1) + np.diag(draw(st.lists(
+                    st.floats(0.04, 0.1), min_size=d, max_size=d)))))
+        family = ExplicitTargets(shapes)
+    n_min = draw(st.one_of(st.integers(1, 60), st.integers(1, 2000),
+                           st.integers(10 ** 307, 2 * 10 ** 307),
+                           st.integers(LAST_FLOAT_LEVEL - 4,
+                                       LAST_FLOAT_LEVEL + 1)))
+    return (TargetSpec(BetaSystem(betas), family),
+            draw(st.sampled_from(["exact", "limit"])), n_min,
+            n_min + draw(st.integers(0, 6)))
+
+
+class TestSStarLevels:
+    @settings(max_examples=300, deadline=None)
+    @given(level_blocks())
+    # three levels with a float value, then one without
+    @example((TargetSpec(BetaSystem((1.01, 1.01)), axis_family((0.05, 0.05))),
+              "limit", LAST_FLOAT_LEVEL - 2, LAST_FLOAT_LEVEL + 1))
+    def test_block_is_its_levels(self, block):
+        # s_star checks the block once and runs each level itself: its
+        # levels are s_n's, bit for bit, and a block with a failing level
+        # raises what s_n raises at the first one
+        spec, mode, n_min, n_max = block
+        levels, error = [], None
+        for n in range(n_min, n_max + 1):
+            try:
+                levels.append(s_n(spec, n, mode))
+            except (ConsistencyError, DomainError, ScaleRangeError) as exc:
+                error = exc
+                break
+        if error is not None:
+            with pytest.raises(type(error)) as info:
+                s_star(spec, n_min, n_max, window=1, mode=mode)
+            assert str(info.value) == str(error)
+            return
+        report = s_star(spec, n_min, n_max, window=1, mode=mode)
+        assert report.levels == tuple(levels)
+        assert list(map(repr, report.levels)) == list(map(repr, levels))
 
 
 class TestGenerateTarget:

@@ -19,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beta_targets.errors import DegenerateInputError
-from beta_targets.parallelepiped_geometry import pivoted_orthogonalize_scaled
+from beta_targets.parallelepiped_geometry import (
+    OrthoFrame,
+    _pivot_scan,
+    pivoted_orthogonalize_scaled,
+)
 import frame_reference as ref
 
 # small scales too, where the last bits of a log2 norm survive
@@ -118,3 +122,50 @@ def test_array_and_list_inputs_agree(matrix):
     if a_err is None:
         assert a.permutation == b.permutation
         assert _bits(a.log2_norms) == _bits(b.log2_norms)
+
+
+# where the scan core's shortcuts and their guards act: exact zeros,
+# -0.0 magnitudes, signs other than +-1, and logs near +-1e308, whose
+# sums and doubles leave float range (the non-finite path)
+_EDGE_SIGN = st.sampled_from((-1.0, 1.0, 1.0, 0.0, -0.0, 2.0, -0.5))
+_EDGE_LOG = st.one_of(
+    st.just(-0.0), st.just(0.0), st.just(-math.inf),
+    st.integers(-3, 3).map(float), st.floats(-4.0, 4.0),
+    st.floats(1e307, 1.7e308), st.floats(-1.7e308, -1e307))
+
+
+@st.composite
+def edge_matrices(draw):
+    """Matrices of up to four columns whose entries are exact zeros with
+    a drawn probability, so that many minors keep one nonzero term."""
+    d = draw(st.integers(1, 4))
+    zero = draw(st.sampled_from((0.0, 0.3, 0.6)))
+    signs, logs = [], []
+    for _ in range(d):
+        signs.append([]), logs.append([])
+        for _ in range(d):
+            if draw(st.floats(0.0, 1.0)) < zero:
+                signs[-1].append(0.0), logs[-1].append(-math.inf)
+            else:
+                signs[-1].append(draw(_EDGE_SIGN))
+                logs[-1].append(draw(_EDGE_LOG))
+    return signs, logs
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_matrices())
+def test_scan_core_matches_reference(matrix):
+    # the core that s_n reads, without the frame around it
+    signs, logs = matrix
+    old, old_err = _outcome(lambda: ref._pivot_scan(signs, logs))
+    new, new_err = _outcome(lambda: _pivot_scan(signs, logs))
+    assert old_err == new_err
+    if old_err is not None:
+        return
+    assert new[0] == old[0]
+    assert _bits(new[1]) == _bits(old[1])
+    old_u, old_u_err = _outcome(lambda: ref.frame_u(old[0], old[2]))
+    new_u, new_u_err = _outcome(lambda: OrthoFrame(*new).U)
+    assert old_u_err == new_u_err
+    if old_u_err is None:
+        assert new_u.tobytes() == old_u.tobytes()

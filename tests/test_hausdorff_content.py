@@ -316,6 +316,28 @@ class TestBruteForce:
             assert 0.0 < est.lower <= est.upper
             assert est.upper <= singular_value_function(r, s) * 1.1
 
+    @pytest.mark.parametrize("w", [1e-200, 1e-300, 1e-320])
+    def test_underflowed_price_is_no_cover(self, w):
+        # the meshes of side w / j price count * (w / j)**s, whose power
+        # underflows at s = 2 (and whose count overflows at w = 1e-320);
+        # left out, they cannot win.  Every square cover of the triangle
+        # costs at least its area at s = 2 and, at s <= 1, at least its
+        # height 0.8 (its squares' sides add up to 0.8 or more)
+        shape = [[0.0, 0.1], [w, 0.1], [0.0, 0.9]]
+        area = polygon_area(ensure_ccw(np.array(shape)))
+        for s, est in zip((0.5, 1.0, 2.0),
+                          content_estimates_2d(shape, [0.5, 1.0, 2.0])):
+            assert 0.0 <= est.lower <= est.upper
+            assert est.upper >= (area if s == 2.0 else 0.8) * (1.0 - 1e-12)
+
+    def test_underflowed_tiling_is_no_cover(self):
+        # a tiling square of side 1e-155 prices 1e-310 at s = 2, below the
+        # normal range, where it has lost bits
+        assert hausdorff_content._remainder_tiling(1e-150, 1e-155, 2.0) \
+            == math.inf
+        assert hausdorff_content._remainder_tiling(1e-150, 1e-155, 1.0) \
+            < math.inf
+
     def test_empty_and_degenerate(self):
         est = content_estimates_2d(np.zeros((2, 2)), [1.5])[0]
         assert est.lower == 0.0 and est.upper == 0.0
