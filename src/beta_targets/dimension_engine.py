@@ -140,8 +140,9 @@ def _contract(signs, logs, exponents, log2_betas, n: int, r_bound=1075.0):
                               "float range at this level", module=_MODULE)
     mags = []
     for i, (row, li) in enumerate(zip(logs, log2_betas)):
-        mags.append([r - n * (x + li) for r, x in zip(row, tl)])
-        mags[i][i] = row[i] - n * (1.0 + exponents[i]) * li
+        mag = [r - n * (x + li) for r, x in zip(row, tl)]
+        mag[i] = row[i] - n * (1.0 + exponents[i]) * li
+        mags.append(mag)
     return signs, mags
 
 
@@ -439,10 +440,10 @@ def _minimize_objective(w: Sequence[float], g: Sequence[float]):
     """
     cands: List[float] = []
     for v in (*w, *g):
-        if v == _INF:
-            raise ScaleRangeError("a candidate scale is past float range "
-                                  "even in log2", module=_MODULE)
-        if not v > 0.0:
+        if not 0.0 < v < _INF:
+            if v == _INF:
+                raise ScaleRangeError("a candidate scale is past float "
+                                      "range even in log2", module=_MODULE)
             raise DomainError(
                 "every candidate scale must be strictly below 1; "
                 "the target or a gamma norm is too large", module=_MODULE)
