@@ -14,7 +14,9 @@ There is one route, in the log domain (`pivoted_orthogonalize_scaled`):
 norms and U come from Cauchy-Binet sums of signed log2 minors, so
 columns whose magnitudes differ by thousands of binary orders never
 underflow and no numpy.linalg call is made.  `pivoted_orthogonalize` is
-its float front end, which adds the plain gamma vectors.
+its float front end, which adds the plain gamma vectors.  Both wrap the
+scan core `_pivot_scan` in an OrthoFrame; the dimension formula reads
+the core's log2 norms without one.
 """
 
 from __future__ import annotations
@@ -411,32 +413,30 @@ def _pivot_scan(signs, log2_magnitudes) -> tuple:
                 ext = exts[l] = []
                 doubled = []  # 2 log2|minor| of the nonzero minors
                 for terms in sets:
-                    count = 0
+                    live = 0  # nonzero terms, the first kept as s1, v1
                     for r, p, parity in terms:
                         s_sub, l_sub = minors[p]
                         s = s_sub * cs[r] * parity
                         if s and cl[r] != _NEG_INF:
-                            if count:
-                                if count == 1:
-                                    signs, logs = [s1], [v1]
+                            if not live:
+                                s1, v1 = s, l_sub + cl[r]
+                            elif live == 1:
+                                signs, logs = [s1, s], [v1, l_sub + cl[r]]
+                            else:
                                 signs.append(s)
                                 logs.append(l_sub + cl[r])
-                            else:
-                                s1, v1 = s, l_sub + cl[r]
-                            count += 1
-                    if count == 1 and (s1 == 1.0 or s1 == -1.0) and \
+                            live += 1
+                    if live == 1 and (s1 == 1.0 or s1 == -1.0) and \
                             _NEG_INF < v1 < _INF:
                         ext.append((s1, v1))
                         doubled.append(2.0 * v1)
-                    else:
-                        if count == 1:
-                            signs, logs = [s1], [v1]
-                        elif not count:
-                            signs = logs = ()
-                        minor = _log2_sum(signs, logs)
-                        ext.append(minor)
-                        if minor[0]:
-                            doubled.append(2.0 * minor[1])
+                        continue
+                    if live < 2:
+                        signs, logs = ((s1,), (v1,)) if live else ((), ())
+                    minor = _log2_sum(signs, logs)
+                    ext.append(minor)
+                    if minor[0]:
+                        doubled.append(2.0 * minor[1])
                 # log2 Gram(S_{k-1} + l), the sum of the squared minors
                 g = _NEG_INF
                 if len(doubled) == 1 and _NEG_INF < doubled[0] < _INF:
