@@ -72,6 +72,9 @@ _MODULE = "parallelepiped_geometry"
 _INF = math.inf
 _NEG_INF = -math.inf
 
+# (sign, log2|minor|) of a minor with no nonzero term, as _log2_sum gives it
+_ZERO_MINOR = (0.0, _NEG_INF)
+
 
 def _floats(x, what: str) -> np.ndarray:
     """x copied to a float array; a ragged or non-numeric x, or an int
@@ -379,10 +382,11 @@ def _pivot_scan(signs, log2_magnitudes) -> tuple:
     which wraps them in an OrthoFrame; steps is what the frame keeps for
     U.  An entry that is not a number raises DomainError.
 
-    A minor with one nonzero term s 2**v, s = +-1 and v finite, is
-    (s, v): 2**(v - v) is 1 and log2 1 is +0, which adds nothing to v,
-    since no minor's log is -0.0.  So is a Gram sum of one term.  Any
-    other minor, a non-finite one included, goes through _log2_sum."""
+    A minor with no nonzero term is _ZERO_MINOR, and one with one
+    nonzero term s 2**v, s = +-1 and v finite, is (s, v): 2**(v - v) is
+    1 and log2 1 is +0, which adds nothing to v, since no minor's log is
+    -0.0.  So is a Gram sum of one term.  Any other minor, a non-finite
+    one included, goes through _log2_sum."""
     try:
         sg, lm = _rows(signs), _rows(log2_magnitudes)
         try:
@@ -426,13 +430,15 @@ def _pivot_scan(signs, log2_magnitudes) -> tuple:
                                 signs.append(s)
                                 logs.append(l_sub + cl[r])
                             live += 1
-                    if live == 1 and (s1 == 1.0 or s1 == -1.0) and \
-                            _NEG_INF < v1 < _INF:
-                        ext.append((s1, v1))
-                        doubled.append(2.0 * v1)
+                    if not live:
+                        ext.append(_ZERO_MINOR)
                         continue
-                    if live < 2:
-                        signs, logs = ((s1,), (v1,)) if live else ((), ())
+                    if live == 1:
+                        if (s1 == 1.0 or s1 == -1.0) and _NEG_INF < v1 < _INF:
+                            ext.append((s1, v1))
+                            doubled.append(2.0 * v1)
+                            continue
+                        signs, logs = (s1,), (v1,)
                     minor = _log2_sum(signs, logs)
                     ext.append(minor)
                     if minor[0]:
