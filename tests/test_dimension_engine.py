@@ -28,6 +28,7 @@ from beta_targets.dimension_engine import (
     s_star,
 )
 from beta_targets.errors import (
+    BetaTargetsError,
     ConsistencyError,
     DegenerateInputError,
     DomainError,
@@ -572,7 +573,7 @@ class TestSStarLevels:
         for n in range(n_min, n_max + 1):
             try:
                 levels.append(s_n(spec, n, mode))
-            except (ConsistencyError, DomainError, ScaleRangeError) as exc:
+            except BetaTargetsError as exc:
                 error = exc
                 break
         if error is not None:
