@@ -532,9 +532,12 @@ def level_blocks(draw):
     exponents = draw(st.lists(st.floats(0.05, 4.0), min_size=d,
                               max_size=d))
     if kind == "linear":
+        # a permutation, then a rotation in the first coordinate plane
         rows = np.eye(d)[draw(st.permutations(range(d)))]
         if d > 1 and draw(st.booleans()):
-            rows[:2, :2] = rotation_matrix(draw(st.floats(-3.2, 3.2)))
+            turn = np.eye(d)
+            turn[:2, :2] = rotation_matrix(draw(st.floats(-3.2, 3.2)))
+            rows = rows @ turn
         family = LinearFamily(rows * np.exp2(draw(st.lists(
             st.integers(-40, 40), min_size=d, max_size=d))), exponents)
     elif kind == "arccos":
