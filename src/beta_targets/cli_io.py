@@ -43,9 +43,9 @@ from .beta_dynamics import (
 )
 from .dimension_engine import (
     ExplicitTargets,
-    LinearFamily,
     Rotated2DFamily,
     TargetSpec,
+    _linear_family,
     s_n,
     s_star,
 )
@@ -68,9 +68,9 @@ from .parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
     _parallelepipeds,
+    _rotation_rows,
     bounding_hyperrectangle,
     pivoted_orthogonalize,
-    rotation_matrix,
 )
 
 __all__ = ["RunConfig", "run", "main"]
@@ -165,18 +165,29 @@ def _base(v, what: str) -> float:
     return b
 
 
-def _fields(obj, required: dict, optional: dict, what: str) -> dict:
-    """Parsed keys of an object, each through its parser in `required`
-    or `optional`; unknown and missing keys are refused by name."""
+def _keys(what: str, required: dict, optional: dict) -> tuple:
+    """The key table of an object for _fields: `what` names the object,
+    then the required keys, then every key's parser and the name of its
+    value, required keys first, each group in the order declared."""
+    return what, tuple(required), {
+        k: (parse, f"{what} key {k!r}")
+        for k, parse in {**required, **optional}.items()}
+
+
+def _fields(obj, keys: tuple) -> dict:
+    """Parsed keys of an object, each through its parser in the key
+    table; unknown and missing keys are refused by name.  Refusals
+    follow the table's order, not the object's."""
+    what, required, parsers = keys
     _object(obj, what)
     for k in obj:
-        if k not in required and k not in optional:
+        if k not in parsers:
             _fail(f"unknown {what} key {k!r}")
     for k in required:
         if k not in obj:
             _fail(f"{what} needs {k!r}")
-    return {k: parse(obj[k], f"{what} key {k!r}")
-            for k, parse in {**required, **optional}.items() if k in obj}
+    return {k: parse(obj[k], name)
+            for k, (parse, name) in parsers.items() if k in obj}
 
 
 def _key(parse: Callable, default=None):
@@ -219,6 +230,10 @@ class RunConfig:
 
 _PARSERS = {f.name: f.metadata["parse"]
             for f in dataclasses.fields(RunConfig) if "parse" in f.metadata}
+_CONFIG_KEYS = _keys("config", {}, _PARSERS)
+# every field but raw, at its default
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)
+             if "parse" in f.metadata}
 
 
 def _load(text: str) -> dict:
@@ -234,7 +249,11 @@ def _load(text: str) -> dict:
 def validate_config(data: dict) -> RunConfig:
     """RunConfig from a decoded config object, each key read by the
     parser its RunConfig field declares."""
-    cfg = RunConfig(**_fields(data, {}, _PARSERS, "config"), raw=data)
+    keys = _fields(data, _CONFIG_KEYS)
+    # what RunConfig(**keys, raw=data) builds, without the generated
+    # frozen __init__'s one object.__setattr__ per field
+    cfg = object.__new__(RunConfig)
+    vars(cfg).update(_DEFAULTS, **keys, raw=data)
     if cfg.n_min is not None and cfg.n_max is not None and \
             cfg.n_min > cfg.n_max:
         _fail(f"need n_min <= n_max, got [{cfg.n_min}, {cfg.n_max}]")
@@ -245,7 +264,7 @@ _SHAPE_KEYS = {"origin": _numbers, "columns": _matrix}
 
 
 def _shape(v, what: str) -> Parallelepiped:
-    keys = _fields(v, _SHAPE_KEYS, {}, what)
+    keys = _fields(v, _keys(what, _SHAPE_KEYS, {}))
     return Parallelepiped(keys["origin"], np.column_stack(keys["columns"]))
 
 
@@ -299,6 +318,14 @@ def _parse_table(d: int, path: str, text: str) -> ExplicitTargets:
     return ExplicitTargets(_parallelepipeds(vals[:, :d], cols))
 
 
+def _axis(d, exponents, origin=None):
+    """The linear family of R = I, with the origin at 0 by default."""
+    k = len(exponents)
+    return _linear_family(
+        tuple(tuple(float(i == j) for j in range(k)) for i in range(k)),
+        exponents, (0.0,) * k if origin is None else origin)
+
+
 def _rotated(d, theta, exponents=(1.0, 1.0), **angle):
     """A constant angle is the linear family of R = rotation_matrix.  Each
     rule takes its own key only: theta_value for "const", a otherwise."""
@@ -306,16 +333,14 @@ def _rotated(d, theta, exponents=(1.0, 1.0), **angle):
     for key in angle.keys() - {own}:
         _fail(f"rotated2d target with theta {theta!r} takes no key {key!r}")
     if theta == "const":
-        return LinearFamily(rotation_matrix(angle.get(own, 0.0)).tolist(),
-                            exponents, (0.5, 0.5))
+        return _linear_family(_rotation_rows(angle.get(own, 0.0)),
+                              exponents, (0.5, 0.5))
     return Rotated2DFamily(angle.get(own, 0.0), exponents)
 
 
 _TARGETS = {
     # kind: (builder(dimension, **keys), required keys, optional keys)
-    "axis": (lambda d, exponents, origin=None: LinearFamily(
-        np.eye(len(exponents)).tolist(), exponents, origin),
-        {"exponents": _numbers}, {"origin": _numbers}),
+    "axis": (_axis, {"exponents": _numbers}, {"origin": _numbers}),
     "rotated2d": (_rotated, {"theta": _choice("const", "arccos_pow2")},
                   {"theta_value": _number, "a": _number,
                    "exponents": _numbers}),
@@ -325,18 +350,29 @@ _TARGETS = {
 }
 
 
+# kind: (builder, key table)
+_TARGET_KEYS = {kind: (build, _keys(f"{kind} target", required, optional))
+                for kind, (build, required, optional) in _TARGETS.items()}
+_target_kind = _choice(*_TARGETS)
+
+
 def make_target_spec(cfg: RunConfig) -> TargetSpec:
     """TargetSpec from the 'betas' and 'target' config sections."""
     system = BetaSystem(_need(cfg.betas, "betas"))
     target = dict(_need(cfg.target, "target"))
-    kind = _choice(*_TARGETS)(target.pop("kind", None), "target key 'kind'")
-    build, required, optional = _TARGETS[kind]
-    keys = _fields(target, required, optional, f"{kind} target")
-    return TargetSpec(system, build(system.dimension, **keys))
+    kind = _target_kind(target.pop("kind", None), "target key 'kind'")
+    build, keys = _TARGET_KEYS[kind]
+    return TargetSpec(system, build(system.dimension, **_fields(target, keys)))
+
+
+# json.dumps(obj, sort_keys=True, separators=(",", ":")), with the
+# encoder built once
+_canonical_json = json.JSONEncoder(sort_keys=True,
+                                   separators=(",", ":")).encode
 
 
 def _config_sha(effective: dict) -> str:
-    canon = json.dumps(effective, sort_keys=True, separators=(",", ":"))
+    canon = _canonical_json(effective)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -359,7 +395,8 @@ def _csv(sha: str, header: Sequence[str], rows=(),
     lines = [f"# config_sha256={sha}", ",".join(header)]
     lines.extend(",".join(map(_fmt, row)) for row in rows)
     lines.extend(trailing)
-    return "".join(f"{x}\n" for x in lines)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _write(path: Path, text: str) -> None:
@@ -529,9 +566,9 @@ def _cmd_dimension(cfg: RunConfig, sha: str) -> str:
     d = spec.dimension
     header = ["n"] + [f"gamma_log2_{i + 1}" for i in range(d)] + \
         ["s_n", "argmin_tau_log2"]
-    # an int n and Python floats: repr is what _fmt writes for each
-    lines = [",".join(map(repr, (lv.n, *lv.gamma_log2, lv.s_n,
-                                 lv.argmin_tau_log2)))
+    # an int n and Python floats: %d and %r write what _fmt writes
+    row = "%d" + ",%r" * (d + 2)
+    lines = [row % (lv.n, *lv.gamma_log2, lv.s_n, lv.argmin_tau_log2)
              for lv in report.levels]
     lines.append(f"# s_star={report.s_star!r},"
                  f"converged={'true' if report.converged else 'false'}")
@@ -597,13 +634,14 @@ def run(subcommand: str, cfg: RunConfig) -> int:
     """Dispatch a validated config; the artifact lands in cfg.out."""
     if subcommand not in _SUBCOMMANDS:
         _fail(f"unknown subcommand {subcommand!r}")
-    out = Path(cfg.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot create output directory {cfg.out!r}: {exc}")
+    # most jobs reuse --out: a stat costs less than a mkdir that fails
+    if not os.path.isdir(cfg.out):
+        try:
+            Path(cfg.out).mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:
+            _fail(f"cannot create output directory {cfg.out!r}: {exc}")
     handler, name, _ = _SUBCOMMANDS[subcommand]
-    path = out / name
+    path = Path(cfg.out, name)
     body = handler(cfg, _config_sha(cfg.raw))
     body, line = body if isinstance(body, tuple) else (body, f"wrote {path}")
     # only lazy chunks can fail midway, so only they pay for .part
@@ -664,6 +702,24 @@ def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _read_config(name: str) -> str:
+    """The text of the config file, as Path(name).read_text() reads it.
+    A name that open() takes names the file that pathlib's spelling of
+    it does (pathlib drops only "." parts and repeated or trailing
+    slashes), so only a name that open() refuses goes through pathlib,
+    whose refusal names the file as pathlib spells it: './/a.json' as
+    'a.json', and '' as the directory '.'."""
+    try:
+        try:
+            fh = open(name)
+        except OSError:
+            fh = Path(name).open()
+        with fh:
+            return fh.read()
+    except (OSError, ValueError) as exc:
+        _fail(f"cannot read config {name!r}: {exc}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _parse(argv)
@@ -676,11 +732,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         data = {}
         if args.config is not None:
-            try:
-                text = Path(args.config).read_text()
-            except (OSError, ValueError) as exc:
-                _fail(f"cannot read config {args.config!r}: {exc}")
-            data = _load(text)
+            data = _load(_read_config(args.config))
         for _, _, key in _flags(args.subcommand):
             value = getattr(args, key)
             if value is not None:

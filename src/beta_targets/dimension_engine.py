@@ -202,13 +202,17 @@ class LinearFamily:
         m = _floats(matrix, "the matrix")
         org = np.zeros(m.shape[:1]) if origin is None else \
             _floats(origin, "origin")
-        rows, org = _frozen(m.tolist()), _frozen(org.tolist())
-        for name, value in zip(
-                ("_signs", "_logs", "_log2_det", "matrix", "exponents",
-                 "origin"),
-                (*_matrix_parts(rows, org), rows,
-                 _exponents(exponents, len(rows)), org)):
-            object.__setattr__(self, name, value)
+        self._fill(_frozen(m.tolist()), exponents, _frozen(org.tolist()))
+
+    def _fill(self, rows, exponents, origin) -> None:
+        """The fields from R's rows and the origin as tuples of Python
+        floats, what __init__ makes of its arguments; R and the origin are
+        checked by _matrix_parts, then the exponents."""
+        signs, logs, log2_det = _matrix_parts(rows, origin)
+        vars(self).update(_signs=signs, _logs=logs, _log2_det=log2_det,
+                          matrix=rows,
+                          exponents=_exponents(exponents, len(rows)),
+                          origin=origin)
 
     @property
     def dimension(self) -> int:
@@ -237,6 +241,15 @@ class LinearFamily:
     def log2_volume(self, log2_betas, n: int) -> float:
         return self._log2_det - n * _volume_rate(self.exponents,
                                                  tuple(log2_betas))
+
+
+def _linear_family(rows, exponents, origin) -> LinearFamily:
+    """LinearFamily(rows, exponents, origin) for rows and origin that are
+    already tuples of Python floats, without their float array round
+    trip."""
+    family = object.__new__(LinearFamily)
+    family._fill(rows, exponents, origin)
+    return family
 
 
 @dataclasses.dataclass(frozen=True)
@@ -365,10 +378,15 @@ class TargetSpec:
     def dimension(self) -> int:
         return self.system.dimension
 
-    @functools.cached_property
+    @property
     def rates(self):
-        """The family's limit rates on this system, computed once."""
-        return self.family.rates(self.system.log2_betas)
+        """The family's limit rates on this system, computed once.  Not a
+        functools.cached_property, whose first use takes a lock in Python
+        3.11 that costs as much as the rates."""
+        cache = vars(self)
+        if "_rates" not in cache:
+            cache["_rates"] = self.family.rates(self.system.log2_betas)
+        return cache["_rates"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -389,8 +407,15 @@ class LevelData:
     argmin_tau_log2: float
     mode: str
 
-    def __post_init__(self):
-        g = self.gamma_log2
+    def __init__(self, n: int, gamma_log2: Tuple[float, ...],
+                 candidates_log2_tau: Tuple[float, ...], s_n: float,
+                 argmin_tau_log2: float, mode: str):
+        # the fields in one update, not one object.__setattr__ each as a
+        # generated frozen __init__ sets them: every level builds one
+        vars(self).update(n=n, gamma_log2=gamma_log2,
+                          candidates_log2_tau=candidates_log2_tau, s_n=s_n,
+                          argmin_tau_log2=argmin_tau_log2, mode=mode)
+        g = gamma_log2
         if not all(map(math.isfinite, g)):
             raise ConsistencyError("gamma norms must be positive and finite",
                                    module=_MODULE)
@@ -399,8 +424,8 @@ class LevelData:
         if any(map(operator.lt, g, g[1:])) and any(map(_beats, g[1:], g)):
             raise ConsistencyError("gamma norms must be sorted",
                                    module=_MODULE)
-        if not (0.0 < self.s_n <= len(g) + 1e-12):
-            raise ConsistencyError(f"s_n out of range: {self.s_n}",
+        if not (0.0 < s_n <= len(g) + 1e-12):
+            raise ConsistencyError(f"s_n out of range: {s_n}",
                                    module=_MODULE)
 
     @property
@@ -519,22 +544,31 @@ def s_n(spec: TargetSpec, n: int, mode: str = "exact") -> LevelData:
     """
     _check_mode(mode)
     _check_float_level(n)
-    return _level(spec, n, mode)
+    return _levels(spec, (n,), mode)[0]
 
 
-def _level(spec: TargetSpec, n: int, mode: str) -> LevelData:
-    """s_n(spec, n, mode) at a checked level and mode."""
-    w = [n * l for l in spec.system.log2_betas]
-    if mode == "limit":
-        g = [r * n for r in spec.rates]
-        gamma_log2 = tuple(map(operator.neg, g))
-    else:
-        gamma_log2 = _gamma_log2(spec, n)
-        g = list(map(operator.neg, gamma_log2))
-    value, lam, cands = _minimize_objective(w, g)
-    # n, gamma_log2, candidates_log2_tau, s_n, argmin_tau_log2, mode
-    return LevelData(n, gamma_log2, tuple(map(operator.neg, reversed(cands))),
-                     float(value), -lam, mode)
+def _levels(spec: TargetSpec, levels, mode: str) -> list:
+    """[s_n(spec, n, mode) for n in levels] at checked levels and mode.
+    What every level shares (the contraction rates, the limit rates, the
+    mode) is read once; the limit rates only when there is a level, as
+    reading them can raise."""
+    log2_betas = spec.system.log2_betas
+    limit = mode == "limit"
+    rates = spec.rates if limit and levels else None
+    out = []
+    for n in levels:
+        w = [n * l for l in log2_betas]
+        if limit:
+            g = [r * n for r in rates]
+            gamma_log2 = tuple(map(operator.neg, g))
+        else:
+            gamma_log2 = _gamma_log2(spec, n)
+            g = list(map(operator.neg, gamma_log2))
+        value, lam, cands = _minimize_objective(w, g)
+        out.append(LevelData(n, gamma_log2,
+                             tuple(map(operator.neg, reversed(cands))),
+                             value, -lam, mode))
+    return out
 
 
 def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
@@ -561,7 +595,7 @@ def s_star(spec: TargetSpec, n_min: int, n_max: int, window: int = 20,
         raise DomainError("tolerance must be positive", module=_MODULE)
     _check_mode(mode)
     top = min(n_max, _LAST_FLOAT_LEVEL)
-    levels = tuple(_level(spec, n, mode) for n in range(n_min, top + 1))
+    levels = tuple(_levels(spec, range(n_min, top + 1), mode))
     if top < n_max:
         _check_float_level(n_max)
     tail = [lv.s_n for lv in levels[-window:]]

@@ -133,7 +133,8 @@ def _stack_log2_volumes(origins: np.ndarray, columns: np.ndarray) -> list:
 
 @dataclasses.dataclass(frozen=True)
 class BetaSystem:
-    """Tuple of bases (beta_1, ..., beta_d), each > 1."""
+    """Tuple of bases (beta_1, ..., beta_d), each > 1; log2_betas holds
+    their log2 values."""
 
     betas: Tuple[float, ...]
 
@@ -145,15 +146,12 @@ class BetaSystem:
             if not math.isfinite(b) or b <= 1.0:
                 raise DomainError(f"every base must exceed 1, got {b}",
                                   module=_MODULE)
-        object.__setattr__(self, "betas", bs)
+        # not a field: equality and repr stay those of the bases
+        vars(self).update(betas=bs, log2_betas=tuple(map(math.log2, bs)))
 
     @property
     def dimension(self) -> int:
         return len(self.betas)
-
-    @functools.cached_property
-    def log2_betas(self) -> Tuple[float, ...]:
-        return tuple(math.log2(b) for b in self.betas)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -279,6 +277,11 @@ class OrthoFrame:
 def rotation_matrix(theta: float) -> np.ndarray:
     """2-D rotation by theta, with near-zero trig snapped exactly to 0; a
     theta that is not a finite number raises DomainError."""
+    return np.array(_rotation_rows(theta))
+
+
+def _rotation_rows(theta) -> tuple:
+    """rotation_matrix(theta) as a tuple of rows of Python floats."""
     theta = _as_float(theta, "theta", _MODULE)
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}",
@@ -288,7 +291,7 @@ def rotation_matrix(theta: float) -> np.ndarray:
         c = 0.0
     if abs(s) < _TRIG_SNAP:
         s = 0.0
-    return np.array([[c, -s], [s, c]])
+    return (c, -s), (s, c)
 
 
 def _log2_sum(signs, logs):

@@ -134,6 +134,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="subcommand"):
             run("solve", validate_config({}))
 
+    @pytest.mark.parametrize("config, error, message", [
+        # keys are read in the order RunConfig declares them, not in the
+        # order the JSON object lists them
+        ({"mode": "fast", "betas": [0.5]}, DomainError,
+         "every base must exceed 1, got 0.5"),
+        ({"samples": 3, "n": 0}, ConfigError,
+         "config key 'n' must be >= 1, got 0"),
+        # an unknown key is refused before any value is read
+        ({"zzz": 1, "mode": "fast"}, ConfigError,
+         "unknown config key 'zzz'"),
+    ], ids=["betas-before-mode", "n-before-samples", "unknown-first"])
+    def test_refusal_follows_declared_order(self, config, error, message):
+        with pytest.raises(error) as info:
+            validate_config(config)
+        assert str(info.value) == message
+
+    def test_target_refusal_follows_declared_order(self):
+        # exponents comes first in the object, theta_value first in the
+        # rotated2d key table
+        cfg = validate_config({"betas": [2, 4], "target": {
+            "kind": "rotated2d", "theta": "const", "exponents": "x",
+            "theta_value": "y"}})
+        with pytest.raises(ConfigError) as info:
+            make_target_spec(cfg)
+        assert str(info.value) == ("rotated2d target key 'theta_value' must "
+                                   "be finite and numeric, got 'y'")
+
 
 # any JSON value, NaN and infinities included (json.loads reads them)
 JSON_VALUES = st.recursive(
@@ -1358,6 +1385,63 @@ class TestErrorReporting:
         assert (out / "count.csv").exists()
 
 
+class TestPathSpelling:
+    """The paths that main prints are spelled as pathlib spells them:
+    '.' parts and repeated or trailing slashes dropped, '' as '.'."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(json.dumps(
+            dict(_rotated(theta_value=0.3), mode="limit")))
+
+    @pytest.mark.parametrize("out, line", [
+        ("./o//", "wrote o/dimension.csv\n"),
+        ("", "wrote dimension.csv\n"),
+    ], ids=["dot-and-slashes", "empty"])
+    def test_wrote_line(self, tmp_path, capsys, out, line):
+        assert main(["dimension", "--config", "run.json",
+                     "--out", out]) == 0
+        assert capsys.readouterr().out == line
+        path = tmp_path / line.split()[1]
+        assert path.read_text().endswith("converged=true\n")
+
+    def refusal(self, name, capsys):
+        assert main(["dimension", "--config", name]) == 2
+        return json.loads(capsys.readouterr().err)["error"]
+
+    def test_missing_config_message(self, capsys):
+        assert self.refusal(".//nothere.json", capsys) == {
+            "code": "cli_io.config",
+            "message": "cannot read config './/nothere.json': [Errno 2] No "
+                       "such file or directory: 'nothere.json'"}
+
+    @pytest.mark.parametrize("name, spelled", [
+        ("./cfg//", "cfg"), ("", "."),
+    ], ids=["dot-and-slashes", "empty"])
+    def test_directory_config_message(self, tmp_path, capsys, name,
+                                      spelled):
+        (tmp_path / "cfg").mkdir()
+        assert self.refusal(name, capsys) == {
+            "code": "cli_io.config",
+            "message": f"cannot read config {name!r}: [Errno 21] Is a "
+                       f"directory: {spelled!r}"}
+
+    def test_non_utf8_config_message(self, tmp_path, capsys):
+        (tmp_path / "bad.json").write_bytes(b'{"n": \xff}')
+        assert self.refusal(".//bad.json", capsys) == {
+            "code": "cli_io.config",
+            "message": "cannot read config './/bad.json': 'utf-8' codec "
+                       "can't decode byte 0xff in position 6: invalid "
+                       "start byte"}
+
+    def test_trailing_slash_names_the_file(self, capsys):
+        # pathlib drops the trailing slash, so the file is read
+        assert main(["dimension", "--config", "run.json/",
+                     "--out", "o"]) == 0
+        assert capsys.readouterr().out == "wrote o/dimension.csv\n"
+
+
 class TestParserReuse:
     """main may be called repeatedly in one process: the parser is built
     on the first call, and every call parses its own argv afresh."""
@@ -1378,20 +1462,35 @@ class TestParserReuse:
         assert cli_io._build_parser() is cli_io._build_parser()
 
     def test_interleaved_subcommands(self, tmp_path, capsys):
-        configs = {
-            "count": ({"betas": [2.5], "n": 8}, "count.csv"),
-            "expand": ({"betas": [2], "x": 0.375, "n": 3}, "expand.csv"),
-            "cylinders": ({"betas": [1.8], "n": 4}, "cylinders.csv"),
-            "dimension": (_rotated(theta_value=0.3), "dimension.csv"),
-            "ortho": ({"columns": [[1, 2], [3, 4]]}, "ortho.json"),
-        }
+        table = tmp_path / "table.csv"
+        table.write_text("1,0.1,0.1,0.5,0.1,0.0,0.25\n"
+                         "2,0.1,0.1,0.25,0.0,0.1,0.125\n")
+        # every subcommand, and dimension in both modes and on a table
+        configs = [
+            ("count", {"betas": [2.5], "n": 8}),
+            ("expand", {"betas": [2], "x": 0.375, "n": 3}),
+            ("cylinders", {"betas": [1.8], "n": 4}),
+            ("dimension", _rotated(theta_value=0.3)),
+            ("ortho", {"columns": [[1, 2], [3, 4]]}),
+            ("content", {"shape": [[0, 0], [1, 0], [0, 1]], "s": [0.5, 1.5],
+                         "depths": [3, 4]}),
+            ("verify-cover", dict(_rotated(theta_value=PI4), n_max=1,
+                                  taus=[0.25])),
+            ("verify-measure", dict(_rotated(theta_value=PI4), n_min=2,
+                                    samples=8, seed=5)),
+            ("dimension", dict(_rotated(theta_value=0.3), mode="limit")),
+            ("dimension", _table(str(table))),
+        ]
         calls = []
-        for sub, (config, name) in configs.items():
-            path = write_config(tmp_path, config, f"{sub}.json")
+        for i, (sub, config) in enumerate(configs):
+            path = write_config(tmp_path, config, f"{i}.json")
             calls.append(([sub, "--config", path,
-                           "--out", str(tmp_path / sub)], name))
+                           "--out", str(tmp_path / str(i))],
+                          _SUBCOMMANDS[sub][1]))
         first = [self.artifact(argv, name, capsys) for argv, name in calls]
         assert [rc for rc, _, _ in first] == [0] * len(calls)
+        # the three dimension runs wrote three different artifacts
+        assert len({first[i][2] for i in (3, 8, 9)}) == 3
         for _ in range(2):
             for (argv, name), want in zip(reversed(calls), reversed(first)):
                 assert self.artifact(argv, name, capsys) == want
