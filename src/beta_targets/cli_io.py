@@ -327,7 +327,7 @@ def _axis(d, exponents, origin=None):
 
 
 def _rotated(d, theta, exponents=(1.0, 1.0), **angle):
-    """A constant angle is the linear family of R = rotation_matrix.  Each
+    """A constant angle is the linear family of R = _rotation_rows.  Each
     rule takes its own key only: theta_value for "const", a otherwise."""
     own = "theta_value" if theta == "const" else "a"
     for key in angle.keys() - {own}:

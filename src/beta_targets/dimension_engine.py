@@ -65,8 +65,6 @@ __all__ = [
     "TargetSpec",
     "LevelData",
     "DimensionReport",
-    "log_columns",
-    "gamma_magnitudes",
     "s_n",
     "s_star",
 ]
@@ -129,13 +127,19 @@ def _contract(signs, logs, exponents, log2_betas, n: int, r_bound=1075.0):
     entry (i, j) is log2|R_ij| - n (t_j l_j + l_i), on the diagonal
     log2|R_jj| - n (1 + t_j) l_j, with l = log2_betas.  The frame doubles
     sums over minors, each taking every row and every column at most
-    once, so a level where 2 (d r_bound + n sum_j (1 + t_j) l_j), or
-    n (1 + t_j) on the way to the diagonal, passes float range raises
-    ScaleRangeError."""
+    once, so B = 2 (d r_bound + n sum_j (1 + t_j) l_j) bounds them in
+    exact arithmetic.  In floats each entry rounds at most five times
+    (the product with n counts its int-to-float conversion), a minor's
+    log at most d times more, and B itself at most d + 4 times: the
+    doubled sums may pass the computed B by a relative (2 d + 9) 2^-53
+    to first order.  So a level where B widened by (d + 4) 2^-50, over
+    three times that, or n (1 + t_j) on the way to the diagonal, passes
+    float range raises ScaleRangeError."""
     tl = [t * l for t, l in zip(exponents, log2_betas)]
-    if not 2.0 * (len(tl) * r_bound + n * _volume_rate(
-            exponents, tuple(log2_betas))) < _FLOAT_MAX or \
-            not n * (1.0 + max(exponents)) < _FLOAT_MAX:
+    d = len(tl)
+    if not 2.0 * (d * r_bound + n * _volume_rate(
+            exponents, tuple(log2_betas))) * (1.0 + (d + 4) * 2.0 ** -50) \
+            < _FLOAT_MAX or not n * (1.0 + max(exponents)) < _FLOAT_MAX:
         raise ScaleRangeError("the log2 magnitudes of f^n P_n are past "
                               "float range at this level", module=_MODULE)
     mags = []
@@ -447,13 +451,6 @@ def _check_float_level(n, module: str = _MODULE) -> None:
                               module=module)
 
 
-def log_columns(spec: TargetSpec, n: int):
-    """Columns of f^n P_n as (signs, log2 magnitudes), computed without
-    ever materializing the underflowing values."""
-    _check_float_level(n)
-    return spec.family.log_columns(spec.system.log2_betas, n)
-
-
 def _minimize_objective(w: Sequence[float], g: Sequence[float]):
     """Discrete minimization of the s_n objective over A_n.
 
@@ -493,24 +490,11 @@ def _minimize_objective(w: Sequence[float], g: Sequence[float]):
     return best_val, best_lam, cands
 
 
-def gamma_magnitudes(spec: TargetSpec, n: int,
-                     as_log2: bool = False) -> Tuple[float, ...]:
-    """Sorted norms of the orthogonal frame of f^n P_n.
-
-    Always computed through the scaled orthogonalization, so the result
-    is exact in the log domain at any level; as_log2 returns the log2
-    values directly (the raw magnitudes flush to zero once they leave
-    float range).
-    """
-    _check_float_level(n)
-    logs = _gamma_log2(spec, n)
-    if as_log2:
-        return logs
-    return tuple(float(np.exp2(x)) for x in logs)
-
-
 def _gamma_log2(spec: TargetSpec, n: int) -> Tuple[float, ...]:
-    """gamma_magnitudes(spec, n, as_log2=True) at a checked level."""
+    """log2 |gamma_i| of f^n P_n at a checked level, sorted as the pivot
+    scan leaves them: its log2 norms of the family's log columns, held to
+    the volume identity.  They stay finite at any level with a float
+    value, where the norms themselves flush to zero."""
     log2_betas = spec.system.log2_betas
     _, logs, _ = _pivot_scan(*spec.family.log_columns(log2_betas, n))
     _check_volume_identity(spec, n, logs)

@@ -119,7 +119,13 @@ class EnSet:
 
     @property
     def copy_area(self) -> float:
-        return abs(float(np.linalg.det(self.base.columns)))
+        """|det| of the base columns as the 2x2 cross product, which is
+        exact on an axis box and a few roundings off wherever its two
+        products share a sign, as on a rotated box.  2**base.log2_volume
+        would add the error of its log2 and exp2, about |log2 area| 2^-53
+        relative, and numpy's det goes through exp(log|det|) too."""
+        (a, b), (c, d) = self.base.columns.tolist()
+        return abs(a * d - b * c)
 
 
 @dataclasses.dataclass(frozen=True)

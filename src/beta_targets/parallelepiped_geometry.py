@@ -10,13 +10,13 @@ with controlled entries, and the hyperrectangle spanned by
 2^d * |gamma_i| along each frame axis is guaranteed to contain the
 parallelepiped; bounding_hyperrectangle checks that containment.
 
-There is one route, in the log domain (`pivoted_orthogonalize_scaled`):
+There is one route, in the log domain (the pivot scan `_pivot_scan`):
 norms and U come from Cauchy-Binet sums of signed log2 minors, so
 columns whose magnitudes differ by thousands of binary orders never
 underflow and no numpy.linalg call is made.  `pivoted_orthogonalize` is
-its float front end, which adds the plain gamma vectors.  Both wrap the
-scan core `_pivot_scan` in an OrthoFrame; the dimension formula reads
-the core's log2 norms without one.
+its float front end, which wraps the scan in an OrthoFrame and adds the
+plain gamma vectors; the dimension formula reads the scan's log2 norms
+without a frame.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ __all__ = [
     "BetaSystem",
     "Parallelepiped",
     "OrthoFrame",
-    "rotation_matrix",
     "pivoted_orthogonalize",
-    "pivoted_orthogonalize_scaled",
     "bounding_hyperrectangle",
     "scale_by_f",
 ]
@@ -274,14 +272,10 @@ class OrthoFrame:
         return g
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    """2-D rotation by theta, with near-zero trig snapped exactly to 0; a
-    theta that is not a finite number raises DomainError."""
-    return np.array(_rotation_rows(theta))
-
-
 def _rotation_rows(theta) -> tuple:
-    """rotation_matrix(theta) as a tuple of rows of Python floats."""
+    """2-D rotation by theta as a tuple of rows of Python floats, with
+    cos and sin within 1e-15 of 0 snapped exactly to 0; a theta that is
+    not a finite number raises DomainError."""
     theta = _as_float(theta, "theta", _MODULE)
     if not math.isfinite(theta):
         raise DomainError(f"theta must be finite, got {theta}",
@@ -335,9 +329,21 @@ def _beats(key: float, best: float) -> bool:
     return key > best + _PIVOT_TIE_TOL * max(1.0, abs(best))
 
 
-def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> OrthoFrame:
+def _rows(m):
+    """A matrix as a sequence of rows: an array through tolist, so that
+    the scan works on Python floats; None for an array that is not 2-D.
+    Row sequences are read as given, without a per-level copy."""
+    if isinstance(m, np.ndarray):
+        return m.astype(float, casting="same_kind").tolist() \
+            if m.ndim == 2 else None
+    return m
+
+
+def _pivot_scan(signs, log2_magnitudes) -> tuple:
     """Pivoted orthogonalization of columns given as signs and log2
-    magnitudes, computed entirely in the log domain.
+    magnitudes, computed entirely in the log domain: (permutation, log2
+    norms, steps), which OrthoFrame takes in that order; steps is what
+    the frame keeps for U.
 
     Entry (i, j) of the implied matrix A is signs[i, j] * 2**log2_magnitudes[i, j]
     (use sign 0 with magnitude -inf for exact zeros).  By Cauchy-Binet,
@@ -366,24 +372,6 @@ def pivoted_orthogonalize_scaled(signs, log2_magnitudes) -> OrthoFrame:
     of numbers; every sum and product is taken in one fixed order.  An
     entry that is not a number (None, a string, even a numeric one) or
     an int past float range raises DomainError.
-    """
-    return OrthoFrame(*_pivot_scan(signs, log2_magnitudes))
-
-
-def _rows(m):
-    """A matrix as a sequence of rows: an array through tolist, so that
-    the scan works on Python floats; None for an array that is not 2-D.
-    Row sequences are read as given, without a per-level copy."""
-    if isinstance(m, np.ndarray):
-        return m.astype(float, casting="same_kind").tolist() \
-            if m.ndim == 2 else None
-    return m
-
-
-def _pivot_scan(signs, log2_magnitudes) -> tuple:
-    """(permutation, log2 norms, steps) of pivoted_orthogonalize_scaled,
-    which wraps them in an OrthoFrame; steps is what the frame keeps for
-    U.  An entry that is not a number raises DomainError.
 
     A minor with no nonzero term is _ZERO_MINOR, and one with one
     nonzero term s 2**v, s = +-1 and v finite, is (s, v): 2**(v - v) is
@@ -477,7 +465,7 @@ def _pivot_scan(signs, log2_magnitudes) -> tuple:
 
 
 def pivoted_orthogonalize(columns) -> OrthoFrame:
-    """pivoted_orthogonalize_scaled on the signs and log2 magnitudes of a
+    """The pivot scan (_pivot_scan) on the signs and log2 magnitudes of a
     Parallelepiped's columns, or of a square matrix validated by building
     one (zero or nearly dependent columns raise DegenerateInputError)."""
     if not isinstance(columns, Parallelepiped):

@@ -7,7 +7,8 @@ for them now.
 against bit for bit (see ``tests/test_family_reference.py``):
 ``axis_family`` and ``const_rotation`` build the linear family of an
 axis box and of a constantly rotated box, with the arguments the old
-classes took.
+classes took; ``rotation`` is the constant-angle rotation matrix, as the
+library builds it.
 """
 from __future__ import annotations
 
@@ -22,10 +23,16 @@ from beta_targets.dimension_engine import LinearFamily
 from beta_targets.errors import DomainError
 from beta_targets.parallelepiped_geometry import (
     Parallelepiped,
-    rotation_matrix,
+    _rotation_rows,
 )
 
 _MODULE = "dimension_engine"
+
+
+def rotation(theta) -> np.ndarray:
+    """The 2-D rotation by theta as an array, near-zero trig snapped to 0,
+    as the library builds it for the rotated2d "const" kind."""
+    return np.array(_rotation_rows(theta))
 
 
 def axis_family(exponents, origin=None) -> LinearFamily:
@@ -36,7 +43,7 @@ def axis_family(exponents, origin=None) -> LinearFamily:
 def const_rotation(theta: float, exponents=(1.0, 1.0)) -> LinearFamily:
     """The box rotated by the constant angle theta about (1/2, 1/2), as
     the rotated2d config kind with theta 'const' builds it."""
-    return LinearFamily(rotation_matrix(theta), exponents, (0.5, 0.5))
+    return LinearFamily(rotation(theta), exponents, (0.5, 0.5))
 
 
 def _log2_parts(v: float):
@@ -131,7 +138,7 @@ class Rotated2DFamily:
     @functools.cached_property
     def _const_cos_sin(self) -> Tuple[float, float]:
         """cos and sin of the constant angle, near-zero values snapped."""
-        c, s = rotation_matrix(self.theta_value)[:, 0].tolist()
+        c, s = rotation(self.theta_value)[:, 0].tolist()
         return c, s
 
     def _theta_parts(self, n: int):
@@ -161,7 +168,7 @@ class Rotated2DFamily:
 
     def target(self, betas, n: int) -> Parallelepiped:
         if self.theta == "const":
-            rot = rotation_matrix(self.theta_value)
+            rot = rotation(self.theta_value)
         else:
             c = 2.0 ** (-self.a * n)
             rot = np.array([[c, -math.sqrt(1.0 - c * c)],

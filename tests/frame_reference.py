@@ -7,6 +7,9 @@ call; ``frame_u`` is the old ``OrthoFrame.U`` over that dict layout.
 ``tests/test_frame_reference.py`` holds the library's planned scan to
 this reference bit for bit: pivot order, log2 norms, U, and the cases
 that raise ``DegenerateInputError``.
+
+``scaled_frame`` is the library's own frame of columns given as signs
+and log2 magnitudes: its planned scan wrapped in an ``OrthoFrame``.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import math
 import numpy as np
 
 from beta_targets.errors import DegenerateInputError, DomainError
+from beta_targets import parallelepiped_geometry as geometry
 
 _MODULE = "parallelepiped_geometry"
 
@@ -124,3 +128,9 @@ def frame_u(permutation, steps) -> np.ndarray:
             s, l = _log2_sum(signs, logs)
             u[k, m] = s * 2.0 ** (l - g)
     return u
+
+
+def scaled_frame(signs, log2_magnitudes) -> geometry.OrthoFrame:
+    """The library's frame of the columns signs * 2**log2_magnitudes (its
+    scan, not the reference ``_pivot_scan`` above)."""
+    return geometry.OrthoFrame(*geometry._pivot_scan(signs, log2_magnitudes))

@@ -19,7 +19,6 @@ from beta_targets.beta_dynamics import (
 from beta_targets.dimension_engine import (
     Rotated2DFamily,
     TargetSpec,
-    log_columns,
     s_n,
 )
 from beta_targets.hausdorff_content import (
@@ -99,9 +98,10 @@ def test_criterion_2_decaying_angle_closed_form(capsys):
             bad.append((a, v, 1.0))
     # a = 0 and theta = 0 are the same family; the log-domain columns and
     # the resulting s_n must agree bit for bit
+    lg = BetaSystem((2.0, 4.0)).log2_betas
     cross = all(
-        np.array_equal(np.asarray(log_columns(example2(0.0), n)),
-                       np.asarray(log_columns(example1(0.0), n)))
+        np.array_equal(np.asarray(example2(0.0).family.log_columns(lg, n)),
+                       np.asarray(example1(0.0).family.log_columns(lg, n)))
         and s_n(example2(0.0), n).s_n == s_n(example1(0.0), n).s_n
         for n in (1, 7, 50, 200))
     elapsed = time.monotonic() - start

@@ -1023,71 +1023,71 @@ class TestVerifyMeasure:
     # the digest of each (config, seed, samples), kept out of the test ids
     DIGESTS = {
         ("pi4-n2", 0, 1999):
-            "9c37ad4551b24e6f87816571fda667fa7ee7a2dcf7744a0185f49c7c9a2c8379",
+            "d1986f3a475744dc0e06c8d68898f8161aeabb72fe6d5831ad5a6c86969367b1",
         ("pi4-n2", 0, 2000):
-            "9c37ad4551b24e6f87816571fda667fa7ee7a2dcf7744a0185f49c7c9a2c8379",
+            "d1986f3a475744dc0e06c8d68898f8161aeabb72fe6d5831ad5a6c86969367b1",
         ("pi4-n2", 0, 2001):
-            "713cc1d9c1e877362275cf397150fd59b3bc433d64f7e5251290ba3e7f1ca748",
+            "cb1032e329a0f25d6eb930e085b94272c5ad227efb106d5746555587686c43e1",
         ("pi4-n2", 7, 1999):
-            "3e2b03c8cb0167206be14b8977eb83568157732f4b87770c63e27cf782665f7a",
+            "a486029c151aa36a1035a576c0454456fb8324d6e69d817a84e965be96c5560c",
         ("pi4-n2", 7, 2000):
-            "3e2b03c8cb0167206be14b8977eb83568157732f4b87770c63e27cf782665f7a",
+            "a486029c151aa36a1035a576c0454456fb8324d6e69d817a84e965be96c5560c",
         ("pi4-n2", 7, 2001):
-            "8b5ee85255e5c9bc5adaac017b3d98a026afa62f3d820b9085d7aecbd71a63ed",
+            "43013887a27f49f3a8f1f088dd678125be4f3373c68e4a2783e08a6a3bc7856a",
         ("pi4-n2", 4000000000, 1999):
-            "a3c11bfa9d8bc3a6fbd4f37001ddd035026b2cfcc057b65764abc06297717a5f",
+            "62e68ffa35bd3038c803ebb046b2ccf3a7d0ad38a3589d276c09c458703ec7af",
         ("pi4-n2", 4000000000, 2000):
-            "a3c11bfa9d8bc3a6fbd4f37001ddd035026b2cfcc057b65764abc06297717a5f",
+            "62e68ffa35bd3038c803ebb046b2ccf3a7d0ad38a3589d276c09c458703ec7af",
         ("pi4-n2", 4000000000, 2001):
-            "2d8edf36fdd518873b22750206296e51fb3ad4a7e8ac970e38163b81a5dd5c5b",
+            "007eaca3bcd4d285ccc2d856c517cfc48b77ac1c31b5b885eb8c3ff1a9e8e8f7",
         ("pi4-n3", 0, 1999):
-            "033c2166f2d7e513d7eb3f222ec17611adafb3c4fb6e0be17c2a9c06d2eb0796",
+            "31123a7601398c89937b38a9d46b60b27ca0a087c0f9e83f25a5a9e1e9985a34",
         ("pi4-n3", 0, 2000):
-            "033c2166f2d7e513d7eb3f222ec17611adafb3c4fb6e0be17c2a9c06d2eb0796",
+            "31123a7601398c89937b38a9d46b60b27ca0a087c0f9e83f25a5a9e1e9985a34",
         ("pi4-n3", 0, 2001):
-            "76d8d4c47ec7285ba59bef137672b3c95b0abf2641446001b438506240b2050e",
+            "69e9bb723e0a44b5c53611f5b28980439afecf50a7f46fb8939a87781590c2ae",
         ("pi4-n3", 7, 1999):
-            "b796fee4f8bd06ba74dd400803ab401730105fe24cfc94db04d4f477b761774c",
+            "b5c118a22edb77eded55ea2f8f1bff7327f0f1e04a59fa8478ee177d353d53ab",
         ("pi4-n3", 7, 2000):
-            "b796fee4f8bd06ba74dd400803ab401730105fe24cfc94db04d4f477b761774c",
+            "b5c118a22edb77eded55ea2f8f1bff7327f0f1e04a59fa8478ee177d353d53ab",
         ("pi4-n3", 7, 2001):
-            "6b89259de628fc02af491d44abaae17b9136545210fab43764a22cc82413549a",
+            "88cc56be4efe6c3c2263184dce4da60236f4e9939b965e27ce18a6940b53d890",
         ("pi4-n3", 4000000000, 1999):
-            "615953167bc6dfc3163a7de2a0c8ccf0766ae486a8c8c4331a1aeb439e72b779",
+            "23948fbe74a253e46a4b0918f639b763bdf5e761cae91bfbdabad9bea825d2fc",
         ("pi4-n3", 4000000000, 2000):
-            "615953167bc6dfc3163a7de2a0c8ccf0766ae486a8c8c4331a1aeb439e72b779",
+            "23948fbe74a253e46a4b0918f639b763bdf5e761cae91bfbdabad9bea825d2fc",
         ("pi4-n3", 4000000000, 2001):
-            "de6307dac0d7b121ebce709759c0ded383101cd3b204c77c0abdefa13897db98",
+            "f3743b301fcf3036f3f4c0484e5ca25dd5c73651fecfd6eb093ac0fd0bb13a21",
         ("phi-n3", 0, 1999):
-            "235d83333ab53758e63d0c7adccabded051e29cd5ad9465e9d7483953f50a752",
+            "78c80e6720826858bbaa35375a7fcbc324ad66939074650d3432824de90b1e61",
         ("phi-n3", 0, 2000):
-            "235d83333ab53758e63d0c7adccabded051e29cd5ad9465e9d7483953f50a752",
+            "78c80e6720826858bbaa35375a7fcbc324ad66939074650d3432824de90b1e61",
         ("phi-n3", 0, 2001):
-            "260cb04965141e9f38385b06a6f79d726148bf3413bc34421c2acd761a6fbae6",
+            "6e1a18b54d21955fc45389c9ef35e8f3d0169a330c1fc90c9e81ffe4003d68d7",
         ("phi-n3", 7, 1999):
-            "c1a9ecccaf67d5c53d12d837030ec231d8a00a9d13c344cd768cb3888c331fc9",
+            "32e684e8243a696e06319cb08403cf2400afed95a4f471a21e63472e53636689",
         ("phi-n3", 7, 2000):
-            "c1a9ecccaf67d5c53d12d837030ec231d8a00a9d13c344cd768cb3888c331fc9",
+            "32e684e8243a696e06319cb08403cf2400afed95a4f471a21e63472e53636689",
         ("phi-n3", 7, 2001):
-            "2bf7fc43678519cd1dcb2b25d71f5103315ca3ae8fb15164c50e258df7f75f24",
+            "59fe519ae09f6be2a0c7a2a2374ae785f120692a3f6e4bc1009ec37bf90fc666",
         ("phi-n3", 4000000000, 1999):
-            "50c220531af4180b1cb17be39cfb4abdda30362427af1c98798fe51e66dad339",
+            "50a3f3b944fa56fae08906284a10de693b120992b785be5e8f9121e5f469a20f",
         ("phi-n3", 4000000000, 2000):
-            "50c220531af4180b1cb17be39cfb4abdda30362427af1c98798fe51e66dad339",
+            "50a3f3b944fa56fae08906284a10de693b120992b785be5e8f9121e5f469a20f",
         ("phi-n3", 4000000000, 2001):
-            "164c7443d04b4e2a054482540bdc76618a6e916076c3effc0b26f3a89f780e0c",
+            "a2214f847ef6bfc36bacf9ad467be7a3536da44dcc7fb27b382664c56d0c884c",
         ("single", 0, 1999):
-            "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8",
+            "26aa24eb53758908887d56128a064c2d78177c386ed5d6782d65101a8eb4af39",
         ("single", 0, 2000):
-            "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8",
+            "26aa24eb53758908887d56128a064c2d78177c386ed5d6782d65101a8eb4af39",
         ("single", 0, 2001):
-            "54a419ee1b8e8df5eed5fbd7bed0d9c07f9ad46a26f95e1e2f8ed79a9398b8c8",
+            "26aa24eb53758908887d56128a064c2d78177c386ed5d6782d65101a8eb4af39",
         ("single", 7, 1999):
-            "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46",
+            "d9e12d6bef1ebced028e323560a8f6fb1caaa8995652fbd88fa772498e0a7fe5",
         ("single", 7, 2000):
-            "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46",
+            "d9e12d6bef1ebced028e323560a8f6fb1caaa8995652fbd88fa772498e0a7fe5",
         ("single", 7, 2001):
-            "e9c382aa14ea4cfb261f91a04393206c69b75970616efb5b929ae9fe515e5f46",
+            "d9e12d6bef1ebced028e323560a8f6fb1caaa8995652fbd88fa772498e0a7fe5",
         ("single", 4000000000, 1999):
             "0eea8efa63695cb7a166e0dd4997ba2de4a44839612232a89ea11104026dac47",
         ("single", 4000000000, 2000):

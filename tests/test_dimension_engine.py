@@ -22,8 +22,6 @@ from beta_targets.dimension_engine import (
     LinearFamily,
     Rotated2DFamily,
     TargetSpec,
-    gamma_magnitudes,
-    log_columns,
     s_n,
     s_star,
 )
@@ -34,14 +32,10 @@ from beta_targets.errors import (
     DomainError,
     ScaleRangeError,
 )
-from beta_targets.parallelepiped_geometry import (
-    BetaSystem,
-    Parallelepiped,
-    pivoted_orthogonalize_scaled,
-    rotation_matrix,
-)
+from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
 from closed_forms import closed_form_example, monomial_dimension
-from family_reference import axis_family, const_rotation
+from family_reference import axis_family, const_rotation, rotation
+from frame_reference import scaled_frame
 
 SYS24 = BetaSystem((2.0, 4.0))
 
@@ -178,18 +172,17 @@ class TestGammaMagnitudes:
                 g1 = math.sqrt(2.0 ** (-4 * n) * c * c
                                + 2.0 ** (-6 * n) * s * s)
                 g2 = 2.0 ** (-6 * n) / g1
-                got = gamma_magnitudes(spec, n)
+                got = np.exp2(s_n(spec, n).gamma_log2)
                 assert got[0] == pytest.approx(g1, rel=1e-12)
                 assert got[1] == pytest.approx(g2, rel=1e-12)
 
     def test_log_form_survives_underflow(self):
         spec = rotated_spec(math.pi / 6)
-        logs = gamma_magnitudes(spec, 400, as_log2=True)
+        logs = s_n(spec, 400).gamma_log2
         # leading norm ~ 2^(-2n) cos theta, trailing carries the rest
         assert logs[0] == pytest.approx(-800 + math.log2(math.cos(math.pi / 6)),
                                         abs=1e-9)
         assert logs[0] + logs[1] == pytest.approx(-2400.0, abs=1e-6)
-        assert gamma_magnitudes(spec, 400)[1] == 0.0  # flushed, as warned
 
     def test_decay_family_both_terms_visible(self):
         # cos theta_n = 2^(-an) makes the leading norm a genuine
@@ -198,17 +191,17 @@ class TestGammaMagnitudes:
         c = 2.0 ** (-a * n)
         s = math.sqrt(1.0 - c * c)
         g1 = math.sqrt((2.0 ** (-2 * n) * c) ** 2 + (2.0 ** (-3 * n) * s) ** 2)
-        got = gamma_magnitudes(decay_spec(a), n)
+        got = np.exp2(s_n(decay_spec(a), n).gamma_log2)
         assert got[0] == pytest.approx(g1, rel=1e-12)
         assert got[0] * got[1] == pytest.approx(2.0 ** (-6 * n), rel=1e-12)
 
     def test_zero_angle_and_zero_decay_bit_identical(self):
-        sa = log_columns(decay_spec(0.0), 9)
-        sb = log_columns(rotated_spec(0.0), 9)
+        sa = decay_spec(0.0).family.log_columns(SYS24.log2_betas, 9)
+        sb = rotated_spec(0.0).family.log_columns(SYS24.log2_betas, 9)
         assert np.array_equal(sa[0], sb[0])
         assert np.array_equal(sa[1], sb[1])
-        assert gamma_magnitudes(decay_spec(0.0), 9, as_log2=True) == \
-            gamma_magnitudes(rotated_spec(0.0), 9, as_log2=True)
+        assert s_n(decay_spec(0.0), 9).gamma_log2 == \
+            s_n(rotated_spec(0.0), 9).gamma_log2
 
 
 DEEP_LEVELS = (1075, 1811, 2119, 10 ** 5)
@@ -271,7 +264,7 @@ class TestDeepLevels:
         betas = (2.0, 2.5, 3.0)
         shape = Parallelepiped((0.4, 0.4, 0.4), DENSE3)
         spec = TargetSpec(BetaSystem(betas), ExplicitTargets((shape,) * n))
-        got = gamma_magnitudes(spec, n, as_log2=True)
+        got = s_n(spec, n).gamma_log2
         assert got == pytest.approx(mp_gamma_log2(DENSE3, betas, n),
                                     rel=1e-12)
         vol = spec.family.log2_volume(spec.system.log2_betas, n)
@@ -313,6 +306,11 @@ class TestFloatRangeBound:
            st.lists(st.floats(0.05, 8.0), min_size=2, max_size=2),
            st.sampled_from(["axis", "const", "arccos"]),
            st.floats(0.0, 6.3), st.floats(0.5, 1.5))
+    # 2 (d r + n sum (1 + t_j) l_j) is within one rounding of the float
+    # maximum here, and the two diagonal logs, rounded apart, double past it
+    @example(betas=[1.7025353299320911, 9.370403219739492],
+             ex=[7.0, 4.530265511364365], kind="axis", angle=0.0,
+             factor=1.0)
     def test_near_bound_finite_or_refused(self, betas, ex, kind, angle,
                                           factor):
         family = {"axis": lambda: axis_family(ex),
@@ -375,7 +373,7 @@ class TestObjectiveProperties:
         with pytest.raises(DomainError):
             s_n(spec, 2, mode="asymptotic")
         with pytest.raises(DomainError):
-            log_columns(spec, -3)
+            s_n(spec, -3)
 
     def test_oversized_target_rejected(self):
         # a gamma norm at or above 1 leaves no admissible tau
@@ -536,7 +534,7 @@ def level_blocks(draw):
         rows = np.eye(d)[draw(st.permutations(range(d)))]
         if d > 1 and draw(st.booleans()):
             turn = np.eye(d)
-            turn[:2, :2] = rotation_matrix(draw(st.floats(-3.2, 3.2)))
+            turn[:2, :2] = rotation(draw(st.floats(-3.2, 3.2)))
             rows = rows @ turn
         family = LinearFamily(rows * np.exp2(draw(st.lists(
             st.integers(-40, 40), min_size=d, max_size=d))), exponents)
@@ -648,7 +646,7 @@ def nonsingular_matrices(draw):
     r = np.eye(d)[draw(st.permutations(range(d)))]
     for i, j in itertools.combinations(range(d), 2):
         g = np.eye(d)
-        g[np.ix_([i, j], [i, j])] = rotation_matrix(draw(st.one_of(
+        g[np.ix_([i, j], [i, j])] = rotation(draw(st.one_of(
             st.just(0.0), st.floats(-math.pi, math.pi))))
         r = r @ g
     return r * np.exp2(draw(st.lists(st.integers(-500, 500), min_size=d,
@@ -666,8 +664,7 @@ class TestMatrixRule:
         d = len(r)
         family = LinearFamily(r, (1.0,) * d)
         with np.errstate(divide="ignore"):
-            frame = pivoted_orthogonalize_scaled(np.sign(r),
-                                                 np.log2(np.abs(r)))
+            frame = scaled_frame(np.sign(r), np.log2(np.abs(r)))
         log2_det = family.log2_volume((1.0,) * d, 0)
         assert abs(log2_det - math.fsum(frame.log2_norms)) <= 1e-12
         assert log2_det == Parallelepiped(np.zeros(d), r).log2_volume
@@ -679,7 +676,7 @@ class TestMatrixRule:
         # |det R| = ratio times the product of the column norms, to a
         # relative 1e-10; the rule's threshold is 1e-12
         for ratio, builds in ((1e-11, True), (1e-13, False)):
-            r = rotation_matrix(turn) @ np.array(
+            r = rotation(turn) @ np.array(
                 [[1.0, 1.0], [0.0, ratio]]) / np.array([1.0, math.hypot(
                     1.0, ratio)]) * np.array(scales)
             if builds:

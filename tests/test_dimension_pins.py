@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from beta_targets.cli_io import _load_table, _parse_table, main
-from beta_targets.dimension_engine import TargetSpec, log_columns
+from beta_targets.dimension_engine import TargetSpec
 from beta_targets.parallelepiped_geometry import BetaSystem, Parallelepiped
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -272,7 +272,7 @@ def test_shared_sign_rows_are_immutable(tmp_path):
     def signs():
         spec = TargetSpec(BetaSystem(TABLE_BETAS),
                           _load_table(3, str(tmp_path / "table.csv")))
-        return log_columns(spec, 5)[0]
+        return spec.family.log_columns(spec.system.log2_betas, 5)[0]
 
     rows = signs()
     with pytest.raises(TypeError):

@@ -19,11 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beta_targets.errors import DegenerateInputError
-from beta_targets.parallelepiped_geometry import (
-    OrthoFrame,
-    _pivot_scan,
-    pivoted_orthogonalize_scaled,
-)
+from beta_targets.parallelepiped_geometry import OrthoFrame, _pivot_scan
 import frame_reference as ref
 
 # small scales too, where the last bits of a log2 norm survive
@@ -67,8 +63,7 @@ def _outcome(run):
 
 def _assert_same_frame(signs, logs):
     old, old_err = _outcome(lambda: ref._pivot_scan(signs, logs))
-    new, new_err = _outcome(lambda: pivoted_orthogonalize_scaled(signs,
-                                                                 logs))
+    new, new_err = _outcome(lambda: ref.scaled_frame(signs, logs))
     assert old_err == new_err
     if old_err is not None:
         return
@@ -115,8 +110,8 @@ def test_seeded_matrices_match_reference():
 def test_array_and_list_inputs_agree(matrix):
     # the CLI and the families pass lists, pivoted_orthogonalize arrays
     signs, logs = matrix
-    a, a_err = _outcome(lambda: pivoted_orthogonalize_scaled(signs, logs))
-    b, b_err = _outcome(lambda: pivoted_orthogonalize_scaled(
+    a, a_err = _outcome(lambda: ref.scaled_frame(signs, logs))
+    b, b_err = _outcome(lambda: ref.scaled_frame(
         np.array(signs), np.array(logs)))
     assert a_err == b_err
     if a_err is None:

