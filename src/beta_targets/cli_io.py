@@ -595,7 +595,10 @@ def _cmd_verify_measure(cfg: RunConfig, sha: str) -> str:
     n_max = _need(cfg.n_max, "n_max")
     rows = []
     for n in range(n_min, n_max + 1):
-        t = cfg.t if cfg.t is not None else s_n(spec, n).s_n - 0.1
+        t = cfg.t
+        if t is None:  # build_measure needs 0 <= t < s_n
+            level_s = s_n(spec, n).s_n
+            t = level_s - 0.1 if level_s >= 0.1 else level_s / 2.0
         M = build_measure(spec, n, cfg.D, t, eps=cfg.eps,
                           copy_cap=cfg.copy_cap)
         rep = verify_measure_bound(M, samples=cfg.samples,

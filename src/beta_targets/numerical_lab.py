@@ -631,106 +631,23 @@ def _radius_samplers(M: MuMeasure):
     ]
 
 
-# balls of the array pass after a rejected 32-bit draw, doubled after
-# each pass without one: a rejection re-pulls a bounded share of words
-_RESYNC_BALLS = 64
-_LOW32 = np.uint64(0xFFFFFFFF)
-
-
-def _unit_doubles(words: np.ndarray) -> np.ndarray:
-    """The doubles in [0, 1) that Generator.random makes of PCG64 words."""
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
-
-
-def _draw_balls(rng: np.random.Generator, copies: int,
-                count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """count balls' rng.integers(copies), rng.random(2) and rng.random(),
-    in that order per ball, as (indices, (count, 3) unit doubles).
-
-    Bit for bit those calls on a PCG64 generator, from one random_raw
-    pull per pass: each double takes a whole word; a copy count of one
-    takes no bits; one in [2, 2^32] takes a 32-bit draw by Lemire's
-    method, the low half of a fresh word or the high half the generator
-    kept from the draw before.  At the first rejected 32-bit draw the
-    generator is rewound to that ball, which the scalar calls draw, and
-    the array pass resumes after it.  The generator is left where the
-    scalar calls leave it.
-    """
-    bg = rng.bit_generator
-    idx = np.empty(count, dtype=np.int64)
-    units = np.empty((count, 3))
-
-    def scalar(j):
-        idx[j] = rng.integers(copies)
-        units[j, :2] = rng.random(2)
-        units[j, 2] = rng.random()
-
-    if copies > 2 ** 32:  # 64-bit draws: more copies than memory holds
-        for j in range(count):
-            scalar(j)
-        return idx, units
-    if copies == 1:
-        idx[:] = 0
-        units[:] = _unit_doubles(bg.random_raw(3 * count)).reshape(-1, 3)
-        return idx, units
-    threshold = (2 ** 32 - copies) % copies
-    j, block = 0, count
-    while j < count:
-        m = min(block, count - j)
-        saved = bg.state
-        h = saved["has_uint32"]
-        # ball i takes a fresh word when i + h is even, else the high half
-        # of ball i - 1's; its words start at 3i + (fresh balls before i)
-        i = np.arange(m)
-        fresh = (i + h) % 2 == 0
-        off = 3 * i + (i + 1 - h) // 2
-        words = bg.random_raw(3 * m + (m + 1 - h) // 2)
-        held = words[np.where(fresh, off, np.maximum(off - 4, 0))]
-        u32 = np.where(fresh, held & _LOW32, held >> np.uint64(32))
-        if h:
-            u32[0] = saved["uinteger"]
-        scaled = u32 * np.uint64(copies)
-        rejected = np.flatnonzero((scaled & _LOW32) < threshold)
-        a = int(rejected[0]) if len(rejected) else m
-        idx[j:j + a] = scaled[:a] >> np.uint64(32)
-        at = (off[:a] + fresh[:a])[:, None] + np.arange(3)
-        units[j:j + a] = _unit_doubles(words[at])
-        # the 32-bit buffer after ball a - 1, as the scalar calls leave it
-        last = a - 1 if (a - 1 + h) % 2 == 0 else a - 2
-        buffer = {"has_uint32": (a + h) % 2,
-                  "uinteger": (int(words[off[last]] >> np.uint64(32))
-                               if last >= 0 else saved["uinteger"])}
-        j += a
-        if a < m:
-            bg.state = {**saved, **buffer}
-            bg.random_raw(3 * a + (a + 1 - h) // 2)
-            scalar(j)
-            j += 1
-            block = _RESYNC_BALLS
-        else:
-            bg.state = {**bg.state, **buffer}
-            block *= 2
-    return idx, units
-
-
 def verify_measure_bound(M: MuMeasure, samples: int = 2000,
                          rng_seed: int = 0) -> MeasureBoundReport:
     """Monte-Carlo check of mu(B(x, r)) <= C r^t / |D|^d, t = M.t.
 
     Centers are uniform over random copies (hence inside E_n and D);
     radii are stratified across four regimes so each branch of the
-    ball-mass case analysis is exercised.  Ball by ball, the seed's
-    stream is that of rng.integers(copies), rng.random(2) for the point
-    in the copy, and rng.uniform(log lo, log hi) for the log radius.
-    All balls come from one raw pull of the generator's words that
-    reproduces those calls, with a rejected integer draw resynced
-    through the calls themselves (see _draw_balls); uniform's
-    lo + (hi - lo) * u is taken with a separate multiply and add, as in
-    numpy's x86-64 builds.  The masses come in one batch through
-    _ball_masses, which gives each ball the mass it would get alone,
-    while exp and r^t stay Python float calls.  Returns each regime's
-    maximum of mu(B) |D|^d / r^t with its witness, the regime's first
-    ball to reach it; deterministic for a fixed seed.
+    ball-mass case analysis is exercised.  The seed's generator draws
+    every ball's copy in one rng.integers(copies, size=samples) call,
+    then a (samples, 3) rng.random array: the point in the copy, and
+    the fraction w of the way from log lo to log hi of the log radius.
+    The masses come in one batch through _ball_masses, which gives each
+    ball the mass it would get alone, while exp and r^t stay Python
+    float calls: numpy's vectorised exp and power may round differently
+    on another CPU.
+    Returns each regime's maximum of mu(B) |D|^d / r^t with its witness,
+    the regime's first ball to reach it; the same seed gives the same
+    report.
     Every |D|^d, radius and r^t is normal for a measure of build_measure.
     """
     t = M.t
@@ -754,7 +671,8 @@ def verify_measure_bound(M: MuMeasure, samples: int = 2000,
     sizes = [per] * len(regimes)
     sizes[0] += samples - per * len(regimes)
 
-    idx, units = _draw_balls(rng, en.copy_count, samples)
+    idx = rng.integers(en.copy_count, size=samples)
+    units = rng.random((samples, 3))
     centers = (en.z_star[idx] + en.base.origin + units[:, :1] * cols[:, 0]
                + units[:, 1:2] * cols[:, 1])
     # the k-th ball of a regime between the logs of bounds[k % len(bounds)]

@@ -29,6 +29,7 @@ from beta_targets.cli_io import (
     run,
     validate_config,
 )
+from beta_targets.dimension_engine import s_n
 from beta_targets.errors import BetaTargetsError, ConfigError, DomainError
 
 PI4 = math.pi / 4.0
@@ -966,6 +967,29 @@ class TestVerifyMeasure:
                      "--seed", "11"]) == 0
         assert (out / "verify_measure.csv").read_bytes() == first
 
+    def test_default_t_below_a_tenth(self, tmp_path, capsys):
+        # s_n = 0.0732 here: the default t was s_n - 0.1 < 0, refused as
+        # a t the config never set; it is now s_n / 2
+        config = {
+            "betas": [2, 4],
+            "target": {"kind": "axis", "exponents": [40, 40]},
+            "n_min": 2, "n_max": 2,
+            "samples": 8,
+        }
+        level_s = s_n(make_target_spec(validate_config(config)), 2).s_n
+        assert 0.0 < level_s < 0.1
+        bodies = []
+        for name, extra in (("default", {}), ("half", {"t": level_s / 2})):
+            out = tmp_path / name
+            path = write_config(tmp_path, dict(config, **extra),
+                                f"{name}.json")
+            assert main(["verify-measure", "--config", path,
+                         "--out", str(out)]) == 0
+            text = (out / "verify_measure.csv").read_text()
+            bodies.append(text.split("\n", 1)[1])
+        assert bodies[0] == bodies[1]
+        assert bodies[0].count("\n") == 5
+
     def test_area_underflow_is_typed(self, tmp_path, capsys):
         # it escaped main as a ZeroDivisionError
         path = write_config(tmp_path, {
@@ -1002,10 +1026,10 @@ class TestVerifyMeasure:
                        "normal float"}
         assert not (tmp_path / "verify_measure.csv").exists()
 
-    # sha256 of verify_measure.csv below its config-hash line, pinned from
-    # the per-ball Generator calls: 64 and 512 copies, 36 copies (whose
-    # 32-bit integer draws have a nonzero rejection threshold) and a
-    # single copy, whose integer draws take no bits
+    # sha256 of verify_measure.csv below its config-hash line: 64 and 512
+    # copies, 36 copies (whose 32-bit integer draws have a nonzero
+    # rejection threshold) and a single copy, whose integer draws take
+    # no bits
     CONFIGS = {
         "pi4-n2": {"betas": [2, 4], "n_min": 2, "n_max": 2, "target": {
             "kind": "rotated2d", "theta": "const", "theta_value": PI4}},
@@ -1023,59 +1047,59 @@ class TestVerifyMeasure:
     # the digest of each (config, seed, samples), kept out of the test ids
     DIGESTS = {
         ("pi4-n2", 0, 1999):
-            "d1986f3a475744dc0e06c8d68898f8161aeabb72fe6d5831ad5a6c86969367b1",
+            "e5a0e68996b78958a511f3b61001e7c0f06056f1cc0dddc9f06d05b3ab1f1f0a",
         ("pi4-n2", 0, 2000):
-            "d1986f3a475744dc0e06c8d68898f8161aeabb72fe6d5831ad5a6c86969367b1",
+            "e5a0e68996b78958a511f3b61001e7c0f06056f1cc0dddc9f06d05b3ab1f1f0a",
         ("pi4-n2", 0, 2001):
-            "cb1032e329a0f25d6eb930e085b94272c5ad227efb106d5746555587686c43e1",
+            "7b69418494137aada3794363fcafaf4293b8293c624f006bf15c6f1e8b149f05",
         ("pi4-n2", 7, 1999):
-            "a486029c151aa36a1035a576c0454456fb8324d6e69d817a84e965be96c5560c",
+            "61498a249fa3fef74d69f2618e0394bc6b54332734df2bdaccbd5d990b425344",
         ("pi4-n2", 7, 2000):
-            "a486029c151aa36a1035a576c0454456fb8324d6e69d817a84e965be96c5560c",
+            "61498a249fa3fef74d69f2618e0394bc6b54332734df2bdaccbd5d990b425344",
         ("pi4-n2", 7, 2001):
-            "43013887a27f49f3a8f1f088dd678125be4f3373c68e4a2783e08a6a3bc7856a",
+            "faeb474814ec62007da381df9751f8261858b2ab4eb5423feddfe632e109c107",
         ("pi4-n2", 4000000000, 1999):
-            "62e68ffa35bd3038c803ebb046b2ccf3a7d0ad38a3589d276c09c458703ec7af",
+            "f599dc861da990825fed751e418b8cd512d2e4c10e6079e8a7458d74217a38cf",
         ("pi4-n2", 4000000000, 2000):
-            "62e68ffa35bd3038c803ebb046b2ccf3a7d0ad38a3589d276c09c458703ec7af",
+            "f599dc861da990825fed751e418b8cd512d2e4c10e6079e8a7458d74217a38cf",
         ("pi4-n2", 4000000000, 2001):
-            "007eaca3bcd4d285ccc2d856c517cfc48b77ac1c31b5b885eb8c3ff1a9e8e8f7",
+            "4fc45a2f4952a4026335ad0066fcb81df0dbbb122ccc499f506eb71a1b0cce44",
         ("pi4-n3", 0, 1999):
-            "31123a7601398c89937b38a9d46b60b27ca0a087c0f9e83f25a5a9e1e9985a34",
+            "0613ad5a270c0ece05f130d57aa5217d8666d64c5e66607ae10dbedd0d5a4fec",
         ("pi4-n3", 0, 2000):
-            "31123a7601398c89937b38a9d46b60b27ca0a087c0f9e83f25a5a9e1e9985a34",
+            "0613ad5a270c0ece05f130d57aa5217d8666d64c5e66607ae10dbedd0d5a4fec",
         ("pi4-n3", 0, 2001):
-            "69e9bb723e0a44b5c53611f5b28980439afecf50a7f46fb8939a87781590c2ae",
+            "f05f3badc9750e8687de18b856f2eb2d5d81cc1614f2ecf58c6dd533efe44fb7",
         ("pi4-n3", 7, 1999):
-            "b5c118a22edb77eded55ea2f8f1bff7327f0f1e04a59fa8478ee177d353d53ab",
+            "27dafe8d6d9e6fd89ac9801f7f6d06360329e2c58bf8d3338cef757729230004",
         ("pi4-n3", 7, 2000):
-            "b5c118a22edb77eded55ea2f8f1bff7327f0f1e04a59fa8478ee177d353d53ab",
+            "27dafe8d6d9e6fd89ac9801f7f6d06360329e2c58bf8d3338cef757729230004",
         ("pi4-n3", 7, 2001):
-            "88cc56be4efe6c3c2263184dce4da60236f4e9939b965e27ce18a6940b53d890",
+            "834ca9239394e9ad91aca4c5b78cb1bb08c6f8e67b9a8304f8bd11c8cd8915a0",
         ("pi4-n3", 4000000000, 1999):
-            "23948fbe74a253e46a4b0918f639b763bdf5e761cae91bfbdabad9bea825d2fc",
+            "76e8cd736adac7a27f6e825d349c55d9d3f34f423f7dbc812d3a99c2c5be0222",
         ("pi4-n3", 4000000000, 2000):
-            "23948fbe74a253e46a4b0918f639b763bdf5e761cae91bfbdabad9bea825d2fc",
+            "63f351ae8a58e366301c3dbc80dd8e3075e459471e6bdd2031b708081ad5195c",
         ("pi4-n3", 4000000000, 2001):
-            "f3743b301fcf3036f3f4c0484e5ca25dd5c73651fecfd6eb093ac0fd0bb13a21",
+            "bbe39b9c616d5b83119b1b7bc8a85a9149079ce93bf15ea8bee357e01a522486",
         ("phi-n3", 0, 1999):
-            "78c80e6720826858bbaa35375a7fcbc324ad66939074650d3432824de90b1e61",
+            "5ea006e74bad93f6b0ddb3844f664867e254360a17b33f9d08fc10a8ce7596d3",
         ("phi-n3", 0, 2000):
-            "78c80e6720826858bbaa35375a7fcbc324ad66939074650d3432824de90b1e61",
+            "5ea006e74bad93f6b0ddb3844f664867e254360a17b33f9d08fc10a8ce7596d3",
         ("phi-n3", 0, 2001):
-            "6e1a18b54d21955fc45389c9ef35e8f3d0169a330c1fc90c9e81ffe4003d68d7",
+            "388181df012883839095b529de891c4f8e906ea99bb5e3a4dde16d07497b9152",
         ("phi-n3", 7, 1999):
-            "32e684e8243a696e06319cb08403cf2400afed95a4f471a21e63472e53636689",
+            "a363be0d49f988c6d53d5b739455739a0ef59ee378cb6263bdf0c61fb93f654d",
         ("phi-n3", 7, 2000):
-            "32e684e8243a696e06319cb08403cf2400afed95a4f471a21e63472e53636689",
+            "a363be0d49f988c6d53d5b739455739a0ef59ee378cb6263bdf0c61fb93f654d",
         ("phi-n3", 7, 2001):
-            "59fe519ae09f6be2a0c7a2a2374ae785f120692a3f6e4bc1009ec37bf90fc666",
+            "f098e998c5252ed37abafe34425afc46911795f93e29295960931873888ff698",
         ("phi-n3", 4000000000, 1999):
-            "50a3f3b944fa56fae08906284a10de693b120992b785be5e8f9121e5f469a20f",
+            "0557b0412242d56e7c2c821699289be46d4d1fd83d098b94014ece89f718a4d1",
         ("phi-n3", 4000000000, 2000):
-            "50a3f3b944fa56fae08906284a10de693b120992b785be5e8f9121e5f469a20f",
+            "0557b0412242d56e7c2c821699289be46d4d1fd83d098b94014ece89f718a4d1",
         ("phi-n3", 4000000000, 2001):
-            "a2214f847ef6bfc36bacf9ad467be7a3536da44dcc7fb27b382664c56d0c884c",
+            "75c05c7b17fc502ffd0a8619beb7139a528f09012e293b7d177f62262c86462b",
         ("single", 0, 1999):
             "26aa24eb53758908887d56128a064c2d78177c386ed5d6782d65101a8eb4af39",
         ("single", 0, 2000):
