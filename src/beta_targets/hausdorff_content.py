@@ -25,6 +25,18 @@ depth's occupancy mask, the mesh counts and the spot-check ball masses
 do not.  content_estimates_2d builds them once per shape and prices them
 at each exponent of a list.
 
+The cells of every grid depth come from one edge grid.  The envelope
+chains are interpolated once, at the edges (c + j) 2^-K of the columns
+that the shape meets at the deepest depth K.  A depth-k edge
+(c + j) 2^-k is the same float as the grid's edge (c + j) 2^(K-k) 2^-K,
+since an integer times a power of two is exact, so a depth reads its
+inner edges as a strided view of the grid.  Its first and last edges
+lie on or past the ends of the shape's x-extent, as the grid's first
+and last do, and there np.interp holds the chains' end values, so they
+read the grid's end values.  The grid spans only depth K's own columns
+and its x-coordinates are dropped once interpolated, so no depth costs
+more memory than a pass on its own columns would.
+
 The merge prices all of the list's exponents in one stacked pass: each
 level of its pyramid is an (S, nx, ny) stack, S the number of exponents,
 and the zero-padded grids of all levels are views of one workspace per
@@ -51,12 +63,11 @@ from .errors import ConsistencyError, DomainError
 from .polygons import (
     box_areas,
     cell_range,
-    ensure_ccw,
     envelope_chains,
     envelope_edges,
     polygon_area,
     polygon_bbox,
-    slab_ranges,
+    slab_vertices,
 )
 
 __all__ = [
@@ -110,7 +121,7 @@ def singular_value_function(sides: Sequence[float], s: float) -> float:
     if not (0.0 < s <= d):
         raise DomainError(f"s must lie in (0, {d}], got {s}", module=_MODULE)
     m = int(math.floor(s))
-    head = float(np.prod(a[:m])) if m > 0 else 1.0
+    head = math.prod(a[:m])
     if m >= d:
         return head  # s == d, full product
     return head * a[m] ** (s - m)
@@ -143,25 +154,65 @@ def mdp_lower_bound(measure_query: Callable[[Sequence[float], float], float],
     return float(total_mass) / c
 
 
-def _column_intervals(lower: np.ndarray, upper: np.ndarray,
-                      x0: float, x1: float, k: int):
-    """Occupied dyadic cells per grid column at depth k.
+def _slab_extremes(grid: np.ndarray, inner: slice, op, pick) -> np.ndarray:
+    """One chain's extreme, op, over the two edges of each slab of a
+    depth.  grid holds the chain at the edge grid's edges, grid[inner] at
+    the depth's inner edges; the depth's first slab starts at the grid's
+    first edge and its last slab ends at the grid's last edge.  pick is
+    op for two floats."""
+    row = grid[inner]
+    y = np.empty(len(row) + 1)
+    op(row[:-1], row[1:], out=y[1:-1])
+    if len(row):
+        y[0], y[-1] = pick(grid[0], row[0]), pick(row[-1], grid[-1])
+    else:
+        y[0] = pick(grid[0], grid[-1])
+    return y
 
-    Returns (c0, lo, hi): columns c0..c0+len-1 where column i spans row
-    cells lo[i]..hi[i] inclusive.  Cells follow cell_range's floor rule:
+
+def _column_intervals(lower: np.ndarray, upper: np.ndarray,
+                      x0: float, x1: float, depths: Sequence[int]
+                      ) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Occupied dyadic cells per grid column at each depth of a list.
+
+    Yields (c0, lo, hi) per depth k, in the list's order: columns
+    c0..c0+len-1 of mesh h = 2^-k where column i spans row cells
+    lo[i]..hi[i] inclusive.  Cells follow cell_range's floor rule:
     column c counts when the polygon meets the half-open strip
     [c h, (c+1) h), and its rows are the half-open [r h, (r+1) h) that
     the polygon meets over the closed strip [c h, (c+1) h].  So a cell
     whose low edge touches the polygon counts; one whose high edge alone
     touches it does not, unless that edge is a column's right edge
     inside the polygon's x-extent.
+
+    The chains are interpolated once, on the edges of the deepest depth
+    K's own columns (see the module docstring), and each depth reads its
+    slabs off views of that edge grid.  The grid is let go once the last
+    depth's slabs are read, so a list that ends at its deepest depth
+    never holds the grid and that depth's cell indices at once.
     """
-    h = 2.0 ** -k
-    c0, c1 = cell_range(x0, x1, h, open=False)
-    ylo, yhi = slab_ranges(lower, upper, np.zeros(1), np.array([c0]),
-                           np.array([c1 - c0 + 1]), h)
-    lo, hi = cell_range(ylo, yhi, h, open=False)
-    return c0, lo, hi
+    K = max(depths)
+    c0_K, c1_K = (int(c) for c in cell_range(x0, x1, 2.0 ** -K, open=False))
+    e = (np.arange(c1_K - c0_K + 2.0) + c0_K) * 2.0 ** -K
+    grid = [np.interp(e, c[:, 0], c[:, 1]) for c in (lower, upper)]
+    del e
+    last = len(depths) - 1
+    for i, k in enumerate(depths):
+        t = 1 << (K - k)
+        c0, c1 = c0_K // t, c1_K // t
+        # the depth's edges (c0 + j) 2^-k are the grid's edges (c0 + j) t;
+        # its first and last lie on or past the x-extent's ends, as the
+        # grid's do, where np.interp holds the chain's end values
+        inner = slice((c0 + 1) * t - c0_K, c1 * t - c0_K + 1, t)
+        ylo = _slab_extremes(grid[0], inner, np.minimum, min)
+        yhi = _slab_extremes(grid[1], inner, np.maximum, max)
+        if i == last:
+            del grid
+        h = 2.0 ** -k
+        slab_vertices(lower, upper, ylo, yhi, start=0, shifts=0.0, first=c0,
+                      last=c1 - c0, h=h)
+        lo, hi = cell_range(ylo, yhi, h, open=False)
+        yield c0, lo, hi
 
 
 def _merged_dyadic_cover(c0: int, r0: int, occ: np.ndarray, k_top: int,
@@ -317,11 +368,16 @@ def _shape_covers(shape, depths: Tuple[int, ...]
                           module=_MODULE)
     if poly.shape[0] < 3:
         return lambda exponents: ((0.0, 0.0) for _ in exponents)
-    poly = ensure_ccw(np.clip(poly, 0.0, 1.0))
+    poly = np.minimum(1.0, np.maximum(0.0, poly))
+    # the orientation test's shoelace is the area of a counterclockwise
+    # polygon; a clockwise one is reversed and measured again
+    area = polygon_area(poly)
+    if area < 0.0:
+        poly = poly[::-1].copy()
+        area = polygon_area(poly)
     _check_convex(poly)
     # relative to its first vertex, a polygon of zero width or height has
     # shoelace area exactly 0.0, so w and h below are positive
-    area = polygon_area(poly)
     if area <= 0.0:
         return lambda exponents: ((0.0, 0.0) for _ in exponents)
 
@@ -331,12 +387,13 @@ def _shape_covers(shape, depths: Tuple[int, ...]
 
     # the merged cover dominates the plain ones at depths up to its own
     k_merge = min(max(depths), _MERGE_DEPTH)
-    plain = []
-    for k in depths:
-        if k > k_merge:
-            _, lo, hi = _column_intervals(lower_chain, upper_chain, x0, x1, k)
-            plain.append((int(np.sum(hi - lo + 1)), k))
-    c0, lo, hi = _column_intervals(lower_chain, upper_chain, x0, x1, k_merge)
+    # ascending, so that the edge grid is let go at the deepest depth
+    plain_depths = sorted(k for k in depths if k > k_merge)
+    cells = _column_intervals(lower_chain, upper_chain, x0, x1,
+                              [k_merge, *plain_depths])
+    c0, lo, hi = next(cells)
+    plain = [(int((top - bottom).sum()) + len(top), k)
+             for k, (_, bottom, top) in zip(plain_depths, cells)]
     r0 = int(lo.min())
     rows = np.arange(r0, int(hi.max()) + 1)
     occ = (rows[None, :] >= lo[:, None]) & (rows[None, :] <= hi[:, None])
@@ -348,7 +405,8 @@ def _shape_covers(shape, depths: Tuple[int, ...]
     cx = float(poly[:, 0].mean())
     cy = float(poly[:, 1].mean())
     radii = np.array([0.125 * h, 0.5 * h, 0.5 * w, max(w, h)])
-    masses = box_areas(envelope_edges(poly), cx - radii - x0,
+    masses = box_areas(envelope_edges(lower_chain, upper_chain),
+                       cx - radii - x0,
                        cx + radii - x0, cy - radii - y0,
                        cy + radii - y0) / area
     mass = dict(zip(radii.tolist(), masses.tolist()))

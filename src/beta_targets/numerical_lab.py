@@ -583,7 +583,7 @@ def _ball_masses(M: MuMeasure, centers: np.ndarray,
     cols = np.stack([oy1 - oy0, oy1 - oy0, iy0 - oy0, oy1 - iy1], axis=1)
     rows = np.where(cols > 0, rows, 0)
     pairs = np.cumsum((rows * cols).sum(axis=1))
-    edges = envelope_edges(en.polygon)
+    edges = envelope_edges(*envelope_chains(en.polygon))
     area = en.copy_area
     ncop = en.copy_count
     start = 0

@@ -4,9 +4,13 @@ Polygons are (m, 2) float arrays of vertices in counterclockwise order
 without a repeated closing vertex.  Everything here assumes convexity;
 none of it is meant for general polygon soup.
 
-Two kernels serve every planar check: slab_ranges gives the polygon's
-y-range over grid columns, with cell_range turning ranges into cell
-indices, and box_areas gives its area inside axis-aligned boxes.
+Two kernels serve every planar check: one gives the polygon's y-range
+over grid columns, with cell_range turning ranges into cell indices,
+and box_areas gives its area inside axis-aligned boxes.  The cover
+count runs the first as slab_ranges, for many x-shifts at one mesh.
+The content oracle reads its slabs, for one shift at many dyadic
+meshes, off an edge grid of its own.  Both widen the slabs by the
+chain vertices through slab_vertices.
 
 box_areas is edge-major: for E envelope edges and P boxes, each of its
 temporaries is an (E, P) slab, one contiguous row of boxes per edge, of
@@ -31,6 +35,7 @@ __all__ = [
     "parallelogram_polygon",
     "envelope_chains",
     "cell_range",
+    "slab_vertices",
     "slab_ranges",
     "envelope_edges",
     "box_areas",
@@ -121,6 +126,27 @@ def cell_range(lo, hi, h: float, open: bool):
     return first.astype(np.int64), last.astype(np.int64)
 
 
+def slab_vertices(lower: np.ndarray, upper: np.ndarray, ylo: np.ndarray,
+                  yhi: np.ndarray, start, shifts, first, last, h) -> None:
+    """Widens slab y-ranges, read off the slabs' edges, by the inner
+    vertices of the envelope chains; in place.
+
+    ylo and yhi are flat.  Row i holds the closed slabs [k h, (k+1) h],
+    k = first[i] + j for j = 0..last[i], of the polygon placed at
+    x-offset shifts[i], at index start[i] + j.  A vertex inside a slab
+    can beat both of its ends, so each inner chain vertex lowers ylo, or
+    raises yhi, of the slab that its x floors into, clamped into the
+    row.  Then yhi is raised to ylo where it lies below.  start, shifts,
+    first and last are arrays over the rows, or scalars for one row.
+    """
+    for chain, y, op in ((lower, ylo, np.minimum), (upper, yhi, np.maximum)):
+        for vx, vy in chain[1:-1]:
+            kv = np.floor((vx + shifts) / h).astype(np.int64)
+            at = start + np.minimum(np.maximum(kv - first, 0), last)
+            y[at] = op(y[at], vy)
+    np.maximum(yhi, ylo, out=yhi)
+
+
 def slab_ranges(lower: np.ndarray, upper: np.ndarray, shifts: np.ndarray,
                 first: np.ndarray, counts: np.ndarray, h: float):
     """y-range of a convex polygon over each of many mesh-h column slabs.
@@ -132,6 +158,7 @@ def slab_ranges(lower: np.ndarray, upper: np.ndarray, shifts: np.ndarray,
     (ylo, yhi) per (shift, column), shift-major, in the polygon's own y
     coordinates, with ylo <= yhi.  The work is one row per shift, padded
     to the largest count, so the counts should be close to each other.
+    The cover count runs it, at one mesh for many shifts.
     """
     m = max(int(counts.max()), 1)
     # adjacent columns share an edge.  Past the x-extent np.interp holds
@@ -142,35 +169,31 @@ def slab_ranges(lower: np.ndarray, upper: np.ndarray, shifts: np.ndarray,
     up_e = np.interp(e, upper[:, 0], upper[:, 1])
     ylo = np.minimum(lo_e[:, :-1], lo_e[:, 1:])
     yhi = np.maximum(up_e[:, :-1], up_e[:, 1:])
-    # a chain vertex inside a slab can beat both of the slab's ends; rows
-    # with no columns take the write in their padding
-    row = np.arange(len(counts))
-    last = np.maximum(counts - 1, 0)
-    for chain, y, op in ((lower, ylo, np.minimum), (upper, yhi, np.maximum)):
-        for vx, vy in chain[1:-1]:
-            kv = np.floor((vx + shifts) / h).astype(np.int64)
-            col = np.minimum(np.maximum(kv - first, 0), last)
-            y[row, col] = op(y[row, col], vy)
-    yhi = np.maximum(yhi, ylo)
+    # rows with no columns take the vertices' writes in their padding
+    slab_vertices(lower, upper, ylo.reshape(-1), yhi.reshape(-1),
+                  start=np.arange(0, ylo.size, m), shifts=shifts,
+                  first=first, last=np.maximum(counts - 1, 0), h=h)
     if counts.min() == m:  # no padding to drop
         return ylo.ravel(), yhi.ravel()
     booked = np.arange(m) < counts[:, None]
     return ylo[booked], yhi[booked]
 
 
-def envelope_edges(polygon: np.ndarray):
-    """(x0, y0, x1, y1, sign) of the non-vertical envelope edges, with
-    coordinates relative to the bounding box's lower-left corner; sign is
-    +1 on the upper chain and -1 on the lower one."""
-    lower, upper = envelope_chains(polygon)
-    parts = []
-    for chain, sign in ((upper, 1.0), (lower, -1.0)):
-        e = np.hstack([chain[:-1], chain[1:]])
-        e = e[e[:, 2] > e[:, 0]]
-        parts.append(np.column_stack([e, np.full(len(e), sign)]))
-    e = np.vstack(parts)
-    e[:, [0, 2]] -= polygon[:, 0].min()
-    e[:, [1, 3]] -= polygon[:, 1].min()
+def envelope_edges(lower: np.ndarray, upper: np.ndarray):
+    """(x0, y0, x1, y1, sign) of the non-vertical edges of a convex
+    polygon's envelope chains, with coordinates relative to its bounding
+    box's lower-left corner; sign is +1 on the upper chain and -1 on the
+    lower one.  The lower chain starts at a leftmost vertex and holds a
+    lowest one, so the corner is read off it."""
+    points = np.concatenate([upper, lower])
+    start, end = points[:-1], points[1:]
+    # the pair that joins the chains is no edge, nor is a vertical one
+    keep = end[:, 0] > start[:, 0]
+    keep[len(upper) - 1] = False
+    sign = np.where(np.arange(len(start)) < len(upper), 1.0, -1.0)
+    e = np.column_stack([start, end, sign])[keep]
+    x0, y0 = lower[0, 0], lower[:, 1].min()
+    e[:, :4] -= (x0, y0, x0, y0)
     return e.T
 
 

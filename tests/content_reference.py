@@ -1,12 +1,16 @@
-"""Reference merge pyramid and mesh counts, kept verbatim from before the
-content oracle priced all of a shape's exponents in one pass.
+"""Reference column intervals, merge pyramid and mesh counts, kept
+verbatim from before the content oracle built all of a shape's grid
+depths from one edge grid and priced all of its exponents in one pass.
 
+``column_intervals`` finds one depth's occupied cells with one
+``slab_ranges`` call for one shift, on an edge grid of its own.
 ``merged_dyadic_cover`` runs the merge pyramid for one exponent: it pads
 each level into a fresh zero grid and adds each parent's four children
 with ``reshape(gx // 2, 2, gy // 2, 2).sum(axis=(1, 3))``.
 ``mesh_counts`` loops over the mesh steps in Python floats and integers.
-``tests/test_content_reference.py`` holds the library's stacked pass and
-its elementwise mesh counts to them bit for bit.
+``tests/test_content_reference.py`` holds the library's one-grid column
+intervals, its stacked pass and its elementwise mesh counts to them bit
+for bit.
 """
 from __future__ import annotations
 
@@ -15,7 +19,30 @@ from typing import List, Tuple
 
 import numpy as np
 
+from beta_targets.polygons import cell_range, slab_ranges
+
 _MESH_STEPS = 64
+
+
+def column_intervals(lower: np.ndarray, upper: np.ndarray,
+                     x0: float, x1: float, k: int):
+    """Occupied dyadic cells per grid column at depth k.
+
+    Returns (c0, lo, hi): columns c0..c0+len-1 where column i spans row
+    cells lo[i]..hi[i] inclusive.  Cells follow cell_range's floor rule:
+    column c counts when the polygon meets the half-open strip
+    [c h, (c+1) h), and its rows are the half-open [r h, (r+1) h) that
+    the polygon meets over the closed strip [c h, (c+1) h].  So a cell
+    whose low edge touches the polygon counts; one whose high edge alone
+    touches it does not, unless that edge is a column's right edge
+    inside the polygon's x-extent.
+    """
+    h = 2.0 ** -k
+    c0, c1 = cell_range(x0, x1, h, open=False)
+    ylo, yhi = slab_ranges(lower, upper, np.zeros(1), np.array([c0]),
+                           np.array([c1 - c0 + 1]), h)
+    lo, hi = cell_range(ylo, yhi, h, open=False)
+    return c0, lo, hi
 
 
 def merged_dyadic_cover(c0: int, r0: int, occ: np.ndarray, k_top: int,

@@ -24,7 +24,8 @@ from beta_targets import numerical_lab
 from beta_targets.dimension_engine import TargetSpec
 from beta_targets.numerical_lab import _ball_masses, build_measure
 from beta_targets.parallelepiped_geometry import BetaSystem
-from beta_targets.polygons import box_areas, ensure_ccw, envelope_edges
+from beta_targets.polygons import (box_areas, ensure_ccw, envelope_chains,
+                                   envelope_edges)
 import box_areas_reference as ref
 from family_reference import const_rotation
 
@@ -130,7 +131,7 @@ def check_boxes(edges, a, b, lo, hi):
 @settings(max_examples=300, deadline=None)
 @given(polygons(), st.data())
 def test_matches_reference(poly, data):
-    edges = envelope_edges(poly)
+    edges = envelope_edges(*envelope_chains(poly))
     rel = poly - poly.min(axis=0)
     w, h = rel.max(axis=0)
     xs, ys = rel[:, 0].tolist(), rel[:, 1].tolist()
@@ -164,14 +165,14 @@ def test_seeded_sweep():
         b[on] = np.maximum(b[on], a[on])
         on = rng.random(p) < 0.2
         hi[on] = np.maximum(lo[on], rng.choice(rel[:, 1], on.sum()))
-        check_boxes(envelope_edges(poly), a, b, lo, hi)
+        check_boxes(envelope_edges(*envelope_chains(poly)), a, b, lo, hi)
 
 
 def test_extreme_edges_take_the_zero_branch():
     # the flat edge's dx/dy and the steep edge's dy/dx are inf before the
     # kernel zeroes them
     for poly in EXTREME:
-        e = envelope_edges(ensure_ccw(poly))
+        e = envelope_edges(*envelope_chains(ensure_ccw(poly)))
         dx, dy = e[2] - e[0], e[3] - e[1]
         rising = dy != 0.0
         with np.errstate(over="ignore"):
@@ -234,4 +235,5 @@ def test_box_counts_of_none_and_one(boxes):
     poly = ensure_ccw(ellipse_polygon(np.linspace(0.0, 6.0, 7), 1.0, 0.5,
                                       0.3, (0.0, 0.0)))
     z = np.full(boxes, 0.25)
-    check_boxes(envelope_edges(poly), z, z + 1.0, z, z + 0.5)
+    check_boxes(envelope_edges(*envelope_chains(poly)), z, z + 1.0, z,
+                z + 0.5)

@@ -1,13 +1,15 @@
-"""The content oracle's stacked merge pass and elementwise mesh counts
-against the per-exponent kernels they replaced
-(``tests/content_reference.py``), bit for bit.
+"""The content oracle's one-grid column intervals, stacked merge pass and
+elementwise mesh counts against the per-depth and per-exponent kernels
+they replaced (``tests/content_reference.py``), bit for bit.
 
 Shapes are random convex polygons inside the unit square: thin
 rectangles and parallelograms as perfbench draws them, axis-aligned
 rectangles (some with corners on the dyadic grid), tall vertical ones,
 tiny ones down to 1e-9 across, and generic polygons of 3 to 8 vertices.
 Depth lists often stop below the merge depth 9, and exponent lists
-repeat entries.  The merge kernel is also run on bare occupancy masks,
+repeat entries.  The column intervals also see shapes whose x-extent
+starts or ends on a grid line of one of the depths, and shapes that
+touch x = 1.  The merge kernel is also run on bare occupancy masks,
 among them grids of one row pair and of one column, where numpy's
 reduction order for the four children changes.
 """
@@ -17,15 +19,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beta_targets import hausdorff_content
 from beta_targets.hausdorff_content import (
+    _column_intervals,
     _merged_dyadic_cover,
     _mesh_counts,
     content_estimates_2d,
 )
+from beta_targets.polygons import ensure_ccw, envelope_chains, polygon_bbox
 import content_reference as ref
 
 EXPONENTS = (0.5, 1.0, 1.3, 1.7, 2.0)
@@ -123,6 +127,50 @@ def test_estimates_match_reference(shape, exponents, depths):
     # 9); the reference kernels must then fail it the same way
     assert outcome(shape, exponents, depths) == \
         reference_outcome(shape, exponents, depths)
+
+
+@st.composite
+def depth_lists(draw):
+    """Unsorted depths in [1, 16] with repeats; some lists stay below the
+    merge depth 9."""
+    top = draw(st.sampled_from([8, 16]))
+    depths = draw(st.lists(st.integers(1, top), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        depths.append(draw(st.sampled_from(depths)))
+    return depths
+
+
+@settings(max_examples=300, deadline=None)
+@given(shapes(), depth_lists(),
+       st.sampled_from(["as drawn", "starts on a grid line",
+                        "ends on a grid line", "touches x = 1"]),
+       st.integers(0, 6))
+# a lower chain that falls across the depth-1 grid line y = 0.5 inside
+# the shape's one depth-1 column, whose slab ends are both grid ends
+@example(np.array([[0.1, 0.6], [0.4, 0.3], [0.4, 0.9]]), [1, 2], "as drawn",
+         0)
+def test_column_intervals_match_reference(shape, depths, align, line):
+    x = shape[:, 0]
+    if align == "touches x = 1":
+        x = x - x.max() + 1.0
+    elif align != "as drawn":
+        # a line of a coarse depth, or of the deepest one
+        scale = 2.0 ** depths[line % len(depths)]
+        if align == "starts on a grid line":
+            x = x - x.min() + math.floor(x.min() * scale) / scale
+        else:
+            x = x - x.max() + math.ceil(x.max() * scale) / scale
+    poly = ensure_ccw(np.column_stack([x, shape[:, 1]]))
+    lower, upper = envelope_chains(poly)
+    x0, _, x1, _ = polygon_bbox(poly)
+    got = list(_column_intervals(lower, upper, x0, x1, depths))
+    want = [ref.column_intervals(lower, upper, x0, x1, k) for k in depths]
+    assert len(got) == len(want)
+    for (c0, lo, hi), (c0_ref, lo_ref, hi_ref) in zip(got, want):
+        assert c0 == c0_ref
+        assert lo.dtype == lo_ref.dtype and hi.dtype == hi_ref.dtype
+        assert lo.tobytes() == lo_ref.tobytes()
+        assert hi.tobytes() == hi_ref.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

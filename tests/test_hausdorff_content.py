@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,30 +493,51 @@ class TestColumnCells:
             assert self.cells(ensure_ccw(poly), 2) == want
 
     @staticmethod
-    def cells(poly, k):
+    def cells(poly, k, depths=None):
+        """Depth k's booked cells, from one kernel call over depths (k
+        alone by default)."""
+        depths = [k] if depths is None else depths
         lower, upper = envelope_chains(poly)
         x0, _, x1, _ = polygon_bbox(poly)
-        c0, lo, hi = _column_intervals(lower, upper, x0, x1, k)
+        by_depth = dict(zip(depths, _column_intervals(lower, upper, x0, x1,
+                                                      depths)))
+        c0, lo, hi = by_depth[k]
         return {(int(c0) + i, r) for i in range(len(lo))
                 for r in range(int(lo[i]), int(hi[i]) + 1)}
 
     @settings(max_examples=60, deadline=None)
-    @given(unit_square_shapes(), st.integers(1, 5))
-    def test_matches_clipping(self, poly, k):
+    @given(unit_square_shapes(),
+           st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    def test_matches_clipping(self, poly, depths):
         """A cell the shape enters by more than d = 1e-9 h is booked; one
         the shape misses by more than d is not."""
-        h = 2.0 ** -k
-        got = self.cells(poly, k)
-        d = 1e-9 * h
-        x0, y0, x1, y1 = polygon_bbox(poly)
-        for c in range(int(x0 / h) - 1, int(x1 / h) + 2):
-            for r in range(int(y0 / h) - 1, int(y1 / h) + 2):
-                a, b, lo, hi = c * h, (c + 1) * h, r * h, (r + 1) * h
-                if clip_to_box(poly, a + d, lo + d, b - d, hi - d).shape[0]:
-                    assert (c, r) in got
-                if not clip_to_box(poly, a - d, lo - d, b + d,
-                                   hi + d).shape[0]:
-                    assert (c, r) not in got
+        for k in depths:
+            h = 2.0 ** -k
+            got = self.cells(poly, k, depths)
+            d = 1e-9 * h
+            x0, y0, x1, y1 = polygon_bbox(poly)
+            for c in range(int(x0 / h) - 1, int(x1 / h) + 2):
+                for r in range(int(y0 / h) - 1, int(y1 / h) + 2):
+                    a, b, lo, hi = c * h, (c + 1) * h, r * h, (r + 1) * h
+                    if clip_to_box(poly, a + d, lo + d, b - d,
+                                   hi - d).shape[0]:
+                        assert (c, r) in got
+                    if not clip_to_box(poly, a - d, lo - d, b + d,
+                                       hi + d).shape[0]:
+                        assert (c, r) not in got
+
+    def test_deep_grid_spans_the_deepest_columns(self):
+        # a shape 1e-6 wide spans five columns at depth 22; an edge grid
+        # over the union of every listed depth's columns, depth 1's
+        # included, would hold about 2^21 edges per array, 16 MB each
+        shape = [[0.3, 0.2], [0.300001, 0.2], [0.300001, 0.7], [0.3, 0.7]]
+        tracemalloc.start()
+        try:
+            content_estimates_2d(shape, CONTENT_S, depths=(1, 22))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def convex_hull(points):
